@@ -96,12 +96,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self, seed=None) -> None:
         if seed is None:
             seed = np.ones_like(self.data)
@@ -128,12 +122,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -282,18 +270,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b, "div")
-    out = _make(a.data / b.data, "div", (a, b), None)
-    if out.requires_grad:
-        def vjp(g):
-            _accum(a, g / b.data)
-            _accum(b, -g * a.data / (b.data * b.data))
-        out._vjp = vjp
-    return out
-
-
 def neg(a) -> Tensor:
     a = as_tensor(a)
     out = _make(-a.data, "neg", (a,), None)
@@ -310,10 +286,6 @@ def power(a, p) -> Tensor:
     if out.requires_grad:
         out._vjp = lambda g: _accum(a, g * p * a.data ** (p - 1.0))
     return out
-
-
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
 
 
 # -- matmul ------------------------------------------------------------------
@@ -341,16 +313,6 @@ def exp(a) -> Tensor:
     out = _make(data, "exp", (a,), None)
     if out.requires_grad:
         out._vjp = lambda g: _accum(a, g * out.data)
-    return out
-
-
-def tlog(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-    out = _make(data, "log", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g / a.data)
     return out
 
 
@@ -391,14 +353,6 @@ def relu(a) -> Tensor:
     out = _make(np.maximum(a.data, 0.0), "relu", (a,), None)
     if out.requires_grad:
         out._vjp = lambda g: _accum(a, g * (a.data > 0.0))
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = _make(np.tanh(a.data), "tanh", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g * (1.0 - out.data * out.data))
     return out
 
 
@@ -489,19 +443,6 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     out = _make(np.swapaxes(a.data, ax1, ax2), "swapaxes", (a,), None)
     if out.requires_grad:
         out._vjp = lambda g: _accum(a, np.swapaxes(g, ax1, ax2))
-    return out
-
-
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
-    try:
-        data = np.broadcast_to(a.data, shape)
-    except ValueError:
-        raise ShapeMismatch(
-            f"broadcast: shape {a.data.shape} does not broadcast to {shape}") from None
-    out = _make(np.ascontiguousarray(data), "broadcast", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g)  # _accum reduces to a's shape
     return out
 
 

@@ -236,9 +236,8 @@ def _predictions(params, config, windows, batch_size):
 
 
 def _cmd_eval(args) -> int:
-    from . import analysis, training
-    params, config = _load_checkpoint(args.checkpoint)
-    records = _load_records(args.data)
+    from . import analysis
+    params, config, records = _load_model_and_data(args)
     windows = _all_windows(records, config, args.stride)
     if not windows:
         raise CliError("no evaluation windows; records are too short")
@@ -266,12 +265,17 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(path):
+def _load_model_and_data(args):
+    """Checkpoint plus records; the model must run at the data's time step."""
     from . import training
-    try:
-        return training.load_checkpoint(path)
-    except training.CheckpointError as exc:
-        raise CliError(str(exc)) from exc
+    params, config = training.load_checkpoint(args.checkpoint)
+    records = _load_records(args.data)
+    for rec in records:
+        if rec.dt != config.dt:
+            raise CliError(
+                f"checkpoint {args.checkpoint} plans at dt={config.dt} s but "
+                f"platoon {rec.platoon_id} is sampled at dt={rec.dt} s")
+    return params, config, records
 
 
 def _run_to_record(record, run):
@@ -290,8 +294,7 @@ def _cmd_simulate(args) -> int:
     import numpy as np
     from . import data
     from . import simulate as sim
-    params, config = _load_checkpoint(args.checkpoint)
-    records = _load_records(args.data)
+    params, config, records = _load_model_and_data(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed) if args.stochastic else None
@@ -335,8 +338,7 @@ def _cmd_stability(args) -> int:
     from . import analysis, data
     from . import autodiff as ad
     from . import network as net
-    params, config = _load_checkpoint(args.checkpoint)
-    records = _load_records(args.data)
+    params, config, records = _load_model_and_data(args)
     report = {}
     for rec in records:
         windows = data.extract_windows(rec, config.history_len,

@@ -1,4 +1,4 @@
-"""Sign-constrained linear car-following dynamics and horizon rollout.
+"""Sign-constrained linear car-following dynamics, rollout and Euler kernel.
 
 Each follower's acceleration is a linear response around an expected state:
 
@@ -11,8 +11,11 @@ with explicit Euler steps; the gap update uses the kinematic identity
 s(k+1) = s(k) + dt * dv(k), so gaps, speeds, and positions remain mutually
 consistent to machine precision.
 
-All graph functions accept autodiff Tensors (differentiable path) or plain
-arrays (wrapped as constants).
+``rollout`` is the differentiable path: its graph functions accept autodiff
+Tensors or plain arrays (wrapped as constants). ``euler_platoon`` is the
+numpy integrator behind synthetic data, IDM calibration and closed-loop
+simulation: the same step under any acceleration law, with speeds clamped at
+zero and collisions detected.
 """
 
 from __future__ import annotations
@@ -143,3 +146,58 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
     return RolloutResult(
         v=ad.stack(vs, axis=-1), s=ad.stack(ss, axis=-1),
         a=ad.stack(accs, axis=-1), dv=ad.stack(dvs, axis=-1))
+
+
+def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
+                  accel, dt: float):
+    """Integrate follower speeds and gaps in place with explicit Euler.
+
+    speeds, gaps: (..., N, T) buffers holding the initial state at frame 0;
+    frames 1.. are overwritten. Leading axes are independent rows, all
+    behind the same leader, whose speeds ``lead_speeds`` (T,) follower 0 sees.
+    Step k applies a = accel(k, v, s, dv), with dv = v_ahead - v and frames
+    0..k already filled: v' = max(0, v + dt*a), s' = s + dt*dv.
+
+    Returns (clamp_count, collision_frame): the number of speeds clamped at
+    zero, and per row the first frame with a non-positive gap (T if none).
+    Frames from a row's collision on are meaningless; stepping stops once
+    every row has collided.
+    """
+    T = speeds.shape[-1]
+    collision = np.full(speeds.shape[:-2], T)
+    v, s = speeds[..., 0], gaps[..., 0]
+    # row = [leader, followers]; its first N entries are the speeds ahead
+    row = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    row_lead, row_follow, ahead = row[..., 0], row[..., 1:], row[..., :-1]
+    clamps = 0
+    for k in range(T):
+        if s.min() <= 0.0:
+            collision = np.where((s <= 0.0).any(axis=-1) & (collision == T),
+                                 k, collision)
+            if (collision < T).all():
+                break
+        if k == T - 1:
+            break
+        row_lead[...] = lead_speeds[k]
+        row_follow[...] = v
+        dv = ahead - v
+        v = v + dt * accel(k, v, s, dv)
+        if v.min() < 0.0:
+            neg = v < 0.0
+            clamps += int(neg.sum())
+            v[neg] = 0.0
+        s = s + dt * dv
+        speeds[..., k + 1] = v
+        gaps[..., k + 1] = s
+    return clamps, collision
+
+
+def cascade_positions(lead_positions, lengths, gaps) -> np.ndarray:
+    """Follower positions (N, T): x_n = x_{n-1} - length_{n-1} - s_n, cascaded
+    rearward from the leader's (T,); lengths (N+1,) start with the leader."""
+    positions = np.empty(np.shape(gaps))
+    prev = lead_positions
+    for i in range(positions.shape[0]):
+        positions[i] = prev - lengths[i] - gaps[i]
+        prev = positions[i]
+    return positions

@@ -3,6 +3,10 @@
 Sign convention: ``dv_approach = v_follower - v_leader`` (positive while
 closing in). Callers holding the platoon-feature convention
 ``dv = v_leader - v_follower`` must negate at this boundary.
+
+Platoon simulation and GA fitness (one batch row per candidate) step the
+followers in gap form with ``dynamics.euler_platoon``, coupled to the
+leader's speed series; positions are cascaded from the leader's afterwards.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from . import dynamics as dyn
 
 
 class CollisionError(Exception):
@@ -82,6 +88,30 @@ def equilibrium_gap(v: float, p: IdmParams) -> float:
     return (p.s0 + v * p.T) / np.sqrt(1.0 - (v / p.v0) ** p.delta)
 
 
+class IdmController:
+    """IDM law with known per-follower parameters, as a closed-loop controller."""
+
+    history_len = 1
+    horizon = 1
+
+    def __init__(self, params):
+        if isinstance(params, IdmParams):
+            raise TypeError("pass one IdmParams per follower (a list)")
+        if not params:
+            raise ValueError("need at least one follower")
+        cols = np.stack([p.as_array() for p in params], axis=1)
+        self._v0, self._T, self._s0, self._a_max, self._b = cols
+        self._delta = np.array([p.delta for p in params])
+
+    def replan(self, history, lead_future):
+        pass
+
+    def accel(self, k: int, v, s, dv):
+        # approach rate is follower minus leader speed: the negative of dv
+        return _accel_raw(v, s, -dv, self._v0, self._T, self._s0,
+                          self._a_max, self._b, self._delta)
+
+
 @dataclass(frozen=True)
 class IdmSimulation:
     """Result arrays of a platoon simulation; row 0 is the leader."""
@@ -96,10 +126,10 @@ def simulate_idm_platoon(lead_speeds, initial_positions, initial_speeds,
                          accel_noise=None) -> IdmSimulation:
     """Integrate followers behind a speed-scripted leader.
 
-    Euler update, all vehicles advanced synchronously from frame-t states:
-    x(t+1) = x(t) + dt*v(t), then v(t+1) = max(0, v(t) + dt*a(t)).
-    Gap of follower n is x_{n-1} - length_{n-1} - x_n (rear bumper to front
-    bumper). ``accel_noise``, if given, is a (T-1, n_followers) array added to
+    Gap-form Euler update (``dynamics.euler_platoon``) from frame-t states;
+    the leader moves by x(t+1) = x(t) + dt*v(t). Gap of follower n is
+    x_{n-1} - length_{n-1} - x_n (rear bumper to front bumper).
+    ``accel_noise``, if given, is a (T-1, n_followers) array added to
     follower accelerations. On a collision the output is truncated to the
     frames strictly before the first non-positive gap.
     """
@@ -112,48 +142,38 @@ def simulate_idm_platoon(lead_speeds, initial_positions, initial_speeds,
     lengths = np.asarray(lengths, dtype=float)
     if initial_positions.shape != (n,) or initial_speeds.shape != (n,) or lengths.shape != (n,):
         raise ValueError("initial state arrays must cover leader and every follower")
+    law = IdmController(params)
+    accel = law.accel
     if accel_noise is not None:
         accel_noise = np.asarray(accel_noise, dtype=float)
         if accel_noise.shape != (T - 1, n_follow):
             raise ValueError(f"accel_noise must have shape {(T - 1, n_follow)}")
+        accel = lambda k, v, s, dv: law.accel(k, v, s, dv) + accel_noise[k]
 
-    pcols = np.stack([p.as_array() for p in params], axis=1)
-    v0, Th, s0, a_max, b = pcols
-    delta = np.array([p.delta for p in params])
-
-    pos = np.zeros((n, T))
-    spd = np.zeros((n, T))
-    pos[:, 0] = initial_positions
-    spd[0, :] = lead_speeds
-    spd[1:, 0] = initial_speeds[1:]
-
-    collision_frame = None
-    valid = T
-    for t in range(T):
-        gaps = pos[:-1, t] - lengths[:-1] - pos[1:, t]
-        if np.any(gaps <= 0.0):
-            collision_frame = t
-            valid = t
-            break
-        if t == T - 1:
-            break
-        a = _accel_raw(spd[1:, t], gaps, spd[1:, t] - spd[:-1, t],
-                       v0, Th, s0, a_max, b, delta)
-        if accel_noise is not None:
-            a = a + accel_noise[t]
-        pos[:, t + 1] = pos[:, t] + dt * spd[:, t]
-        spd[1:, t + 1] = np.maximum(0.0, spd[1:, t] + dt * a)
-
-    if collision_frame is not None and valid == 0:
+    spd = np.empty((n_follow, T))
+    gaps = np.empty((n_follow, T))
+    spd[:, 0] = initial_speeds[1:]
+    gaps[:, 0] = initial_positions[:-1] - lengths[:-1] - initial_positions[1:]
+    _, collision = dyn.euler_platoon(spd, gaps, lead_speeds, accel, dt)
+    valid = int(collision)
+    if valid == 0:
         raise CollisionError("initial platoon state already overlaps")
-    return IdmSimulation(pos[:, :valid], spd[:, :valid], collision_frame)
+    # cumsum adds in sequence: the same sums as stepping x(t) + dt*v(t)
+    lead_pos = np.cumsum(np.concatenate(
+        ([initial_positions[0]], dt * lead_speeds[:valid - 1])))
+    positions = dyn.cascade_positions(lead_pos, lengths, gaps[:, :valid])
+    return IdmSimulation(
+        np.vstack([lead_pos, positions]),
+        np.vstack([lead_speeds[:valid], spd[:, :valid]]),
+        None if valid == T else valid)
 
 
 # -- GA calibration ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FollowerObservation:
-    """One follower's trajectory plus its (observed, fixed) leader."""
+    """One follower's trajectory plus its (observed, fixed) leader. The GA
+    couples to the leader's speeds; its positions only define observed gaps."""
 
     dt: float
     lead_positions: np.ndarray
@@ -187,27 +207,23 @@ def _evaluate_population(pop: np.ndarray, obs: FollowerObservation) -> np.ndarra
     """Fitness = gap RMSE + speed RMSE of re-simulating against the observed
     leader; collided candidates get COLLISION_FITNESS."""
     M = pop.shape[0]
-    v0, Th, s0, a_max, b = pop.T
-    lead_rear = obs.lead_positions - obs.lead_length
-    T = len(obs.positions)
-    x = np.full(M, obs.positions[0])
-    v = np.full(M, obs.speeds[0])
-    collided = np.zeros(M, dtype=bool)
-    sq_gap = np.zeros(M)
-    sq_spd = np.zeros(M)
-    for t in range(T):
-        s = lead_rear[t] - x
-        collided |= s <= 0.0
-        sq_gap += (s - obs.gaps[t]) ** 2
-        sq_spd += (v - obs.speeds[t]) ** 2
-        if t == T - 1:
-            break
-        s_safe = np.where(collided, 1.0, s)
-        a = _accel_raw(v, s_safe, v - obs.lead_speeds[t], v0, Th, s0, a_max, b)
-        x = x + obs.dt * v
-        v = np.maximum(0.0, v + obs.dt * a)
-    fitness = np.sqrt(sq_gap / T) + np.sqrt(sq_spd / T)
-    fitness[collided] = COLLISION_FITNESS
+    v0, Th, s0, a_max, b = pop.T[:, :, None]
+    T = len(obs.speeds)
+    obs_gaps = obs.gaps
+    spd = np.empty((M, 1, T))
+    gaps = np.empty((M, 1, T))
+    spd[..., 0] = obs.speeds[0]
+    gaps[..., 0] = obs_gaps[0]
+
+    def accel(k, v, s, dv):
+        return _accel_raw(v, s, -dv, v0, Th, s0, a_max, b)
+
+    # collided rows step on with non-positive gaps; their values are discarded
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, collision = dyn.euler_platoon(spd, gaps, obs.lead_speeds, accel, obs.dt)
+        fitness = (np.sqrt(np.mean((gaps[:, 0] - obs_gaps) ** 2, axis=-1))
+                   + np.sqrt(np.mean((spd[:, 0] - obs.speeds) ** 2, axis=-1)))
+    fitness[collision < T] = COLLISION_FITNESS
     return fitness
 
 

@@ -5,14 +5,16 @@ followers under a controller. After a warmup prefix copied from the
 reference, the controller is re-planned every ``replan_interval`` steps from
 the *simulated* history (errors feed back, as they would on the road) plus
 the true future leader speeds; between replans it supplies accelerations
-step by step. State is carried as (speed, gap) per follower with the exact
-kinematic gap update, and positions are materialized afterwards by cascading
+step by step. The followers are stepped in (speed, gap) state by
+``dynamics.euler_platoon``, the integrator shared with synthetic data and
+IDM calibration, and positions are materialized afterwards by cascading
 gaps down from the true leader positions, so speeds, gaps, and positions
 stay mutually consistent to machine precision.
 
-Speeds are clamped at zero on materialization (vehicles do not reverse); the
-number of clamped entries is reported. A non-positive gap truncates the run
-strictly before the offending frame and records the collision.
+Speeds are clamped at zero (vehicles do not reverse); the number of clamped
+entries is reported. A non-positive gap truncates the run strictly before
+the offending frame and records the collision. ``IdmController`` lives in
+``idm`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from . import data
 from . import dynamics as dyn
-from . import idm
 from . import network as net
-from .idm import IdmParams
+from .idm import IdmController  # re-exported: simulate.IdmController
 
 
 class SimulationError(Exception):
@@ -36,7 +37,24 @@ class SimulationError(Exception):
 
 # -- controllers ----------------------------------------------------------------
 
-class ScriptedThetaController:
+class _LinearLaw:
+    """The linear car-following law a = f_v (v - v*) + f_s (s - s*) + f_dv dv.
+
+    Subclasses set ``_theta`` (N, S, 3), ``_v_star``, ``_s_star`` (N,) and
+    ``m``; block j = k // m of the current plan steers step k.
+    """
+
+    _theta = None
+
+    def accel(self, k: int, v, s, dv):
+        if self._theta is None:
+            raise SimulationError("accel called before the first replan")
+        th = self._theta[:, k // self.m, :]
+        return (th[:, 0] * (v - self._v_star) + th[:, 1] * (s - self._s_star)
+                + th[:, 2] * dv)
+
+
+class ScriptedThetaController(_LinearLaw):
     """Fixed parameter schedule around a fixed expected state.
 
     theta: (N, S, 3) sign-constrained triples; block j steers steps
@@ -46,41 +64,37 @@ class ScriptedThetaController:
     history_len = 1
 
     def __init__(self, theta, v_star, s_star, steps_per_block: int):
-        self.theta = np.asarray(theta, dtype=float)
-        dyn.validate_theta(self.theta)
-        if self.theta.ndim != 3:
-            raise ValueError(f"theta must be (N, S, 3), got {self.theta.shape}")
-        self.v_star = np.asarray(v_star, dtype=float)
-        self.s_star = np.asarray(s_star, dtype=float)
+        self._theta = np.asarray(theta, dtype=float)
+        dyn.validate_theta(self._theta)
+        if self._theta.ndim != 3:
+            raise ValueError(f"theta must be (N, S, 3), got {self._theta.shape}")
+        self._v_star = np.asarray(v_star, dtype=float)
+        self._s_star = np.asarray(s_star, dtype=float)
         if steps_per_block < 1:
             raise ValueError("steps_per_block must be >= 1")
         self.m = steps_per_block
-        self.horizon = self.theta.shape[1] * steps_per_block
+        self.horizon = self._theta.shape[1] * steps_per_block
 
     def replan(self, history, lead_future):
         pass
 
-    def accel(self, k: int, v, s, dv):
-        j = k // self.m
-        th = self.theta[:, j, :]
-        return (th[:, 0] * (v - self.v_star) + th[:, 1] * (s - self.s_star)
-                + th[:, 2] * dv)
 
+class ModelController(_LinearLaw):
+    """Plans with the neural pipeline; deterministic unless given an rng.
 
-class ModelController:
-    """Plans with the neural pipeline; deterministic unless given an rng."""
+    ``dt`` is the step the model was trained at; ``closed_loop_simulate``
+    refuses records sampled at any other step.
+    """
 
     def __init__(self, params: net.ModelParams, config: net.ModelConfig,
                  rng: np.random.Generator = None):
         self.params = params
         self.config = config
         self.rng = rng
+        self.dt = config.dt
         self.history_len = config.history_len
         self.horizon = config.horizon
         self.m = config.param_window
-        self._theta = None
-        self._v_star = None
-        self._s_star = None
 
     def replan(self, history, lead_future):
         noise = None
@@ -93,38 +107,6 @@ class ModelController:
         self._theta = out.theta.data[0]
         self._v_star = out.xstar.v_star.data[0]
         self._s_star = out.xstar.s_star.data[0]
-
-    def accel(self, k: int, v, s, dv):
-        if self._theta is None:
-            raise SimulationError("accel called before the first replan")
-        j = k // self.m
-        th = self._theta[:, j, :]
-        return (th[:, 0] * (v - self._v_star) + th[:, 1] * (s - self._s_star)
-                + th[:, 2] * dv)
-
-
-class IdmController:
-    """Reference car-following behavior with known per-follower parameters."""
-
-    history_len = 1
-    horizon = 1
-
-    def __init__(self, params):
-        if isinstance(params, IdmParams):
-            raise TypeError("pass one IdmParams per follower (a list)")
-        if not params:
-            raise ValueError("need at least one follower")
-        cols = np.stack([p.as_array() for p in params], axis=1)
-        self._v0, self._T, self._s0, self._a_max, self._b = cols
-        self._delta = np.array([p.delta for p in params])
-
-    def replan(self, history, lead_future):
-        pass
-
-    def accel(self, k: int, v, s, dv):
-        # approach rate is follower minus leader speed: the negative of dv
-        return idm._accel_raw(v, s, -dv, self._v0, self._T, self._s0,
-                              self._a_max, self._b, self._delta)
 
 
 # -- simulator --------------------------------------------------------------------
@@ -160,11 +142,17 @@ def closed_loop_simulate(record: data.PlatoonRecord, controller,
     required history length); the simulation starts from the last copied
     frame. Near the end of the record the leader-future handed to the
     planner is padded by holding its last value; only the steps that fit in
-    the record are applied.
+    the record are applied. A controller with a ``dt`` attribute must plan at
+    the record's sampling step.
     """
     dt = record.dt
     T = record.duration
     N = record.n_followers
+    plan_dt = getattr(controller, "dt", dt)
+    if plan_dt != dt:
+        raise SimulationError(
+            f"controller plans at dt={plan_dt} s but record {record.platoon_id} "
+            f"is sampled at dt={dt} s")
     P = controller.history_len if warmup_steps is None else warmup_steps
     if P < controller.history_len:
         raise SimulationError(
@@ -179,65 +167,41 @@ def closed_loop_simulate(record: data.PlatoonRecord, controller,
 
     lead_spd = record.vehicles[0].speed
     lead_pos = record.vehicles[0].position
-    true_spd = record.speeds()[1:]
-    true_gaps = record.gaps()
     F = controller.horizon
 
     spd = np.zeros((N, T))
     gaps = np.zeros((N, T))
-    spd[:, :P] = true_spd[:, :P]
-    gaps[:, :P] = true_gaps[:, :P]
+    spd[:, :P] = record.speeds()[1:, :P]
+    gaps[:, :P] = record.gaps()[:, :P]
 
-    v = spd[:, P - 1].copy()
-    s = gaps[:, P - 1].copy()
-    dv = np.concatenate(([lead_spd[P - 1]], v[:-1])) - v
-    clamp_count = 0
-    collision_frame = None
-
-    for t in range(P - 1, T - 1):
-        k = t - (P - 1)
+    def accel(k, v, s, dv):
+        # step k leaves frame t = P-1+k; frames k..t are the last P frames
         k_plan = k % R
         if k_plan == 0:
-            lo = t - P + 1
-            seg_spd = spd[:, lo:t + 1]
-            seg_gap = gaps[:, lo:t + 1]
-            ahead = np.vstack([lead_spd[None, lo:t + 1], seg_spd[:-1]])
+            t = P - 1 + k
+            seg_spd = spd[:, k:t + 1]
+            seg_gap = gaps[:, k:t + 1]
+            ahead = np.vstack([lead_spd[None, k:t + 1], seg_spd[:-1]])
             history = np.stack([seg_spd, seg_gap, ahead - seg_spd], axis=-1)
             future = lead_spd[t + 1:t + 1 + F]
             if future.shape[0] < F:
                 future = np.concatenate(
                     [future, np.full(F - future.shape[0], lead_spd[-1])])
             controller.replan(history, future)
-        a = controller.accel(k_plan, v, s, dv)
-        v_next = v + a * dt
-        neg = v_next < 0.0
-        if neg.any():
-            clamp_count += int(neg.sum())
-            v_next = np.where(neg, 0.0, v_next)
-        s_next = s + dv * dt
-        spd[:, t + 1] = v_next
-        gaps[:, t + 1] = s_next
-        if (s_next <= 0.0).any():
-            collision_frame = t + 1
-            break
-        v, s = v_next, s_next
-        dv = np.concatenate(([lead_spd[t + 1]], v[:-1])) - v
+        return controller.accel(k_plan, v, s, dv)
 
-    T_eff = collision_frame if collision_frame is not None else T
-    spd = spd[:, :T_eff]
-    gaps = gaps[:, :T_eff]
-    lengths = record.lengths()
-    positions = np.empty((N, T_eff))
-    prev = lead_pos[:T_eff]
-    for i in range(N):
-        positions[i] = prev - lengths[i] - gaps[i]
-        prev = positions[i]
+    clamp_count, collision = dyn.euler_platoon(
+        spd[:, P - 1:], gaps[:, P - 1:], lead_spd[P - 1:], accel, dt)
+    T_eff = P - 1 + int(collision)
     return SimulationRun(
         platoon_id=record.platoon_id, dt=dt, warmup_steps=P,
-        speeds=spd, gaps=gaps, positions=positions,
+        speeds=spd[:, :T_eff], gaps=gaps[:, :T_eff],
+        positions=dyn.cascade_positions(lead_pos[:T_eff], record.lengths(),
+                                        gaps[:, :T_eff]),
         lead_speeds=lead_spd[:T_eff].copy(),
         lead_positions=lead_pos[:T_eff].copy(),
-        clamp_count=clamp_count, collision_frame=collision_frame)
+        clamp_count=clamp_count,
+        collision_frame=None if T_eff == T else T_eff)
 
 
 # -- comparison -------------------------------------------------------------------

@@ -157,7 +157,8 @@ def save_checkpoint(path: str, params: net.ModelParams,
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint directory; returns (params, config)."""
+    """Read a checkpoint directory; returns (params, config). The weights must
+    match ``init_params(config)`` by name and shape and lie in weights.bin."""
     try:
         with open(os.path.join(path, MANIFEST_NAME), encoding="utf-8") as f:
             manifest = json.load(f)
@@ -174,22 +175,36 @@ def load_checkpoint(path: str):
         raw = np.fromfile(os.path.join(path, WEIGHTS_NAME), dtype="<f4")
     except OSError as exc:
         raise CheckpointError(f"unreadable weights in {path}: {exc}") from exc
-    if raw.size != manifest["total_values"]:
-        raise CheckpointError(
-            f"weights.bin holds {raw.size} values, manifest says "
-            f"{manifest['total_values']}")
-    weights = OrderedDict()
-    for entry in manifest["weights"]:
-        lo = entry["offset"]
-        hi = lo + entry["size"]
-        block = raw[lo:hi].astype(np.float64).reshape(entry["shape"])
-        if block.size != entry["size"]:
-            raise CheckpointError(f"weight {entry['name']} is truncated")
-        weights[entry["name"]] = ad.param(block)
-    params = net.ModelParams(
-        weights=weights,
-        norm_mean=np.asarray(manifest["norm_mean"], dtype=float),
-        norm_std=np.asarray(manifest["norm_std"], dtype=float))
+    try:
+        if raw.size != manifest["total_values"]:
+            raise CheckpointError(
+                f"weights.bin holds {raw.size} values, manifest says "
+                f"{manifest['total_values']}")
+        entries = {e["name"]: e for e in manifest["weights"]}
+        layout = net.init_params(config).weights
+        if set(entries) != set(layout):
+            raise CheckpointError(
+                f"manifest weights do not match the config: missing "
+                f"{sorted(set(layout) - set(entries))}, unknown "
+                f"{sorted(set(entries) - set(layout))}")
+        weights = OrderedDict()
+        for name, expected in layout.items():
+            shape, lo = tuple(entries[name]["shape"]), entries[name]["offset"]
+            hi = lo + expected.data.size
+            if shape != expected.shape:
+                raise CheckpointError(f"weight {name} has shape {list(shape)}, "
+                                      f"the config needs {list(expected.shape)}")
+            if not 0 <= lo <= hi <= raw.size:
+                raise CheckpointError(f"weight {name} spans values {lo}..{hi}, "
+                                      f"outside the {raw.size} in weights.bin")
+            weights[name] = ad.param(
+                raw[lo:hi].astype(np.float64).reshape(shape))
+        params = net.ModelParams(
+            weights=weights,
+            norm_mean=np.asarray(manifest["norm_mean"], dtype=float),
+            norm_std=np.asarray(manifest["norm_std"], dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed manifest in {path}: {exc!r}") from exc
     return params, config
 
 

@@ -213,6 +213,36 @@ def test_eval_bad_checkpoint_is_data_error(capsys, tmp_path, corpus):
     assert code == 2 and "manifest" in err
 
 
+def test_eval_checkpoint_missing_weight_is_data_error(checkpoint, corpus, capsys,
+                                                     tmp_path):
+    broken = tmp_path / "ckpt"
+    broken.mkdir()
+    (broken / "weights.bin").write_bytes((checkpoint / "weights.bin").read_bytes())
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    dropped = manifest["weights"].pop()["name"]
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    code, _, err = _run(capsys, ["eval", "--checkpoint", str(broken),
+                                 "--data", str(corpus)])
+    assert code == 2 and dropped in err
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
+def test_checkpoint_dt_mismatch_is_data_error(command, corpus, capsys,
+                                              tmp_path):
+    from platoonkit import network as net
+    from platoonkit import training
+    config = net.ModelConfig(**TINY_MODEL, dt=0.2)
+    training.save_checkpoint(str(tmp_path / "ckpt"), net.init_params(config),
+                             config)
+    argv = [command, "--checkpoint", str(tmp_path / "ckpt"),
+            "--data", str(corpus)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim")]
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert "dt=0.2" in err and "dt=0.1" in err
+
+
 # -- simulate / stability / safety ---------------------------------------------------
 
 @pytest.fixture(scope="module")

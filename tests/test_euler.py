@@ -1,0 +1,139 @@
+"""Property tests of the numpy Euler kernel shared by datagen, IDM
+calibration and closed-loop simulation."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from platoonkit import dynamics as dyn
+
+
+def _linear_law(gains, v_star, s_star):
+    """a = f_v (v - v*) + f_s (s - s*) + f_dv dv with (..., N) parameters."""
+    f_v, f_s, f_dv = gains
+
+    def accel(k, v, s, dv):
+        return f_v * (v - v_star) + f_s * (s - s_star) + f_dv * dv
+    return accel
+
+
+@st.composite
+def platoons(draw):
+    """A batch of platoons with per-row linear laws behind one leader.
+
+    Target gaps reach below zero and speed gains run strong, so collisions
+    and clamped speeds both turn up often.
+    """
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    frames = draw(st.integers(1, 40))
+    dt = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    case = {
+        "dt": dt,
+        "v0": rng.uniform(0.0, 25.0, (rows, n)),
+        "s0": rng.uniform(0.5, 30.0, (rows, n)),
+        "lead": rng.uniform(0.0, 25.0, frames),
+        "gains": (-rng.uniform(0.0, 8.0, (rows, n)),
+                  rng.uniform(0.0, 3.0, (rows, n)),
+                  rng.uniform(0.0, 3.0, (rows, n))),
+        "v_star": rng.uniform(0.0, 25.0, (rows, n)),
+        "s_star": rng.uniform(-5.0, 25.0, (rows, n)),
+    }
+    return case
+
+
+def _run(case, row=None):
+    """Integrate the whole batch, or only ``row`` with batch shape ()."""
+    pick = (lambda a: a) if row is None else (lambda a: a[row])
+    v0, s0, lead = pick(case["v0"]), pick(case["s0"]), case["lead"]
+    frames = lead.shape[-1]
+    speeds = np.zeros(v0.shape + (frames,))
+    gaps = np.zeros(s0.shape + (frames,))
+    speeds[..., 0] = v0
+    gaps[..., 0] = s0
+    law = _linear_law([pick(g) for g in case["gains"]], pick(case["v_star"]),
+                      pick(case["s_star"]))
+    clamps, collision = dyn.euler_platoon(speeds, gaps, lead, law, case["dt"])
+    return speeds, gaps, clamps, collision, law
+
+
+def _steps_taken(collision, frames):
+    """The kernel steps until every row has collided or the record ends."""
+    return min(frames - 1, int(collision.max()))
+
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@SETTINGS
+@given(platoons())
+def test_gap_step_is_exact_kinematics(case):
+    speeds, gaps, _, collision, _ = _run(case)
+    dt, lead = case["dt"], case["lead"]
+    for t in range(_steps_taken(collision, speeds.shape[-1])):
+        ahead = np.concatenate([np.full(speeds.shape[:-2] + (1,), lead[t]),
+                                speeds[..., :-1, t]], axis=-1)
+        want = gaps[..., t] + dt * (ahead - speeds[..., t])
+        np.testing.assert_array_equal(gaps[..., t + 1], want)
+
+
+@SETTINGS
+@given(platoons())
+def test_speeds_non_negative_and_clamps_counted(case):
+    speeds, gaps, clamps, collision, law = _run(case)
+    dt, lead = case["dt"], case["lead"]
+    steps = _steps_taken(collision, speeds.shape[-1])
+    assert (speeds[..., :steps + 1] >= 0.0).all()
+    clamped = 0
+    for t in range(steps):
+        v, s = speeds[..., t], gaps[..., t]
+        ahead = np.concatenate([np.full(v.shape[:-1] + (1,), lead[t]),
+                                v[..., :-1]], axis=-1)
+        raw = v + dt * law(t, v, s, ahead - v)
+        clamped += int((raw < 0.0).sum())
+        np.testing.assert_array_equal(speeds[..., t + 1], np.maximum(raw, 0.0))
+    assert clamps == clamped
+
+
+@SETTINGS
+@given(platoons())
+def test_run_truncates_strictly_before_first_non_positive_gap(case):
+    _, gaps, _, collision, _ = _run(case)
+    frames = gaps.shape[-1]
+    assert collision.shape == gaps.shape[:-2]
+    for r, cf in enumerate(collision):
+        assert 0 <= cf <= frames
+        assert (gaps[r, :, :cf] > 0.0).all()
+        if cf < frames:
+            assert (gaps[r, :, cf] <= 0.0).any()
+
+
+@SETTINGS
+@given(platoons())
+def test_batch_rows_match_single_runs_bit_for_bit(case):
+    speeds, gaps, _, collision, _ = _run(case)
+    frames = speeds.shape[-1]
+    for r in range(speeds.shape[0]):
+        one_v, one_s, _, one_cf, _ = _run(case, row=r)
+        assert one_cf.shape == () and int(one_cf) == collision[r]
+        last = min(int(one_cf), frames - 1) + 1
+        np.testing.assert_array_equal(speeds[r, :, :last], one_v[:, :last])
+        np.testing.assert_array_equal(gaps[r, :, :last], one_s[:, :last])
+
+
+def test_cascade_positions_hand_values():
+    # leader at 100 m (length 4), follower 1 (length 5) 10 m back, then 2 m
+    pos = dyn.cascade_positions(np.array([100.0]), np.array([4.0, 5.0, 4.5]),
+                                np.array([[10.0], [2.0]]))
+    np.testing.assert_array_equal(pos, [[86.0], [79.0]])
+
+
+def test_gap_of_exactly_zero_is_a_collision():
+    # 10 m/s into a stopped leader 1 m ahead: one 0.1 s step closes the gap
+    # to exactly 0.0, which counts as a collision at frame 1.
+    speeds, gaps = np.zeros((1, 5)), np.zeros((1, 5))
+    speeds[0, 0], gaps[0, 0] = 10.0, 1.0
+    clamps, collision = dyn.euler_platoon(
+        speeds, gaps, np.zeros(5), lambda k, v, s, dv: np.zeros_like(v), 0.1)
+    assert gaps[0, 1] == 0.0 and int(collision) == 1 and clamps == 0

@@ -204,6 +204,15 @@ class TestModelControllerIntegration:
                                      rng=np.random.default_rng(4)))
         assert not np.array_equal(det.speeds, sto.speeds)
 
+    def test_planning_step_must_match_record(self):
+        rec = _record()
+        cfg = net.ModelConfig(d_model=4, n_state=2, conv_kernel=4,
+                              ve_hidden=4, attn_layers=1, attn_heads=2,
+                              history_len=6, horizon=4, param_window=2, dt=0.2)
+        mc = sim.ModelController(net.init_params(cfg), cfg)
+        with pytest.raises(sim.SimulationError, match=r"dt=0\.2 s.*dt=0\.1 s"):
+            sim.closed_loop_simulate(rec, mc)
+
     def test_accel_before_replan_rejected(self):
         cfg = self._cfg()
         mc = sim.ModelController(net.init_params(cfg), cfg)

@@ -177,6 +177,37 @@ class TestCheckpoints:
         with pytest.raises(tr.CheckpointError, match="format"):
             tr.load_checkpoint(path)
 
+    def _edit_manifest(self, tmp_path, edit):
+        cfg = _tiny_config()
+        path = str(tmp_path / "ckpt")
+        tr.save_checkpoint(path, net.init_params(cfg, seed=0), cfg)
+        mpath = os.path.join(path, "manifest.json")
+        with open(mpath) as f:
+            manifest = json.load(f)
+        edit(manifest["weights"])
+        with open(mpath, "w") as f:
+            json.dump(manifest, f)
+        return path
+
+    def test_missing_weight_rejected(self, tmp_path):
+        path = self._edit_manifest(tmp_path, lambda entries: entries.pop())
+        with pytest.raises(tr.CheckpointError, match="missing"):
+            tr.load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        def transpose(entries):
+            entries[0]["shape"] = entries[0]["shape"][::-1]
+        path = self._edit_manifest(tmp_path, transpose)
+        with pytest.raises(tr.CheckpointError, match="shape"):
+            tr.load_checkpoint(path)
+
+    def test_offset_past_end_rejected(self, tmp_path):
+        def shift(entries):
+            entries[-1]["offset"] += 1
+        path = self._edit_manifest(tmp_path, shift)
+        with pytest.raises(tr.CheckpointError, match="outside"):
+            tr.load_checkpoint(path)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(tr.CheckpointError, match="manifest"):
             tr.load_checkpoint(str(tmp_path / "nope"))
