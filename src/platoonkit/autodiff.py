@@ -7,6 +7,14 @@ linearizes the subgraph reachable from an output in topological order;
 forward pass, so the recorded structure always matches the executed control
 flow.
 
+Operations whose step-by-step graphs would run to hundreds of nodes are
+fused primitives: the forward pass runs in numpy and records one node whose
+VJP is written by hand. ``causal_conv1d`` is one here; ``network``'s
+selective scan and ``dynamics``' rollout register theirs through
+``primitive``. Each fused VJP has its own finite-difference test. No VJP
+closure captures its own output node, so a graph is freed by reference
+counting as soon as it is dropped.
+
 Storage is float64 throughout. Non-finite values are rejected at graph
 boundaries and after every primitive, naming the primitive that produced
 them. Analytic gradients are validated against central finite differences via
@@ -75,7 +83,8 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """Dense float64 array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(),
                  _vjp=None, _op: str = "tensor"):
@@ -210,17 +219,35 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add gradient ``g``, reduced from any broadcast shape, into ``t``."""
     if not t.requires_grad and t._vjp is None:
         return
     g = _unbroadcast(np.asarray(g, dtype=DTYPE), t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
 
 
+def needs_grad(*tensors: Tensor) -> bool:
+    """True when an op on ``tensors`` is recorded on the tape."""
+    return _grad_enabled and any(t.requires_grad or t._vjp is not None
+                                 for t in tensors)
+
+
 def _make(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
-    if _grad_enabled and any(p.requires_grad or p._vjp is not None for p in parents):
+    if needs_grad(*parents):
         return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp, _op=op)
     return Tensor(data, _op=op)
+
+
+def primitive(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
+    """Record the output of a fused primitive defined outside this module.
+
+    ``data`` is the forward value computed in numpy; ``vjp(g)`` passes the
+    output gradient to ``parents`` through ``accumulate``. A ``vjp`` closure
+    must not capture the output Tensor, or each graph becomes a reference
+    cycle that only the cyclic garbage collector frees.
+    """
+    return _make(data, op, parents, vjp)
 
 
 def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
@@ -240,8 +267,8 @@ def add(a, b) -> Tensor:
     out = _make(a.data + b.data, "add", (a, b), None)
     if out.requires_grad:
         def vjp(g):
-            _accum(a, g)
-            _accum(b, g)
+            accumulate(a, g)
+            accumulate(b, g)
         out._vjp = vjp
     return out
 
@@ -252,8 +279,8 @@ def sub(a, b) -> Tensor:
     out = _make(a.data - b.data, "sub", (a, b), None)
     if out.requires_grad:
         def vjp(g):
-            _accum(a, g)
-            _accum(b, -g)
+            accumulate(a, g)
+            accumulate(b, -g)
         out._vjp = vjp
     return out
 
@@ -264,8 +291,8 @@ def mul(a, b) -> Tensor:
     out = _make(a.data * b.data, "mul", (a, b), None)
     if out.requires_grad:
         def vjp(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+            accumulate(a, g * b.data)
+            accumulate(b, g * a.data)
         out._vjp = vjp
     return out
 
@@ -274,7 +301,7 @@ def neg(a) -> Tensor:
     a = as_tensor(a)
     out = _make(-a.data, "neg", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, -g)
+        out._vjp = lambda g: accumulate(a, -g)
     return out
 
 
@@ -284,7 +311,7 @@ def power(a, p) -> Tensor:
     p = float(p)
     out = _make(a.data ** p, "power", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g * p * a.data ** (p - 1.0))
+        out._vjp = lambda g: accumulate(a, g * p * a.data ** (p - 1.0))
     return out
 
 
@@ -298,8 +325,14 @@ def matmul(a, b) -> Tensor:
     out = _make(a.data @ b.data, "matmul", (a, b), None)
     if out.requires_grad:
         def vjp(g):
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+            accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            if b.data.ndim == 2:
+                # a weight: one GEMM over all rows instead of a batched
+                # product summed afterwards
+                accumulate(b, a.data.reshape(-1, a.data.shape[-1]).T
+                           @ g.reshape(-1, g.shape[-1]))
+            else:
+                accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
         out._vjp = vjp
     return out
 
@@ -312,7 +345,7 @@ def exp(a) -> Tensor:
         data = np.exp(a.data)
     out = _make(data, "exp", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g * out.data)
+        out._vjp = lambda g: accumulate(a, g * data)
     return out
 
 
@@ -323,9 +356,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = _make(_sigmoid(a.data), "sigmoid", (a,), None)
+    s = _sigmoid(a.data)
+    out = _make(s, "sigmoid", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g * out.data * (1.0 - out.data))
+        out._vjp = lambda g: accumulate(a, g * s * (1.0 - s))
     return out
 
 
@@ -334,7 +368,7 @@ def softplus(a) -> Tensor:
     a = as_tensor(a)
     out = _make(np.logaddexp(0.0, a.data), "softplus", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g * _sigmoid(a.data))
+        out._vjp = lambda g: accumulate(a, g * _sigmoid(a.data))
     return out
 
 
@@ -344,7 +378,7 @@ def silu(a) -> Tensor:
     s = _sigmoid(a.data)
     out = _make(a.data * s, "silu", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g * s * (1.0 + a.data * (1.0 - s)))
+        out._vjp = lambda g: accumulate(a, g * s * (1.0 + a.data * (1.0 - s)))
     return out
 
 
@@ -352,7 +386,7 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     out = _make(np.maximum(a.data, 0.0), "relu", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g * (a.data > 0.0))
+        out._vjp = lambda g: accumulate(a, g * (a.data > 0.0))
     return out
 
 
@@ -367,7 +401,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     if out.requires_grad:
         def vjp(g):
             gs = g * s
-            _accum(a, gs - s * gs.sum(axis=axis, keepdims=True))
+            accumulate(a, gs - s * gs.sum(axis=axis, keepdims=True))
         out._vjp = vjp
     return out
 
@@ -398,7 +432,7 @@ def masked_softmax(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     if out.requires_grad:
         def vjp(g):
             gs = g * s
-            _accum(a, gs - s * gs.sum(axis=axis, keepdims=True))
+            accumulate(a, gs - s * gs.sum(axis=axis, keepdims=True))
         out._vjp = vjp
     return out
 
@@ -412,7 +446,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape))
+            accumulate(a, np.broadcast_to(g, a.data.shape))
         out._vjp = vjp
     return out
 
@@ -425,7 +459,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape) / count)
+            accumulate(a, np.broadcast_to(g, a.data.shape) / count)
         out._vjp = vjp
     return out
 
@@ -434,7 +468,7 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = _make(a.data.reshape(shape), "reshape", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, g.reshape(a.data.shape))
+        out._vjp = lambda g: accumulate(a, g.reshape(a.data.shape))
     return out
 
 
@@ -442,7 +476,7 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
     out = _make(np.swapaxes(a.data, ax1, ax2), "swapaxes", (a,), None)
     if out.requires_grad:
-        out._vjp = lambda g: _accum(a, np.swapaxes(g, ax1, ax2))
+        out._vjp = lambda g: accumulate(a, np.swapaxes(g, ax1, ax2))
     return out
 
 
@@ -454,37 +488,9 @@ def getitem(a, idx) -> Tensor:
         def vjp(g):
             buf = np.zeros_like(a.data)
             buf[idx] = g
-            _accum(a, buf)
+            accumulate(a, buf)
         out._vjp = vjp
     return out
-
-
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    try:
-        data = np.concatenate([t.data for t in ts], axis=axis)
-    except ValueError:
-        shapes = [t.data.shape for t in ts]
-        raise ShapeMismatch(f"concat: incompatible shapes {shapes}") from None
-    out = _make(data, "concat", tuple(ts), None)
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in ts]
-        offsets = np.cumsum([0] + sizes)
-        def vjp(g):
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(t, g[tuple(sl)])
-        out._vjp = vjp
-    return out
-
-
-def stack(tensors: Sequence, axis: int = -1) -> Tensor:
-    """Stack along a new axis (reshape + concat composite)."""
-    ts = [as_tensor(t) for t in tensors]
-    ax = axis if axis >= 0 else ts[0].ndim + 1 + axis
-    expanded = [reshape(t, t.data.shape[:ax] + (1,) + t.data.shape[ax:]) for t in ts]
-    return concat(expanded, axis=ax)
 
 
 # -- normalization composites -------------------------------------------------
@@ -508,25 +514,37 @@ def rms_norm(x, gamma, eps: float = 1e-5) -> Tensor:
 
 
 def causal_conv1d(x, w, b) -> Tensor:
-    """Depthwise causal 1-D convolution over the time axis.
+    """Depthwise causal 1-D convolution over the time axis, as one node.
 
     x: (..., T, C); w: (C, K); b: (C,). Output t depends on inputs t-K+1..t
-    (left zero padding), independently per channel.
+    (left zero padding), independently per channel; the taps are summed in
+    order, ((tap0 + tap1) + ...) + b.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    T = x.data.shape[-2]
-    C = x.data.shape[-1]
+    T, C = x.data.shape[-2:]
     if w.data.ndim != 2 or w.data.shape[0] != C:
         raise ShapeMismatch(
             f"causal_conv1d: weight shape {w.data.shape} does not match {C} channels")
     K = w.data.shape[1]
-    pad = Tensor(np.zeros(x.data.shape[:-2] + (K - 1, C)))
-    xp = concat([pad, x], axis=-2)
-    out = None
-    for i in range(K):
-        tap = mul(getitem(xp, (Ellipsis, slice(i, i + T), slice(None))), getitem(w, (slice(None), i)))
-        out = tap if out is None else add(out, tap)
-    return add(out, b)
+    xp = np.zeros(x.data.shape[:-2] + (K - 1 + T, C))
+    xp[..., K - 1:, :] = x.data
+    data = xp[..., :T, :] * w.data[:, 0]
+    for i in range(1, K):
+        data += xp[..., i:i + T, :] * w.data[:, i]
+    data += b.data
+
+    def vjp(g):
+        # tap i reads xp[i:i+T]: its input gradient is one shifted add
+        gxp = np.zeros_like(xp)
+        gw = np.empty_like(w.data)
+        for i in range(K):
+            gxp[..., i:i + T, :] += g * w.data[:, i]
+            gw[:, i] = (g * xp[..., i:i + T, :]).reshape(-1, C).sum(axis=0)
+        accumulate(x, gxp[..., K - 1:, :])
+        accumulate(w, gw)
+        accumulate(b, g)
+
+    return _make(data, "causal_conv1d", (x, w, b), vjp)
 
 
 # -- verification -------------------------------------------------------------

@@ -179,6 +179,7 @@ def _cmd_train(args) -> int:
         raise CliError(f"bad training config: {exc}") from exc
 
     records = _load_records(args.data)
+    _check_dt(records, config.dt, "the model config")
     if not 0.0 < args.val_ratio < 1.0:
         raise CliError(f"--val-ratio must be in (0, 1), got {args.val_ratio}")
     from . import data
@@ -270,12 +271,16 @@ def _load_model_and_data(args):
     from . import training
     params, config = training.load_checkpoint(args.checkpoint)
     records = _load_records(args.data)
-    for rec in records:
-        if rec.dt != config.dt:
-            raise CliError(
-                f"checkpoint {args.checkpoint} plans at dt={config.dt} s but "
-                f"platoon {rec.platoon_id} is sampled at dt={rec.dt} s")
+    _check_dt(records, config.dt, f"checkpoint {args.checkpoint}")
     return params, config, records
+
+
+def _check_dt(records, dt, model):
+    """Reject records sampled at another step than the model's ``dt``."""
+    for rec in records:
+        if rec.dt != dt:
+            raise CliError(f"{model} plans at dt={dt} s but platoon "
+                           f"{rec.platoon_id} is sampled at dt={rec.dt} s")
 
 
 def _run_to_record(record, run):

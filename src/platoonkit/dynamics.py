@@ -11,8 +11,9 @@ with explicit Euler steps; the gap update uses the kinematic identity
 s(k+1) = s(k) + dt * dv(k), so gaps, speeds, and positions remain mutually
 consistent to machine precision.
 
-``rollout`` is the differentiable path: its graph functions accept autodiff
-Tensors or plain arrays (wrapped as constants). ``euler_platoon`` is the
+``rollout`` is the differentiable path: one fused autodiff node whose inputs
+may be Tensors or plain arrays (constants), with the adjoint of the Euler
+recursion as its hand-written backward pass. ``euler_platoon`` is the
 numpy integrator behind synthetic data, IDM calibration and closed-loop
 simulation: the same step under any acceleration law, with speeds clamped at
 zero and collisions detected.
@@ -90,7 +91,7 @@ class RolloutResult:
 
 def rollout(initial, lead_future, theta, xstar: ExpectedState,
             dt: float = 0.1) -> RolloutResult:
-    """Integrate the platoon forward through the full horizon.
+    """Integrate the platoon forward through the full horizon, as one node.
 
     initial: (..., N, 3) follower states [v, s, dv] at anchor time t.
     lead_future: (..., F) leader speeds at t+1..t+F.
@@ -98,6 +99,11 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
     steps (S must divide F).
     Follower 1 couples to the scripted leader; follower n couples to the
     just-updated speed of follower n-1.
+
+    Every input may be an autodiff Tensor or a plain array (a constant). The
+    four series are computed in numpy and recorded as one (4, ..., N, F)
+    node; the backward pass runs the adjoint of the Euler recursion,
+    carrying the gradients of v, s and dv from the last step to the first.
     """
     init = ad.as_tensor(initial)
     lead = ad.as_tensor(lead_future)
@@ -117,35 +123,61 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
             f"rollout: theta covers {th.shape[-3]} vehicles, state has {n_veh}")
     v_star = ad.as_tensor(xstar.v_star)
     s_star = ad.as_tensor(xstar.s_star)
+    parents = (init, lead, th, v_star, s_star)
+    x0, lead_v, f, vs, ss = (t.data for t in parents)
+    state = np.broadcast_shapes(x0.shape[:-1], lead_v.shape[:-1] + (1,),
+                                f.shape[:-2], vs.shape, ss.shape)   # (..., N)
 
-    # Hoist per-block parameter slices: 3*S getitems instead of 3*F.
-    f_v = [th[..., j, 0] for j in range(S)]
-    f_s = [th[..., j, 1] for j in range(S)]
-    f_dv = [th[..., j, 2] for j in range(S)]
-
-    v = init[..., 0]
-    s = init[..., 1]
-    dv = init[..., 2]
-    vs, ss, accs, dvs = [], [], [], []
+    out = np.empty((4,) + state + (F,))
+    v_out, s_out, a_out, dv_out = out
+    v, s, dv = x0[..., 0], x0[..., 1], x0[..., 2]
     for k in range(F):
         j = k // m
-        a = ad.add(
-            ad.add(ad.mul(f_v[j], ad.sub(v, v_star)),
-                   ad.mul(f_s[j], ad.sub(s, s_star))),
-            ad.mul(f_dv[j], dv))
-        v_next = ad.add(v, ad.mul(a, dt))
-        s_next = ad.add(s, ad.mul(dv, dt))
-        lead_k = lead[..., k:k + 1]
-        v_ahead = ad.concat([lead_k, v_next[..., :-1]], axis=-1) if n_veh > 1 else lead_k
-        dv_next = ad.sub(v_ahead, v_next)
-        accs.append(a)
-        vs.append(v_next)
-        ss.append(s_next)
-        dvs.append(dv_next)
+        a = (f[..., j, 0] * (v - vs) + f[..., j, 1] * (s - ss)) + f[..., j, 2] * dv
+        v_next = v + a * dt
+        s_next = s + dv * dt
+        dv_next = np.empty(state)
+        dv_next[..., 0] = lead_v[..., k] - v_next[..., 0]
+        dv_next[..., 1:] = v_next[..., :-1] - v_next[..., 1:]
+        a_out[..., k], v_out[..., k], s_out[..., k], dv_out[..., k] = \
+            a, v_next, s_next, dv_next
         v, s, dv = v_next, s_next, dv_next
-    return RolloutResult(
-        v=ad.stack(vs, axis=-1), s=ad.stack(ss, axis=-1),
-        a=ad.stack(accs, axis=-1), dv=ad.stack(dvs, axis=-1))
+
+    def vjp(g):
+        g_v, g_s, g_a, g_dv = g
+        g_lead = np.empty(state[:-1] + (F,))
+        g_f = np.zeros(state + (S, 3))
+        g_vs, g_ss = np.zeros(state), np.zeros(state)
+        # adjoints of the state (v, s, dv) entering step k, from steps > k
+        lam_v, lam_s, lam_dv = np.zeros(state), np.zeros(state), np.zeros(state)
+        for k in range(F - 1, -1, -1):
+            j = k // m
+            gdv = lam_dv + g_dv[..., k]
+            g_lead[..., k] = gdv[..., 0]
+            gv = lam_v + g_v[..., k] - gdv      # dv_next = ahead - v_next
+            gv[..., :-1] += gdv[..., 1:]        # v_next[n] is ahead of n+1
+            gs = lam_s + g_s[..., k]
+            ga = g_a[..., k] + gv * dt
+            if k == 0:
+                v, s, dv = x0[..., 0], x0[..., 1], x0[..., 2]
+            else:
+                v, s, dv = v_out[..., k - 1], s_out[..., k - 1], dv_out[..., k - 1]
+            g_f[..., j, 0] += ga * (v - vs)
+            g_f[..., j, 1] += ga * (s - ss)
+            g_f[..., j, 2] += ga * dv
+            g_vs -= ga * f[..., j, 0]
+            g_ss -= ga * f[..., j, 1]
+            lam_v = gv + ga * f[..., j, 0]
+            lam_s = gs + ga * f[..., j, 1]
+            lam_dv = gs * dt + ga * f[..., j, 2]
+        ad.accumulate(init, np.stack([lam_v, lam_s, lam_dv], axis=-1))
+        ad.accumulate(lead, g_lead)
+        ad.accumulate(th, g_f)
+        ad.accumulate(v_star, g_vs)
+        ad.accumulate(s_star, g_ss)
+
+    series = ad.primitive(out, "rollout", parents, vjp)
+    return RolloutResult(v=series[0], s=series[1], a=series[2], dv=series[3])
 
 
 def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,

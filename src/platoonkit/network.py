@@ -12,8 +12,10 @@ stages are:
   narp_decode  cross-attention of horizon queries over the temporal memory
 
 All learnable state lives in a flat name -> Tensor mapping so optimizers and
-checkpoints can treat it uniformly. Every stage runs on autodiff Tensors;
-nothing here mutates its inputs. Initial draws are quantized to float32 so a
+checkpoints can treat it uniformly; ``weight_shapes`` is the one list of its
+names and shapes. Every stage runs on autodiff Tensors; nothing here mutates
+its inputs. The selective scan is one fused tape node with a hand-written
+reverse recurrence. Initial draws are quantized to float32 so a
 float32 checkpoint reproduces the exact float64 forward pass.
 """
 
@@ -103,63 +105,65 @@ def count_parameters(params: ModelParams) -> int:
     return sum(t.data.size for t in params.weights.values())
 
 
-def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Deterministic initialization; draw order is the weight insertion order."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+def weight_shapes(config: ModelConfig) -> "OrderedDict[str, tuple]":
+    """Name -> shape of every learnable weight, in draw and checkpoint order."""
     d, di, n = config.d_model, config.d_inner, config.n_state
     r, K, h = config.dt_rank, config.conv_kernel, config.hidden
-    w: "OrderedDict[str, np.ndarray]" = OrderedDict()
-
-    def glorot(fan_in, fan_out, shape=None):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
-
-    w["embed.w"] = glorot(3, d)
-    w["embed.b"] = np.zeros(d)
-
-    w["tfl.norm.g"] = np.ones(d)
-    w["tfl.in_proj.w"] = glorot(d, 2 * di)
-    w["tfl.conv.w"] = rng.uniform(-1.0, 1.0, size=(di, K)) / math.sqrt(K)
-    w["tfl.conv.b"] = np.zeros(di)
-    w["tfl.x_proj.w"] = glorot(di, r + 2 * n)
-    w["tfl.dt_proj.w"] = rng.uniform(-1.0, 1.0, size=(r, di)) / math.sqrt(r)
-    # bias chosen so initial step sizes softplus(b) land log-uniformly in
-    # [1e-3, 1e-1], keeping early state updates small but nonzero
-    dt0 = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=di))
-    w["tfl.dt_proj.b"] = np.log(np.expm1(dt0))
-    w["tfl.a_log"] = np.tile(np.log(np.arange(1.0, n + 1.0)), (di, 1))
-    w["tfl.d"] = np.ones(di)
-    w["tfl.out_proj.w"] = glorot(di, d)
-
-    w["ful.fc1.w"] = glorot(d, h)
-    w["ful.fc1.b"] = np.zeros(h)
-    w["ful.fc2.w"] = glorot(h, h)
-    w["ful.fc2.b"] = np.zeros(h)
-    w["ful.mu.w"] = glorot(h, d)
-    w["ful.mu.b"] = np.zeros(d)
-    w["ful.logvar.w"] = glorot(h, d)
-    w["ful.logvar.b"] = np.zeros(d)
-
-    def attn_stack(prefix: str):
+    shapes = OrderedDict([
+        ("embed.w", (3, d)), ("embed.b", (d,)),
+        ("tfl.norm.g", (d,)), ("tfl.in_proj.w", (d, 2 * di)),
+        ("tfl.conv.w", (di, K)), ("tfl.conv.b", (di,)),
+        ("tfl.x_proj.w", (di, r + 2 * n)),
+        ("tfl.dt_proj.w", (r, di)), ("tfl.dt_proj.b", (di,)),
+        ("tfl.a_log", (di, n)), ("tfl.d", (di,)), ("tfl.out_proj.w", (di, d)),
+        ("ful.fc1.w", (d, h)), ("ful.fc1.b", (h,)),
+        ("ful.fc2.w", (h, h)), ("ful.fc2.b", (h,)),
+        ("ful.mu.w", (h, d)), ("ful.mu.b", (d,)),
+        ("ful.logvar.w", (h, d)), ("ful.logvar.b", (d,)),
+    ])
+    for prefix in ("pfl", "dec"):
         for i in range(config.attn_layers):
             base = f"{prefix}.{i}"
             for name in ("q", "k", "v", "o"):
-                w[f"{base}.attn.{name}.w"] = glorot(d, d)
-            w[f"{base}.ln1.g"] = np.ones(d)
-            w[f"{base}.ln1.b"] = np.zeros(d)
-            w[f"{base}.ff.w1"] = glorot(d, 4 * d)
-            w[f"{base}.ff.b1"] = np.zeros(4 * d)
-            w[f"{base}.ff.w2"] = glorot(4 * d, d)
-            w[f"{base}.ff.b2"] = np.zeros(d)
-            w[f"{base}.ln2.g"] = np.ones(d)
-            w[f"{base}.ln2.b"] = np.zeros(d)
+                shapes[f"{base}.attn.{name}.w"] = (d, d)
+            shapes.update([
+                (f"{base}.ln1.g", (d,)), (f"{base}.ln1.b", (d,)),
+                (f"{base}.ff.w1", (d, 4 * d)), (f"{base}.ff.b1", (4 * d,)),
+                (f"{base}.ff.w2", (4 * d, d)), (f"{base}.ff.b2", (d,)),
+                (f"{base}.ln2.g", (d,)), (f"{base}.ln2.b", (d,))])
+    shapes["dec.head.w"] = (d, 3)
+    shapes["dec.head.b"] = (3,)
+    return shapes
 
-    attn_stack("pfl")
-    attn_stack("dec")
-    w["dec.head.w"] = glorot(d, 3)
-    w["dec.head.b"] = np.zeros(3)
 
-    tensors = OrderedDict((k, ad.param(_q32(v))) for k, v in w.items())
+def _initial_value(name: str, shape: tuple, rng) -> np.ndarray:
+    """One weight's initial value; drawn in ``weight_shapes`` order."""
+    if name == "tfl.conv.w":
+        return rng.uniform(-1.0, 1.0, size=shape) / math.sqrt(shape[1])
+    if name == "tfl.dt_proj.w":
+        return rng.uniform(-1.0, 1.0, size=shape) / math.sqrt(shape[0])
+    if name == "tfl.dt_proj.b":
+        # bias chosen so initial step sizes softplus(b) land log-uniformly in
+        # [1e-3, 1e-1], keeping early state updates small but nonzero
+        dt0 = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=shape))
+        return np.log(np.expm1(dt0))
+    if name == "tfl.a_log":
+        return np.tile(np.log(np.arange(1.0, shape[1] + 1.0)), (shape[0], 1))
+    if name.endswith(".g") or name == "tfl.d":
+        return np.ones(shape)
+    if len(shape) == 1:
+        return np.zeros(shape)
+    fan_in, fan_out = shape                  # Glorot-uniform matrix
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
+    """Deterministic initialization; draw order is the ``weight_shapes`` order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    tensors = OrderedDict(
+        (name, ad.param(_q32(_initial_value(name, shape, rng))))
+        for name, shape in weight_shapes(config).items())
     return ModelParams(weights=tensors)
 
 
@@ -191,36 +195,92 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 # -- stages -------------------------------------------------------------------
 
 def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
-    """Input-dependent diagonal state-space recurrence.
+    """Input-dependent diagonal state-space recurrence, as one autodiff node.
 
     u, delta: (..., T, C); a_mat: (C, S); b_seq, c_seq: (..., T, S);
     d_gain: (C,). Per step: h = exp(delta*A) h + delta*B_t u_t, and the output
     is y_t = sum_s C_t h + D u_t. Zero initial state.
+
+    The forward pass carries one state through time and, without a tape,
+    keeps nothing else. When the output is recorded it also keeps the state
+    history; the backward pass runs the reverse recurrence
+    gh_t = g_t C_t + exp(delta_{t+1} A) gh_{t+1}, recomputing each decay one
+    step at a time (the fused scan of Mamba, arXiv 2312.00752).
     """
-    u, delta = ad.as_tensor(u), ad.as_tensor(delta)
-    a_mat, d_gain = ad.as_tensor(a_mat), ad.as_tensor(d_gain)
-    b_seq, c_seq = ad.as_tensor(b_seq), ad.as_tensor(c_seq)
-    T = u.shape[-2]
-    ys = []
-    h = None
-    for t in range(T):
-        dt_t = delta[..., t, :]                       # (..., C)
-        u_t = u[..., t, :]
-        b_t = b_seq[..., t, :]                        # (..., S)
-        c_t = c_seq[..., t, :]
-        dt_e = ad.reshape(dt_t, dt_t.shape + (1,))    # (..., C, 1)
-        du = ad.mul(dt_e, ad.reshape(u_t, u_t.shape + (1,)))
-        b_e = ad.reshape(b_t, b_t.shape[:-1] + (1, b_t.shape[-1]))
-        inject = ad.mul(du, b_e)                      # (..., C, S)
-        if h is None:
-            h = inject
-        else:
-            decay = ad.exp(ad.mul(dt_e, a_mat))
-            h = ad.add(ad.mul(decay, h), inject)
-        c_e = ad.reshape(c_t, c_t.shape[:-1] + (1, c_t.shape[-1]))
-        y_t = ad.add(ad.tsum(ad.mul(h, c_e), axis=-1), ad.mul(d_gain, u_t))
-        ys.append(y_t)
-    return ad.stack(ys, axis=-2)                      # (..., T, C)
+    parents = tuple(ad.as_tensor(t) for t in (u, delta, a_mat, b_seq, c_seq, d_gain))
+    U, DT, A, B, Cs, D = (t.data for t in parents)
+    batch, (T, C), S = U.shape[:-2], U.shape[-2:], A.shape[-1]
+    if DT.shape != U.shape or A.shape != (C, S) or D.shape != (C,) \
+            or B.shape != U.shape[:-1] + (S,) or Cs.shape != B.shape:
+        raise ad.ShapeMismatch(
+            f"selective_scan: u {U.shape}, delta {DT.shape}, A {A.shape}, "
+            f"B {B.shape}, C {Cs.shape}, D {D.shape} do not fit together")
+    keep = ad.needs_grad(*parents)
+    # States are held as (..., S, C) so every elementwise op runs along the
+    # long channel axis; only the output sum is taken over a (..., C, S)
+    # copy, to keep the reduction order of sum_s C_t h.
+    a_t = np.ascontiguousarray(A.T)
+    H = np.empty(batch + (T, S, C)) if keep else None
+    h = None if keep else np.empty(batch + (S, C))
+    # one scratch buffer holds the decay, then the injection, then (as a
+    # (..., C, S) view) the products summed into y_t
+    work = np.empty(batch + (S, C))
+    hc = work.reshape(batch + (C, S))
+    y = np.empty(U.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            dt_t = DT[..., t, None, :]                       # (..., 1, C)
+            du = dt_t * U[..., t, None, :]
+            h_t = H[..., t, :, :] if keep else h
+            if t == 0:
+                np.multiply(du, B[..., t, :, None], out=h_t)
+            else:
+                np.multiply(dt_t, a_t, out=work)
+                np.exp(work, out=work)
+                np.multiply(work, h_prev, out=h_t)
+                np.multiply(du, B[..., t, :, None], out=work)
+                h_t += work
+            np.multiply(np.swapaxes(h_t, -1, -2), Cs[..., t, None, :], out=hc)
+            hc.sum(axis=-1, out=y[..., t, :])
+            y[..., t, :] += D * U[..., t, :]
+            h_prev = h_t
+
+    def vjp(g):
+        gU, gDT = np.empty(U.shape), np.empty(U.shape)
+        gB, gC = np.empty(B.shape), np.empty(B.shape)
+        gA = np.zeros(batch + (S, C))       # summed over rows at the end
+        gh = np.empty(batch + (S, C))       # gradient of h_t
+        q = np.empty_like(gh)
+        for t in range(T - 1, -1, -1):
+            g_t = g[..., t, :]
+            dt_t = DT[..., t, :]
+            u_t = U[..., t, :]
+            if t == T - 1:
+                np.multiply(g_t[..., None, :], Cs[..., t, :, None], out=gh)
+            else:
+                gh *= decay                 # exp(delta_{t+1} A) from step t+1
+                gh += g_t[..., None, :] * Cs[..., t, :, None]
+            gC[..., t, :] = (H[..., t, :, :] @ g_t[..., :, None])[..., 0]
+            gB[..., t, :] = (gh @ (dt_t * u_t)[..., :, None])[..., 0]
+            g_du = (B[..., t, None, :] @ gh)[..., 0, :]
+            gU[..., t, :] = g_du * dt_t + g_t * D
+            gDT[..., t, :] = g_du * u_t
+            if t > 0:
+                # decay_t = exp(delta_t A) multiplies h_{t-1}
+                decay = np.exp(dt_t[..., None, :] * a_t)
+                np.multiply(gh, H[..., t - 1, :, :], out=q)
+                q *= decay                  # gradient of delta_t * A
+                gDT[..., t, :] += (q * a_t).sum(axis=-2)
+                q *= dt_t[..., None, :]
+                gA += q
+        ad.accumulate(parents[0], gU)
+        ad.accumulate(parents[1], gDT)
+        ad.accumulate(parents[2], gA.reshape(-1, S, C).sum(axis=0).T)
+        ad.accumulate(parents[3], gB)
+        ad.accumulate(parents[4], gC)
+        ad.accumulate(parents[5], (g * U).reshape(-1, C).sum(axis=0))
+
+    return ad.primitive(y, "selective_scan", parents, vjp)
 
 
 def embed_inputs(w, x_norm: np.ndarray):

@@ -158,7 +158,7 @@ def save_checkpoint(path: str, params: net.ModelParams,
 
 def load_checkpoint(path: str):
     """Read a checkpoint directory; returns (params, config). The weights must
-    match ``init_params(config)`` by name and shape and lie in weights.bin."""
+    match ``weight_shapes(config)`` by name and shape and lie in weights.bin."""
     try:
         with open(os.path.join(path, MANIFEST_NAME), encoding="utf-8") as f:
             manifest = json.load(f)
@@ -181,7 +181,7 @@ def load_checkpoint(path: str):
                 f"weights.bin holds {raw.size} values, manifest says "
                 f"{manifest['total_values']}")
         entries = {e["name"]: e for e in manifest["weights"]}
-        layout = net.init_params(config).weights
+        layout = net.weight_shapes(config)
         if set(entries) != set(layout):
             raise CheckpointError(
                 f"manifest weights do not match the config: missing "
@@ -190,10 +190,10 @@ def load_checkpoint(path: str):
         weights = OrderedDict()
         for name, expected in layout.items():
             shape, lo = tuple(entries[name]["shape"]), entries[name]["offset"]
-            hi = lo + expected.data.size
-            if shape != expected.shape:
+            hi = lo + math.prod(expected)
+            if shape != expected:
                 raise CheckpointError(f"weight {name} has shape {list(shape)}, "
-                                      f"the config needs {list(expected.shape)}")
+                                      f"the config needs {list(expected)}")
             if not 0 <= lo <= hi <= raw.size:
                 raise CheckpointError(f"weight {name} spans values {lo}..{hi}, "
                                       f"outside the {raw.size} in weights.bin")

@@ -1,11 +1,15 @@
 """Autodiff engine: frozen hand values, finite-difference oracle, tape rules."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from platoonkit import autodiff as ad
+from platoonkit import dynamics as dyn
+from platoonkit import network as net
 
 
 def test_square_scalar_forward_backward():
@@ -186,6 +190,46 @@ def test_causal_conv_is_causal_and_correct():
     assert ad.finite_diff_check(graph, [x, w, b]) < 1e-6
 
 
+def test_causal_conv_matches_tap_order_and_rows():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 2, 7, 5))
+    w = rng.standard_normal((5, 4))
+    b = rng.standard_normal(5)
+    out = ad.causal_conv1d(ad.param(x), ad.param(w), ad.param(b))
+    xp = np.concatenate([np.zeros((3, 2, 3, 5)), x], axis=-2)
+    want = xp[..., 0:7, :] * w[:, 0]
+    for i in range(1, 4):
+        want = want + xp[..., i:i + 7, :] * w[:, i]
+    np.testing.assert_array_equal(out.data, want + b)
+    g = rng.standard_normal(out.shape)
+    xt = ad.param(x)
+    ad.causal_conv1d(xt, w, b).backward(g)
+    for row in range(3):
+        single = ad.param(x[row:row + 1])
+        y = ad.causal_conv1d(single, w, b)
+        y.backward(g[row:row + 1])
+        np.testing.assert_array_equal(y.data[0], out.data[row])
+        np.testing.assert_array_equal(single.grad[0], xt.grad[row])
+
+
+def test_graph_is_freed_without_the_cycle_collector():
+    rng = np.random.default_rng(13)
+    x = ad.param(rng.standard_normal((3, 4)))
+    gc.disable()
+    try:
+        inner = ad.exp(ad.sigmoid(ad.matmul(x, rng.standard_normal((4, 2)))))
+        probe = weakref.ref(inner)
+        loss = ad.tsum(ad.mul(inner, ad.sigmoid(inner)))
+        del inner
+        loss.backward()
+        assert probe() is not None          # the loss still holds its graph
+        del loss
+        assert probe() is None
+    finally:
+        gc.enable()
+    assert x.grad is not None
+
+
 def test_no_grad_blocks_recording():
     with ad.no_grad():
         out = ad.mul(ad.param(np.ones(3)), 2.0)
@@ -203,6 +247,10 @@ def _pos(rng, shape):
     return rng.uniform(0.5, 2.0, shape)
 
 
+def _neg(rng, shape):
+    return -rng.uniform(0.5, 2.0, shape)
+
+
 def _away_from_zero(rng, shape):
     x = rng.standard_normal(shape)
     return x + np.sign(x) * 0.2
@@ -212,6 +260,14 @@ def _away_from_zero(rng, shape):
 _SOFTMAX_MASK = np.array([[True, True, False, True, False],
                           [False, True, True, True, True],
                           [True, False, False, False, True]])
+
+
+def _rollout_series(x0, lead, th, v_star, s_star):
+    """All four rollout series, weighted differently, as one output."""
+    r = dyn.rollout(x0, lead, th, dyn.ExpectedState(v_star, s_star))
+    return ad.add(ad.add(r.v, ad.mul(r.s, 0.5)),
+                  ad.add(ad.mul(r.a, 2.0), ad.mul(r.dv, -1.5)))
+
 
 PRIMITIVE_CASES = [
     ("add", lambda a, b: ad.add(a, b), [_rand, _rand], [(3, 4), (3, 4)]),
@@ -223,6 +279,8 @@ PRIMITIVE_CASES = [
     ("power", lambda a: ad.power(a, 3), [_rand], [(3, 3)]),
     ("matmul", lambda a, b: ad.matmul(a, b), [_rand, _rand], [(3, 4), (4, 2)]),
     ("matmul_batched", lambda a, b: ad.matmul(a, b), [_rand, _rand], [(2, 3, 4), (4, 2)]),
+    ("matmul_both_batched", lambda a, b: ad.matmul(a, b), [_rand, _rand],
+     [(2, 3, 4), (2, 4, 2)]),
     ("exp", lambda a: ad.exp(a), [_rand], [(3, 2)]),
     ("softplus", lambda a: ad.softplus(a), [_rand], [(4, 3)]),
     ("sigmoid", lambda a: ad.sigmoid(a), [_rand], [(6,)]),
@@ -234,14 +292,17 @@ PRIMITIVE_CASES = [
     ("reshape", lambda a: ad.reshape(a, (6, 2)), [_rand], [(3, 4)]),
     ("swapaxes", lambda a: ad.swapaxes(a, -1, -2), [_rand], [(2, 3, 4)]),
     ("slice", lambda a: a[1:, ::2], [_rand], [(4, 6)]),
-    ("concat", lambda a, b: ad.concat([a, b], axis=1), [_rand, _rand], [(2, 3), (2, 4)]),
-    ("stack", lambda a, b: ad.stack([a, b], axis=-1), [_rand, _rand], [(3, 2), (3, 2)]),
     ("masked_softmax", lambda a: ad.masked_softmax(a, _SOFTMAX_MASK), [_rand], [(3, 5)]),
     ("layer_norm", lambda x, g, b: ad.layer_norm(x, g, b), [_rand, _rand, _rand],
      [(3, 6), (6,), (6,)]),
     ("rms_norm", lambda x, g: ad.rms_norm(x, g), [_rand, _rand], [(2, 5), (5,)]),
     ("causal_conv1d", lambda x, w, b: ad.causal_conv1d(x, w, b), [_rand, _rand, _rand],
      [(6, 3), (3, 4), (3,)]),
+    ("selective_scan", lambda u, dt, a, b, c, d: net.selective_scan(u, dt, a, b, c, d),
+     [_rand, _pos, _neg, _rand, _rand, _rand],
+     [(2, 5, 3), (2, 5, 3), (3, 2), (2, 5, 2), (2, 5, 2), (3,)]),
+    ("rollout", lambda x0, lead, th, vs, ss: _rollout_series(x0, lead, th, vs, ss),
+     [_rand, _rand, _rand, _rand, _rand], [(2, 3, 3), (2, 4), (2, 3, 2, 3), (2, 3), (3,)]),
 ]
 
 
@@ -261,5 +322,5 @@ def test_primitive_gradients_match_finite_differences(name, op, makers, shapes):
 
 
 def test_primitive_case_count_covers_contract():
-    # 26 primitive variants x 4 seeds >= 100 randomized oracle comparisons
+    # 27 primitive variants x 4 seeds >= 100 randomized oracle comparisons
     assert len(PRIMITIVE_CASES) * 4 >= 100

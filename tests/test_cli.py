@@ -243,6 +243,18 @@ def test_checkpoint_dt_mismatch_is_data_error(command, corpus, capsys,
     assert "dt=0.2" in err and "dt=0.1" in err
 
 
+def test_train_dt_mismatch_is_data_error(corpus, capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": {**TINY_MODEL, "dt": 0.2},
+                               "train": {"epochs": 1}}))
+    code, _, err = _run(capsys, ["train", "--data", str(corpus),
+                                 "--out", str(tmp_path / "ckpt"),
+                                 "--config", str(cfg), "--stride", "8"])
+    assert code == 2
+    assert "dt=0.2" in err and "dt=0.1" in err
+    assert not (tmp_path / "ckpt" / "weights.bin").exists()
+
+
 # -- simulate / stability / safety ---------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -167,13 +167,25 @@ class TestRolloutBatchingAndShapes:
         theta = rng.uniform(0.1, 1.5, size=(2, n, S, 3)) * dyn.SIGN_PATTERN
         vs = rng.uniform(5, 25, size=(2, n))
         ss = rng.uniform(10, 40, size=(2, n))
-        batched = dyn.rollout(init, lead, theta, dyn.ExpectedState(vs, ss))
+        theta_t = ad.param(theta)
+        batched = dyn.rollout(init, lead, theta_t, dyn.ExpectedState(vs, ss))
+        ad.tsum(ad.mul(batched.v, batched.s)).backward()
         for b in range(2):
-            single = dyn.rollout(init[b:b + 1], lead[b:b + 1],
-                                 theta[b:b + 1],
+            theta_b = ad.param(theta[b:b + 1])
+            single = dyn.rollout(init[b:b + 1], lead[b:b + 1], theta_b,
                                  dyn.ExpectedState(vs[b:b + 1], ss[b:b + 1]))
-            np.testing.assert_array_equal(batched.v.data[b], single.v.data[0])
-            np.testing.assert_array_equal(batched.s.data[b], single.s.data[0])
+            for whole, one in zip(batched.arrays(), single.arrays()):
+                np.testing.assert_array_equal(whole[b], one[0])
+            ad.tsum(ad.mul(single.v, single.s)).backward()
+            np.testing.assert_array_equal(theta_t.grad[b], theta_b.grad[0])
+
+    def test_one_tape_node_under_the_series(self):
+        theta = ad.param(np.tile(dyn.SIGN_PATTERN * 0.5, (2, 3, 2, 1)))
+        out = dyn.rollout(np.ones((2, 3, 3)), np.ones((2, 4)), theta,
+                          dyn.ExpectedState(np.zeros((2, 3)), np.ones((2, 3))))
+        ops = [n._op for n in ad.Tape.trace(ad.add(out.v, out.s)).nodes
+               if n._vjp is not None]
+        assert sorted(ops) == ["add", "rollout", "slice", "slice"]
 
     def test_output_shapes(self):
         out = dyn.rollout(np.zeros((4, 6, 3)), np.full((4, 20), 1.0),
@@ -237,3 +249,20 @@ class TestStabilityAndGradients:
 
         err = ad.finite_diff_check(graph, [raw], step=1e-6)
         assert err < 1e-6
+
+    def test_adjoint_matches_finite_differences_for_every_input(self):
+        rng = np.random.default_rng(12)
+        arrays = [rng.uniform(5, 15, size=(2, 3, 3)),       # initial state
+                  rng.uniform(5, 15, size=(2, 6)),          # leader speeds
+                  rng.uniform(0.2, 1.2, size=(2, 3, 3, 3)) * dyn.SIGN_PATTERN,
+                  rng.uniform(5, 15, size=(2, 3)),          # v*
+                  rng.uniform(10, 30, size=(2, 3))]         # s*
+        probes = [rng.normal(size=(2, 3, 6)) for _ in range(4)]
+
+        def graph(x0, lead, theta, v_star, s_star):
+            out = dyn.rollout(x0, lead, theta, dyn.ExpectedState(v_star, s_star))
+            terms = [ad.tsum(ad.mul(series, p))
+                     for series, p in zip((out.v, out.s, out.a, out.dv), probes)]
+            return ad.add(ad.add(terms[0], terms[1]), ad.add(terms[2], terms[3]))
+
+        assert ad.finite_diff_check(graph, arrays, step=1e-6) < 1e-6

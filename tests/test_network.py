@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,83 @@ class TestSelectiveScan:
         d_gain = rng.normal(size=3)
         y = net.selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain).data
         np.testing.assert_allclose(y, d_gain * u, rtol=0, atol=1e-15)
+
+
+def _scan_inputs(rng, batch, T, C, S):
+    u = rng.normal(size=batch + (T, C))
+    delta = np.logaddexp(0.0, rng.normal(size=batch + (T, C)) - 2.0)
+    a_mat = -np.exp(rng.normal(size=(C, S)))
+    b_seq = rng.normal(size=batch + (T, S))
+    c_seq = rng.normal(size=batch + (T, S))
+    d_gain = rng.normal(size=C)
+    return [u, delta, a_mat, b_seq, c_seq, d_gain]
+
+
+def _reference_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
+    """Per-step numpy loop in the operation order of the recurrence."""
+    ys, h = [], None
+    for t in range(u.shape[-2]):
+        dt_e = delta[..., t, :, None]
+        inject = (dt_e * u[..., t, :, None]) * b_seq[..., t, None, :]
+        h = inject if h is None else np.exp(dt_e * a_mat) * h + inject
+        ys.append((h * c_seq[..., t, None, :]).sum(axis=-1) + d_gain * u[..., t, :])
+    return np.stack(ys, axis=-2)
+
+
+class TestFusedScan:
+    def test_matches_per_step_reference_bitwise(self):
+        arrays = _scan_inputs(np.random.default_rng(4), (2, 3), 21, 16, 8)
+        want = _reference_scan(*arrays)
+        with ad.no_grad():
+            np.testing.assert_array_equal(net.selective_scan(*arrays).data, want)
+        recorded = net.selective_scan(*[ad.param(a) for a in arrays])
+        assert recorded.requires_grad
+        np.testing.assert_array_equal(recorded.data, want)
+
+    def test_one_tape_node(self):
+        leaves = [ad.param(a) for a in
+                  _scan_inputs(np.random.default_rng(0), (2,), 6, 3, 2)]
+        tape = ad.Tape.trace(net.selective_scan(*leaves))
+        assert [n._op for n in tape.nodes if n._vjp is not None] == ["selective_scan"]
+
+    def test_gradients_match_finite_differences(self):
+        arrays = _scan_inputs(np.random.default_rng(5), (2, 2), 4, 3, 2)
+        probe = np.random.default_rng(6).normal(size=(2, 2, 4, 3))
+
+        def graph(*leaves):
+            return ad.tsum(ad.mul(net.selective_scan(*leaves), probe))
+
+        assert ad.finite_diff_check(graph, arrays) < 1e-6
+
+    def test_batch_rows_match_single_runs(self):
+        arrays = _scan_inputs(np.random.default_rng(7), (3, 2), 8, 6, 4)
+        g = np.random.default_rng(8).normal(size=(3, 2, 8, 6))
+        leaves = [ad.param(a) for a in arrays]
+        net.selective_scan(*leaves).backward(g)
+        batched = {0, 1, 3, 4}                  # u, delta, B, C carry rows
+        for row in range(3):
+            single = [ad.param(a[row:row + 1] if i in batched else a)
+                      for i, a in enumerate(arrays)]
+            y = net.selective_scan(*single)
+            y.backward(g[row:row + 1])
+            with ad.no_grad():
+                whole = net.selective_scan(*arrays).data
+            np.testing.assert_array_equal(y.data[0], whole[row])
+            for i in batched:
+                np.testing.assert_array_equal(single[i].grad[0], leaves[i].grad[row])
+
+    def test_no_grad_keeps_no_state_history(self):
+        batch, T, C, S = (4, 3), 21, 32, 8
+        arrays = _scan_inputs(np.random.default_rng(9), batch, T, C, S)
+        history_bytes = 8 * math.prod(batch + (T, C, S))
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                net.selective_scan(*arrays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < history_bytes
 
 
 class TestTemporalBlock:

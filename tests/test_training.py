@@ -1,9 +1,11 @@
 """Tests for losses, weight balancing, Adam, checkpoints, and the train loop."""
 
+import gc
 import io
 import json
 import math
 import os
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,6 +210,21 @@ class TestCheckpoints:
         with pytest.raises(tr.CheckpointError, match="outside"):
             tr.load_checkpoint(path)
 
+    def test_layout_needs_no_weight_draws(self, tmp_path, monkeypatch):
+        cfg = _tiny_config()
+        params = net.init_params(cfg, seed=0)
+        assert {k: t.shape for k, t in params.weights.items()} == \
+            dict(net.weight_shapes(cfg))
+        path = str(tmp_path / "ckpt")
+        tr.save_checkpoint(path, params, cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+        monkeypatch.setattr(net, "init_params", no_draws)
+        loaded, _ = tr.load_checkpoint(path)
+        assert list(loaded.weights) == list(params.weights)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(tr.CheckpointError, match="manifest"):
             tr.load_checkpoint(str(tmp_path / "nope"))
@@ -238,6 +255,48 @@ class TestBatching:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             tr.make_batches([], 0)
+
+
+def _default_step(batch=8, n_veh=6, seed=0):
+    """Loss of one default-config training step, built as ``train`` does."""
+    cfg = net.ModelConfig()
+    params = net.init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    hist = np.empty((batch, n_veh, cfg.history_len, 3))
+    hist[..., 0] = rng.uniform(8.0, 15.0, hist.shape[:-1])
+    hist[..., 1] = rng.uniform(10.0, 30.0, hist.shape[:-1])
+    hist[..., 2] = rng.uniform(-1.0, 1.0, hist.shape[:-1])
+    params.norm_mean = hist.reshape(-1, 3).mean(axis=0)
+    params.norm_std = hist.reshape(-1, 3).std(axis=0)
+    lead = rng.uniform(8.0, 15.0, (batch, cfg.horizon))
+    targets = rng.uniform(8.0, 30.0, (batch, n_veh, cfg.horizon, 2))
+    noise = rng.standard_normal((batch, n_veh, cfg.d_model))
+    out = net.model_forward(params, cfg, hist, lead, noise=noise)
+    l_v, l_s = tr.prediction_losses(out.result, targets)
+    kl = tr.kl_loss(out.mu, out.logvar)
+    total = ad.add(ad.add(l_v, l_s), ad.mul(kl, 0.0025))
+    return total, out, params
+
+
+class TestTrainingStepGraph:
+    def test_default_step_records_under_400_tape_nodes(self):
+        # the scan, its causal conv and the rollout are one node each; a
+        # return to per-step graphs records over a thousand
+        total, _, _ = _default_step()
+        assert len(ad.Tape.trace(total).nodes) < 400
+
+    def test_step_graph_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            total, out, params = _default_step(batch=2, n_veh=3)
+            probes = [weakref.ref(t) for t in (out.theta, out.result.v, out.mu)]
+            del out
+            ad.Tape.trace(total).backward(np.ones_like(total.data))
+            del total
+            assert all(p() is None for p in probes)
+        finally:
+            gc.enable()
+        assert all(t.grad is not None for t in params.weights.values())
 
 
 class TestTrainLoop:
