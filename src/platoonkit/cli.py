@@ -208,7 +208,8 @@ def _cmd_train(args) -> int:
         {"best_epoch": result.best_epoch, "best_val": result.best_val,
          "status": result.status}, sort_keys=True) + "\n")
     if result.status != "completed":
-        print(f"training {result.status}", file=sys.stderr)
+        print(f"training {result.status}: {result.abort_reason}",
+              file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
 
@@ -302,17 +303,13 @@ def _cmd_simulate(args) -> int:
     params, config, records = _load_model_and_data(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed) if args.stochastic else None
+    controller = sim.ModelController(
+        params, config, seed=args.seed if args.stochastic else None)
+    runs = sim.simulate_platoons(records, controller, warmup_steps=args.warmup,
+                                 replan_interval=args.replan)
     summary = {}
     sim_records = []
-    for rec in records:
-        controller = sim.ModelController(params, config, rng=rng)
-        try:
-            run = sim.closed_loop_simulate(rec, controller,
-                                           warmup_steps=args.warmup,
-                                           replan_interval=args.replan)
-        except sim.SimulationError as exc:
-            raise CliError(f"{rec.platoon_id}: {exc}") from exc
+    for rec, run in zip(records, runs):
         row = {"viable": run.viable, "collision_frame": run.collision_frame,
                "frames": run.duration, "clamp_count": run.clamp_count,
                "rmse_speed": None, "rmse_position": None}
@@ -340,31 +337,36 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    from . import analysis, data
+    from . import analysis, data, training
     from . import autodiff as ad
     from . import network as net
     params, config, records = _load_model_and_data(args)
-    report = {}
+    groups = {}     # follower count -> [(record, its first window)]
     for rec in records:
         windows = data.extract_windows(rec, config.history_len,
                                        config.horizon, stride=1)
         if not windows:
             raise CliError(f"{rec.platoon_id}: too short for a window")
-        w = windows[0]    # earliest snapshot: deterministic and warmup-free
+        # earliest snapshot: deterministic and warmup-free
+        groups.setdefault(rec.n_followers, []).append((rec, windows[0]))
+    report = {}
+    for group in groups.values():
+        hist, lead, _ = training.assemble_batch([w for _, w in group])
         with ad.no_grad():
-            out = net.model_forward(params, config, w.history[None],
-                                    w.lead_future[None])
-        spectrum = analysis.head_to_tail_gain(out.theta.data[0])
-        margins = analysis.string_stability_margin(spectrum.theta_used)
-        report[rec.platoon_id] = {
-            "amplified": spectrum.amplified,
-            "peak_gain": spectrum.peak_gain,
-            "peak_omega": spectrum.peak_omega,
-            "min_margin": float(margins.min()),
-            "stable_vehicles": int((margins >= 0.0).sum()),
-            "vehicles": int(margins.shape[0])}
-        if args.spectra is not None:
-            _write_spectrum_csv(Path(args.spectra), rec.platoon_id, spectrum)
+            out = net.model_forward(params, config, hist, lead)
+        for (rec, _), theta in zip(group, out.theta.data):
+            spectrum = analysis.head_to_tail_gain(theta)
+            margins = analysis.string_stability_margin(spectrum.theta_used)
+            report[rec.platoon_id] = {
+                "amplified": spectrum.amplified,
+                "peak_gain": spectrum.peak_gain,
+                "peak_omega": spectrum.peak_omega,
+                "min_margin": float(margins.min()),
+                "stable_vehicles": int((margins >= 0.0).sum()),
+                "vehicles": int(margins.shape[0])}
+            if args.spectra is not None:
+                _write_spectrum_csv(Path(args.spectra), rec.platoon_id,
+                                    spectrum)
     _emit(report, args.out)
     return EXIT_OK
 

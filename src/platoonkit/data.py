@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -176,7 +177,8 @@ def _parse_file(path: Path, rows: dict) -> None:
                 length = float(row[5])
             except ValueError as e:
                 raise DataFormatError(f"{path}:{lineno}: {e}") from None
-            if not (np.isfinite(pos) and np.isfinite(spd) and np.isfinite(length)):
+            if not (math.isfinite(pos) and math.isfinite(spd)
+                    and math.isfinite(length)):
                 raise DataFormatError(f"{path}:{lineno}: non-finite value")
             rows.setdefault(pid, {}).setdefault(vi, []).append((frame, pos, spd, length))
 

@@ -185,23 +185,25 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
     """Integrate follower speeds and gaps in place with explicit Euler.
 
     speeds, gaps: (..., N, T) buffers holding the initial state at frame 0;
-    frames 1.. are overwritten. Leading axes are independent rows, all
-    behind the same leader, whose speeds ``lead_speeds`` (T,) follower 0 sees.
+    frames 1.. are overwritten. Leading axes are independent rows, each
+    behind its own leader: follower 0 of a row sees ``lead_speeds[..., k]``
+    at step k, and a (T,) series is shared by every row.
     Step k applies a = accel(k, v, s, dv), with dv = v_ahead - v and frames
     0..k already filled: v' = max(0, v + dt*a), s' = s + dt*dv.
 
-    Returns (clamp_count, collision_frame): the number of speeds clamped at
-    zero, and per row the first frame with a non-positive gap (T if none).
-    Frames from a row's collision on are meaningless; stepping stops once
-    every row has collided.
+    Returns (clamp_count, collision_frame), both per row: the number of
+    speeds clamped at zero by the steps before the row's collision frame,
+    and the first frame with a non-positive gap (T if none). Frames from a
+    row's collision on are meaningless; stepping stops once every row has
+    collided.
     """
     T = speeds.shape[-1]
     collision = np.full(speeds.shape[:-2], T)
+    clamps = np.zeros(speeds.shape[:-2], dtype=int)
     v, s = speeds[..., 0], gaps[..., 0]
     # row = [leader, followers]; its first N entries are the speeds ahead
     row = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
     row_lead, row_follow, ahead = row[..., 0], row[..., 1:], row[..., :-1]
-    clamps = 0
     for k in range(T):
         if s.min() <= 0.0:
             collision = np.where((s <= 0.0).any(axis=-1) & (collision == T),
@@ -210,13 +212,13 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
                 break
         if k == T - 1:
             break
-        row_lead[...] = lead_speeds[k]
+        row_lead[...] = lead_speeds[..., k]
         row_follow[...] = v
         dv = ahead - v
         v = v + dt * accel(k, v, s, dv)
         if v.min() < 0.0:
             neg = v < 0.0
-            clamps += int(neg.sum())
+            clamps += np.where(collision == T, neg.sum(axis=-1), 0)
             v[neg] = 0.0
         s = s + dt * dv
         speeds[..., k + 1] = v

@@ -103,7 +103,7 @@ class IdmController:
         self._v0, self._T, self._s0, self._a_max, self._b = cols
         self._delta = np.array([p.delta for p in params])
 
-    def replan(self, history, lead_future):
+    def replan(self, history, lead_future, platoons):
         pass
 
     def accel(self, k: int, v, s, dv):

@@ -178,18 +178,14 @@ def fit_normalization(windows) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _sinusoidal(length: int, d_model: int) -> np.ndarray:
+def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
+    """Standard interleaved sin/cos position table, cached, read-only."""
     pos = np.arange(length, dtype=float)[:, None]
     i = np.arange(d_model, dtype=float)[None, :]
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / d_model)
     enc = np.where(i.astype(int) % 2 == 0, np.sin(angle), np.cos(angle))
     enc.flags.writeable = False
     return enc
-
-
-def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
-    """Standard interleaved sin/cos position table, cached, read-only."""
-    return _sinusoidal(length, d_model)
 
 
 # -- stages -------------------------------------------------------------------

@@ -1,15 +1,27 @@
 """Closed-loop platoon simulation behind a recorded leader.
 
-The simulator replays the reference leader trajectory and integrates the
-followers under a controller. After a warmup prefix copied from the
-reference, the controller is re-planned every ``replan_interval`` steps from
-the *simulated* history (errors feed back, as they would on the road) plus
-the true future leader speeds; between replans it supplies accelerations
-step by step. The followers are stepped in (speed, gap) state by
-``dynamics.euler_platoon``, the integrator shared with synthetic data and
-IDM calibration, and positions are materialized afterwards by cascading
-gaps down from the true leader positions, so speeds, gaps, and positions
-stay mutually consistent to machine precision.
+The simulator replays each record's reference leader trajectory and
+integrates its followers under a controller. After a warmup prefix copied
+from the reference, the controller is re-planned every ``replan_interval``
+steps from the *simulated* history (errors feed back, as they would on the
+road) plus the true future leader speeds; between replans it supplies
+accelerations step by step.
+
+``simulate_platoons`` runs every record of one shape (follower count,
+duration and sampling step) as one batch: ``dynamics.euler_platoon`` steps
+all of their followers together in (speed, gap) state, each batch row behind
+its own leader, and each replan is one controller call for the whole group.
+A row that has collided is left out of later replans and gets zero
+acceleration, so it cannot disturb the rows still running; a record's run is
+the same whichever records share its batch. Positions are materialized
+afterwards by cascading gaps down from the true leader positions, so speeds,
+gaps, and positions stay mutually consistent to machine precision.
+
+A controller has ``history_len`` and ``horizon`` (and may have ``dt``),
+``replan(history, lead_future, platoons)`` taking (B, N, P, 3) histories,
+(B, F) leader futures and the B indices of the planned records in the list
+handed to ``simulate_platoons``, and ``accel(k, v, s, dv)`` on the (B, N)
+states of those rows.
 
 Speeds are clamped at zero (vehicles do not reverse); the number of clamped
 entries is reported. A non-positive gap truncates the run strictly before
@@ -40,8 +52,8 @@ class SimulationError(Exception):
 class _LinearLaw:
     """The linear car-following law a = f_v (v - v*) + f_s (s - s*) + f_dv dv.
 
-    Subclasses set ``_theta`` (N, S, 3), ``_v_star``, ``_s_star`` (N,) and
-    ``m``; block j = k // m of the current plan steers step k.
+    Subclasses set ``_theta`` (..., N, S, 3), ``_v_star``, ``_s_star``
+    (..., N) and ``m``; block j = k // m of the current plan steers step k.
     """
 
     _theta = None
@@ -49,16 +61,17 @@ class _LinearLaw:
     def accel(self, k: int, v, s, dv):
         if self._theta is None:
             raise SimulationError("accel called before the first replan")
-        th = self._theta[:, k // self.m, :]
-        return (th[:, 0] * (v - self._v_star) + th[:, 1] * (s - self._s_star)
-                + th[:, 2] * dv)
+        th = self._theta[..., k // self.m, :]
+        return (th[..., 0] * (v - self._v_star)
+                + th[..., 1] * (s - self._s_star) + th[..., 2] * dv)
 
 
 class ScriptedThetaController(_LinearLaw):
     """Fixed parameter schedule around a fixed expected state.
 
     theta: (N, S, 3) sign-constrained triples; block j steers steps
-    j*steps_per_block .. (j+1)*steps_per_block - 1 of each plan.
+    j*steps_per_block .. (j+1)*steps_per_block - 1 of each plan. Every
+    platoon in a batch follows the same schedule.
     """
 
     history_len = 1
@@ -75,38 +88,49 @@ class ScriptedThetaController(_LinearLaw):
         self.m = steps_per_block
         self.horizon = self._theta.shape[1] * steps_per_block
 
-    def replan(self, history, lead_future):
+    def replan(self, history, lead_future, platoons):
         pass
 
 
 class ModelController(_LinearLaw):
-    """Plans with the neural pipeline; deterministic unless given an rng.
+    """Plans a batch of platoons with one pass of the neural pipeline.
 
-    ``dt`` is the step the model was trained at; ``closed_loop_simulate``
-    refuses records sampled at any other step.
+    ``dt`` is the step the model was trained at; ``simulate_platoons``
+    refuses records sampled at any other step. Latents stay at their means
+    unless a ``seed`` is given; then platoon i draws its noise from child i
+    of ``SeedSequence(seed)``, so its run does not depend on which platoons
+    share its batch.
     """
 
     def __init__(self, params: net.ModelParams, config: net.ModelConfig,
-                 rng: np.random.Generator = None):
+                 seed: int = None):
         self.params = params
         self.config = config
-        self.rng = rng
+        self.seed = seed
+        self._rngs = {}
         self.dt = config.dt
         self.history_len = config.history_len
         self.horizon = config.horizon
         self.m = config.param_window
 
-    def replan(self, history, lead_future):
+    def _rng(self, platoon: int) -> np.random.Generator:
+        if platoon not in self._rngs:
+            self._rngs[platoon] = np.random.default_rng(
+                np.random.SeedSequence(self.seed, spawn_key=(platoon,)))
+        return self._rngs[platoon]
+
+    def replan(self, history, lead_future, platoons):
         noise = None
-        if self.rng is not None:
-            noise = self.rng.standard_normal(
-                (1,) + history.shape[:1] + (self.config.d_model,))
+        if self.seed is not None:
+            shape = (history.shape[1], self.config.d_model)
+            noise = np.stack([self._rng(int(i)).standard_normal(shape)
+                              for i in platoons])
         with ad.no_grad():
             out = net.model_forward(self.params, self.config,
-                                    history[None], lead_future[None], noise=noise)
-        self._theta = out.theta.data[0]
-        self._v_star = out.xstar.v_star.data[0]
-        self._s_star = out.xstar.s_star.data[0]
+                                    history, lead_future, noise=noise)
+        self._theta = out.theta.data
+        self._v_star = out.xstar.v_star.data
+        self._s_star = out.xstar.s_star.data
 
 
 # -- simulator --------------------------------------------------------------------
@@ -133,75 +157,117 @@ class SimulationRun:
         return self.speeds.shape[1]
 
 
+def simulate_platoons(records, controller, warmup_steps: int = None,
+                      replan_interval: int = None) -> list:
+    """Roll the followers of every record forward under ``controller``.
+
+    Returns one SimulationRun per record, in input order. Records of one
+    shape (follower count, duration, dt) run as one batch; see the module
+    docstring for the controller interface. warmup_steps frames are copied
+    verbatim (default: the controller's required history length); the
+    simulation starts from the last copied frame. Near the end of a record
+    the leader-future handed to the planner is padded by holding its last
+    value; only the steps that fit in the record are applied. A controller
+    with a ``dt`` attribute must plan at every record's sampling step.
+    """
+    P = controller.history_len if warmup_steps is None else warmup_steps
+    R = controller.horizon if replan_interval is None else replan_interval
+    groups = {}
+    for i, record in enumerate(records):
+        _check_record(record, controller, P, R)
+        key = (record.n_followers, record.duration, record.dt)
+        groups.setdefault(key, []).append(i)
+    runs = [None] * len(records)
+    for rows in groups.values():
+        group = [records[i] for i in rows]
+        for i, run in zip(rows, _simulate_group(group, rows, controller, P, R)):
+            runs[i] = run
+    return runs
+
+
 def closed_loop_simulate(record: data.PlatoonRecord, controller,
                          warmup_steps: int = None,
                          replan_interval: int = None) -> SimulationRun:
-    """Roll the followers of ``record`` forward under ``controller``.
+    """``simulate_platoons`` of one record; returns its run."""
+    return simulate_platoons([record], controller, warmup_steps,
+                             replan_interval)[0]
 
-    warmup_steps frames are copied verbatim (default: the controller's
-    required history length); the simulation starts from the last copied
-    frame. Near the end of the record the leader-future handed to the
-    planner is padded by holding its last value; only the steps that fit in
-    the record are applied. A controller with a ``dt`` attribute must plan at
-    the record's sampling step.
-    """
-    dt = record.dt
-    T = record.duration
-    N = record.n_followers
-    plan_dt = getattr(controller, "dt", dt)
-    if plan_dt != dt:
-        raise SimulationError(
-            f"controller plans at dt={plan_dt} s but record {record.platoon_id} "
-            f"is sampled at dt={dt} s")
-    P = controller.history_len if warmup_steps is None else warmup_steps
-    if P < controller.history_len:
-        raise SimulationError(
-            f"warmup of {P} frames cannot feed a history of "
-            f"{controller.history_len}")
-    if T <= P:
-        raise SimulationError(f"record has {T} frames, warmup needs more than {P}")
-    R = controller.horizon if replan_interval is None else replan_interval
-    if not 1 <= R <= controller.horizon:
-        raise SimulationError(
-            f"replan interval {R} outside 1..{controller.horizon}")
 
-    lead_spd = record.vehicles[0].speed
-    lead_pos = record.vehicles[0].position
-    F = controller.horizon
+def _check_record(record, controller, P: int, R: int) -> None:
+    plan_dt = getattr(controller, "dt", record.dt)
+    if plan_dt != record.dt:
+        problem = (f"controller plans at dt={plan_dt} s but the record is "
+                   f"sampled at dt={record.dt} s")
+    elif P < controller.history_len:
+        problem = (f"warmup of {P} frames cannot feed a history of "
+                   f"{controller.history_len}")
+    elif record.duration <= P:
+        problem = (f"record has {record.duration} frames, warmup needs more "
+                   f"than {P}")
+    elif not 1 <= R <= controller.horizon:
+        problem = f"replan interval {R} outside 1..{controller.horizon}"
+    else:
+        return
+    raise SimulationError(f"{record.platoon_id}: {problem}")
 
-    spd = np.zeros((N, T))
-    gaps = np.zeros((N, T))
-    spd[:, :P] = record.speeds()[1:, :P]
-    gaps[:, :P] = record.gaps()[:, :P]
+
+def _simulate_group(records, rows, controller, P: int, R: int) -> list:
+    """Batch rows for records of one shape; ``rows`` are their input indices."""
+    B, N, T = len(records), records[0].n_followers, records[0].duration
+    dt, F = records[0].dt, controller.horizon
+    lead_spd = np.stack([rec.vehicles[0].speed for rec in records])
+    # futures past the record's end hold its last leader speed
+    lead_pad = np.concatenate([lead_spd, np.repeat(lead_spd[:, -1:], F, axis=1)],
+                              axis=1)
+    platoons = np.asarray(rows)
+    spd = np.zeros((B, N, T))
+    gaps = np.zeros((B, N, T))
+    for b, rec in enumerate(records):
+        spd[b, :, :P] = rec.speeds()[1:, :P]
+        gaps[b, :, :P] = rec.gaps()[:, :P]
+
+    H = controller.history_len
+    live = None     # rows the current plan covers; None while all run
 
     def accel(k, v, s, dv):
-        # step k leaves frame t = P-1+k; frames k..t are the last P frames
+        # step k leaves frame t = P-1+k; the history is frames t-H+1..t
+        nonlocal live
         k_plan = k % R
         if k_plan == 0:
             t = P - 1 + k
-            seg_spd = spd[:, k:t + 1]
-            seg_gap = gaps[:, k:t + 1]
-            ahead = np.vstack([lead_spd[None, k:t + 1], seg_spd[:-1]])
+            hit = (gaps[:, :, P - 1:t + 1] <= 0.0).any(axis=(1, 2))
+            live = np.flatnonzero(~hit) if hit.any() else None
+            sel = slice(None) if live is None else live
+            frames = slice(t + 1 - H, t + 1)
+            seg_spd = spd[sel, :, frames]
+            seg_gap = gaps[sel, :, frames]
+            ahead = np.concatenate([lead_spd[sel, None, frames],
+                                    seg_spd[:, :-1]], axis=1)
             history = np.stack([seg_spd, seg_gap, ahead - seg_spd], axis=-1)
-            future = lead_spd[t + 1:t + 1 + F]
-            if future.shape[0] < F:
-                future = np.concatenate(
-                    [future, np.full(F - future.shape[0], lead_spd[-1])])
-            controller.replan(history, future)
-        return controller.accel(k_plan, v, s, dv)
+            controller.replan(history, lead_pad[sel, t + 1:t + 1 + F],
+                              platoons[sel])
+        if live is None:
+            return controller.accel(k_plan, v, s, dv)
+        a = np.zeros_like(v)
+        a[live] = controller.accel(k_plan, v[live], s[live], dv[live])
+        return a
 
-    clamp_count, collision = dyn.euler_platoon(
-        spd[:, P - 1:], gaps[:, P - 1:], lead_spd[P - 1:], accel, dt)
-    T_eff = P - 1 + int(collision)
-    return SimulationRun(
-        platoon_id=record.platoon_id, dt=dt, warmup_steps=P,
-        speeds=spd[:, :T_eff], gaps=gaps[:, :T_eff],
-        positions=dyn.cascade_positions(lead_pos[:T_eff], record.lengths(),
-                                        gaps[:, :T_eff]),
-        lead_speeds=lead_spd[:T_eff].copy(),
-        lead_positions=lead_pos[:T_eff].copy(),
-        clamp_count=clamp_count,
-        collision_frame=None if T_eff == T else T_eff)
+    clamps, collision = dyn.euler_platoon(
+        spd[..., P - 1:], gaps[..., P - 1:], lead_spd[:, P - 1:], accel, dt)
+    runs = []
+    for b, rec in enumerate(records):
+        T_eff = P - 1 + int(collision[b])
+        lead_pos = rec.vehicles[0].position
+        runs.append(SimulationRun(
+            platoon_id=rec.platoon_id, dt=dt, warmup_steps=P,
+            speeds=spd[b, :, :T_eff], gaps=gaps[b, :, :T_eff],
+            positions=dyn.cascade_positions(lead_pos[:T_eff], rec.lengths(),
+                                            gaps[b, :, :T_eff]),
+            lead_speeds=lead_spd[b, :T_eff].copy(),
+            lead_positions=lead_pos[:T_eff].copy(),
+            clamp_count=int(clamps[b]),
+            collision_frame=None if T_eff == T else T_eff))
+    return runs
 
 
 # -- comparison -------------------------------------------------------------------

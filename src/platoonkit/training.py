@@ -263,6 +263,7 @@ class TrainResult:
     best_val: float
     best_epoch: int
     status: str                # "completed" or "aborted_non_finite"
+    abort_reason: str = None   # "epoch E batch B: <cause>" when aborted
 
 
 def _eval_windows(params, config, windows, batch_size):
@@ -288,7 +289,8 @@ def train(params: net.ModelParams, config: net.ModelConfig,
     Emits one JSON line per epoch to ``log_stream`` (no timestamps, so logs
     are byte-reproducible). A non-finite training loss aborts the run: the
     epoch-start state is restored and training stops with status
-    "aborted_non_finite".
+    "aborted_non_finite"; ``abort_reason`` names the epoch, the batch index
+    within it and the cause.
     """
     if not train_windows:
         raise ValueError("no training windows")
@@ -301,6 +303,7 @@ def train(params: net.ModelParams, config: net.ModelConfig,
     best_val = math.inf
     best_epoch = -1
     status = "completed"
+    abort_reason = None
 
     for epoch in range(tcfg.epochs):
         rng = np.random.default_rng(epoch_seeds[epoch])
@@ -308,8 +311,8 @@ def train(params: net.ModelParams, config: net.ModelConfig,
         snap = opt.snapshot()
         sums = np.zeros(3)
         seen = 0
-        aborted = False
-        for hist, lead, targets in make_batches(train_windows, tcfg.batch_size, rng):
+        for batch, (hist, lead, targets) in enumerate(
+                make_batches(train_windows, tcfg.batch_size, rng)):
             b, n = hist.shape[0], hist.shape[1]
             noise = rng.standard_normal((b, n, config.d_model))
             try:
@@ -324,12 +327,12 @@ def train(params: net.ModelParams, config: net.ModelConfig,
                 tape = ad.Tape.trace(total)
                 tape.backward(np.ones_like(total.data))
                 opt.step()
-            except ad.NonFiniteValue:
-                aborted = True
+            except ad.NonFiniteValue as exc:
+                abort_reason = f"epoch {epoch} batch {batch}: {exc}"
                 break
             sums += b * np.array([l_v.data, l_s.data, kl.data])
             seen += b
-        if aborted:
+        if abort_reason is not None:
             opt.restore(snap)
             status = "aborted_non_finite"
             break
@@ -356,4 +359,5 @@ def train(params: net.ModelParams, config: net.ModelConfig,
         if log_stream is not None:
             log_stream.write(json.dumps(entry, sort_keys=True) + "\n")
     return TrainResult(history=history, best_val=best_val,
-                       best_epoch=best_epoch, status=status)
+                       best_epoch=best_epoch, status=status,
+                       abort_reason=abort_reason)

@@ -317,10 +317,10 @@ def test_criterion_09_closed_loop_viability(capsys, trained_model):
     config = trained_model["config"]
     ev = trained_model["eval"]
     open_rmse = analysis.rmse(ev["pv"], ev["tv"])
+    records = trained_model["test_records"]
+    runs = sim.simulate_platoons(records, sim.ModelController(params, config))
     viable, rmses = 0, []
-    for rec in trained_model["test_records"]:
-        controller = sim.ModelController(params, config)
-        run = sim.closed_loop_simulate(rec, controller)
+    for rec, run in zip(records, runs):
         viable += run.viable
         if run.duration > run.warmup_steps:
             rmses.append(sim.compare_runs(rec, run).rmse_speed)

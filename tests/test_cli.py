@@ -174,6 +174,24 @@ def test_train_stdout_is_jsonl_epochs(tmp_path, corpus, capsys):
     assert lines[-1]["status"] == "completed"
 
 
+def test_train_abort_reports_cause(tmp_path, corpus, capsys, monkeypatch):
+    from platoonkit import autodiff as ad
+    from platoonkit import network as net
+
+    def failing(*args, **kwargs):
+        raise ad.NonFiniteValue("non-finite value produced by 'exp'")
+
+    monkeypatch.setattr(net, "model_forward", failing)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": TINY_MODEL}))
+    code, _, err = _run(capsys, [
+        "train", "--data", str(corpus), "--out", str(tmp_path / "ck"),
+        "--config", str(cfg), "--epochs", "1", "--stride", "8"])
+    assert code == 2
+    assert ("training aborted_non_finite: epoch 0 batch 0: "
+            "non-finite value produced by 'exp'") in err
+
+
 def test_train_empty_dir_is_data_error(capsys, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

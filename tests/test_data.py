@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonkit import data, idm
 
@@ -162,6 +164,67 @@ def test_malformed_row_raises_with_line_number(tmp_path):
     with pytest.raises(data.DataFormatError) as exc:
         data.load_trajectories(f)
     assert ":3" in str(exc.value)
+
+
+@pytest.mark.parametrize("column", [3, 4, 5])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_value_raises_with_line_number(tmp_path, column, text):
+    row = ["p0", "0", "1", "0.1", "10.0", "4.5"]
+    row[column] = text
+    f = tmp_path / "bad.csv"
+    f.write_text("platoon_id,vehicle_index,frame,position_m,speed_mps,length_m\n"
+                 "p0,0,0,0.0,10.0,4.5\n" + ",".join(row) + "\n")
+    with pytest.raises(data.DataFormatError, match=r"bad\.csv:3: non-finite"):
+        data.load_trajectories(f)
+
+
+_finite = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _platoon(draw, platoon_id):
+    """A valid record: gaps of at least 0.5 m survive 9-digit rounding."""
+    n_vehicles = draw(st.integers(2, 4))
+    frames = draw(st.integers(1, 6))
+    series = lambda lo, hi: np.array(draw(st.lists(
+        _finite(lo, hi), min_size=frames, max_size=frames)))
+    lengths = [draw(_finite(3.0, 20.0)) for _ in range(n_vehicles)]
+    position = series(-1e4, 1e4)
+    vehicles = []
+    for i in range(n_vehicles):
+        if i > 0:
+            position = position - lengths[i - 1] - series(0.5, 100.0)
+        vehicles.append(data.VehicleSeries(position, series(0.0, 40.0),
+                                           lengths[i]))
+    return data.PlatoonRecord(platoon_id, data.DT, tuple(vehicles))
+
+
+@st.composite
+def _corpus(draw):
+    ids = draw(st.lists(st.text("abcXYZ019-_.", min_size=1, max_size=6),
+                        min_size=1, max_size=3, unique=True))
+    return [draw(_platoon(pid)) for pid in ids]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corpus())
+def test_csv_round_trip_property(tmp_path_factory, records):
+    first = tmp_path_factory.mktemp("rt") / "a.csv"
+    data.write_trajectories(records, first)
+    loaded = data.load_trajectories(first)
+    assert [r.platoon_id for r in loaded] == sorted(r.platoon_id for r in records)
+    by_id = {r.platoon_id: r for r in records}
+    rounded = lambda a: np.array([float(data._fmt(x)) for x in a])
+    for rec in loaded:
+        want = by_id[rec.platoon_id]
+        assert rec.n_followers == want.n_followers
+        for got_v, want_v in zip(rec.vehicles, want.vehicles):
+            np.testing.assert_array_equal(got_v.position, rounded(want_v.position))
+            np.testing.assert_array_equal(got_v.speed, rounded(want_v.speed))
+            assert got_v.length == float(data._fmt(want_v.length))
+    second = first.with_name("b.csv")
+    data.write_trajectories(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_bad_header_rejected(tmp_path):

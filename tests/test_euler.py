@@ -19,7 +19,8 @@ def _linear_law(gains, v_star, s_star):
 
 @st.composite
 def platoons(draw):
-    """A batch of platoons with per-row linear laws behind one leader.
+    """A batch of platoons with per-row linear laws behind one shared (T,)
+    leader or a (rows, T) leader per row.
 
     Target gaps reach below zero and speed gains run strong, so collisions
     and clamped speeds both turn up often.
@@ -28,12 +29,13 @@ def platoons(draw):
     n = draw(st.integers(1, 4))
     frames = draw(st.integers(1, 40))
     dt = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    lead_shape = (rows, frames) if draw(st.booleans()) else (frames,)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     case = {
         "dt": dt,
         "v0": rng.uniform(0.0, 25.0, (rows, n)),
         "s0": rng.uniform(0.5, 30.0, (rows, n)),
-        "lead": rng.uniform(0.0, 25.0, frames),
+        "lead": rng.uniform(0.0, 25.0, lead_shape),
         "gains": (-rng.uniform(0.0, 8.0, (rows, n)),
                   rng.uniform(0.0, 3.0, (rows, n)),
                   rng.uniform(0.0, 3.0, (rows, n))),
@@ -47,6 +49,8 @@ def _run(case, row=None):
     """Integrate the whole batch, or only ``row`` with batch shape ()."""
     pick = (lambda a: a) if row is None else (lambda a: a[row])
     v0, s0, lead = pick(case["v0"]), pick(case["s0"]), case["lead"]
+    if lead.ndim == 2 and row is not None:
+        lead = lead[row]
     frames = lead.shape[-1]
     speeds = np.zeros(v0.shape + (frames,))
     gaps = np.zeros(s0.shape + (frames,))
@@ -56,6 +60,12 @@ def _run(case, row=None):
                       pick(case["s_star"]))
     clamps, collision = dyn.euler_platoon(speeds, gaps, lead, law, case["dt"])
     return speeds, gaps, clamps, collision, law
+
+
+def _ahead(lead, v, t):
+    """Speeds ahead of each follower at frame t: the row's leader first."""
+    first = np.broadcast_to(lead[..., t, None], v.shape[:-1] + (1,))
+    return np.concatenate([first, v[..., :-1]], axis=-1)
 
 
 def _steps_taken(collision, frames):
@@ -72,9 +82,8 @@ def test_gap_step_is_exact_kinematics(case):
     speeds, gaps, _, collision, _ = _run(case)
     dt, lead = case["dt"], case["lead"]
     for t in range(_steps_taken(collision, speeds.shape[-1])):
-        ahead = np.concatenate([np.full(speeds.shape[:-2] + (1,), lead[t]),
-                                speeds[..., :-1, t]], axis=-1)
-        want = gaps[..., t] + dt * (ahead - speeds[..., t])
+        want = gaps[..., t] + dt * (_ahead(lead, speeds[..., t], t)
+                                    - speeds[..., t])
         np.testing.assert_array_equal(gaps[..., t + 1], want)
 
 
@@ -85,15 +94,15 @@ def test_speeds_non_negative_and_clamps_counted(case):
     dt, lead = case["dt"], case["lead"]
     steps = _steps_taken(collision, speeds.shape[-1])
     assert (speeds[..., :steps + 1] >= 0.0).all()
-    clamped = 0
+    clamped = np.zeros(collision.shape, dtype=int)
     for t in range(steps):
         v, s = speeds[..., t], gaps[..., t]
-        ahead = np.concatenate([np.full(v.shape[:-1] + (1,), lead[t]),
-                                v[..., :-1]], axis=-1)
-        raw = v + dt * law(t, v, s, ahead - v)
-        clamped += int((raw < 0.0).sum())
+        raw = v + dt * law(t, v, s, _ahead(lead, v, t) - v)
+        # a row's count stops at the step that leaves its collision frame
+        clamped += np.where(t < collision, (raw < 0.0).sum(axis=-1), 0)
         np.testing.assert_array_equal(speeds[..., t + 1], np.maximum(raw, 0.0))
-    assert clamps == clamped
+    assert clamps.shape == collision.shape
+    np.testing.assert_array_equal(clamps, clamped)
 
 
 @SETTINGS
@@ -112,11 +121,12 @@ def test_run_truncates_strictly_before_first_non_positive_gap(case):
 @SETTINGS
 @given(platoons())
 def test_batch_rows_match_single_runs_bit_for_bit(case):
-    speeds, gaps, _, collision, _ = _run(case)
+    speeds, gaps, clamps, collision, _ = _run(case)
     frames = speeds.shape[-1]
     for r in range(speeds.shape[0]):
-        one_v, one_s, _, one_cf, _ = _run(case, row=r)
+        one_v, one_s, one_clamps, one_cf, _ = _run(case, row=r)
         assert one_cf.shape == () and int(one_cf) == collision[r]
+        assert one_clamps.shape == () and int(one_clamps) == clamps[r]
         last = min(int(one_cf), frames - 1) + 1
         np.testing.assert_array_equal(speeds[r, :, :last], one_v[:, :last])
         np.testing.assert_array_equal(gaps[r, :, :last], one_s[:, :last])

@@ -12,12 +12,12 @@ from platoonkit import simulate as sim
 from platoonkit.idm import IdmParams
 
 
-def _record(duration_steps=120, n_followers=2, seed=3):
+def _record(duration_steps=120, n_followers=2, seed=3, platoon_id="cl-test"):
     profile = data.LeadProfile("sinusoid", v_init=20.0, amp=2.5,
                                period_s=9.0, phase=0.4)
     params = [IdmParams(30.0, 1.2, 2.0, 1.1, 1.6) for _ in range(n_followers)]
     lengths = np.full(n_followers + 1, 4.5)
-    return data.synthesize_platoon("cl-test", profile, params, lengths,
+    return data.synthesize_platoon(platoon_id, profile, params, lengths,
                                    noise_sigma=0.0, noise_seed=seed,
                                    duration_steps=duration_steps)
 
@@ -149,19 +149,19 @@ class TestSimulatorMechanics:
             history_len = 1
             horizon = 8
 
-            def replan(self, history, lead_future):
+            def replan(self, history, lead_future, platoons):
                 futures.append(lead_future.copy())
 
             def accel(self, k, v, s, dv):
                 return np.zeros_like(v)
 
         sim.closed_loop_simulate(rec, Spy(), warmup_steps=2, replan_interval=8)
-        assert all(f.shape == (8,) for f in futures)
+        assert all(f.shape == (1, 8) for f in futures)
         lead = rec.vehicles[0].speed
         # 18 steps from anchor t=1: plans at t=1,9,17; the last sees 2 real
         # frames then 6 held copies of the final speed.
-        np.testing.assert_array_equal(futures[-1][2:], np.full(6, lead[-1]))
-        np.testing.assert_array_equal(futures[-1][:2], lead[18:20])
+        np.testing.assert_array_equal(futures[-1][0, 2:], np.full(6, lead[-1]))
+        np.testing.assert_array_equal(futures[-1][0, :2], lead[18:20])
 
     def test_guards(self):
         rec = _record(duration_steps=30)
@@ -200,8 +200,7 @@ class TestModelControllerIntegration:
         params = net.init_params(cfg, seed=0)
         det = sim.closed_loop_simulate(rec, sim.ModelController(params, cfg))
         sto = sim.closed_loop_simulate(
-            rec, sim.ModelController(params, cfg,
-                                     rng=np.random.default_rng(4)))
+            rec, sim.ModelController(params, cfg, seed=4))
         assert not np.array_equal(det.speeds, sto.speeds)
 
     def test_planning_step_must_match_record(self):
@@ -252,3 +251,139 @@ class TestDeviationReport:
         assert len(rows) == 1 + rep.speed_dev.size
         got = float(rows[1][2])
         assert got == pytest.approx(rep.speed_dev[0, 0], rel=1e-9)
+
+
+class _PerPlatoonLaw:
+    """A fixed linear law per record index: plans[i] = (theta, v*, s*).
+
+    Checks on every replan that rows which have collided are left out.
+    """
+
+    history_len = 1
+
+    def __init__(self, plans, steps_per_block):
+        self.plans = plans
+        self.m = steps_per_block
+        self.horizon = plans[0][0].shape[1] * steps_per_block
+
+    def replan(self, history, lead_future, platoons):
+        assert (history[..., 1] > 0.0).all()
+        picked = [self.plans[i] for i in platoons]
+        self.theta, self.v_star, self.s_star = (
+            np.stack(part) for part in zip(*picked))
+
+    def accel(self, k, v, s, dv):
+        th = self.theta[:, :, k // self.m]
+        return (th[..., 0] * (v - self.v_star) + th[..., 1] * (s - self.s_star)
+                + th[..., 2] * dv)
+
+
+def _assert_same_run(got, want):
+    assert got.platoon_id == want.platoon_id
+    assert got.collision_frame == want.collision_frame
+    assert got.clamp_count == want.clamp_count
+    for field in ("speeds", "gaps", "positions", "lead_speeds",
+                  "lead_positions"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+class TestBatchedSimulation:
+    def _cfg(self):
+        return net.ModelConfig(d_model=4, n_state=2, conv_kernel=4,
+                               ve_hidden=4, attn_layers=1, attn_heads=2,
+                               history_len=6, horizon=4, param_window=2)
+
+    def _mixed_plans(self):
+        """Records 0-2 share a shape; 1 collides, 2 clamps; 3 has 3 followers."""
+        recs = [_record(seed=s) for s in (3, 4, 5)] + [_record(n_followers=3)]
+        rng = np.random.default_rng(6)
+        plans = [
+            (_stable_theta(rng, 2, 2), recs[0].speeds()[1:, 5],
+             recs[0].gaps()[:, 5]),
+            (np.tile(np.array([-0.4, 2.5, 0.1]), (2, 2, 1)),
+             recs[1].speeds()[1:, 5], np.full(2, 0.2)),
+            (np.tile(np.array([-50.0, 0.01, 0.01]), (2, 2, 1)),
+             np.full(2, 0.5), recs[2].gaps()[:, 5]),
+            (_stable_theta(rng, 3, 2), recs[3].speeds()[1:, 5],
+             recs[3].gaps()[:, 5]),
+        ]
+        return recs, plans
+
+    def test_each_row_matches_its_single_run(self):
+        recs, plans = self._mixed_plans()
+        runs = sim.simulate_platoons(recs, _PerPlatoonLaw(plans, 3),
+                                     warmup_steps=6)
+        assert runs[1].collision_frame is not None
+        assert runs[2].clamp_count > 0 and runs[2].collision_frame is None
+        assert runs[0].viable and runs[3].viable
+        for rec, plan, run in zip(recs, plans, runs):
+            alone = sim.closed_loop_simulate(rec, _PerPlatoonLaw([plan], 3),
+                                             warmup_steps=6)
+            _assert_same_run(run, alone)
+
+    def test_mixed_shapes_keep_input_order(self):
+        recs = [_record(n_followers=3, seed=1, platoon_id="p0"),
+                _record(seed=2, platoon_id="p1"),
+                _record(duration_steps=80, seed=3, platoon_id="p2"),
+                _record(n_followers=3, seed=4, platoon_id="p3"),
+                _record(seed=5, platoon_id="p4")]
+
+        class Cruise:
+            history_len = 1
+            horizon = 5
+
+            def replan(self, history, lead_future, platoons):
+                pass
+
+            def accel(self, k, v, s, dv):
+                return np.zeros_like(v)
+
+        runs = sim.simulate_platoons(recs, Cruise())
+        assert [r.platoon_id for r in runs] == ["p0", "p1", "p2", "p3", "p4"]
+        assert [r.speeds.shape[0] for r in runs] == [3, 2, 2, 3, 2]
+        for rec, run in zip(recs, runs):
+            _assert_same_run(run, sim.closed_loop_simulate(rec, Cruise()))
+
+    def test_model_rows_match_single_runs(self):
+        cfg = self._cfg()
+        params = net.init_params(cfg, seed=0)
+        recs = [_record(seed=s) for s in (3, 4)] + [_record(n_followers=3)]
+        runs = sim.simulate_platoons(recs, sim.ModelController(params, cfg))
+        for rec, run in zip(recs, runs):
+            alone = sim.closed_loop_simulate(rec, sim.ModelController(params, cfg))
+            _assert_same_run(run, alone)
+
+    def test_stochastic_noise_independent_of_batch(self):
+        cfg = self._cfg()
+        params = net.init_params(cfg, seed=0)
+        a, b = _record(seed=3), _record(seed=4)
+        other = _record(n_followers=3)
+        together = sim.simulate_platoons(
+            [a, b], sim.ModelController(params, cfg, seed=9))
+        a_alone = sim.simulate_platoons(
+            [a, other], sim.ModelController(params, cfg, seed=9))[0]
+        b_alone = sim.simulate_platoons(
+            [other, b], sim.ModelController(params, cfg, seed=9))[1]
+        _assert_same_run(together[0], a_alone)
+        _assert_same_run(together[1], b_alone)
+        det = sim.simulate_platoons([a], sim.ModelController(params, cfg))[0]
+        assert not np.array_equal(det.speeds, a_alone.speeds)
+
+    def test_one_forward_per_replan_per_shape(self, monkeypatch):
+        cfg = self._cfg()
+        params = net.init_params(cfg, seed=0)
+        recs = [_record(duration_steps=60, seed=s) for s in (3, 4, 5)]
+        recs += [_record(duration_steps=60, n_followers=3, seed=s)
+                 for s in (6, 7)]
+        batches = []
+        forward = net.model_forward
+
+        def counting(params, config, history, lead_future, noise=None):
+            batches.append(history.shape[0])
+            return forward(params, config, history, lead_future, noise)
+
+        monkeypatch.setattr(net, "model_forward", counting)
+        runs = sim.simulate_platoons(recs, sim.ModelController(params, cfg))
+        assert all(run.viable for run in runs)
+        replans = -(-(60 - cfg.history_len) // cfg.horizon)     # ceil
+        assert sorted(batches) == [2] * replans + [3] * replans

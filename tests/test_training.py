@@ -352,6 +352,28 @@ class TestTrainLoop:
         for k, t in params.weights.items():
             np.testing.assert_array_equal(t.data, before[k])
 
+    def test_abort_names_epoch_batch_and_cause(self, monkeypatch):
+        cfg = _tiny_config()
+        wins = _windows(cfg)[:4]
+        params = net.init_params(cfg, seed=3)
+        params.norm_mean, params.norm_std = net.fit_normalization(wins)
+        forward, calls = net.model_forward, []
+
+        def failing(*args, **kwargs):
+            if kwargs.get("noise") is not None:     # a training step
+                calls.append(None)
+                if len(calls) == 4 + 3:        # epoch 1, batch 2
+                    raise ad.NonFiniteValue("non-finite value produced by 'exp'")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(net, "model_forward", failing)
+        res = tr.train(params, cfg, wins, wins,
+                       tr.TrainConfig(epochs=3, batch_size=1, seed=0))
+        assert res.status == "aborted_non_finite"
+        assert res.abort_reason == \
+            "epoch 1 batch 2: non-finite value produced by 'exp'"
+        assert len(res.history) == 1
+
     def test_empty_window_lists_rejected(self):
         cfg = _tiny_config()
         params = net.init_params(cfg, seed=0)
