@@ -343,11 +343,11 @@ def _cmd_stability(args) -> int:
     params, config, records = _load_model_and_data(args)
     groups = {}     # follower count -> [(record, its first window)]
     for rec in records:
+        # earliest snapshot only: deterministic and warmup-free
         windows = data.extract_windows(rec, config.history_len,
-                                       config.horizon, stride=1)
+                                       config.horizon, stride=rec.duration)
         if not windows:
             raise CliError(f"{rec.platoon_id}: too short for a window")
-        # earliest snapshot: deterministic and warmup-free
         groups.setdefault(rec.n_followers, []).append((rec, windows[0]))
     report = {}
     for group in groups.values():
@@ -444,7 +444,7 @@ def _cmd_calibrate_idm(args) -> int:
     import numpy as np
     from . import data, idm
     records = _load_records(args.data)
-    report = {}
+    report, slots, observations, seeds = {}, [], [], []
     for ri, rec in enumerate(records):
         if args.vehicle is not None and \
                 not 1 <= args.vehicle <= rec.n_followers:
@@ -452,16 +452,18 @@ def _cmd_calibrate_idm(args) -> int:
                            f"a follower (1..{rec.n_followers})")
         indices = [args.vehicle] if args.vehicle is not None \
             else range(1, rec.n_followers + 1)
-        rows = {}
+        rows = report[rec.platoon_id] = {}
         for vi in indices:
-            obs = data.follower_observation(rec, vi)
+            slots.append((rows, str(vi)))
+            observations.append(data.follower_observation(rec, vi))
             child = np.random.SeedSequence((args.seed, ri, vi))
-            result = idm.calibrate_ga(obs, seed=int(child.generate_state(1)[0]),
-                                      budget=args.budget)
-            rows[str(vi)] = {"params": asdict(result.params),
-                             "gap_rmse": result.fitness,
-                             "generations": result.generations_used}
-        report[rec.platoon_id] = rows
+            seeds.append(int(child.generate_state(1)[0]))
+    results = idm.calibrate_followers(observations, seeds, budget=args.budget)
+    for (rows, vi), result in zip(slots, results):
+        # the GA fitness, gap RMSE plus speed RMSE, under its historic key
+        rows[vi] = {"params": asdict(result.params),
+                    "gap_rmse": result.fitness,
+                    "generations": result.generations_used}
     _emit(report, args.out)
     return EXIT_OK
 

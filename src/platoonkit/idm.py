@@ -4,9 +4,12 @@ Sign convention: ``dv_approach = v_follower - v_leader`` (positive while
 closing in). Callers holding the platoon-feature convention
 ``dv = v_leader - v_follower`` must negate at this boundary.
 
-Platoon simulation and GA fitness (one batch row per candidate) step the
-followers in gap form with ``dynamics.euler_platoon``, coupled to the
-leader's speed series; positions are cascaded from the leader's afterwards.
+Platoon simulation and GA fitness step the followers in gap form with
+``dynamics.euler_platoon``, coupled to the leader's speed series; positions
+are cascaded from the leader's afterwards. Calibration runs followers in
+lockstep: each generation evaluates every candidate of every follower with
+the same series length and dt as one batch row, behind that follower's own
+observed leader, while each follower breeds from its own random streams.
 """
 
 from __future__ import annotations
@@ -189,6 +192,13 @@ class FollowerObservation:
         if len(self.lead_positions) != T or len(self.lead_speeds) != T \
                 or len(self.speeds) != T:
             raise ValueError("observation series lengths disagree")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(
+                f"FollowerObservation.dt must be finite and > 0, got {self.dt}")
+        for name in ("lead_positions", "lead_speeds", "lead_length",
+                     "positions", "speeds"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"FollowerObservation.{name} is not finite")
 
     @property
     def gaps(self) -> np.ndarray:
@@ -197,46 +207,94 @@ class FollowerObservation:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """Best candidate of a GA run. ``fitness`` is its gap RMSE (m) plus its
+    speed RMSE (m/s) against the observation, not the gap RMSE alone;
+    ``best_history`` holds the best fitness after each generation, starting
+    with the initial population."""
+
     params: IdmParams
     fitness: float
     generations_used: int
     best_history: list = field(default_factory=list)
 
 
-def _evaluate_population(pop: np.ndarray, obs: FollowerObservation) -> np.ndarray:
-    """Fitness = gap RMSE + speed RMSE of re-simulating against the observed
-    leader; collided candidates get COLLISION_FITNESS."""
-    M = pop.shape[0]
-    v0, Th, s0, a_max, b = pop.T[:, :, None]
-    T = len(obs.speeds)
-    obs_gaps = obs.gaps
-    spd = np.empty((M, 1, T))
-    gaps = np.empty((M, 1, T))
-    spd[..., 0] = obs.speeds[0]
-    gaps[..., 0] = obs_gaps[0]
+def _evaluate_population(pops: np.ndarray, observations) -> np.ndarray:
+    """Fitness of every candidate, flat in (follower, candidate) order.
+
+    ``pops`` is (F, M, 5), one population per observation of one (length,
+    dt) group. All F*M candidates re-simulate as batch rows of one
+    ``euler_platoon`` call, each behind its own follower's observed leader.
+    Fitness = gap RMSE + speed RMSE against that follower's observation;
+    collided candidates get COLLISION_FITNESS.
+    """
+    F, M = pops.shape[:2]
+    v0, Th, s0, a_max, b = np.moveaxis(pops, -1, 0)[..., None]
+    obs_gaps, obs_speeds, lead = (
+        np.stack([getattr(o, name) for o in observations])[:, None]
+        for name in ("gaps", "speeds", "lead_speeds"))          # (F, 1, T)
+    T = obs_speeds.shape[-1]
+    spd = np.empty((F, M, 1, T))
+    gaps = np.empty((F, M, 1, T))
+    spd[..., 0, 0] = obs_speeds[..., 0]
+    gaps[..., 0, 0] = obs_gaps[..., 0]
 
     def accel(k, v, s, dv):
         return _accel_raw(v, s, -dv, v0, Th, s0, a_max, b)
 
     # collided rows step on with non-positive gaps; their values are discarded
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, collision = dyn.euler_platoon(spd, gaps, obs.lead_speeds, accel, obs.dt)
-        fitness = (np.sqrt(np.mean((gaps[:, 0] - obs_gaps) ** 2, axis=-1))
-                   + np.sqrt(np.mean((spd[:, 0] - obs.speeds) ** 2, axis=-1)))
+        _, collision = dyn.euler_platoon(spd, gaps, lead, accel,
+                                         observations[0].dt)
+        fitness = (np.sqrt(np.mean((gaps[..., 0, :] - obs_gaps) ** 2, axis=-1))
+                   + np.sqrt(np.mean((spd[..., 0, :] - obs_speeds) ** 2, axis=-1)))
     fitness[collision < T] = COLLISION_FITNESS
-    return fitness
+    return fitness.reshape(-1)
 
 
-def calibrate_ga(observation: FollowerObservation, bounds=None, seed: int = 0,
-                 budget: int = 100) -> CalibrationResult:
-    """Real-coded GA fit of IDM parameters to one observed follower.
+def _breed(pop, fitness, rng, lo, hi, sigma, out) -> None:
+    """Fill ``out`` with the generation after ``pop``: its ELITES best, then
+    tournament-picked blend children with Gaussian mutation (per-gene sigma),
+    clipped to [lo, hi]. Draws, per child: picks, blend, mutation mask, noise.
+
+    The blend and the noise are ``rng.uniform(low, high)`` and
+    ``rng.normal(0, sigma)`` spelled out: numpy computes those as
+    ``low + (high - low) * u`` and ``0 + sigma * z`` from the same stream
+    draws, so the children are bit-identical, and its array-argument forms
+    cost several times more per call.
+    """
+    out[:ELITES] = pop[np.argsort(fitness, kind="stable")[:ELITES]]
+    for child in out[ELITES:]:
+        picks = rng.integers(0, POPULATION, size=(2, TOURNAMENT))
+        p1, p2 = pop[picks[[0, 1], fitness[picks].argmin(1)]]
+        g_lo = np.minimum(p1, p2)
+        g_hi = np.maximum(p1, p2)
+        reach = BLEND_ALPHA * (g_hi - g_lo)
+        low = g_lo - reach
+        x = low + (g_hi + reach - low) * rng.random(5)
+        x += (rng.random(5) < MUTATION_PROB) * (sigma * rng.standard_normal(5))
+        np.minimum(np.maximum(x, lo, out=x), hi, out=child)
+
+
+def calibrate_followers(observations, seeds, bounds=None,
+                        budget: int = 100) -> list:
+    """Real-coded GA fit of IDM parameters to each observed follower.
 
     Population 50, tournament size 3, blend crossover (alpha=0.5), Gaussian
     mutation (sigma = 5% of range, per-gene prob 0.2), 2 elites. ``budget``
     counts generations; 0 returns the best of the seeded initial population.
-    Deterministic for a given seed: every generation draws from its own
-    SeedSequence-spawned stream.
+    Follower i is deterministic for ``seeds[i]``: every generation draws from
+    its own SeedSequence-spawned stream.
+
+    Followers run in lockstep: per generation, the populations of all
+    observations with the same (length, dt) are evaluated in one batched
+    Euler pass, and each follower then breeds from its own streams. A
+    follower's result does not depend on which others share its batch.
+    Returns one CalibrationResult per observation, in input order.
     """
+    observations, seeds = list(observations), list(seeds)
+    if len(seeds) != len(observations):
+        raise ValueError(f"{len(seeds)} seeds for {len(observations)} "
+                         f"observations")
     bounds = np.asarray(DEFAULT_BOUNDS if bounds is None else bounds, dtype=float)
     if bounds.shape != (5, 2) or np.any(bounds[:, 0] >= bounds[:, 1]):
         raise ValueError("bounds must be (5, 2) with low < high")
@@ -244,41 +302,50 @@ def calibrate_ga(observation: FollowerObservation, bounds=None, seed: int = 0,
         raise ValueError("budget must be >= 0")
     lo, hi = bounds[:, 0], bounds[:, 1]
     span = hi - lo
+    sigma = MUTATION_SIGMA * span
 
-    streams = np.random.SeedSequence(seed).spawn(budget + 1)
-    rng = np.random.default_rng(streams[0])
-    pop = lo + rng.uniform(size=(POPULATION, 5)) * span
-    fitness = _evaluate_population(pop, observation)
+    groups = {}
+    for i, obs in enumerate(observations):
+        groups.setdefault((len(obs.speeds), obs.dt), []).append(i)
+    results = [None] * len(observations)
+    for members in groups.values():
+        group = [observations[i] for i in members]
+        streams = [np.random.SeedSequence(seeds[i]).spawn(budget + 1)
+                   for i in members]
+        rows = np.arange(len(members))
+        pops = np.empty((len(members), POPULATION, 5))
+        for pop, stream in zip(pops, streams):
+            rng = np.random.default_rng(stream[0])
+            pop[...] = lo + rng.uniform(size=(POPULATION, 5)) * span
+        fitness = _evaluate_population(pops, group).reshape(len(members), -1)
 
-    best_idx = int(np.argmin(fitness))
-    best = pop[best_idx].copy()
-    best_fit = float(fitness[best_idx])
-    history = [best_fit]
+        idx = fitness.argmin(axis=1)
+        best = pops[rows, idx]
+        best_fit = fitness[rows, idx]
+        history = [[float(f)] for f in best_fit]
 
-    for g in range(budget):
-        rng = np.random.default_rng(streams[g + 1])
-        order = np.argsort(fitness, kind="stable")
-        children = [pop[order[:ELITES]]]
-        produced = ELITES
-        while produced < POPULATION:
-            picks = rng.integers(0, POPULATION, size=(2, TOURNAMENT))
-            p1 = pop[picks[0][np.argmin(fitness[picks[0]])]]
-            p2 = pop[picks[1][np.argmin(fitness[picks[1]])]]
-            g_lo = np.minimum(p1, p2)
-            g_hi = np.maximum(p1, p2)
-            d = g_hi - g_lo
-            child = rng.uniform(g_lo - BLEND_ALPHA * d, g_hi + BLEND_ALPHA * d)
-            mutate = rng.random(5) < MUTATION_PROB
-            child = child + mutate * rng.normal(0.0, MUTATION_SIGMA * span)
-            children.append(np.clip(child, lo, hi)[None, :])
-            produced += 1
-        pop = np.concatenate(children, axis=0)
-        fitness = _evaluate_population(pop, observation)
-        idx = int(np.argmin(fitness))
-        if fitness[idx] < best_fit:
-            best_fit = float(fitness[idx])
-            best = pop[idx].copy()
-        history.append(best_fit)
+        for g in range(budget):
+            nxt = np.empty_like(pops)
+            for pop, fit, stream, out in zip(pops, fitness, streams, nxt):
+                _breed(pop, fit, np.random.default_rng(stream[g + 1]),
+                       lo, hi, sigma, out)
+            pops = nxt
+            fitness = _evaluate_population(pops, group).reshape(len(members), -1)
+            idx = fitness.argmin(axis=1)
+            better = np.flatnonzero(fitness[rows, idx] < best_fit)
+            best_fit[better] = fitness[better, idx[better]]
+            best[better] = pops[better, idx[better]]
+            for h, f in zip(history, best_fit):
+                h.append(float(f))
 
-    params = IdmParams(*[float(x) for x in best])
-    return CalibrationResult(params, best_fit, budget, history)
+        for i, genes, fit, h in zip(members, best, best_fit, history):
+            params = IdmParams(*[float(x) for x in genes])
+            results[i] = CalibrationResult(params, float(fit), budget, h)
+    return results
+
+
+def calibrate_ga(observation: FollowerObservation, bounds=None, seed: int = 0,
+                 budget: int = 100) -> CalibrationResult:
+    """GA fit of IDM parameters to one observed follower: the one-observation
+    case of ``calibrate_followers``."""
+    return calibrate_followers([observation], [seed], bounds, budget)[0]

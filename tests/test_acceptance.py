@@ -274,7 +274,7 @@ def test_criterion_07_calibration_recovery(capsys):
     ok = (result.fitness < 0.1 and all(e < 5.0 for e in errs.values())
           and deterministic)
     _report(capsys, 7, "calibration recovery", ok,
-            f"gap RMSE {result.fitness:.3f} m < 0.1; "
+            f"GA fitness (gap + speed RMSE) {result.fitness:.3f} < 0.1; "
             + ", ".join(f"{n} off {e:.1f}%" for n, e in errs.items())
             + f" (< 5%); seed-deterministic: {deterministic}")
 

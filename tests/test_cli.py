@@ -337,6 +337,16 @@ def test_stability_report(checkpoint, corpus, capsys, tmp_path):
     assert len(lines) == 201
 
 
+def test_stability_too_short_for_a_window(checkpoint, capsys, tmp_path):
+    # 10 frames against the tiny model's 6 of history plus 5 of horizon
+    short = tmp_path / "short"
+    assert cli.dispatch(["datagen", "--out", str(short), "--platoons", "1",
+                         "--followers", "2", "--duration-s", "1.0"]) == 0
+    code, _, err = _run(capsys, ["stability", "--checkpoint", str(checkpoint),
+                                 "--data", str(short)])
+    assert code == 2 and "too short for a window" in err
+
+
 def test_safety_report_and_divergence(corpus, simdir, capsys):
     code, out, _ = _run(capsys, ["safety", "--data", str(corpus),
                                  "--sim", str(simdir / "simulated.csv")])

@@ -1,11 +1,17 @@
 """IDM baseline: hand-computed accelerations, platoon integration, GA behavior."""
 
+import functools
+import json
 import math
+from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platoonkit import idm
+from platoonkit import cli, data, idm
 
 
 STD = idm.IdmParams(v0=30.0, T=1.0, s0=2.0, a_max=1.0, b=1.5)
@@ -161,6 +167,218 @@ def test_observation_validation():
     with pytest.raises(ValueError):
         idm.FollowerObservation(0.1, np.zeros(5), np.zeros(4), 4.5,
                                 np.zeros(5), np.zeros(5))
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_observation_rejects_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt"):
+        idm.FollowerObservation(dt, np.zeros(5), np.zeros(5), 4.5,
+                                np.zeros(5), np.zeros(5))
+
+
+@pytest.mark.parametrize("name", ["lead_positions", "lead_speeds",
+                                  "lead_length", "positions", "speeds"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observation_rejects_non_finite_fields(name, bad):
+    fields = {"dt": 0.1, "lead_positions": np.arange(5.0) + 20.0,
+              "lead_speeds": np.full(5, 10.0), "lead_length": 4.5,
+              "positions": np.arange(5.0), "speeds": np.full(5, 10.0)}
+    if name == "lead_length":
+        fields[name] = bad
+    else:
+        fields[name][2] = bad
+    with pytest.raises(ValueError, match=name):
+        idm.FollowerObservation(**fields)
+
+
+# -- lockstep calibration --------------------------------------------------------
+
+# (true params, frames, dt, leader seed): three (length, dt) groups, one
+# leader per follower
+_FLEET = [(idm.IdmParams(28.0, 1.4, 2.2, 1.1, 1.8), 60, 0.1, 5),
+          (idm.IdmParams(24.0, 1.0, 3.0, 1.5, 2.4), 80, 0.1, 6),
+          (idm.IdmParams(32.0, 1.8, 1.5, 0.9, 1.2), 60, 0.1, 7),
+          (idm.IdmParams(26.0, 1.2, 2.6, 1.3, 2.0), 80, 0.1, 8),
+          (idm.IdmParams(30.0, 1.6, 2.0, 1.0, 1.5), 60, 0.2, 9)]
+
+
+def _fleet_observation(true_params, frames, dt, seed):
+    # a leader of its own per seed, so swapped leaders change every fit
+    t = np.arange(frames) * dt
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+    lead_v = 16.0 + 5.0 * np.sin(2.0 * np.pi * t / 6.0 + phase)
+    s_init = idm.equilibrium_gap(lead_v[0], true_params)
+    sim = idm.simulate_idm_platoon(
+        lead_v, np.array([0.0, -(4.5 + s_init)]),
+        np.array([lead_v[0], lead_v[0]]), np.full(2, 4.5), [true_params], dt)
+    assert sim.collision_frame is None
+    return idm.FollowerObservation(
+        dt=dt, lead_positions=sim.positions[0], lead_speeds=sim.speeds[0],
+        lead_length=4.5, positions=sim.positions[1], speeds=sim.speeds[1])
+
+
+FLEET = [_fleet_observation(*spec) for spec in _FLEET]
+SOLO_BUDGET = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _solo(i, seed):
+    return idm.calibrate_ga(FLEET[i], seed=seed, budget=SOLO_BUDGET)
+
+
+def _reference_breed(pop, fitness, rng, lo, hi):
+    """Children drawn with numpy's own uniform and normal, one at a time."""
+    order = np.argsort(fitness, kind="stable")
+    children = [pop[order[:idm.ELITES]]]
+    for _ in range(idm.POPULATION - idm.ELITES):
+        picks = rng.integers(0, idm.POPULATION, size=(2, idm.TOURNAMENT))
+        p1 = pop[picks[0][np.argmin(fitness[picks[0]])]]
+        p2 = pop[picks[1][np.argmin(fitness[picks[1]])]]
+        g_lo, g_hi = np.minimum(p1, p2), np.maximum(p1, p2)
+        d = g_hi - g_lo
+        child = rng.uniform(g_lo - idm.BLEND_ALPHA * d,
+                            g_hi + idm.BLEND_ALPHA * d)
+        mutate = rng.random(5) < idm.MUTATION_PROB
+        child = child + mutate * rng.normal(0.0, idm.MUTATION_SIGMA * (hi - lo))
+        children.append(np.clip(child, lo, hi)[None, :])
+    return np.concatenate(children)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_breed_matches_reference_draws(seed):
+    lo, hi = idm.DEFAULT_BOUNDS[:, 0], idm.DEFAULT_BOUNDS[:, 1]
+    rng = np.random.default_rng(seed)
+    pop = lo + rng.uniform(size=(idm.POPULATION, 5)) * (hi - lo)
+    # ties and collided candidates, as real generations have
+    fitness = rng.choice([0.5, 1.0, 2.0, idm.COLLISION_FITNESS], idm.POPULATION)
+    out = np.empty_like(pop)
+    idm._breed(pop, fitness, np.random.default_rng(seed + 10), lo, hi,
+               idm.MUTATION_SIGMA * (hi - lo), out)
+    expect = _reference_breed(pop, fitness, np.random.default_rng(seed + 10),
+                              lo, hi)
+    assert out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lockstep_equals_solo_runs(n):
+    # the first n of the fleet: one group for n=1, up to three after that
+    seeds = [100 + i for i in range(n)]
+    results = idm.calibrate_followers(FLEET[:n], seeds, budget=SOLO_BUDGET)
+    assert len(results) == n
+    for i, (seed, result) in enumerate(zip(seeds, results)):
+        assert result == _solo(i, seed), f"follower {i}"
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(1, len(FLEET) - 1), unique=True,
+                max_size=len(FLEET) - 1),
+       st.integers(0, len(FLEET) - 1),
+       st.lists(st.integers(0, 2), min_size=len(FLEET), max_size=len(FLEET)))
+def test_lockstep_result_ignores_batch_companions(companions, slot, seeds):
+    # follower 0 among any others, in any order: every result is still that
+    # follower's solo run with its own seed
+    members = list(companions)
+    members.insert(min(slot, len(members)), 0)
+    results = idm.calibrate_followers([FLEET[i] for i in members],
+                                      [seeds[i] for i in members],
+                                      budget=SOLO_BUDGET)
+    for i, result in zip(members, results):
+        assert result == _solo(i, seeds[i]), f"follower {i}"
+
+
+def test_lockstep_one_euler_pass_per_generation_and_group(monkeypatch):
+    calls = Counter()
+    euler = idm.dyn.euler_platoon
+
+    def counting(speeds, gaps, lead_speeds, accel, dt):
+        calls[speeds.shape] += 1
+        return euler(speeds, gaps, lead_speeds, accel, dt)
+
+    monkeypatch.setattr(idm.dyn, "euler_platoon", counting)
+    budget = 2
+    idm.calibrate_followers(FLEET, [1, 2, 3, 4, 5], budget=budget)
+    # every candidate of a (length, dt) group is a row of one call; the two
+    # 60-frame groups differ in dt and so in follower count
+    assert calls == {(2, idm.POPULATION, 1, 60): budget + 1,
+                     (2, idm.POPULATION, 1, 80): budget + 1,
+                     (1, idm.POPULATION, 1, 60): budget + 1}
+
+
+def test_lockstep_fitness_matches_independent_simulation():
+    # each row re-simulated on its own behind its own follower's leader
+    rng = np.random.default_rng(0)
+    lo, span = idm.DEFAULT_BOUNDS[:, 0], np.ptp(idm.DEFAULT_BOUNDS, axis=1)
+    pops = lo + rng.uniform(size=(2, idm.POPULATION, 5)) * span
+    group = [FLEET[0], FLEET[2]]
+    fitness = idm._evaluate_population(pops, group).reshape(2, -1)
+    for f, obs in enumerate(group):
+        lengths = np.full(2, 4.5)
+        for m in range(0, idm.POPULATION, 7):
+            sim = idm.simulate_idm_platoon(
+                obs.lead_speeds, np.array([obs.lead_positions[0], obs.positions[0]]),
+                np.array([obs.lead_speeds[0], obs.speeds[0]]), lengths,
+                [idm.IdmParams(*pops[f, m])], dt=obs.dt)
+            if sim.collision_frame is not None:
+                assert fitness[f, m] == idm.COLLISION_FITNESS
+                continue
+            gaps = sim.positions[0] - 4.5 - sim.positions[1]
+            expect = (np.sqrt(np.mean((gaps - obs.gaps) ** 2))
+                      + np.sqrt(np.mean((sim.speeds[1] - obs.speeds) ** 2)))
+            assert abs(fitness[f, m] - expect) < 1e-9
+
+
+def test_lockstep_validates_before_any_generation(monkeypatch):
+    def fail(*_):
+        raise AssertionError("a generation ran")
+
+    monkeypatch.setattr(idm, "_evaluate_population", fail)
+    with pytest.raises(ValueError, match="seeds"):
+        idm.calibrate_followers(FLEET[:2], [1])
+    with pytest.raises(ValueError, match="bounds"):
+        idm.calibrate_followers(FLEET[:2], [1, 2], bounds=np.ones((5, 2)))
+    with pytest.raises(ValueError, match="budget"):
+        idm.calibrate_followers(FLEET[:2], [1, 2], budget=-1)
+    assert idm.calibrate_followers([], []) == []
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus(tmp_path_factory):
+    # 6 s platoons of 2 followers beside 8 s platoons of 3
+    out = tmp_path_factory.mktemp("mixed")
+    for seed, followers, duration in ((1, "2", "6.0"), (2, "3", "8.0")):
+        part = tmp_path_factory.mktemp(f"part{seed}")
+        assert cli.dispatch(["datagen", "--out", str(part), "--platoons", "2",
+                             "--followers", followers, "--duration-s", duration,
+                             "--seed", str(seed)]) == 0
+        for f in part.glob("*.csv"):
+            f.rename(out / f.name)
+    return out
+
+
+@pytest.mark.parametrize("vehicle", [None, 2])
+def test_cli_calibrate_mixed_durations_equals_solo_runs(mixed_corpus, capsys,
+                                                        vehicle):
+    argv = ["calibrate-idm", "--data", str(mixed_corpus), "--budget", "2",
+            "--seed", "9"]
+    if vehicle is not None:
+        argv += ["--vehicle", str(vehicle)]
+    assert cli.dispatch(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    records = data.load_trajectories(mixed_corpus)
+    assert {r.duration for r in records} == {60, 80}
+    assert sorted(report) == sorted(r.platoon_id for r in records)
+    for ri, rec in enumerate(records):
+        indices = [vehicle] if vehicle else range(1, rec.n_followers + 1)
+        rows = report[rec.platoon_id]
+        assert sorted(rows) == [str(vi) for vi in indices]
+        for vi in indices:
+            seed = np.random.SeedSequence((9, ri, vi)).generate_state(1)[0]
+            solo = idm.calibrate_ga(data.follower_observation(rec, vi),
+                                    seed=int(seed), budget=2)
+            row = rows[str(vi)]
+            assert row["params"] == asdict(solo.params)
+            assert row["gap_rmse"] == solo.fitness
+            assert row["generations"] == 2
 
 
 def test_params_validation():

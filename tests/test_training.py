@@ -5,11 +5,14 @@ import io
 import json
 import math
 import os
+import tempfile
 import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonkit import autodiff as ad
 from platoonkit import data
@@ -228,6 +231,44 @@ class TestCheckpoints:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(tr.CheckpointError, match="manifest"):
             tr.load_checkpoint(str(tmp_path / "nope"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        heads = data.draw(st.integers(1, 3), "heads")
+        window = data.draw(st.integers(1, 3), "param_window")
+        cfg = net.ModelConfig(
+            d_model=heads * data.draw(st.integers(1, 3), "head_dim"),
+            n_state=data.draw(st.integers(1, 3), "n_state"),
+            conv_kernel=data.draw(st.integers(1, 4), "conv_kernel"),
+            ve_hidden=data.draw(st.integers(0, 5), "ve_hidden"),
+            attn_layers=data.draw(st.integers(1, 2), "attn_layers"),
+            attn_heads=heads,
+            history_len=data.draw(st.integers(1, 8), "history_len"),
+            horizon=window * data.draw(st.integers(1, 3), "steps"),
+            param_window=window,
+            dt=data.draw(st.floats(1e-3, 1.0), "dt"),
+            disable_tfl=data.draw(st.booleans(), "disable_tfl"),
+            disable_pfl=data.draw(st.booleans(), "disable_pfl"))
+        params = net.init_params(cfg, seed=data.draw(st.integers(0, 99), "seed"))
+        finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+        params.norm_mean = np.array(data.draw(
+            st.lists(finite, min_size=3, max_size=3), "norm_mean"))
+        params.norm_std = np.array(data.draw(
+            st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=3), "norm_std"))
+        with tempfile.TemporaryDirectory() as path:
+            tr.save_checkpoint(path, params, cfg)
+            loaded, cfg2 = tr.load_checkpoint(path)
+        assert cfg2 == cfg
+        assert list(loaded.weights) == list(params.weights)
+        for name, tensor in params.weights.items():
+            got = loaded.weights[name].data
+            assert got.dtype == tensor.data.dtype
+            assert got.shape == tensor.data.shape
+            assert got.tobytes() == tensor.data.tobytes(), name
+        for field in ("norm_mean", "norm_std"):
+            got, want = getattr(loaded, field), getattr(params, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestBatching:
