@@ -113,7 +113,7 @@ class StabilitySpectrum:
     peak_omega: float
 
 
-def head_to_tail_gain(theta, omega=None) -> StabilitySpectrum:
+def head_to_tail_gain(theta) -> StabilitySpectrum:
     """Disturbance transmission spectrum for a platoon's parameter schedule.
 
     theta: (N, S, 3) per-vehicle parameter blocks (averaged over S) or an
@@ -128,7 +128,7 @@ def head_to_tail_gain(theta, omega=None) -> StabilitySpectrum:
         raise AnalysisError(f"theta must be (N, S, 3) or (N, 3), got {theta.shape}")
     if theta_used.shape[-1] != 3:
         raise AnalysisError(f"theta last axis must be 3, got {theta.shape}")
-    grid = default_omega_grid() if omega is None else np.asarray(omega, dtype=float)
+    grid = default_omega_grid()
     per_vehicle = transfer_function_magnitude(theta_used, grid)
     chain = per_vehicle.prod(axis=0)
     peak = int(np.argmax(chain))

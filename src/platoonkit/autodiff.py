@@ -5,7 +5,10 @@ and records a vector-Jacobian closure on the output node. ``Tape.trace``
 linearizes the subgraph reachable from an output in topological order;
 ``backward`` replays it exactly once in reverse. The graph is rebuilt on every
 forward pass, so the recorded structure always matches the executed control
-flow.
+flow. A node is on the tape exactly when it has ``requires_grad``. Besides
+``tsum``, which scalarises outputs for gradient checks, only primitives the
+model records are kept, each with a finite-difference test;
+``masked_softmax`` is the one softmax.
 
 Operations whose step-by-step graphs would run to hundreds of nodes are
 fused primitives: the forward pass runs in numpy and records one node whose
@@ -47,7 +50,7 @@ class NonFiniteValue(AutodiffError):
 
 
 _grad_enabled = True
-_degenerate_rows = 0  # fully-masked softmax rows seen since last reset
+_degenerate_rows = 0  # fully-masked softmax rows seen by this process
 
 
 @contextlib.contextmanager
@@ -64,11 +67,6 @@ def no_grad():
 
 def degenerate_softmax_rows() -> int:
     return _degenerate_rows
-
-
-def reset_degenerate_softmax_rows() -> None:
-    global _degenerate_rows
-    _degenerate_rows = 0
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -114,52 +112,8 @@ class Tensor:
                 f"backward seed shape {seed.shape} != output shape {self.data.shape}")
         Tape.trace(self).backward(seed)
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    def __repr__(self):
-        return f"Tensor(op={self._op}, shape={self.data.shape}, grad={self.requires_grad})"
 
 
 class Tape:
@@ -221,7 +175,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add gradient ``g``, reduced from any broadcast shape, into ``t``."""
-    if not t.requires_grad and t._vjp is None:
+    if not t.requires_grad:
         return
     g = _unbroadcast(np.asarray(g, dtype=DTYPE), t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
@@ -229,8 +183,7 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def needs_grad(*tensors: Tensor) -> bool:
     """True when an op on ``tensors`` is recorded on the tape."""
-    return _grad_enabled and any(t.requires_grad or t._vjp is not None
-                                 for t in tensors)
+    return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
 def _make(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
@@ -354,15 +307,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    s = _sigmoid(a.data)
-    out = _make(s, "sigmoid", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, g * s * (1.0 - s))
-    return out
-
-
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably; strictly positive for x > -745."""
     a = as_tensor(a)
@@ -392,22 +336,9 @@ def relu(a) -> Tensor:
 
 # -- softmax -----------------------------------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = _make(s, "softmax", (a,), None)
-    if out.requires_grad:
-        def vjp(g):
-            gs = g * s
-            accumulate(a, gs - s * gs.sum(axis=axis, keepdims=True))
-        out._vjp = vjp
-    return out
-
-
-def masked_softmax(a, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax restricted to positions where ``mask`` is True.
+def masked_softmax(a, mask=True, axis: int = -1) -> Tensor:
+    """Softmax restricted to positions where ``mask`` is True (by default
+    all: the plain softmax); masked positions get exactly 0.
 
     Rows with every position masked produce all-zero weights (no attention)
     rather than NaN; such rows are counted and reported via
@@ -416,18 +347,17 @@ def masked_softmax(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     global _degenerate_rows
     a = as_tensor(a)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-    neg = np.where(mask, a.data, -np.inf)
-    rowmax = neg.max(axis=axis, keepdims=True)
+    s = np.where(mask, a.data, -np.inf)
+    rowmax = s.max(axis=axis, keepdims=True)
     dead = ~np.isfinite(rowmax)
     if dead.any():
         n = int(dead.sum())
         _degenerate_rows += n
         log.warning("masked_softmax: %d fully-masked rows produced zero weights", n)
-    safe_max = np.where(dead, 0.0, rowmax)
-    shifted = np.where(mask, a.data - safe_max, 0.0)   # <= 0 where kept
-    e = np.where(mask, np.exp(shifted), 0.0)
-    denom = e.sum(axis=axis, keepdims=True)
-    s = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0)
+    s -= np.where(dead, 0.0, rowmax)
+    np.exp(s, out=s)                    # exp(-inf) = 0 at masked positions
+    # a live row sums to at least exp(0) = 1; a dead row's zeros divide by 1
+    s /= np.where(dead, 1.0, s.sum(axis=axis, keepdims=True))
     out = _make(s, "masked_softmax", (a,), None)
     if out.requires_grad:
         def vjp(g):

@@ -386,8 +386,9 @@ def _write_spectrum_csv(out_dir: Path, platoon_id: str, spectrum) -> None:
         "\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _pool_safety(records):
-    """Finite PET and SSDD samples pooled over platoons."""
+def _safety_section(records):
+    """Finite PET and SSDD samples pooled over platoons, and their report
+    section; returns (section, pet, ssdd)."""
     import numpy as np
     from . import analysis
     pet, ssdd = [], []
@@ -395,47 +396,34 @@ def _pool_safety(records):
         p = analysis.pet_series(rec.positions(), rec.lengths(), rec.dt)
         pet.append(p[np.isfinite(p)])
         ssdd.append(analysis.ssdd_series(rec.speeds(), rec.gaps()).ravel())
-    return np.concatenate(pet), np.concatenate(ssdd)
+    pet, ssdd = np.concatenate(pet), np.concatenate(ssdd)
 
-
-def _cmd_safety(args) -> int:
-    import numpy as np
-    from . import analysis
-    records = _load_records(args.data)
-    try:
-        pet, ssdd = _pool_safety(records)
-    except analysis.AnalysisError as exc:
-        raise CliError(str(exc)) from exc
-
-    def _hist(samples, edges):
+    def hist(samples, edges):
         counts, _ = np.histogram(np.clip(samples, edges[0], edges[-1]),
                                  bins=edges)
         return [int(c) for c in counts]
 
-    report = {"data": {
+    section = {
         "platoons": len(records),
         "pet_samples": int(pet.size), "ssdd_samples": int(ssdd.size),
-        "pet_hist": _hist(pet, analysis.PET_BIN_EDGES),
-        "ssdd_hist": _hist(ssdd, analysis.SSDD_BIN_EDGES),
-        "ssdd_unsafe_fraction": float(np.mean(ssdd < 0.0))}}
+        "pet_hist": hist(pet, analysis.PET_BIN_EDGES),
+        "ssdd_hist": hist(ssdd, analysis.SSDD_BIN_EDGES),
+        "ssdd_unsafe_fraction": float(np.mean(ssdd < 0.0))}
+    return section, pet, ssdd
+
+
+def _cmd_safety(args) -> int:
+    from . import analysis
+    report = {}
+    report["data"], pet, ssdd = _safety_section(_load_records(args.data))
     if args.sim is not None:
-        sim_records = _load_records(args.sim)
-        try:
-            sim_pet, sim_ssdd = _pool_safety(sim_records)
-            report["sim"] = {
-                "platoons": len(sim_records),
-                "pet_samples": int(sim_pet.size),
-                "ssdd_samples": int(sim_ssdd.size),
-                "pet_hist": _hist(sim_pet, analysis.PET_BIN_EDGES),
-                "ssdd_hist": _hist(sim_ssdd, analysis.SSDD_BIN_EDGES),
-                "ssdd_unsafe_fraction": float(np.mean(sim_ssdd < 0.0))}
-            report["divergence"] = {
-                "pet": analysis.histogram_divergences(
-                    pet, sim_pet, analysis.PET_BIN_EDGES),
-                "ssdd": analysis.histogram_divergences(
-                    ssdd, sim_ssdd, analysis.SSDD_BIN_EDGES)}
-        except analysis.AnalysisError as exc:
-            raise CliError(str(exc)) from exc
+        report["sim"], sim_pet, sim_ssdd = _safety_section(
+            _load_records(args.sim))
+        report["divergence"] = {
+            "pet": analysis.histogram_divergences(
+                pet, sim_pet, analysis.PET_BIN_EDGES),
+            "ssdd": analysis.histogram_divergences(
+                ssdd, sim_ssdd, analysis.SSDD_BIN_EDGES)}
     _emit(report, args.out)
     return EXIT_OK
 

@@ -9,6 +9,8 @@ Vehicle 0 is the leader; indices increase rearward. Positions are front
 bumpers and increase in the travel direction. The gap of follower n is
 ``position[n-1] - length[n-1] - position[n]`` and must stay positive.
 The sampling interval is fixed at 0.1 s and is not stored in the file.
+Window extraction and closed-loop replanning build model inputs with
+``features``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ SYNTH_NOISE_SIGMA = 0.1
 SPEED_CAP = 40.0
 
 PROFILE_KINDS = ("const_accel", "const_decel", "sinusoid", "piecewise")
-DEFAULT_PROFILE_MIX = {
+PROFILE_MIX = {
     "const_accel": 0.25,
     "const_decel": 0.25,
     "sinusoid": 0.30,
@@ -98,16 +100,13 @@ class PlatoonRecord:
         pos = self.positions()
         return pos[:-1] - self.lengths()[:-1, None] - pos[1:]
 
-    def rel_speeds(self) -> np.ndarray:
-        """(n_followers, T) leader-minus-follower speed differences."""
-        spd = self.speeds()
-        return spd[:-1] - spd[1:]
 
-    def feature_block(self, lo: int, hi: int) -> np.ndarray:
-        """(n_followers, hi-lo, 3) blocks of [speed, gap, rel_speed]."""
-        spd = self.speeds()
-        return np.stack([spd[1:, lo:hi], self.gaps()[:, lo:hi],
-                         self.rel_speeds()[:, lo:hi]], axis=-1)
+def features(speeds: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """(..., N, T, 3) follower features [speed, gap, rel_speed] from
+    leader-first speeds (..., N+1, T) and gaps (..., N, T); rel_speed is the
+    speed ahead minus the follower's own."""
+    return np.stack([speeds[..., 1:, :], gaps,
+                     speeds[..., :-1, :] - speeds[..., 1:, :]], axis=-1)
 
 
 def validate_record(record: PlatoonRecord) -> Optional[str]:
@@ -270,20 +269,17 @@ def extract_windows(record: PlatoonRecord, history_len: int, horizon: int,
     T = record.duration
     if T < P + F:
         return []
-    feats = record.feature_block(0, T)          # (N, T, 3)
+    feats = features(record.speeds(), record.gaps())     # (N, T, 3)
     lead_speed = record.vehicles[0].speed
-    spd = record.speeds()[1:]                    # followers
-    gaps = record.gaps()
     windows = []
     for start in range(0, T - (P + F) + 1, stride):
         anchor = start + P - 1
-        history = feats[:, start:start + P, :]
-        lead_future = lead_speed[anchor + 1:anchor + 1 + F]
-        targets = np.stack([spd[:, anchor + 1:anchor + 1 + F],
-                            gaps[:, anchor + 1:anchor + 1 + F]], axis=-1)
-        windows.append(StateWindow(record.platoon_id, anchor,
-                                   np.ascontiguousarray(history),
-                                   lead_future.copy(), targets))
+        future = slice(anchor + 1, anchor + 1 + F)
+        windows.append(StateWindow(
+            record.platoon_id, anchor,
+            np.ascontiguousarray(feats[:, start:start + P, :]),
+            lead_speed[future].copy(),
+            np.ascontiguousarray(feats[:, future, :2])))
     return windows
 
 
@@ -395,9 +391,9 @@ def synthesize_platoon(platoon_id: str, profile: LeadProfile, params: list,
     return PlatoonRecord(platoon_id, dt, vehicles)
 
 
-def _sample_profile(rng: np.random.Generator, mix: dict) -> LeadProfile:
-    kinds = sorted(mix)
-    probs = np.array([mix[k] for k in kinds], dtype=float)
+def _sample_profile(rng: np.random.Generator) -> LeadProfile:
+    kinds = sorted(PROFILE_MIX)
+    probs = np.array([PROFILE_MIX[k] for k in kinds], dtype=float)
     probs = probs / probs.sum()
     kind = kinds[int(rng.choice(len(kinds), p=probs))]
     if kind == "const_accel":
@@ -427,7 +423,6 @@ def _sample_idm_params(rng: np.random.Generator) -> idm.IdmParams:
 
 def generate_synthetic_platoons(count: int, n_followers: int = 6,
                                 duration_s: float = 15.0, seed: int = 0,
-                                profile_mix: Optional[dict] = None,
                                 noise_sigma: float = SYNTH_NOISE_SIGMA,
                                 dt: float = DT) -> list:
     """Deterministic synthetic corpus: scripted leaders, noisy IDM followers.
@@ -437,10 +432,6 @@ def generate_synthetic_platoons(count: int, n_followers: int = 6,
     """
     if count < 1 or n_followers < 1:
         raise ValueError("count and n_followers must be >= 1")
-    mix = dict(DEFAULT_PROFILE_MIX if profile_mix is None else profile_mix)
-    unknown = set(mix) - set(PROFILE_KINDS)
-    if unknown:
-        raise ValueError(f"unknown profile kinds {sorted(unknown)}")
     duration_steps = int(round(duration_s / dt))
     if duration_steps < 2:
         raise ValueError("duration too short")
@@ -450,7 +441,7 @@ def generate_synthetic_platoons(count: int, n_followers: int = 6,
         rng = np.random.default_rng(child)
         pid = f"syn-{seed}-{i:04d}"
         for attempt in range(25):
-            profile = _sample_profile(rng, mix)
+            profile = _sample_profile(rng)
             params = [_sample_idm_params(rng) for _ in range(n_followers)]
             lengths = rng.uniform(*SYNTH_LENGTH_RANGE, n_followers + 1)
             noise_seed = int(rng.integers(0, 2 ** 31))

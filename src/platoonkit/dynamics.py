@@ -6,8 +6,9 @@ Each follower's acceleration is a linear response around an expected state:
 
 with the sign pattern f_v < 0, f_s > 0, f_dv > 0 enforced by construction
 (softplus magnitudes times fixed signs), which guarantees local stability of
-the single-vehicle closed loop. The rollout integrates all followers jointly
-with explicit Euler steps; the gap update uses the kinematic identity
+the single-vehicle closed loop. ``linear_accel``, the law's one
+implementation, serves the rollout and ``simulate``'s controllers. The
+rollout integrates all followers jointly with explicit Euler steps; the gap update uses the kinematic identity
 s(k+1) = s(k) + dt * dv(k), so gaps, speeds, and positions remain mutually
 consistent to machine precision.
 
@@ -16,7 +17,8 @@ may be Tensors or plain arrays (constants), with the adjoint of the Euler
 recursion as its hand-written backward pass. ``euler_platoon`` is the
 numpy integrator behind synthetic data, IDM calibration and closed-loop
 simulation: the same step under any acceleration law, with speeds clamped at
-zero and collisions detected.
+zero and collisions detected per batch row, so a NaN in one row leaves the
+others as they would run alone.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ def validate_theta(values: np.ndarray) -> None:
     if bad.any():
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise ValueError(f"theta sign violation at index {idx}: {arr[idx]}")
+
+
+def linear_accel(theta, v, s, dv, v_star, s_star):
+    """The linear law on numpy arrays; theta (..., 3) holds [f_v, f_s, f_dv]
+    for states that broadcast against theta[..., 0]."""
+    return (theta[..., 0] * (v - v_star) + theta[..., 1] * (s - s_star)) \
+        + theta[..., 2] * dv
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,7 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
     v_out, s_out, a_out, dv_out = out
     v, s, dv = x0[..., 0], x0[..., 1], x0[..., 2]
     for k in range(F):
-        j = k // m
-        a = (f[..., j, 0] * (v - vs) + f[..., j, 1] * (s - ss)) + f[..., j, 2] * dv
+        a = linear_accel(f[..., k // m, :], v, s, dv, vs, ss)
         v_next = v + a * dt
         s_next = s + dv * dt
         dv_next = np.empty(state)
@@ -205,7 +213,8 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
     row = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
     row_lead, row_follow, ahead = row[..., 0], row[..., 1:], row[..., :-1]
     for k in range(T):
-        if s.min() <= 0.0:
+        # fmin skips NaN, where min returns it: a NaN row hides no other row
+        if np.fmin.reduce(s, axis=None) <= 0.0:
             collision = np.where((s <= 0.0).any(axis=-1) & (collision == T),
                                  k, collision)
             if (collision < T).all():
@@ -216,7 +225,7 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
         row_follow[...] = v
         dv = ahead - v
         v = v + dt * accel(k, v, s, dv)
-        if v.min() < 0.0:
+        if np.fmin.reduce(v, axis=None) < 0.0:
             neg = v < 0.0
             clamps += np.where(collision == T, neg.sum(axis=-1), 0)
             v[neg] = 0.0

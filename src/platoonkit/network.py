@@ -13,8 +13,9 @@ stages are:
 
 All learnable state lives in a flat name -> Tensor mapping so optimizers and
 checkpoints can treat it uniformly; ``weight_shapes`` is the one list of its
-names and shapes. Every stage runs on autodiff Tensors; nothing here mutates
-its inputs. The selective scan is one fused tape node with a hand-written
+names and shapes. ``model_forward`` is the one entry to the pipeline, also
+for ``gradcheck_model``. Every stage runs on autodiff Tensors; nothing here
+mutates its inputs. The selective scan is one fused tape node with a hand-written
 reverse recurrence. Initial draws are quantized to float32 so a
 float32 checkpoint reproduces the exact float64 forward pass.
 """
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +38,23 @@ log = logging.getLogger(__name__)
 
 NORM_STD_FLOOR = 1e-6
 EMBED_MAGNITUDE_WARN = 100.0
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass whose
+    value has the wrong type: ``int`` fields take integers, ``float`` fields
+    finite reals and ``bool`` fields bools; a bool is never a number here."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "bool":
+            ok, kind = isinstance(value, bool), "a bool"
+        elif f.type == "int":
+            ok, kind = isinstance(value, numbers.Integral), "an integer"
+        else:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+            kind = "a finite number"
+        if not ok or (f.type != "bool" and isinstance(value, bool)):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +75,7 @@ class ModelConfig:
     disable_pfl: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("d_model", "n_state", "conv_kernel", "attn_layers",
                      "attn_heads", "history_len", "horizon", "param_window"):
             if getattr(self, name) < 1:
@@ -319,7 +339,7 @@ def ful_forward(w, x_last, noise=None):
     return z, mu, logvar
 
 
-def _mha(w, base: str, q_in, k_in, v_in, heads: int, mask=None):
+def _mha(w, base: str, q_in, k_in, v_in, heads: int, mask=True):
     q = ad.matmul(q_in, w[f"{base}.attn.q.w"])
     k = ad.matmul(k_in, w[f"{base}.attn.k.w"])
     v = ad.matmul(v_in, w[f"{base}.attn.v.w"])
@@ -332,7 +352,7 @@ def _mha(w, base: str, q_in, k_in, v_in, heads: int, mask=None):
 
     qh, kh, vh = split(q), split(k), split(v)
     scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dh))
-    attn = ad.softmax(scores) if mask is None else ad.masked_softmax(scores, mask)
+    attn = ad.masked_softmax(scores, mask)
     out = ad.swapaxes(ad.matmul(attn, vh), -3, -2)    # (..., Tq, H, dh)
     out = ad.reshape(out, out.shape[:-2] + (d,))
     return ad.matmul(out, w[f"{base}.attn.o.w"])
@@ -343,7 +363,7 @@ def _ff(w, base: str, x):
     return ad.add(ad.matmul(h, w[f"{base}.ff.w2"]), w[f"{base}.ff.b2"])
 
 
-def _attn_layer(w, base: str, q_in, memory, heads: int, mask=None):
+def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
     """Post-norm residual attention + feedforward."""
     x = ad.layer_norm(ad.add(q_in, _mha(w, base, q_in, memory, memory, heads, mask)),
                       w[f"{base}.ln1.g"], w[f"{base}.ln1.b"])
@@ -381,9 +401,15 @@ class ModelOutput:
     xstar: dyn.ExpectedState
 
 
-def _forward(w, norm_mean, norm_std, config: ModelConfig,
-             history: np.ndarray, lead_future: np.ndarray,
-             noise=None) -> ModelOutput:
+def model_forward(params: ModelParams, config: ModelConfig,
+                  history: np.ndarray, lead_future: np.ndarray,
+                  noise=None) -> ModelOutput:
+    """Full pipeline on a window batch.
+
+    history: (B, N, P, 3) raw follower features; lead_future: (B, F) leader
+    speeds. noise: optional (B, N, d_model) standard-normal draws; None keeps
+    the latent at its mean (deterministic evaluation).
+    """
     history = np.asarray(history, dtype=float)
     lead_future = np.asarray(lead_future, dtype=float)
     if history.ndim != 4 or history.shape[-1] != 3:
@@ -398,7 +424,8 @@ def _forward(w, norm_mean, norm_std, config: ModelConfig,
             f"model_forward: lead_future must be "
             f"({history.shape[0]}, {config.horizon}), got {lead_future.shape}")
 
-    x_norm = (history - norm_mean) / norm_std
+    w = params.weights
+    x_norm = (history - params.norm_mean) / params.norm_std
     e = embed_inputs(w, x_norm)
     memory = e if config.disable_tfl else tfl_forward(w, config, e)
     z, mu, logvar = ful_forward(w, memory[..., -1, :], noise)
@@ -410,19 +437,6 @@ def _forward(w, norm_mean, norm_std, config: ModelConfig,
     result = dyn.rollout(initial, lead_future, theta, xstar, dt=config.dt)
     return ModelOutput(result=result, theta=theta, raw=raw,
                        mu=mu, logvar=logvar, xstar=xstar)
-
-
-def model_forward(params: ModelParams, config: ModelConfig,
-                  history: np.ndarray, lead_future: np.ndarray,
-                  noise=None) -> ModelOutput:
-    """Full pipeline on a window batch.
-
-    history: (B, N, P, 3) raw follower features; lead_future: (B, F) leader
-    speeds. noise: optional (B, N, d_model) standard-normal draws; None keeps
-    the latent at its mean (deterministic evaluation).
-    """
-    return _forward(params.weights, params.norm_mean, params.norm_std,
-                    config, history, lead_future, noise)
 
 
 # -- gradient verification ------------------------------------------------------
@@ -440,6 +454,7 @@ def gradcheck_model(config: ModelConfig = None, seed: int = 0,
     """Compare analytic gradients of the full training loss against central
     finite differences for every weight element. Returns (max_rel_err, count).
     """
+    from . import training      # training imports this module
     cfg = config or desk_config()
     params = init_params(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -450,21 +465,19 @@ def gradcheck_model(config: ModelConfig = None, seed: int = 0,
     lead = rng.uniform(8.0, 15.0, (batch, cfg.horizon))
     tv = rng.uniform(8.0, 15.0, (batch, n_vehicles, cfg.horizon))
     ts = rng.uniform(10.0, 30.0, (batch, n_vehicles, cfg.horizon))
+    targets = np.stack([tv, ts], axis=-1)
     mean, std = hist.reshape(-1, 3).mean(axis=0), hist.reshape(-1, 3).std(axis=0)
     mean, std = _q32(mean), _q32(np.maximum(std, NORM_STD_FLOOR))
     names = list(params.weights)
     arrays = [params.weights[k].data for k in names]
 
     def graph(*tensors):
-        w = dict(zip(names, tensors))
-        out = _forward(w, mean, std, cfg, hist, lead, None)
-        ev = ad.sub(out.result.v, tv)
-        es = ad.sub(out.result.s, ts)
-        pred = ad.add(ad.tmean(ad.mul(ev, ev)), ad.tmean(ad.mul(es, es)))
-        kl = ad.mul(ad.tmean(ad.sub(ad.add(ad.mul(out.mu, out.mu),
-                                           ad.exp(out.logvar)),
-                                    ad.add(out.logvar, 1.0))), 0.5)
-        return ad.add(pred, ad.mul(kl, 0.0025))
+        model = ModelParams(dict(zip(names, tensors)), mean, std)
+        out = model_forward(model, cfg, hist, lead)
+        l_v, l_s = training.prediction_losses(out.result, targets)
+        kl = training.kl_loss(out.mu, out.logvar)
+        return ad.add(ad.add(l_v, l_s),
+                      ad.mul(kl, training.TrainConfig.alpha_kl))
 
     err = ad.finite_diff_check(graph, arrays, step=step)
     return err, sum(a.size for a in arrays)

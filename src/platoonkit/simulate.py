@@ -21,7 +21,8 @@ A controller has ``history_len`` and ``horizon`` (and may have ``dt``),
 ``replan(history, lead_future, platoons)`` taking (B, N, P, 3) histories,
 (B, F) leader futures and the B indices of the planned records in the list
 handed to ``simulate_platoons``, and ``accel(k, v, s, dv)`` on the (B, N)
-states of those rows.
+states of those rows. Replan histories come from ``data.features`` and the
+linear law from ``dynamics.linear_accel``, as for windows and the rollout.
 
 Speeds are clamped at zero (vehicles do not reverse); the number of clamped
 entries is reported. A non-positive gap truncates the run strictly before
@@ -50,7 +51,7 @@ class SimulationError(Exception):
 # -- controllers ----------------------------------------------------------------
 
 class _LinearLaw:
-    """The linear car-following law a = f_v (v - v*) + f_s (s - s*) + f_dv dv.
+    """The linear car-following law ``dynamics.linear_accel``.
 
     Subclasses set ``_theta`` (..., N, S, 3), ``_v_star``, ``_s_star``
     (..., N) and ``m``; block j = k // m of the current plan steers step k.
@@ -61,9 +62,8 @@ class _LinearLaw:
     def accel(self, k: int, v, s, dv):
         if self._theta is None:
             raise SimulationError("accel called before the first replan")
-        th = self._theta[..., k // self.m, :]
-        return (th[..., 0] * (v - self._v_star)
-                + th[..., 1] * (s - self._s_star) + th[..., 2] * dv)
+        return dyn.linear_accel(self._theta[..., k // self.m, :], v, s, dv,
+                                self._v_star, self._s_star)
 
 
 class ScriptedThetaController(_LinearLaw):
@@ -239,11 +239,9 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
             live = np.flatnonzero(~hit) if hit.any() else None
             sel = slice(None) if live is None else live
             frames = slice(t + 1 - H, t + 1)
-            seg_spd = spd[sel, :, frames]
-            seg_gap = gaps[sel, :, frames]
-            ahead = np.concatenate([lead_spd[sel, None, frames],
-                                    seg_spd[:, :-1]], axis=1)
-            history = np.stack([seg_spd, seg_gap, ahead - seg_spd], axis=-1)
+            seg_spd = np.concatenate([lead_spd[sel, None, frames],
+                                      spd[sel, :, frames]], axis=1)
+            history = data.features(seg_spd, gaps[sel, :, frames])
             controller.replan(history, lead_pad[sel, t + 1:t + 1 + F],
                               platoons[sel])
         if live is None:

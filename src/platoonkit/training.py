@@ -251,6 +251,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        net.check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr <= 0 or self.alpha_kl < 0:
@@ -322,8 +323,6 @@ def train(params: net.ModelParams, config: net.ModelConfig,
                 total = ad.add(ad.add(ad.mul(l_v, weights_vs[0]),
                                       ad.mul(l_s, weights_vs[1])),
                                ad.mul(kl, tcfg.alpha_kl))
-                if not np.isfinite(total.data):
-                    raise ad.NonFiniteValue("training loss is not finite")
                 tape = ad.Tape.trace(total)
                 tape.backward(np.ones_like(total.data))
                 opt.step()

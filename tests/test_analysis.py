@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonkit import analysis as an
 
@@ -170,6 +172,21 @@ def test_pet_translation_invariant():
     a = an.pet_series(pos, lengths, dt=0.1)
     b = an.pet_series(pos + 1234.5, lengths, dt=0.1)
     assert np.allclose(a, b, atol=1e-9, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.floats(0.5, 40.0), gap=st.floats(0.5, 100.0),
+       dt=st.sampled_from([0.05, 0.1, 0.2]), frames=st.integers(2, 200),
+       length=st.floats(3.0, 6.0), start=st.floats(-1000.0, 1000.0))
+def test_pet_behind_constant_speed_is_gap_over_speed(v, gap, dt, frames, length,
+                                                      start):
+    lead = start + v * dt * np.arange(frames)
+    follow = lead - length - gap
+    pet = an.pet_series(np.stack([lead, follow]), np.array([length, 4.0]), dt)
+    # NaN exactly where the leader's rear lies past the follower's last frame
+    past = (lead - length) > follow[-1]
+    np.testing.assert_array_equal(np.isnan(pet[0]), past)
+    assert np.abs(pet[0, ~past] - gap / v).max(initial=0.0) < 1e-9
 
 
 def test_pet_rejects_reversing_follower():

@@ -37,15 +37,25 @@ def test_matmul_finite_difference():
 
 def test_softmax_of_single_element():
     # Constant function: weight exactly 1, zero gradient, zero FD error.
-    out, grads = ad.forward_backward(lambda x: ad.tsum(ad.softmax(x)), [np.array([2.5])])
+    out, grads = ad.forward_backward(lambda x: ad.tsum(ad.masked_softmax(x)),
+                                     [np.array([2.5])])
     assert float(out) == 1.0
     assert float(grads[0][0]) == 0.0
-    err = ad.finite_diff_check(lambda x: ad.tsum(ad.softmax(x)), [np.array([2.5])])
+    err = ad.finite_diff_check(lambda x: ad.tsum(ad.masked_softmax(x)), [np.array([2.5])])
     assert err == 0.0
 
 
+def test_default_mask_softmax_is_the_plain_formula():
+    # the unmasked softmax, exp(a - max) / sum, bit for bit on either axis
+    x = np.random.default_rng(14).standard_normal((2, 3, 4, 7)) * 5.0
+    for axis in (-1, -2):
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        np.testing.assert_array_equal(ad.masked_softmax(x, axis=axis).data,
+                                      e / e.sum(axis=axis, keepdims=True))
+
+
 def test_masked_softmax_rows_sum_to_one_or_zero():
-    ad.reset_degenerate_softmax_rows()
+    before = ad.degenerate_softmax_rows()
     x = np.arange(12.0).reshape(3, 4)
     mask = np.array([
         [True, True, False, False],
@@ -58,7 +68,7 @@ def test_masked_softmax_rows_sum_to_one_or_zero():
     assert sums[1] == 0.0  # fully masked row collapses to zeros, not NaN
     assert abs(sums[2] - 1.0) < 1e-12
     assert (out.data[0, 2:] == 0.0).all()
-    assert ad.degenerate_softmax_rows() == 1
+    assert ad.degenerate_softmax_rows() - before == 1
 
 
 def test_masked_softmax_gradient_matches_fd():
@@ -80,7 +90,7 @@ def test_tape_replay_bit_identical():
     w = rng.standard_normal((3, 2))
 
     def graph(xv, wv):
-        return ad.tsum(ad.sigmoid(ad.matmul(xv, wv)))
+        return ad.tsum(ad.silu(ad.matmul(xv, wv)))
 
     out1, grads1 = ad.forward_backward(graph, [x, w])
     out2, grads2 = ad.forward_backward(graph, [x, w])
@@ -217,9 +227,9 @@ def test_graph_is_freed_without_the_cycle_collector():
     x = ad.param(rng.standard_normal((3, 4)))
     gc.disable()
     try:
-        inner = ad.exp(ad.sigmoid(ad.matmul(x, rng.standard_normal((4, 2)))))
+        inner = ad.exp(ad.silu(ad.matmul(x, rng.standard_normal((4, 2)))))
         probe = weakref.ref(inner)
-        loss = ad.tsum(ad.mul(inner, ad.sigmoid(inner)))
+        loss = ad.tsum(ad.mul(inner, ad.silu(inner)))
         del inner
         loss.backward()
         assert probe() is not None          # the loss still holds its graph
@@ -283,16 +293,15 @@ PRIMITIVE_CASES = [
      [(2, 3, 4), (2, 4, 2)]),
     ("exp", lambda a: ad.exp(a), [_rand], [(3, 2)]),
     ("softplus", lambda a: ad.softplus(a), [_rand], [(4, 3)]),
-    ("sigmoid", lambda a: ad.sigmoid(a), [_rand], [(6,)]),
     ("silu", lambda a: ad.silu(a), [_rand], [(2, 5)]),
     ("relu", lambda a: ad.relu(a), [_away_from_zero], [(4, 4)]),
-    ("softmax", lambda a: ad.softmax(a, axis=-1), [_rand], [(3, 5)]),
     ("sum_axis", lambda a: ad.tsum(a, axis=1), [_rand], [(3, 4, 2)]),
     ("mean_axis", lambda a: ad.tmean(a, axis=-1), [_rand], [(2, 6)]),
     ("reshape", lambda a: ad.reshape(a, (6, 2)), [_rand], [(3, 4)]),
     ("swapaxes", lambda a: ad.swapaxes(a, -1, -2), [_rand], [(2, 3, 4)]),
     ("slice", lambda a: a[1:, ::2], [_rand], [(4, 6)]),
     ("masked_softmax", lambda a: ad.masked_softmax(a, _SOFTMAX_MASK), [_rand], [(3, 5)]),
+    ("masked_softmax_default", lambda a: ad.masked_softmax(a), [_rand], [(3, 5)]),
     ("layer_norm", lambda x, g, b: ad.layer_norm(x, g, b), [_rand, _rand, _rand],
      [(3, 6), (6,), (6,)]),
     ("rms_norm", lambda x, g: ad.rms_norm(x, g), [_rand, _rand], [(2, 5), (5,)]),
@@ -322,5 +331,44 @@ def test_primitive_gradients_match_finite_differences(name, op, makers, shapes):
 
 
 def test_primitive_case_count_covers_contract():
-    # 27 primitive variants x 4 seeds >= 100 randomized oracle comparisons
+    # 26 primitive variants x 4 seeds >= 100 randomized oracle comparisons
     assert len(PRIMITIVE_CASES) * 4 >= 100
+
+
+def _recorded_ops(tape):
+    """Ops of the nodes on ``tape`` that carry a VJP."""
+    return {n._op for n in tape.nodes if n._vjp is not None}
+
+
+def test_primitive_cases_match_the_ops_of_a_training_step(monkeypatch):
+    # Every op a training step records needs a finite-difference row, and
+    # every row needs a caller in the model; ``sum`` only scalarises the rows.
+    from platoonkit import data, training
+    tapes = []
+    trace = ad.Tape.trace.__func__
+
+    def spy(cls, root):
+        tapes.append(trace(cls, root))
+        return tapes[-1]
+
+    monkeypatch.setattr(ad.Tape, "trace", classmethod(spy))
+    cfg = net.desk_config()
+    windows = [w for rec in data.generate_synthetic_platoons(
+                   2, n_followers=2, duration_s=1.5, seed=3)
+               for w in data.extract_windows(rec, cfg.history_len, cfg.horizon, 5)]
+    params = net.init_params(cfg)
+    params.norm_mean, params.norm_std = net.fit_normalization(windows)
+    training.train(params, cfg, windows, windows,
+                   training.TrainConfig(epochs=1, batch_size=len(windows)))
+    assert len(tapes) == 1
+    model_ops = _recorded_ops(tapes[0])
+
+    rng = np.random.default_rng(0)
+    row_ops = {}
+    for name, op, makers, shapes in PRIMITIVE_CASES:
+        leaves = [ad.param(mk(rng, sh)) for mk, sh in zip(makers, shapes)]
+        row_ops[name] = _recorded_ops(ad.Tape.trace(op(*leaves)))
+    covered = set().union(*row_ops.values())
+    assert model_ops - covered == set(), "model ops without a row"
+    uncalled = {name: ops - model_ops - {"sum"} for name, ops in row_ops.items()}
+    assert {name: ops for name, ops in uncalled.items() if ops} == {}

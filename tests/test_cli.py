@@ -112,6 +112,27 @@ def test_config_must_be_object(capsys, tmp_path, corpus):
     assert code == 2 and "object" in err
 
 
+@pytest.mark.parametrize("command,section,field,value", [
+    ("train", "model", "d_model", 8.0),
+    ("train", "model", "history_len", True),
+    ("train", "model", "dt", "0.1"),
+    ("train", "model", "disable_tfl", 0),
+    ("train", "train", "epochs", 1.0),
+    ("train", "train", "batch_size", "16"),
+    ("gradcheck", "model", "d_model", 8.0),
+    ("gradcheck", "model", "disable_pfl", "no"),
+])
+def test_config_value_of_wrong_type_names_field(capsys, tmp_path, corpus, command,
+                                                section, field, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({section: {field: value}}))
+    argv = [command, "--config", str(cfg)]
+    if command == "train":
+        argv += ["--data", str(corpus), "--out", str(tmp_path / "o")]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and field in err and "Traceback" not in err
+
+
 def test_config_missing_file(capsys, tmp_path, corpus):
     code, _, err = _run(capsys, ["train", "--data", str(corpus), "--out",
                                  str(tmp_path / "o"), "--config",

@@ -24,9 +24,9 @@ def test_gap_and_rel_speed_definitions():
     gaps = rec.gaps()
     pos = rec.positions()
     assert np.allclose(gaps[0], pos[0] - 4.0 - pos[1])
-    assert np.allclose(rec.rel_speeds()[1], rec.speeds()[1] - rec.speeds()[2])
-    feats = rec.feature_block(2, 5)
+    feats = data.features(rec.speeds(), gaps)[:, 2:5]
     assert feats.shape == (2, 3, 3)
+    assert np.allclose(feats[1, :, 2], rec.speeds()[1, 2:5] - rec.speeds()[2, 2:5])
     assert np.allclose(feats[0, :, 0], rec.speeds()[1, 2:5])
     assert np.allclose(feats[1, :, 1], gaps[1, 2:5])
 
@@ -57,7 +57,7 @@ def test_window_contents_align_with_record():
     gaps = rec.gaps()
     assert np.array_equal(w.history[:, :, 0], spd[1:, 2:6])
     assert np.array_equal(w.history[:, :, 1], gaps[:, 2:6])
-    assert np.array_equal(w.history[:, :, 2], rec.rel_speeds()[:, 2:6])
+    assert np.array_equal(w.history[:, :, 2], spd[:-1, 2:6] - spd[1:, 2:6])
     assert np.array_equal(w.lead_future, spd[0, 6:9])
     assert np.array_equal(w.targets[:, :, 0], spd[1:, 6:9])
     assert np.array_equal(w.targets[:, :, 1], gaps[:, 6:9])
@@ -130,7 +130,7 @@ def test_gap_delta_identity_on_synthetic():
     for rec in data.generate_synthetic_platoons(3, n_followers=3, duration_s=6.0,
                                                 seed=17):
         gaps = rec.gaps()
-        dv = rec.rel_speeds()
+        dv = data.features(rec.speeds(), gaps)[..., 2]
         resid = gaps[:, 1:] - gaps[:, :-1] - rec.dt * dv[:, :-1]
         assert np.abs(resid).max() < 1e-9
 

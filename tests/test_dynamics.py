@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonkit import autodiff as ad
 from platoonkit import dynamics as dyn
@@ -51,6 +53,37 @@ def _run(initial, lead, theta, v_star, s_star, dt=0.1):
                       dt=dt)
     v, s, a, dv = res.arrays()
     return {"v": v[0], "s": s[0], "a": a[0], "dv": dv[0]}
+
+
+@st.composite
+def rollout_cases(draw):
+    """Random batch shape, platoon size, blocks and states; any signs."""
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n = draw(st.integers(1, 4))
+    blocks, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return {"initial": rng.uniform(-5.0, 30.0, batch + (n, 3)),
+            "lead": rng.uniform(0.0, 30.0, batch + (blocks * m,)),
+            "theta": rng.normal(0.0, 2.0, batch + (n, blocks, 3)),
+            "xstar": dyn.ExpectedState(rng.uniform(0.0, 30.0, batch + (n,)),
+                                       rng.uniform(0.0, 30.0, batch + (n,))),
+            "dt": draw(st.sampled_from([0.05, 0.1, 0.2]))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rollout_cases())
+def test_rollout_gap_and_relative_speed_identities(case):
+    res = dyn.rollout(case["initial"], case["lead"], case["theta"], case["xstar"],
+                      dt=case["dt"])
+    v, s, _, dv = res.arrays()
+    dt = case["dt"]
+    # s_{k+1} = s_k + dt dv_k exactly, from the anchor state on
+    s_prev = np.concatenate([case["initial"][..., 1:2], s[..., :-1]], axis=-1)
+    dv_prev = np.concatenate([case["initial"][..., 2:3], dv[..., :-1]], axis=-1)
+    np.testing.assert_array_equal(s, s_prev + dt * dv_prev)
+    # dv is the speed ahead minus the own speed; the leader leads follower 0
+    ahead = np.concatenate([case["lead"][..., None, :], v[..., :-1, :]], axis=-2)
+    np.testing.assert_array_equal(dv, ahead - v)
 
 
 class TestEncoding:

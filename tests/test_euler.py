@@ -2,7 +2,7 @@
 calibration and closed-loop simulation."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from platoonkit import dynamics as dyn
@@ -45,8 +45,9 @@ def platoons(draw):
     return case
 
 
-def _run(case, row=None):
-    """Integrate the whole batch, or only ``row`` with batch shape ()."""
+def _run(case, row=None, nan_row=None):
+    """Integrate the whole batch, or only ``row`` with batch shape ();
+    the law of batch row ``nan_row`` gives NaN accelerations."""
     pick = (lambda a: a) if row is None else (lambda a: a[row])
     v0, s0, lead = pick(case["v0"]), pick(case["s0"]), case["lead"]
     if lead.ndim == 2 and row is not None:
@@ -58,6 +59,13 @@ def _run(case, row=None):
     gaps[..., 0] = s0
     law = _linear_law([pick(g) for g in case["gains"]], pick(case["v_star"]),
                       pick(case["s_star"]))
+    if nan_row is not None:
+        finite_law = law
+
+        def law(k, v, s, dv):
+            a = finite_law(k, v, s, dv)
+            a[nan_row] = np.nan
+            return a
     clamps, collision = dyn.euler_platoon(speeds, gaps, lead, law, case["dt"])
     return speeds, gaps, clamps, collision, law
 
@@ -127,6 +135,22 @@ def test_batch_rows_match_single_runs_bit_for_bit(case):
         one_v, one_s, one_clamps, one_cf, _ = _run(case, row=r)
         assert one_cf.shape == () and int(one_cf) == collision[r]
         assert one_clamps.shape == () and int(one_clamps) == clamps[r]
+        last = min(int(one_cf), frames - 1) + 1
+        np.testing.assert_array_equal(speeds[r, :, :last], one_v[:, :last])
+        np.testing.assert_array_equal(gaps[r, :, :last], one_s[:, :last])
+
+
+@SETTINGS
+@given(platoons(), st.data())
+def test_nan_row_leaves_other_rows_as_their_solo_runs(case, data):
+    rows = case["v0"].shape[0]
+    assume(rows > 1)
+    bad = data.draw(st.integers(0, rows - 1))
+    speeds, gaps, clamps, collision, _ = _run(case, nan_row=bad)
+    frames = speeds.shape[-1]
+    for r in set(range(rows)) - {bad}:
+        one_v, one_s, one_clamps, one_cf, _ = _run(case, row=r)
+        assert int(one_cf) == collision[r] and int(one_clamps) == clamps[r]
         last = min(int(one_cf), frames - 1) + 1
         np.testing.assert_array_equal(speeds[r, :, :last], one_v[:, :last])
         np.testing.assert_array_equal(gaps[r, :, :last], one_s[:, :last])
