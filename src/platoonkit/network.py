@@ -16,8 +16,10 @@ checkpoints can treat it uniformly; ``weight_shapes`` is the one list of its
 names and shapes. ``model_forward`` is the one entry to the pipeline, also
 for ``gradcheck_model``. Every stage runs on autodiff Tensors; nothing here
 mutates its inputs. The selective scan is one fused tape node with a hand-written
-reverse recurrence. Initial draws are quantized to float32 so a
-float32 checkpoint reproduces the exact float64 forward pass.
+reverse recurrence; its forward pass runs in cache-sized blocks of rows and
+keeps numpy's summation order, so its output does not depend on the batch.
+Initial draws are quantized to float32 so a float32 checkpoint reproduces the
+exact float64 forward pass.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ class ModelConfig:
                      "attn_heads", "history_len", "horizon", "param_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.ve_hidden < 0:
+            raise ValueError(
+                f"ve_hidden must be >= 0 (0 means d_model), got {self.ve_hidden}")
         if self.horizon % self.param_window != 0:
             raise ValueError(
                 f"horizon {self.horizon} is not a multiple of "
@@ -210,6 +215,44 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 
 # -- stages -------------------------------------------------------------------
 
+# State elements per row block of the selective scan: 48 rows of an (8, 128)
+# state, ~400 KB per float64 buffer, so a block's buffers stay in L2.
+_SCAN_BLOCK = 48 * 8 * 128
+_PAIRWISE_BLOCK = 128        # numpy's PW_BLOCKSIZE
+
+
+def _sum_states(p):
+    """Sum p (rows, S, C) over S in place; return the (rows, C) sum, a view.
+
+    The terms are added in the order numpy's pairwise sum adds a contiguous
+    last axis, so the result equals ``swapaxes(p, -1, -2).sum(-1)`` bit for
+    bit apart from that sum's +0.0 start value: fewer than 8 terms one after
+    another; up to 128 in 8 running sums combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one after another;
+    more by recursive halving at a multiple of 8.
+    """
+    n = p.shape[1]
+    if n < 8:
+        for i in range(1, n):
+            p[:, 0] += p[:, i]
+        return p[:, 0]
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2
+        half -= half % 8
+        left = _sum_states(p[:, :half])
+        return np.add(left, _sum_states(p[:, half:]), out=left)
+    r = p[:, :8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        r += p[:, i:i + 8]
+    r[:, 0::2] += r[:, 1::2]                  # r0+r1, r2+r3, r4+r5, r6+r7
+    r[:, 0::4] += r[:, 2::4]
+    r[:, 0] += r[:, 4]
+    for i in range(tail, n):
+        r[:, 0] += p[:, i]
+    return r[:, 0]
+
+
 def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
     """Input-dependent diagonal state-space recurrence, as one autodiff node.
 
@@ -217,9 +260,14 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
     d_gain: (C,). Per step: h = exp(delta*A) h + delta*B_t u_t, and the output
     is y_t = sum_s C_t h + D u_t. Zero initial state.
 
-    The forward pass carries one state through time and, without a tape,
-    keeps nothing else. When the output is recorded it also keeps the state
-    history; the backward pass runs the reverse recurrence
+    The leading axes are flattened to rows, and the forward pass runs the
+    whole recurrence over one block of ``_SCAN_BLOCK // (S*C)`` rows at a
+    time, in state and scratch buffers of one block's size that stay in L2.
+    Without a tape it keeps nothing else; when the output is recorded it also
+    writes the state history. sum_s C_t h adds its S products in numpy's
+    pairwise order for a contiguous last-axis sum (``_sum_states``), so the
+    output is bit-identical to a per-step loop over the whole batch. The
+    backward pass runs the reverse recurrence
     gh_t = g_t C_t + exp(delta_{t+1} A) gh_{t+1}, recomputing each decay one
     step at a time (the fused scan of Mamba, arXiv 2312.00752).
     """
@@ -232,34 +280,48 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
             f"selective_scan: u {U.shape}, delta {DT.shape}, A {A.shape}, "
             f"B {B.shape}, C {Cs.shape}, D {D.shape} do not fit together")
     keep = ad.needs_grad(*parents)
-    # States are held as (..., S, C) so every elementwise op runs along the
-    # long channel axis; only the output sum is taken over a (..., C, S)
-    # copy, to keep the reduction order of sum_s C_t h.
+    # States are held as (rows, S, C) so every elementwise op runs along the
+    # long channel axis. Rows are independent, so the recurrence runs over
+    # one cache-sized block of rows at a time in reused buffers.
+    R = math.prod(batch)
+    rows = max(1, min(R, _SCAN_BLOCK // (S * C)))
     a_t = np.ascontiguousarray(A.T)
-    H = np.empty(batch + (T, S, C)) if keep else None
-    h = None if keep else np.empty(batch + (S, C))
-    # one scratch buffer holds the decay, then the injection, then (as a
-    # (..., C, S) view) the products summed into y_t
-    work = np.empty(batch + (S, C))
-    hc = work.reshape(batch + (C, S))
     y = np.empty(U.shape)
+    H = np.empty(batch + (T, S, C)) if keep else None
+    U2, DT2, y2 = (a.reshape(R, T, C) for a in (U, DT, y))
+    B2, C2 = B.reshape(R, T, S), Cs.reshape(R, T, S)
+    H2 = H.reshape(R, T, S, C) if keep else None
+    h = None if keep else np.empty((rows, S, C))
+    # one scratch buffer holds the decay, then the injection, then the
+    # products C_t h summed into y_t
+    work = np.empty((rows, S, C))
+    du = np.empty((rows, 1, C))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            dt_t = DT[..., t, None, :]                       # (..., 1, C)
-            du = dt_t * U[..., t, None, :]
-            h_t = H[..., t, :, :] if keep else h
-            if t == 0:
-                np.multiply(du, B[..., t, :, None], out=h_t)
-            else:
-                np.multiply(dt_t, a_t, out=work)
-                np.exp(work, out=work)
-                np.multiply(work, h_prev, out=h_t)
-                np.multiply(du, B[..., t, :, None], out=work)
-                h_t += work
-            np.multiply(np.swapaxes(h_t, -1, -2), Cs[..., t, None, :], out=hc)
-            hc.sum(axis=-1, out=y[..., t, :])
-            y[..., t, :] += D * U[..., t, :]
-            h_prev = h_t
+        for r0 in range(0, R, rows):
+            blk = slice(r0, min(r0 + rows, R))
+            n = blk.stop - r0
+            Ub, DTb, Bb, Cb, yb = U2[blk], DT2[blk], B2[blk], C2[blk], y2[blk]
+            w, du_b = work[:n], du[:n]
+            # y_t = sum_s C_t h + D u_t. numpy's sum starts from +0.0, which
+            # turns an all -0.0 sum into +0.0; added to D u instead, that
+            # +0.0 gives the same bits
+            np.multiply(D, Ub, out=yb)
+            yb += 0.0
+            for t in range(T):
+                dt_t = DTb[:, t, None, :]                    # (n, 1, C)
+                np.multiply(dt_t, Ub[:, t, None, :], out=du_b)
+                h_t = H2[blk, t] if keep else h[:n]
+                if t == 0:
+                    np.multiply(du_b, Bb[:, t, :, None], out=h_t)
+                else:
+                    np.multiply(dt_t, a_t, out=w)
+                    np.exp(w, out=w)
+                    np.multiply(w, h_prev, out=h_t)
+                    np.multiply(du_b, Bb[:, t, :, None], out=w)
+                    h_t += w
+                np.multiply(h_t, Cb[:, t, :, None], out=w)
+                np.add(_sum_states(w), yb[:, t], out=yb[:, t])
+                h_prev = h_t
 
     def vjp(g):
         gU, gDT = np.empty(U.shape), np.empty(U.shape)

@@ -2,7 +2,12 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,11 +320,16 @@ PRIMITIVE_CASES = [
 ]
 
 
+def _case_rng(name: str, seed: int):
+    """Generator for one finite-difference row; the same in every process."""
+    return np.random.default_rng(zlib.crc32(f"{name}:{seed}".encode()))
+
+
 @pytest.mark.parametrize("name,op,makers,shapes", PRIMITIVE_CASES,
                          ids=[c[0] for c in PRIMITIVE_CASES])
 def test_primitive_gradients_match_finite_differences(name, op, makers, shapes):
     for seed in range(4):
-        rng = np.random.default_rng(hash((name, seed)) % (2 ** 32))
+        rng = _case_rng(name, seed)
         arrays = [mk(rng, sh) for mk, sh in zip(makers, shapes)]
         probe = rng.standard_normal(op(*[ad.as_tensor(a) for a in arrays]).data.shape)
 
@@ -328,6 +338,31 @@ def test_primitive_gradients_match_finite_differences(name, op, makers, shapes):
 
         err = ad.finite_diff_check(graph, arrays, step=1e-6)
         assert err < 1e-4, f"{name} seed {seed}: rel err {err}"
+
+
+def test_primitive_case_draws_do_not_depend_on_hash_seed():
+    # every row's inputs, drawn in a fresh process under two string-hash seeds
+    tests_dir = Path(__file__).resolve().parent
+    script = (
+        "import hashlib, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_autodiff as t\n"
+        "digest = hashlib.sha256()\n"
+        "for name, op, makers, shapes in t.PRIMITIVE_CASES:\n"
+        "    for seed in range(4):\n"
+        "        rng = t._case_rng(name, seed)\n"
+        "        for mk, sh in zip(makers, shapes):\n"
+        "            digest.update(mk(rng, sh).tobytes())\n"
+        "print(digest.hexdigest())\n")
+    path = os.pathsep.join([str(tests_dir.parent / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    digests = {
+        subprocess.run([sys.executable, "-c", script, str(tests_dir)],
+                       env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                                PYTHONPATH=path),
+                       capture_output=True, text=True, check=True).stdout
+        for hash_seed in ("1", "2")}
+    assert len(digests) == 1
 
 
 def test_primitive_case_count_covers_contract():

@@ -133,6 +133,17 @@ def test_config_value_of_wrong_type_names_field(capsys, tmp_path, corpus, comman
     assert code == 2 and field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_config_negative_ve_hidden_names_field(capsys, tmp_path, corpus, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {"ve_hidden": -1}}))
+    argv = [command, "--config", str(cfg)]
+    if command == "train":
+        argv += ["--data", str(corpus), "--out", str(tmp_path / "o")]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and "ve_hidden" in err and "Traceback" not in err
+
+
 def test_config_missing_file(capsys, tmp_path, corpus):
     code, _, err = _run(capsys, ["train", "--data", str(corpus), "--out",
                                  str(tmp_path / "o"), "--config",

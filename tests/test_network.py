@@ -144,6 +144,28 @@ def _reference_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
     return np.stack(ys, axis=-2)
 
 
+def _assert_bits(got, want):
+    """Bit-for-bit equality; unlike assert_array_equal, tells -0.0 from +0.0."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _block_rows(S, C=128):
+    return max(1, net._SCAN_BLOCK // (S * C))
+
+
+_BLOCK = _block_rows(8)
+
+
+def _scan_both_ways(arrays):
+    """Scan output without a tape, and with one (as recorded leaves)."""
+    with ad.no_grad():
+        plain = net.selective_scan(*arrays).data
+    recorded = net.selective_scan(*[ad.param(a) for a in arrays])
+    assert recorded.requires_grad
+    return plain, recorded.data
+
+
 class TestFusedScan:
     def test_matches_per_step_reference_bitwise(self):
         arrays = _scan_inputs(np.random.default_rng(4), (2, 3), 21, 16, 8)
@@ -169,6 +191,18 @@ class TestFusedScan:
 
         assert ad.finite_diff_check(graph, arrays) < 1e-6
 
+    @pytest.mark.parametrize("S", list(range(1, 21)) + [127, 128, 129, 300])
+    def test_state_sum_keeps_numpy_summation_order(self, S):
+        # mixed signs over 40 decades, where any change of order shows; a
+        # numpy release that changes its pairwise order fails here first
+        rng = np.random.default_rng(S)
+        rows, C = 3, 16
+        p = (rng.choice([-1.0, 1.0], size=(rows, S, C))
+             * 10.0 ** rng.uniform(-20.0, 20.0, size=(rows, S, C)))
+        want = np.ascontiguousarray(np.swapaxes(p, -1, -2)).sum(axis=-1)
+        got = net._sum_states(p.copy())
+        _assert_bits(0.0 + got, want)
+
     def test_batch_rows_match_single_runs(self):
         arrays = _scan_inputs(np.random.default_rng(7), (3, 2), 8, 6, 4)
         g = np.random.default_rng(8).normal(size=(3, 2, 8, 6))
@@ -186,6 +220,52 @@ class TestFusedScan:
             for i in batched:
                 np.testing.assert_array_equal(single[i].grad[0], leaves[i].grad[row])
 
+    # one row, one block - 1, one block and one block + 1; then 2.5 blocks at
+    # each state size, so every size also crosses block boundaries
+    @pytest.mark.parametrize(
+        "S,rows", [(8, 1), (8, _BLOCK - 1), (8, _BLOCK), (8, _BLOCK + 1)]
+        + [(S, 5 * _block_rows(S) // 2) for S in (1, 2, 7, 8, 9, 16, 17)])
+    def test_row_blocks_match_reference_bitwise(self, S, rows):
+        arrays = _scan_inputs(np.random.default_rng(1000 * S + rows), (rows,), 3, 128, S)
+        want = _reference_scan(*arrays)
+        for got in _scan_both_ways(arrays):
+            _assert_bits(got, want)
+
+    def test_signed_zero_sums_match_reference_bitwise(self):
+        # u = -0.0 at t=0 makes every product C_t h a -0.0, and D u a -0.0
+        arrays = _scan_inputs(np.random.default_rng(11), (60,), 3, 128, 8)
+        u, _, _, b_seq, c_seq, d_gain = arrays
+        u[:, 0] = -0.0
+        b_seq[:, 0] = np.abs(b_seq[:, 0])
+        c_seq[:, 0] = np.abs(c_seq[:, 0])
+        d_gain[:] = np.abs(d_gain)
+        want = _reference_scan(*arrays)
+        assert not np.signbit(want[:, 0]).any()
+        for got in _scan_both_ways(arrays):
+            _assert_bits(got, want)
+
+    def test_rows_in_other_blocks_match_solo_runs(self):
+        C, S, T = 128, 8, 4
+        rows = 5 * _BLOCK // 2
+        arrays = _scan_inputs(np.random.default_rng(12), (rows,), T, C, S)
+        g = np.random.default_rng(13).normal(size=(rows, T, C))
+        batched = {0, 1, 3, 4}                  # u, delta, B, C carry rows
+        with ad.no_grad():
+            whole = net.selective_scan(*arrays).data
+        for row in (0, _BLOCK - 1, _BLOCK, rows - 1):
+            only = np.zeros_like(g)
+            only[row] = g[row]
+            leaves = [ad.param(a) for a in arrays]
+            net.selective_scan(*leaves).backward(only)
+            single = [ad.param(a[row:row + 1] if i in batched else a)
+                      for i, a in enumerate(arrays)]
+            y = net.selective_scan(*single)
+            y.backward(g[row:row + 1])
+            _assert_bits(y.data[0], whole[row])
+            for i, (solo, leaf) in enumerate(zip(single, leaves)):
+                _assert_bits(solo.grad[0] if i in batched else solo.grad,
+                             leaf.grad[row] if i in batched else leaf.grad)
+
     def test_no_grad_keeps_no_state_history(self):
         batch, T, C, S = (4, 3), 21, 32, 8
         arrays = _scan_inputs(np.random.default_rng(9), batch, T, C, S)
@@ -198,6 +278,19 @@ class TestFusedScan:
         finally:
             tracemalloc.stop()
         assert peak < history_bytes
+        # scratch memory is bounded by one row block, not by the batch: at
+        # six blocks of rows it stays below one full-batch (S, C) state
+        C, T = 128, 4
+        rows = 6 * _BLOCK
+        arrays = _scan_inputs(np.random.default_rng(10), (rows,), T, C, S)
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                y = net.selective_scan(*arrays).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes < 8 * rows * S * C
 
 
 class TestTemporalBlock:
