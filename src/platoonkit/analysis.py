@@ -198,16 +198,21 @@ def ssdd_series(speeds, gaps, reaction_time: float = REACTION_TIME,
 
 # -- distribution comparison ------------------------------------------------------
 
-def histogram_probabilities(samples, bin_edges) -> np.ndarray:
-    """Counts on shared edges (out-of-range samples clipped into the edge
-    bins, NaN dropped), smoothed by DIV_EPS and normalized to probabilities."""
+def histogram_counts(samples, bin_edges) -> np.ndarray:
+    """Integer counts of the finite samples on ``bin_edges``; out-of-range
+    samples are clipped into the edge bins, NaN and infinities dropped."""
     samples = np.asarray(samples, dtype=float).ravel()
-    samples = samples[np.isfinite(samples)]
-    if samples.size == 0:
-        raise AnalysisError("no finite samples to histogram")
     edges = np.asarray(bin_edges, dtype=float)
-    clipped = np.clip(samples, edges[0], edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges)
+    clipped = np.clip(samples[np.isfinite(samples)], edges[0], edges[-1])
+    return np.histogram(clipped, bins=edges)[0]
+
+
+def histogram_probabilities(samples, bin_edges) -> np.ndarray:
+    """``histogram_counts`` smoothed by DIV_EPS and normalized to
+    probabilities."""
+    counts = histogram_counts(samples, bin_edges)
+    if counts.sum() == 0:
+        raise AnalysisError("no finite samples to histogram")
     smoothed = counts.astype(float) + DIV_EPS
     return smoothed / smoothed.sum()
 

@@ -173,13 +173,13 @@ def _cmd_train(args) -> int:
         if value is not None:
             train_kw[name] = value
     config = _model_config(model_kw)
+    _check_dt(config.dt, "the model config")
     try:
         tcfg = training.TrainConfig(**train_kw)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad training config: {exc}") from exc
 
     records = _load_records(args.data)
-    _check_dt(records, config.dt, "the model config")
     if not 0.0 < args.val_ratio < 1.0:
         raise CliError(f"--val-ratio must be in (0, 1), got {args.val_ratio}")
     from . import data
@@ -271,29 +271,16 @@ def _load_model_and_data(args):
     """Checkpoint plus records; the model must run at the data's time step."""
     from . import training
     params, config = training.load_checkpoint(args.checkpoint)
-    records = _load_records(args.data)
-    _check_dt(records, config.dt, f"checkpoint {args.checkpoint}")
-    return params, config, records
+    _check_dt(config.dt, f"checkpoint {args.checkpoint}")
+    return params, config, _load_records(args.data)
 
 
-def _check_dt(records, dt, model):
-    """Reject records sampled at another step than the model's ``dt``."""
-    for rec in records:
-        if rec.dt != dt:
-            raise CliError(f"{model} plans at dt={dt} s but platoon "
-                           f"{rec.platoon_id} is sampled at dt={rec.dt} s")
-
-
-def _run_to_record(record, run):
-    """Rebuild a trajectory record from a closed-loop run (true leader row)."""
+def _check_dt(dt, model):
+    """Reject a model that plans at another step than the CSV's ``DT``."""
     from . import data
-    lengths = record.lengths()
-    vehicles = [data.VehicleSeries(run.lead_positions, run.lead_speeds,
-                                   float(lengths[0]))]
-    for i in range(run.speeds.shape[0]):
-        vehicles.append(data.VehicleSeries(
-            run.positions[i], run.speeds[i], float(lengths[i + 1])))
-    return data.PlatoonRecord(record.platoon_id, run.dt, tuple(vehicles))
+    if dt != data.DT:
+        raise CliError(f"{model} plans at dt={dt} s but trajectories are "
+                       f"sampled at dt={data.DT} s")
 
 
 def _cmd_simulate(args) -> int:
@@ -308,7 +295,6 @@ def _cmd_simulate(args) -> int:
     runs = sim.simulate_platoons(records, controller, warmup_steps=args.warmup,
                                  replan_interval=args.replan)
     summary = {}
-    sim_records = []
     for rec, run in zip(records, runs):
         row = {"viable": run.viable, "collision_frame": run.collision_frame,
                "frames": run.duration, "clamp_count": run.clamp_count,
@@ -318,9 +304,8 @@ def _cmd_simulate(args) -> int:
             sim.write_deviations_csv(report, out / f"dev_{rec.platoon_id}.csv")
             row["rmse_speed"] = report.rmse_speed
             row["rmse_position"] = report.rmse_position
-        sim_records.append(_run_to_record(rec, run))
         summary[rec.platoon_id] = row
-    data.write_trajectories(sim_records, out / "simulated.csv")
+    data.write_trajectories([run.record for run in runs], out / "simulated.csv")
     viable = sum(1 for row in summary.values() if row["viable"])
     compared = [row["rmse_speed"] for row in summary.values()
                 if row["rmse_speed"] is not None]
@@ -390,24 +375,20 @@ def _safety_section(records):
     """Finite PET and SSDD samples pooled over platoons, and their report
     section; returns (section, pet, ssdd)."""
     import numpy as np
-    from . import analysis
+    from . import analysis, data
     pet, ssdd = [], []
     for rec in records:
-        p = analysis.pet_series(rec.positions(), rec.lengths(), rec.dt)
+        p = analysis.pet_series(rec.positions, rec.lengths, data.DT)
         pet.append(p[np.isfinite(p)])
-        ssdd.append(analysis.ssdd_series(rec.speeds(), rec.gaps()).ravel())
+        ssdd.append(analysis.ssdd_series(rec.speeds, rec.gaps()).ravel())
     pet, ssdd = np.concatenate(pet), np.concatenate(ssdd)
-
-    def hist(samples, edges):
-        counts, _ = np.histogram(np.clip(samples, edges[0], edges[-1]),
-                                 bins=edges)
-        return [int(c) for c in counts]
-
     section = {
         "platoons": len(records),
         "pet_samples": int(pet.size), "ssdd_samples": int(ssdd.size),
-        "pet_hist": hist(pet, analysis.PET_BIN_EDGES),
-        "ssdd_hist": hist(ssdd, analysis.SSDD_BIN_EDGES),
+        "pet_hist": analysis.histogram_counts(
+            pet, analysis.PET_BIN_EDGES).tolist(),
+        "ssdd_hist": analysis.histogram_counts(
+            ssdd, analysis.SSDD_BIN_EDGES).tolist(),
         "ssdd_unsafe_fraction": float(np.mean(ssdd < 0.0))}
     return section, pet, ssdd
 

@@ -8,7 +8,9 @@ at 9 significant digits):
 Vehicle 0 is the leader; indices increase rearward. Positions are front
 bumpers and increase in the travel direction. The gap of follower n is
 ``position[n-1] - length[n-1] - position[n]`` and must stay positive.
-The sampling interval is fixed at 0.1 s and is not stored in the file.
+The sampling interval is fixed at ``DT`` = 0.1 s, a constant of the format
+that is not stored in the file. A ``PlatoonRecord`` holds one platoon in the
+same layout: leader-first (V, T) positions and speeds and (V,) lengths.
 Window extraction and closed-loop replanning build model inputs with
 ``features``.
 """
@@ -66,39 +68,27 @@ class GenerationError(DataError):
 
 
 @dataclass(frozen=True)
-class VehicleSeries:
-    position: np.ndarray
-    speed: np.ndarray
-    length: float
-
-
-@dataclass(frozen=True)
 class PlatoonRecord:
+    """One platoon sampled every ``DT`` seconds, leader first: ``positions``
+    and ``speeds`` are (V, T), ``lengths`` is (V,)."""
+
     platoon_id: str
-    dt: float
-    vehicles: tuple
+    positions: np.ndarray
+    speeds: np.ndarray
+    lengths: np.ndarray
 
     @property
     def duration(self) -> int:
-        return len(self.vehicles[0].position)
+        return self.positions.shape[1]
 
     @property
     def n_followers(self) -> int:
-        return len(self.vehicles) - 1
-
-    def positions(self) -> np.ndarray:
-        return np.stack([v.position for v in self.vehicles])
-
-    def speeds(self) -> np.ndarray:
-        return np.stack([v.speed for v in self.vehicles])
-
-    def lengths(self) -> np.ndarray:
-        return np.array([v.length for v in self.vehicles])
+        return self.positions.shape[0] - 1
 
     def gaps(self) -> np.ndarray:
         """(n_followers, T) rear-bumper-to-front-bumper gaps."""
-        pos = self.positions()
-        return pos[:-1] - self.lengths()[:-1, None] - pos[1:]
+        pos = self.positions
+        return pos[:-1] - self.lengths[:-1, None] - pos[1:]
 
 
 def features(speeds: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -111,25 +101,26 @@ def features(speeds: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
 def validate_record(record: PlatoonRecord) -> Optional[str]:
     """Return a diagnostic string if the record violates an invariant."""
-    if len(record.vehicles) < 2:
-        return f"platoon {record.platoon_id}: needs a leader and at least one follower"
-    T = record.duration
-    if T < 1:
-        return f"platoon {record.platoon_id}: empty series"
-    for i, v in enumerate(record.vehicles):
-        if len(v.position) != T or len(v.speed) != T:
-            return f"platoon {record.platoon_id}: vehicle {i} series length mismatch"
-        if not v.length > 0:
-            return f"platoon {record.platoon_id}: vehicle {i} non-positive length"
-        if np.any(v.speed < 0):
-            frame = int(np.argmax(v.speed < 0))
-            return (f"platoon {record.platoon_id}: vehicle {i} negative speed "
-                    f"at frame {frame}")
+    pid, pos, spd, lengths = (record.platoon_id, record.positions,
+                              record.speeds, record.lengths)
+    if pos.ndim != 2 or spd.shape != pos.shape or lengths.shape != pos.shape[:1]:
+        return (f"platoon {pid}: positions {pos.shape}, speeds {spd.shape} "
+                f"and lengths {lengths.shape} do not fit (V, T), (V, T), (V,)")
+    if pos.shape[0] < 2:
+        return f"platoon {pid}: needs a leader and at least one follower"
+    if pos.shape[1] < 1:
+        return f"platoon {pid}: empty series"
+    for i in range(pos.shape[0]):
+        if not lengths[i] > 0:
+            return f"platoon {pid}: vehicle {i} non-positive length"
+        if np.any(spd[i] < 0):
+            frame = int(np.argmax(spd[i] < 0))
+            return f"platoon {pid}: vehicle {i} negative speed at frame {frame}"
     gaps = record.gaps()
     bad = gaps <= 0
     if bad.any():
         n, frame = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return (f"platoon {record.platoon_id}: non-positive gap at frame {frame} "
+        return (f"platoon {pid}: non-positive gap at frame {frame} "
                 f"between vehicle {n} and vehicle {n + 1}")
     return None
 
@@ -145,11 +136,11 @@ def write_trajectories(records: Sequence[PlatoonRecord], path) -> None:
     path = Path(path)
     lines = [",".join(CSV_FIELDS)]
     for rec in sorted(records, key=lambda r: r.platoon_id):
-        for vi, veh in enumerate(rec.vehicles):
+        for vi, (pos, spd) in enumerate(zip(rec.positions, rec.speeds)):
+            length = _fmt(rec.lengths[vi])
             for frame in range(rec.duration):
-                lines.append(
-                    f"{rec.platoon_id},{vi},{frame},{_fmt(veh.position[frame])},"
-                    f"{_fmt(veh.speed[frame])},{_fmt(veh.length)}")
+                lines.append(f"{rec.platoon_id},{vi},{frame},{_fmt(pos[frame])},"
+                             f"{_fmt(spd[frame])},{length}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -182,12 +173,12 @@ def _parse_file(path: Path, rows: dict) -> None:
             rows.setdefault(pid, {}).setdefault(vi, []).append((frame, pos, spd, length))
 
 
-def _assemble(pid: str, by_vehicle: dict, dt: float) -> PlatoonRecord:
+def _assemble(pid: str, by_vehicle: dict) -> PlatoonRecord:
     """Raises DataError with a diagnostic for structurally broken platoons."""
     indices = sorted(by_vehicle)
     if indices != list(range(len(indices))):
         raise DataError(f"platoon {pid}: vehicle indices {indices} not contiguous from 0")
-    series = []
+    positions, speeds, lengths = [], [], []
     frame_range = None
     for vi in indices:
         entries = sorted(by_vehicle[vi])
@@ -200,14 +191,13 @@ def _assemble(pid: str, by_vehicle: dict, dt: float) -> PlatoonRecord:
             frame_range = (frames[0], frames[-1])
         elif (frames[0], frames[-1]) != frame_range:
             raise DataError(f"platoon {pid}: vehicle {vi} frame range differs")
-        lengths = {e[3] for e in entries}
-        if len(lengths) != 1:
+        if len({e[3] for e in entries}) != 1:
             raise DataError(f"platoon {pid}: vehicle {vi} length varies across frames")
-        series.append(VehicleSeries(
-            position=np.array([e[1] for e in entries]),
-            speed=np.array([e[2] for e in entries]),
-            length=entries[0][3]))
-    return PlatoonRecord(platoon_id=pid, dt=dt, vehicles=tuple(series))
+        positions.append(np.array([e[1] for e in entries]))
+        speeds.append(np.array([e[2] for e in entries]))
+        lengths.append(entries[0][3])
+    return PlatoonRecord(pid, np.stack(positions), np.stack(speeds),
+                         np.array(lengths))
 
 
 def load_trajectories(path, rejects: Optional[list] = None) -> list:
@@ -227,7 +217,7 @@ def load_trajectories(path, rejects: Optional[list] = None) -> list:
     records = []
     for pid, by_vehicle in rows.items():
         try:
-            record = _assemble(pid, by_vehicle, DT)
+            record = _assemble(pid, by_vehicle)
         except DataError as e:
             log.warning("rejected %s", e)
             if rejects is not None:
@@ -269,8 +259,8 @@ def extract_windows(record: PlatoonRecord, history_len: int, horizon: int,
     T = record.duration
     if T < P + F:
         return []
-    feats = features(record.speeds(), record.gaps())     # (N, T, 3)
-    lead_speed = record.vehicles[0].speed
+    feats = features(record.speeds, record.gaps())     # (N, T, 3)
+    lead_speed = record.speeds[0]
     windows = []
     for start in range(0, T - (P + F) + 1, stride):
         anchor = start + P - 1
@@ -333,8 +323,8 @@ class LeadProfile:
             raise ValueError("sinusoid amplitude must stay below v_init")
 
 
-def lead_speed_series(profile: LeadProfile, frames: int, dt: float = DT) -> np.ndarray:
-    t = np.arange(frames) * dt
+def lead_speed_series(profile: LeadProfile, frames: int) -> np.ndarray:
+    t = np.arange(frames) * DT
     if profile.kind in ("const_accel", "const_decel"):
         return np.clip(profile.v_init + profile.accel * t, 0.0, SPEED_CAP)
     if profile.kind == "sinusoid":
@@ -347,10 +337,10 @@ def lead_speed_series(profile: LeadProfile, frames: int, dt: float = DT) -> np.n
     i = 1
     while i < frames:
         target = rng.uniform(8.0, 30.0)
-        hold = int(rng.uniform(2.0, 5.0) / dt)
+        hold = int(rng.uniform(2.0, 5.0) / DT)
         ramp = rng.uniform(0.5, 1.5)
-        while i < frames and abs(v[i - 1] - target) > ramp * dt:
-            v[i] = v[i - 1] + np.sign(target - v[i - 1]) * ramp * dt
+        while i < frames and abs(v[i - 1] - target) > ramp * DT:
+            v[i] = v[i - 1] + np.sign(target - v[i - 1]) * ramp * DT
             i += 1
         for _ in range(hold):
             if i >= frames:
@@ -362,11 +352,11 @@ def lead_speed_series(profile: LeadProfile, frames: int, dt: float = DT) -> np.n
 
 def synthesize_platoon(platoon_id: str, profile: LeadProfile, params: list,
                        lengths, noise_sigma: float, noise_seed: int,
-                       duration_steps: int, dt: float = DT) -> PlatoonRecord:
+                       duration_steps: int) -> PlatoonRecord:
     """Integrate IDM followers behind the scripted leader; raises
     GenerationError if any gap collapses."""
-    lead = lead_speed_series(profile, duration_steps, dt)
-    lengths = np.asarray(lengths, dtype=float)
+    lead = lead_speed_series(profile, duration_steps)
+    lengths = np.array(lengths, dtype=float)
     n = len(params) + 1
     if lengths.shape != (n,):
         raise ValueError(f"lengths must have shape {(n,)}")
@@ -381,14 +371,11 @@ def synthesize_platoon(platoon_id: str, profile: LeadProfile, params: list,
     if noise_sigma > 0.0:
         noise = np.random.default_rng(noise_seed).normal(
             0.0, noise_sigma, (duration_steps - 1, len(params)))
-    sim = idm.simulate_idm_platoon(lead, pos, spd, lengths, params, dt, noise)
+    sim = idm.simulate_idm_platoon(lead, pos, spd, lengths, params, DT, noise)
     if sim.collision_frame is not None:
         raise GenerationError(
             f"platoon {platoon_id}: gap collapsed at frame {sim.collision_frame}")
-    vehicles = tuple(
-        VehicleSeries(sim.positions[i].copy(), sim.speeds[i].copy(), float(lengths[i]))
-        for i in range(n))
-    return PlatoonRecord(platoon_id, dt, vehicles)
+    return PlatoonRecord(platoon_id, sim.positions, sim.speeds, lengths)
 
 
 def _sample_profile(rng: np.random.Generator) -> LeadProfile:
@@ -423,8 +410,7 @@ def _sample_idm_params(rng: np.random.Generator) -> idm.IdmParams:
 
 def generate_synthetic_platoons(count: int, n_followers: int = 6,
                                 duration_s: float = 15.0, seed: int = 0,
-                                noise_sigma: float = SYNTH_NOISE_SIGMA,
-                                dt: float = DT) -> list:
+                                noise_sigma: float = SYNTH_NOISE_SIGMA) -> list:
     """Deterministic synthetic corpus: scripted leaders, noisy IDM followers.
 
     Each platoon draws from its own SeedSequence-spawned stream, so the output
@@ -432,7 +418,7 @@ def generate_synthetic_platoons(count: int, n_followers: int = 6,
     """
     if count < 1 or n_followers < 1:
         raise ValueError("count and n_followers must be >= 1")
-    duration_steps = int(round(duration_s / dt))
+    duration_steps = int(round(duration_s / DT))
     if duration_steps < 2:
         raise ValueError("duration too short")
     records = []
@@ -448,7 +434,7 @@ def generate_synthetic_platoons(count: int, n_followers: int = 6,
             try:
                 records.append(synthesize_platoon(
                     pid, profile, params, lengths, noise_sigma, noise_seed,
-                    duration_steps, dt))
+                    duration_steps))
                 break
             except GenerationError:
                 continue
@@ -457,19 +443,17 @@ def generate_synthetic_platoons(count: int, n_followers: int = 6,
     return records
 
 
-def follower_observation(record: PlatoonRecord, vehicle_index: int,
-                         start: int = 0, stop: Optional[int] = None) -> idm.FollowerObservation:
-    """Adapter: slice one follower (and its leader) for IDM calibration."""
+def follower_observation(record: PlatoonRecord,
+                         vehicle_index: int) -> idm.FollowerObservation:
+    """Adapter: one follower (and its leader) for IDM calibration."""
     if not 1 <= vehicle_index <= record.n_followers:
         raise ValueError(f"vehicle_index {vehicle_index} is not a follower "
                          f"(1..{record.n_followers})")
-    stop = record.duration if stop is None else stop
-    lead = record.vehicles[vehicle_index - 1]
-    ego = record.vehicles[vehicle_index]
+    lead = vehicle_index - 1
     return idm.FollowerObservation(
-        dt=record.dt,
-        lead_positions=lead.position[start:stop].copy(),
-        lead_speeds=lead.speed[start:stop].copy(),
-        lead_length=lead.length,
-        positions=ego.position[start:stop].copy(),
-        speeds=ego.speed[start:stop].copy())
+        dt=DT,
+        lead_positions=record.positions[lead],
+        lead_speeds=record.speeds[lead],
+        lead_length=record.lengths[lead],
+        positions=record.positions[vehicle_index],
+        speeds=record.speeds[vehicle_index])

@@ -457,7 +457,6 @@ def narp_decode(w, config: ModelConfig, latent, memory):
 class ModelOutput:
     result: dyn.RolloutResult
     theta: ad.Tensor
-    raw: ad.Tensor
     mu: ad.Tensor
     logvar: ad.Tensor
     xstar: dyn.ExpectedState
@@ -492,13 +491,12 @@ def model_forward(params: ModelParams, config: ModelConfig,
     memory = e if config.disable_tfl else tfl_forward(w, config, e)
     z, mu, logvar = ful_forward(w, memory[..., -1, :], noise)
     latent = z if config.disable_pfl else pfl_forward(w, config, z)
-    raw = narp_decode(w, config, latent, memory)
-    theta = dyn.encode_parameters(raw)
+    theta = dyn.encode_parameters(narp_decode(w, config, latent, memory))
     xstar = dyn.expected_state(history)
     initial = history[..., -1, :]                     # raw units at the anchor
     result = dyn.rollout(initial, lead_future, theta, xstar, dt=config.dt)
-    return ModelOutput(result=result, theta=theta, raw=raw,
-                       mu=mu, logvar=logvar, xstar=xstar)
+    return ModelOutput(result=result, theta=theta, mu=mu, logvar=logvar,
+                       xstar=xstar)
 
 
 # -- gradient verification ------------------------------------------------------

@@ -7,15 +7,16 @@ steps from the *simulated* history (errors feed back, as they would on the
 road) plus the true future leader speeds; between replans it supplies
 accelerations step by step.
 
-``simulate_platoons`` runs every record of one shape (follower count,
-duration and sampling step) as one batch: ``dynamics.euler_platoon`` steps
-all of their followers together in (speed, gap) state, each batch row behind
-its own leader, and each replan is one controller call for the whole group.
+``simulate_platoons`` runs every record of one shape (follower count and
+duration) as one batch: ``dynamics.euler_platoon`` steps all of their
+followers together in (speed, gap) state, each batch row behind its own
+leader, and each replan is one controller call for the whole group.
 A row that has collided is left out of later replans and gets zero
 acceleration, so it cannot disturb the rows still running; a record's run is
 the same whichever records share its batch. Positions are materialized
 afterwards by cascading gaps down from the true leader positions, so speeds,
-gaps, and positions stay mutually consistent to machine precision.
+gaps, and positions stay mutually consistent to machine precision. A run
+carries them as a ``data.PlatoonRecord`` whose row 0 is the replayed leader.
 
 A controller has ``history_len`` and ``horizon`` (and may have ``dt``),
 ``replan(history, lead_future, platoons)`` taking (B, N, P, 3) histories,
@@ -96,10 +97,10 @@ class ModelController(_LinearLaw):
     """Plans a batch of platoons with one pass of the neural pipeline.
 
     ``dt`` is the step the model was trained at; ``simulate_platoons``
-    refuses records sampled at any other step. Latents stay at their means
-    unless a ``seed`` is given; then platoon i draws its noise from child i
-    of ``SeedSequence(seed)``, so its run does not depend on which platoons
-    share its batch.
+    refuses it unless it is the records' step ``data.DT``. Latents stay at
+    their means unless a ``seed`` is given; then platoon i draws its noise
+    from child i of ``SeedSequence(seed)``, so its run does not depend on
+    which platoons share its batch.
     """
 
     def __init__(self, params: net.ModelParams, config: net.ModelConfig,
@@ -137,14 +138,9 @@ class ModelController(_LinearLaw):
 
 @dataclass
 class SimulationRun:
-    platoon_id: str
-    dt: float
+    record: data.PlatoonRecord  # (V, T') leader replayed, followers simulated
+    gaps: np.ndarray            # (N, T') integrated follower gaps
     warmup_steps: int
-    speeds: np.ndarray          # (N, T') simulated follower speeds
-    gaps: np.ndarray            # (N, T')
-    positions: np.ndarray       # (N, T') cascaded from the true leader
-    lead_speeds: np.ndarray     # (T',)
-    lead_positions: np.ndarray  # (T',)
     clamp_count: int
     collision_frame: int = None
 
@@ -154,7 +150,7 @@ class SimulationRun:
 
     @property
     def duration(self) -> int:
-        return self.speeds.shape[1]
+        return self.record.duration
 
 
 def simulate_platoons(records, controller, warmup_steps: int = None,
@@ -162,20 +158,20 @@ def simulate_platoons(records, controller, warmup_steps: int = None,
     """Roll the followers of every record forward under ``controller``.
 
     Returns one SimulationRun per record, in input order. Records of one
-    shape (follower count, duration, dt) run as one batch; see the module
+    shape (follower count, duration) run as one batch; see the module
     docstring for the controller interface. warmup_steps frames are copied
     verbatim (default: the controller's required history length); the
     simulation starts from the last copied frame. Near the end of a record
     the leader-future handed to the planner is padded by holding its last
     value; only the steps that fit in the record are applied. A controller
-    with a ``dt`` attribute must plan at every record's sampling step.
+    with a ``dt`` attribute must plan at the records' step ``data.DT``.
     """
     P = controller.history_len if warmup_steps is None else warmup_steps
     R = controller.horizon if replan_interval is None else replan_interval
     groups = {}
     for i, record in enumerate(records):
         _check_record(record, controller, P, R)
-        key = (record.n_followers, record.duration, record.dt)
+        key = (record.n_followers, record.duration)
         groups.setdefault(key, []).append(i)
     runs = [None] * len(records)
     for rows in groups.values():
@@ -194,10 +190,10 @@ def closed_loop_simulate(record: data.PlatoonRecord, controller,
 
 
 def _check_record(record, controller, P: int, R: int) -> None:
-    plan_dt = getattr(controller, "dt", record.dt)
-    if plan_dt != record.dt:
+    plan_dt = getattr(controller, "dt", data.DT)
+    if plan_dt != data.DT:
         problem = (f"controller plans at dt={plan_dt} s but the record is "
-                   f"sampled at dt={record.dt} s")
+                   f"sampled at dt={data.DT} s")
     elif P < controller.history_len:
         problem = (f"warmup of {P} frames cannot feed a history of "
                    f"{controller.history_len}")
@@ -214,17 +210,16 @@ def _check_record(record, controller, P: int, R: int) -> None:
 def _simulate_group(records, rows, controller, P: int, R: int) -> list:
     """Batch rows for records of one shape; ``rows`` are their input indices."""
     B, N, T = len(records), records[0].n_followers, records[0].duration
-    dt, F = records[0].dt, controller.horizon
-    lead_spd = np.stack([rec.vehicles[0].speed for rec in records])
+    F = controller.horizon
+    lead_spd = np.stack([rec.speeds[0] for rec in records])
     # futures past the record's end hold its last leader speed
     lead_pad = np.concatenate([lead_spd, np.repeat(lead_spd[:, -1:], F, axis=1)],
                               axis=1)
     platoons = np.asarray(rows)
     spd = np.zeros((B, N, T))
     gaps = np.zeros((B, N, T))
-    for b, rec in enumerate(records):
-        spd[b, :, :P] = rec.speeds()[1:, :P]
-        gaps[b, :, :P] = rec.gaps()[:, :P]
+    spd[..., :P] = [rec.speeds[1:, :P] for rec in records]
+    gaps[..., :P] = [rec.gaps()[:, :P] for rec in records]
 
     H = controller.history_len
     live = None     # rows the current plan covers; None while all run
@@ -251,19 +246,19 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
         return a
 
     clamps, collision = dyn.euler_platoon(
-        spd[..., P - 1:], gaps[..., P - 1:], lead_spd[:, P - 1:], accel, dt)
+        spd[..., P - 1:], gaps[..., P - 1:], lead_spd[:, P - 1:], accel,
+        data.DT)
     runs = []
     for b, rec in enumerate(records):
         T_eff = P - 1 + int(collision[b])
-        lead_pos = rec.vehicles[0].position
+        lead_pos, run_gaps = rec.positions[0, :T_eff], gaps[b, :, :T_eff]
+        positions = np.vstack([lead_pos, dyn.cascade_positions(
+            lead_pos, rec.lengths, run_gaps)])
+        speeds = np.vstack([lead_spd[b, :T_eff], spd[b, :, :T_eff]])
         runs.append(SimulationRun(
-            platoon_id=rec.platoon_id, dt=dt, warmup_steps=P,
-            speeds=spd[b, :, :T_eff], gaps=gaps[b, :, :T_eff],
-            positions=dyn.cascade_positions(lead_pos[:T_eff], rec.lengths(),
-                                            gaps[b, :, :T_eff]),
-            lead_speeds=lead_spd[b, :T_eff].copy(),
-            lead_positions=lead_pos[:T_eff].copy(),
-            clamp_count=int(clamps[b]),
+            record=data.PlatoonRecord(rec.platoon_id, positions, speeds,
+                                      rec.lengths),
+            gaps=run_gaps, warmup_steps=P, clamp_count=int(clamps[b]),
             collision_frame=None if T_eff == T else T_eff))
     return runs
 
@@ -280,10 +275,6 @@ class DeviationReport:
     position_dev: np.ndarray      # (N, W)
     rmse_speed: float
     rmse_position: float
-    per_vehicle_speed_rmse: np.ndarray
-    per_vehicle_position_rmse: np.ndarray
-    collision_frame: int
-    clamp_count: int
 
 
 def compare_runs(record: data.PlatoonRecord, run: SimulationRun) -> DeviationReport:
@@ -291,17 +282,13 @@ def compare_runs(record: data.PlatoonRecord, run: SimulationRun) -> DeviationRep
         raise SimulationError("run truncated inside its warmup; nothing to compare")
     lo, hi = run.warmup_steps, run.duration
     frames = np.arange(lo, hi)
-    speed_dev = run.speeds[:, lo:hi] - record.speeds()[1:, lo:hi]
-    position_dev = run.positions[:, lo:hi] - record.positions()[1:, lo:hi]
+    speed_dev = run.record.speeds[1:, lo:hi] - record.speeds[1:, lo:hi]
+    position_dev = run.record.positions[1:, lo:hi] - record.positions[1:, lo:hi]
     return DeviationReport(
         platoon_id=record.platoon_id,
         frames=frames, speed_dev=speed_dev, position_dev=position_dev,
         rmse_speed=float(np.sqrt(np.mean(speed_dev ** 2))),
-        rmse_position=float(np.sqrt(np.mean(position_dev ** 2))),
-        per_vehicle_speed_rmse=np.sqrt(np.mean(speed_dev ** 2, axis=1)),
-        per_vehicle_position_rmse=np.sqrt(np.mean(position_dev ** 2, axis=1)),
-        collision_frame=run.collision_frame,
-        clamp_count=run.clamp_count)
+        rmse_position=float(np.sqrt(np.mean(position_dev ** 2))))
 
 
 def write_deviations_csv(report: DeviationReport, path: str) -> None:

@@ -158,7 +158,9 @@ def save_checkpoint(path: str, params: net.ModelParams,
 
 def load_checkpoint(path: str):
     """Read a checkpoint directory; returns (params, config). The weights must
-    match ``weight_shapes(config)`` by name and shape and lie in weights.bin."""
+    match ``weight_shapes(config)`` by name and shape, lie in weights.bin and
+    be finite; ``norm_mean`` and ``norm_std`` must be 3 finite values each,
+    the std above 0."""
     try:
         with open(os.path.join(path, MANIFEST_NAME), encoding="utf-8") as f:
             manifest = json.load(f)
@@ -197,12 +199,20 @@ def load_checkpoint(path: str):
             if not 0 <= lo <= hi <= raw.size:
                 raise CheckpointError(f"weight {name} spans values {lo}..{hi}, "
                                       f"outside the {raw.size} in weights.bin")
-            weights[name] = ad.param(
-                raw[lo:hi].astype(np.float64).reshape(shape))
-        params = net.ModelParams(
-            weights=weights,
-            norm_mean=np.asarray(manifest["norm_mean"], dtype=float),
-            norm_std=np.asarray(manifest["norm_std"], dtype=float))
+            values = raw[lo:hi].astype(np.float64).reshape(shape)
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"weight {name} holds non-finite values")
+            weights[name] = ad.param(values)
+        norm = {}
+        for field in ("norm_mean", "norm_std"):
+            norm[field] = np.asarray(manifest[field], dtype=float)
+            if norm[field].shape != (3,) or not np.isfinite(norm[field]).all():
+                raise CheckpointError(f"{field} must be 3 finite values, got "
+                                      f"{manifest[field]!r}")
+        if not (norm["norm_std"] > 0.0).all():
+            raise CheckpointError(f"norm_std must be above 0, got "
+                                  f"{manifest['norm_std']!r}")
+        params = net.ModelParams(weights=weights, **norm)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed manifest in {path}: {exc!r}") from exc
     return params, config

@@ -284,6 +284,13 @@ def test_divergence_clips_out_of_range_samples():
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
+def test_histogram_counts_clip_and_drop_non_finite():
+    edges = np.array([0.0, 1.0, 2.0])
+    counts = an.histogram_counts([-50.0, 0.5, 2.0, 99.0, np.nan, np.inf], edges)
+    assert counts.tolist() == [2, 2]
+    assert counts.dtype.kind == "i"
+
+
 def test_divergence_empty_rejected():
     edges = np.array([0.0, 1.0])
     with pytest.raises(an.AnalysisError, match="samples"):

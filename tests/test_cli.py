@@ -277,6 +277,32 @@ def test_eval_checkpoint_missing_weight_is_data_error(checkpoint, corpus, capsys
 
 
 @pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
+@pytest.mark.parametrize("field, value", [
+    ("weight", None), ("norm_std", [0.0, 1.0, 1.0]),
+    ("norm_mean", [float("nan"), 0.0, 0.0]), ("norm_mean", [0.0, 1.0])])
+def test_checkpoint_bad_values_are_data_errors(checkpoint, corpus, capsys,
+                                               tmp_path, command, field, value):
+    broken = tmp_path / "ckpt"
+    broken.mkdir()
+    weights = np.fromfile(checkpoint / "weights.bin", dtype="<f4")
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    if field == "weight":
+        entry = manifest["weights"][-1]
+        weights[entry["offset"]] = np.nan
+        field = entry["name"]
+    else:
+        manifest[field] = value
+    weights.tofile(broken / "weights.bin")
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    argv = [command, "--checkpoint", str(broken), "--data", str(corpus)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim")]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
 def test_checkpoint_dt_mismatch_is_data_error(command, corpus, capsys,
                                               tmp_path):
     from platoonkit import network as net

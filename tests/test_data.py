@@ -11,34 +11,33 @@ from platoonkit import data, idm
 def _tiny_record(pid="p0", T=8, n_follow=2):
     # Leader at 10 m/s, followers offset by fixed gaps; speeds distinct per
     # vehicle so feature checks can tell rows apart.
-    vehicles = []
+    positions, speeds = [], []
     for i in range(n_follow + 1):
-        speed = np.full(T, 10.0 - i)
-        position = (50.0 - 20.0 * i) + np.arange(T) * 0.1 * (10.0 - i)
-        vehicles.append(data.VehicleSeries(position, speed, 4.0))
-    return data.PlatoonRecord(pid, data.DT, tuple(vehicles))
+        speeds.append(np.full(T, 10.0 - i))
+        positions.append((50.0 - 20.0 * i) + np.arange(T) * 0.1 * (10.0 - i))
+    return data.PlatoonRecord(pid, np.stack(positions), np.stack(speeds),
+                              np.full(n_follow + 1, 4.0))
 
 
 def test_gap_and_rel_speed_definitions():
     rec = _tiny_record()
     gaps = rec.gaps()
-    pos = rec.positions()
+    pos = rec.positions
     assert np.allclose(gaps[0], pos[0] - 4.0 - pos[1])
-    feats = data.features(rec.speeds(), gaps)[:, 2:5]
+    feats = data.features(rec.speeds, gaps)[:, 2:5]
     assert feats.shape == (2, 3, 3)
-    assert np.allclose(feats[1, :, 2], rec.speeds()[1, 2:5] - rec.speeds()[2, 2:5])
-    assert np.allclose(feats[0, :, 0], rec.speeds()[1, 2:5])
+    assert np.allclose(feats[1, :, 2], rec.speeds[1, 2:5] - rec.speeds[2, 2:5])
+    assert np.allclose(feats[0, :, 0], rec.speeds[1, 2:5])
     assert np.allclose(feats[1, :, 1], gaps[1, 2:5])
 
 
 def test_window_counts():
     # floor((T - (P+F)) / stride) + 1 with P=21, F=20
     def count(T, stride=1):
-        vehicles = tuple(
-            data.VehicleSeries(np.full(T, 100.0 - 30.0 * i) + np.arange(T),
-                               np.full(T, 10.0), 4.0)
-            for i in range(2))
-        rec = data.PlatoonRecord("w", data.DT, vehicles)
+        positions = np.stack([np.full(T, 100.0 - 30.0 * i) + np.arange(T)
+                              for i in range(2)])
+        rec = data.PlatoonRecord("w", positions, np.full((2, T), 10.0),
+                                 np.full(2, 4.0))
         return len(data.extract_windows(rec, 21, 20, stride))
 
     assert count(150) == 110
@@ -53,7 +52,7 @@ def test_window_contents_align_with_record():
     assert len(wins) == (12 - 7) // 2 + 1
     w = wins[1]
     assert w.anchor == 2 + 4 - 1
-    spd = rec.speeds()
+    spd = rec.speeds
     gaps = rec.gaps()
     assert np.array_equal(w.history[:, :, 0], spd[1:, 2:6])
     assert np.array_equal(w.history[:, :, 1], gaps[:, 2:6])
@@ -125,13 +124,38 @@ def test_generated_records_satisfy_invariants():
         assert rec.n_followers == 4
 
 
+def test_validate_record_rejects_arrays_that_do_not_fit():
+    rec = _tiny_record(T=6)
+    assert data.validate_record(rec) is None
+    misfits = [
+        data.PlatoonRecord("short", rec.positions, rec.speeds[:, :5], rec.lengths),
+        data.PlatoonRecord("lengths", rec.positions, rec.speeds, rec.lengths[:2]),
+        data.PlatoonRecord("flat", rec.positions[0], rec.speeds[0],
+                           rec.lengths[:1]),
+    ]
+    for bad in misfits:
+        reason = data.validate_record(bad)
+        assert reason.startswith(f"platoon {bad.platoon_id}:")
+        assert "do not fit" in reason
+
+
+def test_validate_record_reports_vehicles_in_order():
+    rec = _tiny_record(T=6)
+    speeds, lengths = rec.speeds.copy(), rec.lengths.copy()
+    speeds[0, 3] = -1.0
+    lengths[1] = 0.0
+    reason = data.validate_record(
+        data.PlatoonRecord("p", rec.positions, speeds, lengths))
+    assert reason == "platoon p: vehicle 0 negative speed at frame 3"
+
+
 def test_gap_delta_identity_on_synthetic():
     # s(t+1) - s(t) == dt * dv(t): Euler integration makes this exact.
     for rec in data.generate_synthetic_platoons(3, n_followers=3, duration_s=6.0,
                                                 seed=17):
         gaps = rec.gaps()
-        dv = data.features(rec.speeds(), gaps)[..., 2]
-        resid = gaps[:, 1:] - gaps[:, :-1] - rec.dt * dv[:, :-1]
+        dv = data.features(rec.speeds, gaps)[..., 2]
+        resid = gaps[:, 1:] - gaps[:, :-1] - data.DT * dv[:, :-1]
         assert np.abs(resid).max() < 1e-9
 
 
@@ -140,7 +164,7 @@ def test_constant_lead_at_equilibrium_stays_constant():
     profile = data.LeadProfile("const_accel", v_init=20.0, accel=0.0)
     rec = data.synthesize_platoon("eq", profile, [p, p], np.full(3, 4.5),
                                   noise_sigma=0.0, noise_seed=0, duration_steps=100)
-    assert np.abs(rec.speeds() - 20.0).max() < 1e-9
+    assert np.abs(rec.speeds - 20.0).max() < 1e-9
 
 
 def test_lead_profiles_shapes_and_bounds():
@@ -189,14 +213,13 @@ def _platoon(draw, platoon_id):
     series = lambda lo, hi: np.array(draw(st.lists(
         _finite(lo, hi), min_size=frames, max_size=frames)))
     lengths = [draw(_finite(3.0, 20.0)) for _ in range(n_vehicles)]
-    position = series(-1e4, 1e4)
-    vehicles = []
+    positions, speeds = [series(-1e4, 1e4)], []
     for i in range(n_vehicles):
         if i > 0:
-            position = position - lengths[i - 1] - series(0.5, 100.0)
-        vehicles.append(data.VehicleSeries(position, series(0.0, 40.0),
-                                           lengths[i]))
-    return data.PlatoonRecord(platoon_id, data.DT, tuple(vehicles))
+            positions.append(positions[-1] - lengths[i - 1] - series(0.5, 100.0))
+        speeds.append(series(0.0, 40.0))
+    return data.PlatoonRecord(platoon_id, np.stack(positions), np.stack(speeds),
+                              np.array(lengths))
 
 
 @st.composite
@@ -218,10 +241,11 @@ def test_csv_round_trip_property(tmp_path_factory, records):
     for rec in loaded:
         want = by_id[rec.platoon_id]
         assert rec.n_followers == want.n_followers
-        for got_v, want_v in zip(rec.vehicles, want.vehicles):
-            np.testing.assert_array_equal(got_v.position, rounded(want_v.position))
-            np.testing.assert_array_equal(got_v.speed, rounded(want_v.speed))
-            assert got_v.length == float(data._fmt(want_v.length))
+        for i in range(rec.n_followers + 1):
+            np.testing.assert_array_equal(rec.positions[i],
+                                          rounded(want.positions[i]))
+            np.testing.assert_array_equal(rec.speeds[i], rounded(want.speeds[i]))
+            assert rec.lengths[i] == float(data._fmt(want.lengths[i]))
     second = first.with_name("b.csv")
     data.write_trajectories(loaded, second)
     assert second.read_bytes() == first.read_bytes()
@@ -277,9 +301,10 @@ def test_directory_loading(tmp_path):
 
 def test_follower_observation_adapter():
     rec = _tiny_record(T=10)
-    obs = data.follower_observation(rec, 1, start=2, stop=8)
-    assert len(obs.positions) == 6
+    obs = data.follower_observation(rec, 1)
+    assert len(obs.positions) == 10
+    assert obs.dt == data.DT
     assert obs.lead_length == 4.0
-    assert np.array_equal(obs.gaps, rec.gaps()[0, 2:8])
+    assert np.array_equal(obs.gaps, rec.gaps()[0])
     with pytest.raises(ValueError):
         data.follower_observation(rec, 0)

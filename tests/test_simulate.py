@@ -35,7 +35,7 @@ class TestScriptedMatchesChainedRollout:
         F = S * m
         rng = np.random.default_rng(17)
         theta = _stable_theta(rng, N, S)
-        v_star = rec.speeds()[1:, :P].mean(axis=1)
+        v_star = rec.speeds[1:, :P].mean(axis=1)
         s_star = rec.gaps()[:, :P].mean(axis=1)
         ctrl = sim.ScriptedThetaController(theta, v_star, s_star, m)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=P)
@@ -43,8 +43,8 @@ class TestScriptedMatchesChainedRollout:
 
         # Oracle: chain full-horizon rollouts, feeding each plan's last state
         # into the next. (120 - 6) = 114 steps = 19 whole plans.
-        lead = rec.vehicles[0].speed
-        v = rec.speeds()[1:, P - 1].copy()
+        lead = rec.speeds[0]
+        v = rec.speeds[1:, P - 1].copy()
         s = rec.gaps()[:, P - 1].copy()
         dv = np.concatenate(([lead[P - 1]], v[:-1])) - v
         xstar = dyn.ExpectedState(v_star[None], s_star[None])
@@ -53,7 +53,7 @@ class TestScriptedMatchesChainedRollout:
         while t < rec.duration - 1:
             state = np.stack([v, s, dv], axis=-1)[None]
             chunk = lead[t + 1:t + 1 + F][None]
-            out = dyn.rollout(state, chunk, theta[None], xstar, dt=rec.dt)
+            out = dyn.rollout(state, chunk, theta[None], xstar, dt=data.DT)
             got_v.append(out.v.data[0])
             got_s.append(out.s.data[0])
             v = out.v.data[0, :, -1].copy()
@@ -62,7 +62,8 @@ class TestScriptedMatchesChainedRollout:
             t += F
         want_v = np.concatenate(got_v, axis=1)
         want_s = np.concatenate(got_s, axis=1)
-        np.testing.assert_allclose(run.speeds[:, P:], want_v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.record.speeds[1:, P:], want_v,
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(run.gaps[:, P:], want_s, rtol=0, atol=1e-12)
 
     def test_warmup_frames_copied_verbatim(self):
@@ -70,9 +71,10 @@ class TestScriptedMatchesChainedRollout:
         rng = np.random.default_rng(1)
         theta = _stable_theta(rng, rec.n_followers, 2)
         ctrl = sim.ScriptedThetaController(
-            theta, rec.speeds()[1:, 0], rec.gaps()[:, 0], 3)
+            theta, rec.speeds[1:, 0], rec.gaps()[:, 0], 3)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=8)
-        np.testing.assert_array_equal(run.speeds[:, :8], rec.speeds()[1:, :8])
+        np.testing.assert_array_equal(run.record.speeds[1:, :8],
+                                      rec.speeds[1:, :8])
         np.testing.assert_array_equal(run.gaps[:, :8], rec.gaps()[:, :8])
 
 
@@ -90,9 +92,10 @@ class TestIdmSelfConsistency:
         run = sim.closed_loop_simulate(rec, sim.IdmController(params),
                                        warmup_steps=1)
         assert run.viable
-        np.testing.assert_allclose(run.speeds, rec.speeds()[1:], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(run.record.speeds[1:], rec.speeds[1:],
+                                   rtol=0, atol=1e-9)
         np.testing.assert_allclose(run.gaps, rec.gaps(), rtol=0, atol=1e-9)
-        np.testing.assert_allclose(run.positions, rec.positions()[1:],
+        np.testing.assert_allclose(run.record.positions[1:], rec.positions[1:],
                                    rtol=0, atol=1e-9)
 
     def test_controller_rejects_scalar_params(self):
@@ -106,16 +109,16 @@ class TestSimulatorMechanics:
         rng = np.random.default_rng(2)
         theta = _stable_theta(rng, rec.n_followers, 2)
         ctrl = sim.ScriptedThetaController(
-            theta, rec.speeds()[1:, 5], rec.gaps()[:, 5], 3)
+            theta, rec.speeds[1:, 5], rec.gaps()[:, 5], 3)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
-        lengths = rec.lengths()
-        np.testing.assert_array_equal(run.lead_positions, rec.vehicles[0].position)
-        prev = run.lead_positions
+        lengths = rec.lengths
+        np.testing.assert_array_equal(run.record.positions[0], rec.positions[0])
+        prev = run.record.positions[0]
         for i in range(rec.n_followers):
             np.testing.assert_allclose(
-                prev - lengths[i] - run.positions[i], run.gaps[i],
+                prev - lengths[i] - run.record.positions[i + 1], run.gaps[i],
                 rtol=0, atol=1e-12)
-            prev = run.positions[i]
+            prev = run.record.positions[i + 1]
 
     def test_collision_truncates_before_bad_frame(self):
         rec = _record()
@@ -123,7 +126,7 @@ class TestSimulatorMechanics:
         # Strong pull toward a 0.2 m gap collapses the platoon quickly.
         theta = np.tile(np.array([-0.4, 2.5, 0.1]), (n, 1, 1))
         ctrl = sim.ScriptedThetaController(
-            theta, rec.speeds()[1:, 5], np.full(n, 0.2), 4)
+            theta, rec.speeds[1:, 5], np.full(n, 0.2), 4)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
         assert run.collision_frame is not None
         assert run.duration == run.collision_frame
@@ -139,7 +142,7 @@ class TestSimulatorMechanics:
             theta, np.full(n, 0.5), rec.gaps()[:, 5], 4)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
         assert run.clamp_count > 0
-        assert (run.speeds >= 0.0).all()
+        assert (run.record.speeds[1:] >= 0.0).all()
 
     def test_lead_future_padding_holds_last_speed(self):
         rec = _record(duration_steps=20)
@@ -157,7 +160,7 @@ class TestSimulatorMechanics:
 
         sim.closed_loop_simulate(rec, Spy(), warmup_steps=2, replan_interval=8)
         assert all(f.shape == (1, 8) for f in futures)
-        lead = rec.vehicles[0].speed
+        lead = rec.speeds[0]
         # 18 steps from anchor t=1: plans at t=1,9,17; the last sees 2 real
         # frames then 6 held copies of the final speed.
         np.testing.assert_array_equal(futures[-1][0, 2:], np.full(6, lead[-1]))
@@ -191,8 +194,8 @@ class TestModelControllerIntegration:
         a = sim.closed_loop_simulate(rec, sim.ModelController(params, cfg))
         b = sim.closed_loop_simulate(rec, sim.ModelController(params, cfg))
         assert a.warmup_steps == cfg.history_len
-        np.testing.assert_array_equal(a.speeds, b.speeds)
-        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.record.speeds, b.record.speeds)
+        np.testing.assert_array_equal(a.record.positions, b.record.positions)
 
     def test_stochastic_run_differs(self):
         rec = _record()
@@ -201,7 +204,7 @@ class TestModelControllerIntegration:
         det = sim.closed_loop_simulate(rec, sim.ModelController(params, cfg))
         sto = sim.closed_loop_simulate(
             rec, sim.ModelController(params, cfg, seed=4))
-        assert not np.array_equal(det.speeds, sto.speeds)
+        assert not np.array_equal(det.record.speeds, sto.record.speeds)
 
     def test_planning_step_must_match_record(self):
         rec = _record()
@@ -239,7 +242,7 @@ class TestDeviationReport:
         rng = np.random.default_rng(8)
         theta = _stable_theta(rng, rec.n_followers, 2)
         ctrl = sim.ScriptedThetaController(
-            theta, rec.speeds()[1:, 5], rec.gaps()[:, 5], 3)
+            theta, rec.speeds[1:, 5], rec.gaps()[:, 5], 3)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
         rep = sim.compare_runs(rec, run)
         path = str(tmp_path / "dev.csv")
@@ -279,12 +282,13 @@ class _PerPlatoonLaw:
 
 
 def _assert_same_run(got, want):
-    assert got.platoon_id == want.platoon_id
+    assert got.record.platoon_id == want.record.platoon_id
     assert got.collision_frame == want.collision_frame
     assert got.clamp_count == want.clamp_count
-    for field in ("speeds", "gaps", "positions", "lead_speeds",
-                  "lead_positions"):
-        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    np.testing.assert_array_equal(got.gaps, want.gaps)
+    for field in ("speeds", "positions", "lengths"):
+        np.testing.assert_array_equal(getattr(got.record, field),
+                                      getattr(want.record, field))
 
 
 class TestBatchedSimulation:
@@ -298,13 +302,13 @@ class TestBatchedSimulation:
         recs = [_record(seed=s) for s in (3, 4, 5)] + [_record(n_followers=3)]
         rng = np.random.default_rng(6)
         plans = [
-            (_stable_theta(rng, 2, 2), recs[0].speeds()[1:, 5],
+            (_stable_theta(rng, 2, 2), recs[0].speeds[1:, 5],
              recs[0].gaps()[:, 5]),
             (np.tile(np.array([-0.4, 2.5, 0.1]), (2, 2, 1)),
-             recs[1].speeds()[1:, 5], np.full(2, 0.2)),
+             recs[1].speeds[1:, 5], np.full(2, 0.2)),
             (np.tile(np.array([-50.0, 0.01, 0.01]), (2, 2, 1)),
              np.full(2, 0.5), recs[2].gaps()[:, 5]),
-            (_stable_theta(rng, 3, 2), recs[3].speeds()[1:, 5],
+            (_stable_theta(rng, 3, 2), recs[3].speeds[1:, 5],
              recs[3].gaps()[:, 5]),
         ]
         return recs, plans
@@ -339,8 +343,8 @@ class TestBatchedSimulation:
                 return np.zeros_like(v)
 
         runs = sim.simulate_platoons(recs, Cruise())
-        assert [r.platoon_id for r in runs] == ["p0", "p1", "p2", "p3", "p4"]
-        assert [r.speeds.shape[0] for r in runs] == [3, 2, 2, 3, 2]
+        assert [r.record.platoon_id for r in runs] == ["p0", "p1", "p2", "p3", "p4"]
+        assert [r.record.n_followers for r in runs] == [3, 2, 2, 3, 2]
         for rec, run in zip(recs, runs):
             _assert_same_run(run, sim.closed_loop_simulate(rec, Cruise()))
 
@@ -367,7 +371,7 @@ class TestBatchedSimulation:
         _assert_same_run(together[0], a_alone)
         _assert_same_run(together[1], b_alone)
         det = sim.simulate_platoons([a], sim.ModelController(params, cfg))[0]
-        assert not np.array_equal(det.speeds, a_alone.speeds)
+        assert not np.array_equal(det.record.speeds, a_alone.record.speeds)
 
     def test_one_forward_per_replan_per_shape(self, monkeypatch):
         cfg = self._cfg()

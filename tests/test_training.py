@@ -144,6 +144,34 @@ class TestCheckpoints:
         after = net.model_forward(loaded, cfg2, hist, lead).theta.data
         np.testing.assert_array_equal(before, after)
 
+    def test_floor_std_survives_round_trip(self, tmp_path):
+        # fit_normalization floors std at NORM_STD_FLOOR before the float32
+        # snap, which lands just below the floor; load must accept it
+        cfg = _tiny_config()
+        params = net.init_params(cfg, seed=0)
+        params.norm_std = net._q32(np.full(3, net.NORM_STD_FLOOR))
+        assert params.norm_std[0] < net.NORM_STD_FLOOR
+        path = str(tmp_path / "ckpt")
+        tr.save_checkpoint(path, params, cfg)
+        loaded, _ = tr.load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.norm_std, params.norm_std)
+
+    @pytest.mark.parametrize("field, value", [
+        ("norm_std", [1.0, -1.0, 1.0]), ("norm_std", [1.0, 1.0, float("inf")]),
+        ("norm_mean", [0.0, 0.0, 0.0, 0.0]), ("norm_mean", 0.0)])
+    def test_bad_normalization_rejected(self, tmp_path, field, value):
+        cfg = _tiny_config()
+        path = str(tmp_path / "ckpt")
+        tr.save_checkpoint(path, net.init_params(cfg, seed=0), cfg)
+        mpath = os.path.join(path, "manifest.json")
+        with open(mpath) as f:
+            manifest = json.load(f)
+        manifest[field] = value
+        with open(mpath, "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(tr.CheckpointError, match=field):
+            tr.load_checkpoint(path)
+
     def test_manifest_is_complete(self, tmp_path):
         cfg = _tiny_config()
         params = net.init_params(cfg, seed=0)
