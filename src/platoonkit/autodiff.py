@@ -7,16 +7,16 @@ linearizes the subgraph reachable from an output in topological order;
 forward pass, so the recorded structure always matches the executed control
 flow. A node is on the tape exactly when it has ``requires_grad``. Besides
 ``tsum``, which scalarises outputs for gradient checks, only primitives the
-model records are kept, each with a finite-difference test;
-``masked_softmax`` is the one softmax.
+model records are kept, each with a finite-difference test.
 
 Operations whose step-by-step graphs would run to hundreds of nodes are
 fused primitives: the forward pass runs in numpy and records one node whose
 VJP is written by hand. ``causal_conv1d`` is one here; ``network``'s
-selective scan and ``dynamics``' rollout register theirs through
-``primitive``. Each fused VJP has its own finite-difference test. No VJP
-closure captures its own output node, so a graph is freed by reference
-counting as soon as it is dropped.
+selective scan and attention layer and ``dynamics``' rollout register theirs
+through ``primitive``. Each fused VJP has its own finite-difference test. No
+VJP closure captures its own output node, so a graph is freed by reference
+counting as soon as it is dropped. ``softmax_weights`` is the one softmax: a
+numpy kernel, not a tape op, that counts fully-masked rows.
 
 Storage is float64 throughout. Non-finite values are rejected at graph
 boundaries and after every primitive, naming the primitive that produced
@@ -336,35 +336,30 @@ def relu(a) -> Tensor:
 
 # -- softmax -----------------------------------------------------------------
 
-def masked_softmax(a, mask=True, axis: int = -1) -> Tensor:
-    """Softmax restricted to positions where ``mask`` is True (by default
-    all: the plain softmax); masked positions get exactly 0.
+def softmax_weights(scores: np.ndarray, mask=True) -> np.ndarray:
+    """Softmax of a numpy array over its last axis, restricted to positions
+    where ``mask`` is True (by default all: the plain softmax); masked
+    positions get exactly 0.
 
-    Rows with every position masked produce all-zero weights (no attention)
-    rather than NaN; such rows are counted and reported via
-    ``degenerate_softmax_rows``.
+    A kernel for fused primitives, not a tape op: their VJPs work from the
+    weights it returns. Rows with every position masked produce all-zero
+    weights (no attention) rather than NaN; such rows are counted and
+    reported via ``degenerate_softmax_rows``.
     """
     global _degenerate_rows
-    a = as_tensor(a)
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-    s = np.where(mask, a.data, -np.inf)
-    rowmax = s.max(axis=axis, keepdims=True)
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+    s = np.where(mask, scores, -np.inf)
+    rowmax = s.max(axis=-1, keepdims=True)
     dead = ~np.isfinite(rowmax)
     if dead.any():
         n = int(dead.sum())
         _degenerate_rows += n
-        log.warning("masked_softmax: %d fully-masked rows produced zero weights", n)
+        log.warning("softmax_weights: %d fully-masked rows produced zero weights", n)
     s -= np.where(dead, 0.0, rowmax)
     np.exp(s, out=s)                    # exp(-inf) = 0 at masked positions
     # a live row sums to at least exp(0) = 1; a dead row's zeros divide by 1
-    s /= np.where(dead, 1.0, s.sum(axis=axis, keepdims=True))
-    out = _make(s, "masked_softmax", (a,), None)
-    if out.requires_grad:
-        def vjp(g):
-            gs = g * s
-            accumulate(a, gs - s * gs.sum(axis=axis, keepdims=True))
-        out._vjp = vjp
-    return out
+    s /= np.where(dead, 1.0, s.sum(axis=-1, keepdims=True))
+    return s
 
 
 # -- reductions / shape ops ---------------------------------------------------
@@ -402,14 +397,6 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    out = _make(np.swapaxes(a.data, ax1, ax2), "swapaxes", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, np.swapaxes(g, ax1, ax2))
-    return out
-
-
 def getitem(a, idx) -> Tensor:
     """Basic (slice / integer / ellipsis) indexing."""
     a = as_tensor(a)
@@ -424,16 +411,6 @@ def getitem(a, idx) -> Tensor:
 
 
 # -- normalization composites -------------------------------------------------
-
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
-    x = as_tensor(x)
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(xc, inv), gamma), beta)
-
 
 def rms_norm(x, gamma, eps: float = 1e-5) -> Tensor:
     """Scale by the reciprocal root-mean-square over the last axis."""

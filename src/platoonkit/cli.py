@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -144,6 +145,9 @@ def _all_windows(records, config, stride):
 
 def _cmd_datagen(args) -> int:
     from . import data
+    if not (math.isfinite(args.noise_sigma) and args.noise_sigma >= 0.0):
+        raise CliError(f"--noise-sigma must be a finite number >= 0, "
+                       f"got {args.noise_sigma}")
     try:
         records = data.generate_synthetic_platoons(
             args.platoons, n_followers=args.followers,
@@ -204,8 +208,10 @@ def _cmd_train(args) -> int:
         "model": asdict(config), "train": asdict(tcfg),
         "stride": args.stride, "val_ratio": args.val_ratio,
         "train_windows": len(train_w), "val_windows": len(val_w)})
+    # best_val stays infinite when no epoch completes; JSON has no Infinity
+    best_val = result.best_val if math.isfinite(result.best_val) else None
     sys.stdout.write(json.dumps(
-        {"best_epoch": result.best_epoch, "best_val": result.best_val,
+        {"best_epoch": result.best_epoch, "best_val": best_val,
          "status": result.status}, sort_keys=True) + "\n")
     if result.status != "completed":
         print(f"training {result.status}: {result.abort_reason}",

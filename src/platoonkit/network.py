@@ -15,9 +15,13 @@ All learnable state lives in a flat name -> Tensor mapping so optimizers and
 checkpoints can treat it uniformly; ``weight_shapes`` is the one list of its
 names and shapes. ``model_forward`` is the one entry to the pipeline, also
 for ``gradcheck_model``. Every stage runs on autodiff Tensors; nothing here
-mutates its inputs. The selective scan is one fused tape node with a hand-written
-reverse recurrence; its forward pass runs in cache-sized blocks of rows and
-keeps numpy's summation order, so its output does not depend on the batch.
+mutates its inputs. Two fused primitives record one tape node each, with a
+hand-written VJP. The selective scan's VJP is a reverse recurrence; its
+forward pass runs in cache-sized blocks of rows and keeps numpy's summation
+order, so its output does not depend on the batch. Each attention layer of
+``pfl_forward`` and ``narp_decode`` (attention, layer norm, feedforward,
+layer norm) is the other; its VJP works from the saved probabilities and
+normalized values.
 Initial draws are quantized to float32 so a float32 checkpoint reproduces the
 exact float64 forward pass.
 """
@@ -401,36 +405,129 @@ def ful_forward(w, x_last, noise=None):
     return z, mu, logvar
 
 
-def _mha(w, base: str, q_in, k_in, v_in, heads: int, mask=True):
-    q = ad.matmul(q_in, w[f"{base}.attn.q.w"])
-    k = ad.matmul(k_in, w[f"{base}.attn.k.w"])
-    v = ad.matmul(v_in, w[f"{base}.attn.v.w"])
-    d = q.shape[-1]
-    dh = d // heads
-
-    def split(t):
-        t = ad.reshape(t, t.shape[:-1] + (heads, dh))
-        return ad.swapaxes(t, -3, -2)                 # (..., H, T, dh)
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dh))
-    attn = ad.masked_softmax(scores, mask)
-    out = ad.swapaxes(ad.matmul(attn, vh), -3, -2)    # (..., Tq, H, dh)
-    out = ad.reshape(out, out.shape[:-2] + (d,))
-    return ad.matmul(out, w[f"{base}.attn.o.w"])
+_ATTN_WEIGHTS = ("attn.q.w", "attn.k.w", "attn.v.w", "attn.o.w", "ln1.g", "ln1.b",
+                 "ff.w1", "ff.b1", "ff.w2", "ff.b2", "ln2.g", "ln2.b")
 
 
-def _ff(w, base: str, x):
-    h = ad.relu(ad.add(ad.matmul(x, w[f"{base}.ff.w1"]), w[f"{base}.ff.b1"]))
-    return ad.add(ad.matmul(h, w[f"{base}.ff.w2"]), w[f"{base}.ff.b2"])
+def _rows(a):
+    """(..., n) -> (rows, n), so a weight gradient is one 2-D GEMM."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _layer_norm(x, gain, bias):
+    """Last-axis layer norm; returns (output, normalized values, inverse stds)."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = ((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
+    normed = xc * inv
+    return normed * gain + bias, normed, inv
+
+
+def _layer_norm_vjp(g, normed, inv, gain, bias):
+    """Input gradient of ``_layer_norm``; passes on the gain and bias gradients."""
+    ad.accumulate(gain, _rows(g * normed).sum(axis=0))
+    ad.accumulate(bias, _rows(g).sum(axis=0))
+    gn = g * gain.data
+    gx = gn - gn.mean(axis=-1, keepdims=True)
+    gx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+    gx *= inv
+    return gx
 
 
 def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
-    """Post-norm residual attention + feedforward."""
-    x = ad.layer_norm(ad.add(q_in, _mha(w, base, q_in, memory, memory, heads, mask)),
-                      w[f"{base}.ln1.g"], w[f"{base}.ln1.b"])
-    return ad.layer_norm(ad.add(x, _ff(w, base, x)),
-                         w[f"{base}.ln2.g"], w[f"{base}.ln2.b"])
+    """Post-norm residual attention + feedforward, as one autodiff node.
+
+    q_in: (..., Tq, d) queries; memory: (..., Tk, d) keys and values, the
+    same tensor for self-attention. The layer is multi-head attention over
+    the positions where ``mask`` (broadcast to (..., H, Tq, Tk)) is True,
+    residual, layer norm, ReLU feedforward, residual, layer norm. The forward
+    pass runs the numpy operations of that composition in its order, so the
+    output is bit-identical to a graph of one node per operation.
+
+    When the output is recorded, the node keeps the projections, the
+    attention probabilities, the feedforward activations and each layer
+    norm's normalized values and inverse stds. The VJP works from those: the
+    softmax backward is dS = P (dP - rowsum(dP P)) per head, as in the
+    FlashAttention derivation (arXiv 2205.14135) without its tiling; a query
+    that sees one key passes exactly zero to the scores. Each weight gradient
+    is one 2-D GEMM over all rows. Self-attention passes the query and
+    key/value gradients to its one input as a single sum.
+    """
+    x_t = ad.as_tensor(q_in)
+    self_attn = memory is q_in
+    m_t = x_t if self_attn else ad.as_tensor(memory)
+    weights = tuple(ad.as_tensor(w[f"{base}.{name}"]) for name in _ATTN_WEIGHTS)
+    parents = ((x_t,) if self_attn else (x_t, m_t)) + weights
+    X, M = x_t.data, m_t.data
+    Wq, Wk, Wv, Wo, g1, b1, W1, c1, W2, c2, g2, b2 = (t.data for t in weights)
+    d = Wq.shape[0]
+    if X.shape[-1] != d or M.shape[-1] != d or X.shape[:-2] != M.shape[:-2]:
+        raise ad.ShapeMismatch(
+            f"attn_layer {base}: queries {X.shape} and memory {M.shape} "
+            f"do not fit width {d}")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):                       # (..., T, d) -> (..., H, T, dh)
+        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, dh)), -3, -2)
+
+    def merge(a):                       # (..., H, T, dh) -> (..., T, d)
+        a = np.swapaxes(a, -3, -2)
+        return a.reshape(a.shape[:-2] + (d,))
+
+    qh, kh, vh = split(X @ Wq), split(M @ Wk), split(M @ Wv)
+    p = ad.softmax_weights((qh @ np.swapaxes(kh, -1, -2)) * scale, mask)
+    o = merge(p @ vh)
+    if not ad.needs_grad(*parents):
+        # only the VJP reads these; without a tape they go before the
+        # feedforward, as in a graph of one node per operation
+        del qh, kh, vh, p
+    r = o @ Wo
+    r += X                              # mha + X has the bits of X + mha
+    x1, n1, inv1 = _layer_norm(r, g1, b1)
+    h = x1 @ W1
+    h += c1
+    np.maximum(h, 0.0, out=h)
+    r = h @ W2
+    r += c2
+    r += x1
+    y, n2, inv2 = _layer_norm(r, g2, b2)
+
+    def vjp(g):
+        tq, tk, tv, to, tg1, tb1, tw1, tc1, tw2, tc2, tg2, tb2 = weights
+        # gr: gradient of the residual sum under each layer norm
+        gr = _layer_norm_vjp(g, n2, inv2, tg2, tb2)
+        ad.accumulate(tc2, _rows(gr).sum(axis=0))
+        ad.accumulate(tw2, _rows(h).T @ _rows(gr))
+        gh = (_rows(gr) @ W2.T).reshape(h.shape)
+        gh *= h > 0.0
+        ad.accumulate(tc1, _rows(gh).sum(axis=0))
+        ad.accumulate(tw1, _rows(x1).T @ _rows(gh))
+        gr += (_rows(gh) @ W1.T).reshape(gr.shape)
+        gr = _layer_norm_vjp(gr, n1, inv1, tg1, tb1)
+        ad.accumulate(to, _rows(o).T @ _rows(gr))
+        # per head: go = dO, gs = dP, then dS
+        go = split((_rows(gr) @ Wo.T).reshape(gr.shape))
+        gv = merge(np.swapaxes(p, -1, -2) @ go)
+        gs = go @ np.swapaxes(vh, -1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = merge(gs @ kh)
+        gk = merge(np.swapaxes(gs, -1, -2) @ qh)
+        ad.accumulate(tq, _rows(X).T @ _rows(gq))
+        ad.accumulate(tk, _rows(M).T @ _rows(gk))
+        ad.accumulate(tv, _rows(M).T @ _rows(gv))
+        gr += (_rows(gq) @ Wq.T).reshape(gr.shape)
+        gm = _rows(gk) @ Wk.T
+        gm += _rows(gv) @ Wv.T
+        gm = gm.reshape(M.shape)
+        if self_attn:
+            gr += gm
+        else:
+            ad.accumulate(m_t, gm)
+        ad.accumulate(x_t, gr)
+
+    return ad.primitive(y, "attn_layer", parents, vjp)
 
 
 def pfl_forward(w, config: ModelConfig, z):

@@ -17,6 +17,28 @@ from platoonkit import dynamics as dyn
 from platoonkit import network as net
 
 
+# every row keeps at least one unmasked entry, so no softmax row degenerates
+_SOFTMAX_MASK = np.array([[True, True, False, True, False],
+                          [False, True, True, True, True],
+                          [True, False, False, False, True]])
+# the same, but query 1 sees no key: a fully masked softmax row
+_DEAD_QUERY_MASK = np.array([[True, True, False, True, False],
+                             [False, False, False, False, False],
+                             [True, False, False, False, True]])
+# platoon attention's mask: vehicle i sees vehicles 0..i
+_CAUSAL_MASK = np.tril(np.ones((3, 3), dtype=bool))
+
+# an attention layer of width 4 with 2 heads, in ``network._ATTN_WEIGHTS`` order
+_ATTN_SHAPES = [(4, 4), (4, 4), (4, 4), (4, 4), (4,), (4,),
+                (4, 16), (16,), (16, 4), (4,), (4,), (4,)]
+
+
+def _attn(x, m, *weights, mask=True):
+    """``network._attn_layer`` on queries x over memory m (x itself when m is x)."""
+    w = {f"a.{name}": t for name, t in zip(net._ATTN_WEIGHTS, weights)}
+    return net._attn_layer(w, "a", x, m, 2, mask)
+
+
 def test_square_scalar_forward_backward():
     # d(x*x)/dx at 3 is 6; frozen hand value.
     outputs, grads = ad.forward_backward(lambda x: ad.mul(x, x), [np.array(3.0)])
@@ -41,22 +63,28 @@ def test_matmul_finite_difference():
 
 
 def test_softmax_of_single_element():
-    # Constant function: weight exactly 1, zero gradient, zero FD error.
-    out, grads = ad.forward_backward(lambda x: ad.tsum(ad.masked_softmax(x)),
-                                     [np.array([2.5])])
-    assert float(out) == 1.0
-    assert float(grads[0][0]) == 0.0
-    err = ad.finite_diff_check(lambda x: ad.tsum(ad.masked_softmax(x)), [np.array([2.5])])
-    assert err == 0.0
+    # Weight exactly 1. Attention over a single key is constant in the scores,
+    # so the query and key weights get exactly zero gradient and zero FD error.
+    assert ad.softmax_weights(np.array([2.5])).tolist() == [1.0]
+    rng = np.random.default_rng(4)
+    x, m = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 1, 4))
+    ws = [rng.standard_normal(s) for s in _ATTN_SHAPES]
+
+    def graph(wq, wk):
+        return ad.tsum(_attn(x, m, wq, wk, *ws[2:]))
+
+    _, grads = ad.forward_backward(graph, ws[:2])
+    assert not any(g.any() for g in grads)
+    assert ad.finite_diff_check(graph, ws[:2]) == 0.0
 
 
 def test_default_mask_softmax_is_the_plain_formula():
-    # the unmasked softmax, exp(a - max) / sum, bit for bit on either axis
+    # the unmasked softmax, exp(a - max) / sum, bit for bit along either axis
     x = np.random.default_rng(14).standard_normal((2, 3, 4, 7)) * 5.0
-    for axis in (-1, -2):
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-        np.testing.assert_array_equal(ad.masked_softmax(x, axis=axis).data,
-                                      e / e.sum(axis=axis, keepdims=True))
+    for a in (x, np.swapaxes(x, -1, -2)):
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(ad.softmax_weights(a),
+                                      e / e.sum(axis=-1, keepdims=True))
 
 
 def test_masked_softmax_rows_sum_to_one_or_zero():
@@ -67,26 +95,27 @@ def test_masked_softmax_rows_sum_to_one_or_zero():
         [False, False, False, False],
         [True, True, True, True],
     ])
-    out = ad.masked_softmax(ad.as_tensor(x), mask)
-    sums = out.data.sum(axis=-1)
+    out = ad.softmax_weights(x, mask)
+    sums = out.sum(axis=-1)
     assert abs(sums[0] - 1.0) < 1e-12
     assert sums[1] == 0.0  # fully masked row collapses to zeros, not NaN
     assert abs(sums[2] - 1.0) < 1e-12
-    assert (out.data[0, 2:] == 0.0).all()
+    assert (out[0, 2:] == 0.0).all()
     assert ad.degenerate_softmax_rows() - before == 1
 
 
 def test_masked_softmax_gradient_matches_fd():
+    # the softmax backward inside the fused attention layer, under a mask
+    # that is not causal, for the queries and the memory
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 5))
-    mask = np.array([[True, True, True, False, False],
-                     [True, False, True, False, True]])
+    x, m = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 5, 4))
+    ws = [rng.standard_normal(s) for s in _ATTN_SHAPES]
+    probe = rng.standard_normal((2, 3, 4))
 
-    def graph(t):
-        w = ad.masked_softmax(t, mask)
-        return ad.tsum(ad.mul(w, np.arange(10.0).reshape(2, 5)))
+    def graph(xv, mv):
+        return ad.tsum(ad.mul(_attn(xv, mv, *ws, mask=_SOFTMAX_MASK), probe))
 
-    assert ad.finite_diff_check(graph, [x]) < 1e-6
+    assert ad.finite_diff_check(graph, [x, m]) < 1e-6
 
 
 def test_tape_replay_bit_identical():
@@ -149,18 +178,22 @@ def test_finite_diff_step_bounds():
 
 
 def test_layer_norm_statistics_and_gradient():
+    # the attention layer ends in a layer norm: with unit gain and zero bias
+    # its rows have zero mean and unit variance
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 8)) * 4.0 + 2.0
-    g = np.ones(8)
-    b = np.zeros(8)
-    out = ad.layer_norm(ad.as_tensor(x), ad.as_tensor(g), ad.as_tensor(b))
-    assert np.abs(out.data.mean(axis=-1)).max() < 1e-12
-    assert np.abs(out.data.var(axis=-1) - 1.0).max() < 1e-4  # eps shrinks var slightly
+    x = rng.standard_normal((3, 2, 4)) * 4.0 + 2.0
+    ws = [rng.standard_normal(s) for s in _ATTN_SHAPES]
+    ws[10], ws[11] = np.ones(4), np.zeros(4)
+    out = _attn(x, x, *ws).data
+    assert np.abs(out.mean(axis=-1)).max() < 1e-12
+    assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4  # eps shrinks var slightly
+    weights = np.arange(24.0).reshape(3, 2, 4)
 
-    def graph(xv, gv, bv):
-        return ad.tsum(ad.mul(ad.layer_norm(xv, gv, bv), np.arange(24.0).reshape(3, 8)))
+    def graph(g1, b1, g2, b2):
+        layer = _attn(x, x, *ws[:4], g1, b1, *ws[6:10], g2, b2)
+        return ad.tsum(ad.mul(layer, weights))
 
-    assert ad.finite_diff_check(graph, [x, g, b]) < 1e-6
+    assert ad.finite_diff_check(graph, [ws[4], ws[5], ws[10], ws[11]]) < 1e-6
 
 
 def test_rms_norm_gradient():
@@ -271,12 +304,6 @@ def _away_from_zero(rng, shape):
     return x + np.sign(x) * 0.2
 
 
-# every row keeps at least one unmasked entry, so no softmax row degenerates
-_SOFTMAX_MASK = np.array([[True, True, False, True, False],
-                          [False, True, True, True, True],
-                          [True, False, False, False, True]])
-
-
 def _rollout_series(x0, lead, th, v_star, s_star):
     """All four rollout series, weighted differently, as one output."""
     r = dyn.rollout(x0, lead, th, dyn.ExpectedState(v_star, s_star))
@@ -303,12 +330,7 @@ PRIMITIVE_CASES = [
     ("sum_axis", lambda a: ad.tsum(a, axis=1), [_rand], [(3, 4, 2)]),
     ("mean_axis", lambda a: ad.tmean(a, axis=-1), [_rand], [(2, 6)]),
     ("reshape", lambda a: ad.reshape(a, (6, 2)), [_rand], [(3, 4)]),
-    ("swapaxes", lambda a: ad.swapaxes(a, -1, -2), [_rand], [(2, 3, 4)]),
     ("slice", lambda a: a[1:, ::2], [_rand], [(4, 6)]),
-    ("masked_softmax", lambda a: ad.masked_softmax(a, _SOFTMAX_MASK), [_rand], [(3, 5)]),
-    ("masked_softmax_default", lambda a: ad.masked_softmax(a), [_rand], [(3, 5)]),
-    ("layer_norm", lambda x, g, b: ad.layer_norm(x, g, b), [_rand, _rand, _rand],
-     [(3, 6), (6,), (6,)]),
     ("rms_norm", lambda x, g: ad.rms_norm(x, g), [_rand, _rand], [(2, 5), (5,)]),
     ("causal_conv1d", lambda x, w, b: ad.causal_conv1d(x, w, b), [_rand, _rand, _rand],
      [(6, 3), (3, 4), (3,)]),
@@ -317,6 +339,14 @@ PRIMITIVE_CASES = [
      [(2, 5, 3), (2, 5, 3), (3, 2), (2, 5, 2), (2, 5, 2), (3,)]),
     ("rollout", lambda x0, lead, th, vs, ss: _rollout_series(x0, lead, th, vs, ss),
      [_rand, _rand, _rand, _rand, _rand], [(2, 3, 3), (2, 4), (2, 3, 2, 3), (2, 3), (3,)]),
+    # platoon self-attention: one input for queries, keys and values
+    ("attn_layer_self_causal", lambda x, *ws: _attn(x, x, *ws, mask=_CAUSAL_MASK),
+     [_rand] * 13, [(2, 3, 4)] + _ATTN_SHAPES),
+    # decoder cross-attention: 2 queries over 5 memory steps, no mask
+    ("attn_layer_cross", lambda x, m, *ws: _attn(x, m, *ws),
+     [_rand] * 14, [(2, 3, 2, 4), (2, 3, 5, 4)] + _ATTN_SHAPES),
+    ("attn_layer_dead_query", lambda x, m, *ws: _attn(x, m, *ws, mask=_DEAD_QUERY_MASK),
+     [_rand] * 14, [(2, 3, 4), (2, 5, 4)] + _ATTN_SHAPES),
 ]
 
 

@@ -16,6 +16,10 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 # tiny but complete model: 80-frame records fit several windows
 TINY_MODEL = {"d_model": 8, "n_state": 2, "conv_kernel": 4, "ve_hidden": 8,
               "attn_layers": 1, "attn_heads": 2, "history_len": 6,
@@ -180,6 +184,15 @@ def test_datagen_too_short_duration_is_data_error(capsys, tmp_path):
     assert code == 2 and "duration" in err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_datagen_rejects_bad_noise_sigma(capsys, tmp_path, sigma):
+    out = tmp_path / "o"
+    code, _, err = _run(capsys, ["datagen", "--out", str(out), "--platoons", "1",
+                                 f"--noise-sigma={sigma}"])
+    assert code == 2 and "--noise-sigma" in err
+    assert not out.exists()
+
+
 # -- train / eval ---------------------------------------------------------------------
 
 def test_train_emits_checkpoint_and_logs(checkpoint, capsys):
@@ -216,12 +229,16 @@ def test_train_abort_reports_cause(tmp_path, corpus, capsys, monkeypatch):
     monkeypatch.setattr(net, "model_forward", failing)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"model": TINY_MODEL}))
-    code, _, err = _run(capsys, [
+    code, out, err = _run(capsys, [
         "train", "--data", str(corpus), "--out", str(tmp_path / "ck"),
         "--config", str(cfg), "--epochs", "1", "--stride", "8"])
     assert code == 2
     assert ("training aborted_non_finite: epoch 0 batch 0: "
             "non-finite value produced by 'exp'") in err
+    # the summary is strict JSON: no epoch completed, so no best value
+    summary = json.loads(out.splitlines()[-1], parse_constant=_reject_constant)
+    assert summary == {"best_epoch": -1, "best_val": None,
+                       "status": "aborted_non_finite"}
 
 
 def test_train_empty_dir_is_data_error(capsys, tmp_path):

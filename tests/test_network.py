@@ -360,6 +360,115 @@ class TestPlatoonAttention:
         assert np.isfinite(y.data).all()
 
 
+def _composed_attn_layer(w, base, q_in, memory, heads, mask=True):
+    """Oracle: the attention layer as the composition the fused node replaced,
+    one numpy expression per former tape node, in the order they ran."""
+    def wd(name):
+        return w[f"{base}.{name}"].data
+
+    def split(t):
+        return np.swapaxes(t.reshape(t.shape[:-1] + (heads, dh)), -3, -2)
+
+    def layer_norm(x, g, b):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = ((xc * xc).mean(axis=-1, keepdims=True) + np.asarray(1e-5)) ** -0.5
+        return (xc * inv) * g + b
+
+    q = q_in @ wd("attn.q.w")
+    k = memory @ wd("attn.k.w")
+    v = memory @ wd("attn.v.w")
+    d = q.shape[-1]
+    dh = d // heads
+    scores = (split(q) @ np.swapaxes(split(k), -1, -2)) * np.asarray(1.0 / math.sqrt(dh))
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+    s = np.where(mask, scores, -np.inf)
+    rowmax = s.max(axis=-1, keepdims=True)
+    dead = ~np.isfinite(rowmax)
+    s -= np.where(dead, 0.0, rowmax)
+    np.exp(s, out=s)
+    s /= np.where(dead, 1.0, s.sum(axis=-1, keepdims=True))
+    out = np.swapaxes(s @ split(v), -3, -2)
+    mha = out.reshape(out.shape[:-2] + (d,)) @ wd("attn.o.w")
+    x = layer_norm(q_in + mha, wd("ln1.g"), wd("ln1.b"))
+    h = np.maximum(x @ wd("ff.w1") + wd("ff.b1"), 0.0)
+    ff = h @ wd("ff.w2") + wd("ff.b2")
+    return layer_norm(x + ff, wd("ln2.g"), wd("ln2.b"))
+
+
+def _attn_cases(rng, batch=3):
+    """(base, queries, memory or None for self-attention, mask) at the
+    default width: platoon attention and the decoder's cross-attention."""
+    cfg = net.ModelConfig()
+    S, T, d = cfg.n_param_steps, cfg.history_len, cfg.d_model
+    return [("pfl.1", rng.normal(size=(batch, 6, d)), None,
+             np.tril(np.ones((6, 6), dtype=bool))),
+            ("dec.0", rng.normal(size=(batch, 6, S, d)),
+             rng.normal(size=(batch, 6, T, d)), True)]
+
+
+class TestFusedAttention:
+    def test_matches_the_composition_bitwise(self):
+        cfg = net.ModelConfig()
+        w = net.init_params(cfg, seed=2).weights
+        for base, x, m, mask in _attn_cases(np.random.default_rng(20)):
+            want = _composed_attn_layer(w, base, x, x if m is None else m,
+                                        cfg.attn_heads, mask)
+            with ad.no_grad():
+                plain = net._attn_layer(w, base, x, x if m is None else m,
+                                        cfg.attn_heads, mask)
+            xt = ad.param(x)
+            recorded = net._attn_layer(w, base, xt, xt if m is None else ad.param(m),
+                                       cfg.attn_heads, mask)
+            assert recorded.requires_grad and plain._vjp is None
+            _assert_bits(plain.data, want)
+            _assert_bits(recorded.data, want)
+
+    def test_one_tape_node(self):
+        cfg = _tiny_config()
+        w = net.init_params(cfg, seed=0).weights
+        x = ad.param(np.random.default_rng(21).normal(size=(2, 3, cfg.d_model)))
+        tape = ad.Tape.trace(net._attn_layer(w, "pfl.0", x, x, cfg.attn_heads))
+        assert [n._op for n in tape.nodes if n._vjp is not None] == ["attn_layer"]
+
+    def test_batch_rows_match_single_runs(self):
+        cfg = net.ModelConfig()
+        w = net.init_params(cfg, seed=3).weights
+        rng = np.random.default_rng(22)
+        for base, x, m, mask in _attn_cases(rng):
+            g = rng.normal(size=x.shape)
+            leaves = [ad.param(x)] + ([] if m is None else [ad.param(m)])
+            y = net._attn_layer(w, base, leaves[0], leaves[-1], cfg.attn_heads, mask)
+            y.backward(g)
+            for row in range(x.shape[0]):
+                single = [ad.param(t.data[row:row + 1]) for t in leaves]
+                y1 = net._attn_layer(w, base, single[0], single[-1],
+                                     cfg.attn_heads, mask)
+                y1.backward(g[row:row + 1])
+                _assert_bits(y1.data[0], y.data[row])
+                for solo, leaf in zip(single, leaves):
+                    _assert_bits(solo.grad[0], leaf.grad[row])
+
+    def test_fully_masked_query_gets_zero_attention(self, caplog):
+        # vehicle 1 sees no vehicle: its softmax row is all zeros, not NaN,
+        # so the layer passes it through the norms and feedforward alone
+        cfg = _tiny_config()
+        w = net.init_params(cfg, seed=5).weights
+        x = np.random.default_rng(23).normal(size=(2, 3, cfg.d_model))
+        mask = np.tril(np.ones((3, 3), dtype=bool))
+        mask[1] = False
+        before = ad.degenerate_softmax_rows()
+        with caplog.at_level(logging.WARNING, logger="platoonkit.autodiff"):
+            y = net._attn_layer(w, "pfl.0", x, x, cfg.attn_heads, mask).data
+        # one dead row per batch row and head
+        assert ad.degenerate_softmax_rows() - before == 2 * cfg.attn_heads
+        assert any("fully-masked" in r.message for r in caplog.records)
+        _assert_bits(y, _composed_attn_layer(w, "pfl.0", x, x, cfg.attn_heads, mask))
+        # with zero attention, row 1 is the layer with the attention output zeroed
+        w_zero = dict(w, **{"pfl.0.attn.o.w": ad.param(np.zeros((cfg.d_model,) * 2))})
+        y_zero = net._attn_layer(w_zero, "pfl.0", x, x, cfg.attn_heads).data
+        np.testing.assert_array_equal(y[:, 1], y_zero[:, 1])
+
+
 class TestModelForward:
     def test_shapes_and_sign_pattern(self):
         cfg = _tiny_config()

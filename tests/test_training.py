@@ -354,6 +354,12 @@ class TestTrainingStepGraph:
         total, _, _ = _default_step()
         assert len(ad.Tape.trace(total).nodes) < 400
 
+    def test_default_step_records_at_most_160_tape_nodes(self):
+        # each attention layer is one node too; the step-by-step attention
+        # stacks recorded 334 nodes per step in all
+        total, _, _ = _default_step()
+        assert len(ad.Tape.trace(total).nodes) <= 160
+
     def test_step_graph_is_freed_without_the_cycle_collector(self):
         gc.disable()
         try:
