@@ -1,27 +1,19 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
-Define-by-run tape engine: each primitive computes its forward value eagerly
-and records a vector-Jacobian closure on the output node. ``Tape.trace``
-linearizes the subgraph reachable from an output in topological order;
-``backward`` replays it exactly once in reverse. The graph is rebuilt on every
-forward pass, so the recorded structure always matches the executed control
-flow. A node is on the tape exactly when it has ``requires_grad``. Besides
-``tsum``, which scalarises outputs for gradient checks, only primitives the
-model records are kept, each with a finite-difference test.
+Define-by-run tape: every node holds a forward value computed in numpy and a
+hand-written vector-Jacobian closure. Each model stage records one node
+through ``primitive`` (``network``, ``dynamics``, ``training``). Besides the
+tape, this module keeps ``getitem``, which splits a stacked node, ``tsum``,
+which scalarises outputs for gradient checks, and ``softmax_weights``, the one
+softmax, a numpy kernel that counts fully-masked rows.
 
-Operations whose step-by-step graphs would run to hundreds of nodes are
-fused primitives: the forward pass runs in numpy and records one node whose
-VJP is written by hand. ``causal_conv1d`` is one here; ``network``'s
-selective scan and attention layer and ``dynamics``' rollout register theirs
-through ``primitive``. Each fused VJP has its own finite-difference test. No
-VJP closure captures its own output node, so a graph is freed by reference
-counting as soon as it is dropped. ``softmax_weights`` is the one softmax: a
-numpy kernel, not a tape op, that counts fully-masked rows.
-
-Storage is float64 throughout. Non-finite values are rejected at graph
-boundaries and after every primitive, naming the primitive that produced
-them. Analytic gradients are validated against central finite differences via
-``finite_diff_check``.
+``Tape.trace`` orders the nodes reachable from an output topologically and
+``backward`` replays them once in reverse; the graph is rebuilt on every
+forward pass. A node records only its parents that require grad, so no
+constant is ever a leaf, and no VJP captures its own output, so a dropped
+graph is freed by reference counting. Storage is float64; a non-finite node
+output raises ``NonFiniteValue`` naming the node. ``finite_diff_check``
+validates gradients against central differences.
 """
 
 from __future__ import annotations
@@ -99,10 +91,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def backward(self, seed=None) -> None:
         if seed is None:
             seed = np.ones_like(self.data)
@@ -117,11 +105,8 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of the nodes reachable from one output.
-
-    ``backward`` visits each node exactly once, in reverse topological order,
-    accumulating parent gradients through the recorded closures.
-    """
+    """The nodes reachable from one output, in topological order;
+    ``backward`` runs each node's VJP once, in reverse."""
 
     def __init__(self, nodes: list):
         self.nodes = nodes
@@ -174,7 +159,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add gradient ``g``, reduced from any broadcast shape, into ``t``."""
+    """Add gradient ``g``, reduced from any broadcast shape, into ``t``.
+
+    ``t`` may keep ``g`` itself as its gradient, so a VJP passes each array
+    to one parent only and does not write to it afterwards.
+    """
     if not t.requires_grad:
         return
     g = _unbroadcast(np.asarray(g, dtype=DTYPE), t.data.shape)
@@ -187,151 +176,18 @@ def needs_grad(*tensors: Tensor) -> bool:
 
 
 def _make(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
-    if needs_grad(*parents):
+    parents = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
+    if parents:
         return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp, _op=op)
     return Tensor(data, _op=op)
 
 
 def primitive(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
-    """Record the output of a fused primitive defined outside this module.
-
-    ``data`` is the forward value computed in numpy; ``vjp(g)`` passes the
-    output gradient to ``parents`` through ``accumulate``. A ``vjp`` closure
-    must not capture the output Tensor, or each graph becomes a reference
-    cycle that only the cyclic garbage collector frees.
-    """
+    """Record one node: ``data``, computed in numpy, and ``vjp(g)``, which
+    passes the output gradient to ``parents`` through ``accumulate``. Only
+    parents that require grad are recorded. ``vjp`` must not capture the
+    output Tensor, or each graph becomes a reference cycle."""
     return _make(data, op, parents, vjp)
-
-
-def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeMismatch(
-            f"{op}: operand shapes {a.data.shape} and {b.data.shape} do not broadcast"
-        ) from None
-
-
-# -- elementwise arithmetic -------------------------------------------------
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b, "add")
-    out = _make(a.data + b.data, "add", (a, b), None)
-    if out.requires_grad:
-        def vjp(g):
-            accumulate(a, g)
-            accumulate(b, g)
-        out._vjp = vjp
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b, "sub")
-    out = _make(a.data - b.data, "sub", (a, b), None)
-    if out.requires_grad:
-        def vjp(g):
-            accumulate(a, g)
-            accumulate(b, -g)
-        out._vjp = vjp
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b, "mul")
-    out = _make(a.data * b.data, "mul", (a, b), None)
-    if out.requires_grad:
-        def vjp(g):
-            accumulate(a, g * b.data)
-            accumulate(b, g * a.data)
-        out._vjp = vjp
-    return out
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = _make(-a.data, "neg", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, -g)
-    return out
-
-
-def power(a, p) -> Tensor:
-    """Elementwise power with a constant (non-differentiated) exponent."""
-    a = as_tensor(a)
-    p = float(p)
-    out = _make(a.data ** p, "power", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, g * p * a.data ** (p - 1.0))
-    return out
-
-
-# -- matmul ------------------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeMismatch(
-            f"matmul: operand shapes {a.data.shape} and {b.data.shape} are incompatible")
-    out = _make(a.data @ b.data, "matmul", (a, b), None)
-    if out.requires_grad:
-        def vjp(g):
-            accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-            if b.data.ndim == 2:
-                # a weight: one GEMM over all rows instead of a batched
-                # product summed afterwards
-                accumulate(b, a.data.reshape(-1, a.data.shape[-1]).T
-                           @ g.reshape(-1, g.shape[-1]))
-            else:
-                accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
-        out._vjp = vjp
-    return out
-
-
-# -- transcendental ----------------------------------------------------------
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-    out = _make(data, "exp", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, g * data)
-    return out
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-def softplus(a) -> Tensor:
-    """log(1 + e^x), computed stably; strictly positive for x > -745."""
-    a = as_tensor(a)
-    out = _make(np.logaddexp(0.0, a.data), "softplus", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, g * _sigmoid(a.data))
-    return out
-
-
-def silu(a) -> Tensor:
-    """x * sigmoid(x)."""
-    a = as_tensor(a)
-    s = _sigmoid(a.data)
-    out = _make(a.data * s, "silu", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, g * s * (1.0 + a.data * (1.0 - s)))
-    return out
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = _make(np.maximum(a.data, 0.0), "relu", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, g * (a.data > 0.0))
-    return out
 
 
 # -- softmax -----------------------------------------------------------------
@@ -362,96 +218,33 @@ def softmax_weights(scores: np.ndarray, mask=True) -> np.ndarray:
     return s
 
 
-# -- reductions / shape ops ---------------------------------------------------
+# -- reduction / slicing -------------------------------------------------------
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
+    """Sum over ``axis`` (all axes by default)."""
     a = as_tensor(a)
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), None)
-    if out.requires_grad:
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            accumulate(a, np.broadcast_to(g, a.data.shape))
-        out._vjp = vjp
-    return out
 
+    def vjp(g):
+        g = g if axis is None else np.expand_dims(g, axis)
+        accumulate(a, np.broadcast_to(g, a.data.shape))
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = _make(a.data.mean(axis=axis, keepdims=keepdims), "mean", (a,), None)
-    if out.requires_grad:
-        count = a.data.size / out.data.size
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            accumulate(a, np.broadcast_to(g, a.data.shape) / count)
-        out._vjp = vjp
-    return out
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = _make(a.data.reshape(shape), "reshape", (a,), None)
-    if out.requires_grad:
-        out._vjp = lambda g: accumulate(a, g.reshape(a.data.shape))
-    return out
+    return _make(a.data.sum(axis=axis), "sum", (a,), vjp)
 
 
 def getitem(a, idx) -> Tensor:
-    """Basic (slice / integer / ellipsis) indexing."""
+    """Basic (slice / integer / ellipsis) indexing. The VJP adds into the
+    parent's gradient in place, so all slices of a parent share one buffer
+    per backward pass (a read-only gradient already there is copied once)."""
     a = as_tensor(a)
-    out = _make(a.data[idx], "slice", (a,), None)
-    if out.requires_grad:
-        def vjp(g):
-            buf = np.zeros_like(a.data)
-            buf[idx] = g
-            accumulate(a, buf)
-        out._vjp = vjp
-    return out
-
-
-# -- normalization composites -------------------------------------------------
-
-def rms_norm(x, gamma, eps: float = 1e-5) -> Tensor:
-    """Scale by the reciprocal root-mean-square over the last axis."""
-    x = as_tensor(x)
-    ms = tmean(mul(x, x), axis=-1, keepdims=True)
-    inv = power(add(ms, eps), -0.5)
-    return mul(mul(x, inv), gamma)
-
-
-def causal_conv1d(x, w, b) -> Tensor:
-    """Depthwise causal 1-D convolution over the time axis, as one node.
-
-    x: (..., T, C); w: (C, K); b: (C,). Output t depends on inputs t-K+1..t
-    (left zero padding), independently per channel; the taps are summed in
-    order, ((tap0 + tap1) + ...) + b.
-    """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    T, C = x.data.shape[-2:]
-    if w.data.ndim != 2 or w.data.shape[0] != C:
-        raise ShapeMismatch(
-            f"causal_conv1d: weight shape {w.data.shape} does not match {C} channels")
-    K = w.data.shape[1]
-    xp = np.zeros(x.data.shape[:-2] + (K - 1 + T, C))
-    xp[..., K - 1:, :] = x.data
-    data = xp[..., :T, :] * w.data[:, 0]
-    for i in range(1, K):
-        data += xp[..., i:i + T, :] * w.data[:, i]
-    data += b.data
 
     def vjp(g):
-        # tap i reads xp[i:i+T]: its input gradient is one shifted add
-        gxp = np.zeros_like(xp)
-        gw = np.empty_like(w.data)
-        for i in range(K):
-            gxp[..., i:i + T, :] += g * w.data[:, i]
-            gw[:, i] = (g * xp[..., i:i + T, :]).reshape(-1, C).sum(axis=0)
-        accumulate(x, gxp[..., K - 1:, :])
-        accumulate(w, gw)
-        accumulate(b, g)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        elif not a.grad.flags.writeable:
+            a.grad = a.grad.copy()
+        a.grad[idx] += g
 
-    return _make(data, "causal_conv1d", (x, w, b), vjp)
+    return _make(a.data[idx], "slice", (a,), vjp)
 
 
 # -- verification -------------------------------------------------------------
@@ -459,21 +252,17 @@ def causal_conv1d(x, w, b) -> Tensor:
 def forward_backward(graph: Callable, inputs: Sequence[np.ndarray], seed=1.0):
     """Evaluate ``graph`` on leaf tensors and backpropagate ``seed``.
 
-    ``graph`` maps leaf Tensors to a scalar loss Tensor (optionally a tuple
-    whose first element is the loss). Returns (outputs, gradients) where
-    gradients align with ``inputs`` (zeros for unused leaves).
+    ``graph`` maps leaf Tensors to a scalar loss Tensor. Returns (output,
+    gradients) where gradients align with ``inputs`` (zeros for unused
+    leaves).
     """
     leaves = [param(np.asarray(x, dtype=DTYPE)) for x in inputs]
-    result = graph(*leaves)
-    if isinstance(result, tuple):
-        loss, outputs = result[0], tuple(r.data.copy() for r in result)
-    else:
-        loss, outputs = result, result.data.copy()
+    loss = graph(*leaves)
     if loss.data.size != 1:
         raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
     loss.backward(np.full_like(loss.data, float(np.asarray(seed))))
     grads = [lf.grad if lf.grad is not None else np.zeros_like(lf.data) for lf in leaves]
-    return outputs, grads
+    return loss.data.copy(), grads
 
 
 def finite_diff_check(graph: Callable, inputs: Sequence[np.ndarray],
@@ -490,9 +279,7 @@ def finite_diff_check(graph: Callable, inputs: Sequence[np.ndarray],
 
     def evaluate() -> float:
         with no_grad():
-            result = graph(*[Tensor(w) for w in work])
-        loss = result[0] if isinstance(result, tuple) else result
-        return float(loss.data)
+            return float(graph(*[Tensor(w) for w in work]).data)
 
     worst = 0.0
     for arr, grad in zip(work, grads):

@@ -55,10 +55,17 @@ def _positive_int(text):
     return v
 
 
+def _non_negative_int(text):
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
+    return v
+
+
 def _positive_float(text):
     v = float(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive number")
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite positive number")
     return v
 
 
@@ -474,7 +481,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--followers", type=_positive_int, default=6)
     p.add_argument("--duration-s", type=_positive_float, default=15.0)
     p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(handler=_cmd_datagen)
 
     p = sub.add_parser("train", help="train a model on trajectory CSVs")
@@ -485,7 +492,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--batch-size", type=_positive_int)
     p.add_argument("--lr", type=_positive_float)
     p.add_argument("--alpha-kl", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_non_negative_int)
     p.add_argument("--val-ratio", type=float, default=0.1)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_train)
@@ -506,7 +513,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--replan", type=_positive_int)
     p.add_argument("--stochastic", action="store_true",
                    help="sample latents instead of using their means")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("stability", help="string-stability spectra per platoon")
@@ -527,13 +534,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--vehicle", type=_positive_int,
                    help="calibrate one follower index instead of all")
     p.add_argument("--budget", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_calibrate_idm)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--config", help="JSON config; desk-scale default")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--step", type=_positive_float, default=1e-6)
     p.set_defaults(handler=_cmd_gradcheck)
     return parser

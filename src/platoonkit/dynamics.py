@@ -12,9 +12,11 @@ rollout integrates all followers jointly with explicit Euler steps; the gap upda
 s(k+1) = s(k) + dt * dv(k), so gaps, speeds, and positions remain mutually
 consistent to machine precision.
 
-``rollout`` is the differentiable path: one fused autodiff node whose inputs
-may be Tensors or plain arrays (constants), with the adjoint of the Euler
-recursion as its hand-written backward pass. ``euler_platoon`` is the
+``encode_parameters`` and ``rollout`` are the differentiable path, one
+autodiff node each. The rollout's inputs may be Tensors or plain arrays
+(constants), and its hand-written backward pass is the adjoint of the Euler
+recursion. ``expected_state`` reads the recorded history, so its means are
+plain arrays and record nothing. ``euler_platoon`` is the
 numpy integrator behind synthetic data, IDM calibration and closed-loop
 simulation: the same step under any acceleration law, with speeds clamped at
 zero and collisions detected per batch row, so a NaN in one row leaves the
@@ -35,13 +37,20 @@ SIGN_PATTERN = np.array([-1.0, 1.0, 1.0])
 def encode_parameters(raw):
     """Map raw decoder outputs (..., 3) to sign-constrained parameters.
 
-    theta = [-softplus(r0), softplus(r1), softplus(r2)]; strictly signed for
-    any finite input representable in float64 (|raw| < ~745).
+    theta = [-softplus(r0), softplus(r1), softplus(r2)], as one autodiff
+    node; strictly signed for any finite input representable in float64
+    (|raw| < ~745).
     """
     t = ad.as_tensor(raw)
     if t.shape[-1] != 3:
         raise ad.ShapeMismatch(f"encode_parameters: last axis must be 3, got {t.shape}")
-    return ad.mul(ad.softplus(t), SIGN_PATTERN)
+    soft = np.logaddexp(0.0, t.data)
+
+    def vjp(g):
+        # softplus' = sigmoid = 1 - exp(-softplus), which cannot overflow
+        ad.accumulate(t, g * SIGN_PATTERN * -np.expm1(-soft))
+
+    return ad.primitive(soft * SIGN_PATTERN, "encode", (t,), vjp)
 
 
 def validate_theta(values: np.ndarray) -> None:
@@ -66,19 +75,18 @@ def linear_accel(theta, v, s, dv, v_star, s_star):
 class ExpectedState:
     """Anchor state: per-follower means over the history window; dv* is 0."""
 
-    v_star: object   # (..., N) Tensor or ndarray
-    s_star: object
+    v_star: np.ndarray   # (..., N)
+    s_star: np.ndarray
     dv_star: float = 0.0
 
 
 def expected_state(history) -> ExpectedState:
-    """Means of speed and gap over the history window (raw physical units)."""
-    h = ad.as_tensor(history)
+    """Means of speed and gap over the history window (raw physical units),
+    as numpy arrays: the history is data, so they are constants."""
+    h = np.asarray(history, dtype=float)
     if h.ndim < 3 or h.shape[-1] != 3:
         raise ad.ShapeMismatch(f"expected_state: need (..., N, P, 3), got {h.shape}")
-    v_star = ad.tmean(h[..., 0], axis=-1)
-    s_star = ad.tmean(h[..., 1], axis=-1)
-    return ExpectedState(v_star, s_star)
+    return ExpectedState(h[..., 0].mean(axis=-1), h[..., 1].mean(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -114,12 +122,12 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
     node; the backward pass runs the adjoint of the Euler recursion,
     carrying the gradients of v, s and dv from the last step to the first.
     """
-    init = ad.as_tensor(initial)
-    lead = ad.as_tensor(lead_future)
-    th = ad.as_tensor(theta)
+    parents = tuple(ad.as_tensor(a) for a in (initial, lead_future, theta,
+                                              xstar.v_star, xstar.s_star))
+    init, lead, th, v_star, s_star = parents
     if init.shape[-1] != 3:
         raise ad.ShapeMismatch(f"rollout: initial must be (..., N, 3), got {init.shape}")
-    if th.shape[-1] != 3 or th.ndim < 3:
+    if th.shape[-1] != 3 or th.data.ndim < 3:
         raise ad.ShapeMismatch(f"rollout: theta must be (..., N, S, 3), got {th.shape}")
     F = lead.shape[-1]
     S = th.shape[-2]
@@ -130,9 +138,6 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
     if th.shape[-3] != n_veh:
         raise ad.ShapeMismatch(
             f"rollout: theta covers {th.shape[-3]} vehicles, state has {n_veh}")
-    v_star = ad.as_tensor(xstar.v_star)
-    s_star = ad.as_tensor(xstar.s_star)
-    parents = (init, lead, th, v_star, s_star)
     x0, lead_v, f, vs, ss = (t.data for t in parents)
     state = np.broadcast_shapes(x0.shape[:-1], lead_v.shape[:-1] + (1,),
                                 f.shape[:-2], vs.shape, ss.shape)   # (..., N)

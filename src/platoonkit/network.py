@@ -11,19 +11,16 @@ stages are:
   pfl_forward  platoon self-attention across vehicles, leader-to-tail masked
   narp_decode  cross-attention of horizon queries over the temporal memory
 
-All learnable state lives in a flat name -> Tensor mapping so optimizers and
-checkpoints can treat it uniformly; ``weight_shapes`` is the one list of its
-names and shapes. ``model_forward`` is the one entry to the pipeline, also
-for ``gradcheck_model``. Every stage runs on autodiff Tensors; nothing here
-mutates its inputs. Two fused primitives record one tape node each, with a
-hand-written VJP. The selective scan's VJP is a reverse recurrence; its
-forward pass runs in cache-sized blocks of rows and keeps numpy's summation
-order, so its output does not depend on the batch. Each attention layer of
-``pfl_forward`` and ``narp_decode`` (attention, layer norm, feedforward,
-layer norm) is the other; its VJP works from the saved probabilities and
-normalized values.
-Initial draws are quantized to float32 so a float32 checkpoint reproduces the
-exact float64 forward pass.
+All learnable state lives in a flat name -> Tensor mapping, listed by
+``weight_shapes``; ``model_forward`` is the one entry to the pipeline, also
+for ``gradcheck_model``. Each stage, and each attention layer within PFL and
+NARP, is one autodiff node whose forward pass runs the numpy operations of
+the step-by-step composition it replaced, in their order (so its output has
+the same bits), with a hand-written VJP. Inside TFL the selective scan and
+the causal conv are numpy kernels that return their own VJPs; the scan runs
+in cache-sized blocks of rows in numpy's summation order, so its output does
+not depend on the batch. Initial draws are quantized to float32 so a float32
+checkpoint reproduces the exact float64 forward pass.
 """
 
 from __future__ import annotations
@@ -217,12 +214,31 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
     return enc
 
 
-# -- stages -------------------------------------------------------------------
+# -- kernels ------------------------------------------------------------------
 
 # State elements per row block of the selective scan: 48 rows of an (8, 128)
 # state, ~400 KB per float64 buffer, so a block's buffers stay in L2.
 _SCAN_BLOCK = 48 * 8 * 128
 _PAIRWISE_BLOCK = 128        # numpy's PW_BLOCKSIZE
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _rows(a):
+    """(..., n) -> (rows, n), so a weight gradient is one 2-D GEMM."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _linear_vjp(g, x, w, b=None):
+    """Gradients of y = x @ w + b: accumulate w's (one 2-D GEMM) and b's,
+    and return x's."""
+    ad.accumulate(w, _rows(x).T @ _rows(g))
+    if b is not None:
+        ad.accumulate(b, _rows(g).sum(axis=0))
+    return (_rows(g) @ w.data.T).reshape(x.shape)
 
 
 def _sum_states(p):
@@ -257,45 +273,31 @@ def _sum_states(p):
     return r[:, 0]
 
 
-def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
-    """Input-dependent diagonal state-space recurrence, as one autodiff node.
+def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
+    """Input-dependent diagonal state-space recurrence on numpy arrays.
 
     u, delta: (..., T, C); a_mat: (C, S); b_seq, c_seq: (..., T, S);
     d_gain: (C,). Per step: h = exp(delta*A) h + delta*B_t u_t, and the output
-    is y_t = sum_s C_t h + D u_t. Zero initial state.
-
-    The leading axes are flattened to rows, and the forward pass runs the
-    whole recurrence over one block of ``_SCAN_BLOCK // (S*C)`` rows at a
-    time, in state and scratch buffers of one block's size that stay in L2.
-    Without a tape it keeps nothing else; when the output is recorded it also
-    writes the state history. sum_s C_t h adds its S products in numpy's
-    pairwise order for a contiguous last-axis sum (``_sum_states``), so the
-    output is bit-identical to a per-step loop over the whole batch. The
-    backward pass runs the reverse recurrence
-    gh_t = g_t C_t + exp(delta_{t+1} A) gh_{t+1}, recomputing each decay one
-    step at a time (the fused scan of Mamba, arXiv 2312.00752).
+    is y_t = sum_s C_t h + D u_t. Zero initial state. Returns (y, vjp): with
+    ``keep_states`` the state history is kept and vjp(g) returns the
+    gradients of the six inputs; otherwise vjp is None and only one row
+    block's buffers are allocated besides y. sum_s C_t h adds its S products
+    in numpy's pairwise order (``_sum_states``), so y is bit-identical to a
+    per-step loop over the whole batch.
     """
-    parents = tuple(ad.as_tensor(t) for t in (u, delta, a_mat, b_seq, c_seq, d_gain))
-    U, DT, A, B, Cs, D = (t.data for t in parents)
-    batch, (T, C), S = U.shape[:-2], U.shape[-2:], A.shape[-1]
-    if DT.shape != U.shape or A.shape != (C, S) or D.shape != (C,) \
-            or B.shape != U.shape[:-1] + (S,) or Cs.shape != B.shape:
-        raise ad.ShapeMismatch(
-            f"selective_scan: u {U.shape}, delta {DT.shape}, A {A.shape}, "
-            f"B {B.shape}, C {Cs.shape}, D {D.shape} do not fit together")
-    keep = ad.needs_grad(*parents)
+    batch, (T, C), S = u.shape[:-2], u.shape[-2:], a_mat.shape[-1]
     # States are held as (rows, S, C) so every elementwise op runs along the
     # long channel axis. Rows are independent, so the recurrence runs over
     # one cache-sized block of rows at a time in reused buffers.
     R = math.prod(batch)
     rows = max(1, min(R, _SCAN_BLOCK // (S * C)))
-    a_t = np.ascontiguousarray(A.T)
-    y = np.empty(U.shape)
-    H = np.empty(batch + (T, S, C)) if keep else None
-    U2, DT2, y2 = (a.reshape(R, T, C) for a in (U, DT, y))
-    B2, C2 = B.reshape(R, T, S), Cs.reshape(R, T, S)
-    H2 = H.reshape(R, T, S, C) if keep else None
-    h = None if keep else np.empty((rows, S, C))
+    a_t = np.ascontiguousarray(a_mat.T)
+    y = np.empty(u.shape)
+    H = np.empty(batch + (T, S, C)) if keep_states else None
+    U2, DT2, y2 = (a.reshape(R, T, C) for a in (u, delta, y))
+    B2, C2 = b_seq.reshape(R, T, S), c_seq.reshape(R, T, S)
+    H2 = H.reshape(R, T, S, C) if keep_states else None
+    h = None if keep_states else np.empty((rows, S, C))
     # one scratch buffer holds the decay, then the injection, then the
     # products C_t h summed into y_t
     work = np.empty((rows, S, C))
@@ -309,12 +311,12 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
             # y_t = sum_s C_t h + D u_t. numpy's sum starts from +0.0, which
             # turns an all -0.0 sum into +0.0; added to D u instead, that
             # +0.0 gives the same bits
-            np.multiply(D, Ub, out=yb)
+            np.multiply(d_gain, Ub, out=yb)
             yb += 0.0
             for t in range(T):
                 dt_t = DTb[:, t, None, :]                    # (n, 1, C)
                 np.multiply(dt_t, Ub[:, t, None, :], out=du_b)
-                h_t = H2[blk, t] if keep else h[:n]
+                h_t = H2[blk, t] if keep_states else h[:n]
                 if t == 0:
                     np.multiply(du_b, Bb[:, t, :, None], out=h_t)
                 else:
@@ -326,26 +328,31 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
                 np.multiply(h_t, Cb[:, t, :, None], out=w)
                 np.add(_sum_states(w), yb[:, t], out=yb[:, t])
                 h_prev = h_t
+    if not keep_states:
+        return y, None
 
     def vjp(g):
-        gU, gDT = np.empty(U.shape), np.empty(U.shape)
-        gB, gC = np.empty(B.shape), np.empty(B.shape)
+        # the reverse recurrence gh_t = g_t C_t + exp(delta_{t+1} A) gh_{t+1},
+        # recomputing each decay one step at a time (the fused scan of Mamba,
+        # arXiv 2312.00752)
+        gU, gDT = np.empty(u.shape), np.empty(u.shape)
+        gB, gC = np.empty(b_seq.shape), np.empty(b_seq.shape)
         gA = np.zeros(batch + (S, C))       # summed over rows at the end
         gh = np.empty(batch + (S, C))       # gradient of h_t
         q = np.empty_like(gh)
         for t in range(T - 1, -1, -1):
             g_t = g[..., t, :]
-            dt_t = DT[..., t, :]
-            u_t = U[..., t, :]
+            dt_t = delta[..., t, :]
+            u_t = u[..., t, :]
             if t == T - 1:
-                np.multiply(g_t[..., None, :], Cs[..., t, :, None], out=gh)
+                np.multiply(g_t[..., None, :], c_seq[..., t, :, None], out=gh)
             else:
                 gh *= decay                 # exp(delta_{t+1} A) from step t+1
-                gh += g_t[..., None, :] * Cs[..., t, :, None]
+                gh += g_t[..., None, :] * c_seq[..., t, :, None]
             gC[..., t, :] = (H[..., t, :, :] @ g_t[..., :, None])[..., 0]
             gB[..., t, :] = (gh @ (dt_t * u_t)[..., :, None])[..., 0]
-            g_du = (B[..., t, None, :] @ gh)[..., 0, :]
-            gU[..., t, :] = g_du * dt_t + g_t * D
+            g_du = (b_seq[..., t, None, :] @ gh)[..., 0, :]
+            gU[..., t, :] = g_du * dt_t + g_t * d_gain
             gDT[..., t, :] = g_du * u_t
             if t > 0:
                 # decay_t = exp(delta_t A) multiplies h_{t-1}
@@ -355,63 +362,171 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
                 gDT[..., t, :] += (q * a_t).sum(axis=-2)
                 q *= dt_t[..., None, :]
                 gA += q
-        ad.accumulate(parents[0], gU)
-        ad.accumulate(parents[1], gDT)
-        ad.accumulate(parents[2], gA.reshape(-1, S, C).sum(axis=0).T)
-        ad.accumulate(parents[3], gB)
-        ad.accumulate(parents[4], gC)
-        ad.accumulate(parents[5], (g * U).reshape(-1, C).sum(axis=0))
+        gA = gA.reshape(-1, S, C).sum(axis=0).T
+        return gU, gDT, gA, gB, gC, _rows(g * u).sum(axis=0)
 
-    return ad.primitive(y, "selective_scan", parents, vjp)
+    return y, vjp
 
+
+def causal_conv1d(x, w, b):
+    """Depthwise causal 1-D convolution over the time axis on numpy arrays.
+
+    x: (..., T, C); w: (C, K); b: (C,). Output t depends on inputs t-K+1..t
+    (left zero padding), independently per channel; the taps are summed in
+    order, ((tap0 + tap1) + ...) + b. Returns (y, vjp), where vjp(g) returns
+    the gradients of (x, w, b).
+    """
+    T, C = x.shape[-2:]
+    K = w.shape[1]
+    xp = np.zeros(x.shape[:-2] + (K - 1 + T, C))
+    xp[..., K - 1:, :] = x
+    y = xp[..., :T, :] * w[:, 0]
+    for i in range(1, K):
+        y += xp[..., i:i + T, :] * w[:, i]
+    y += b
+
+    def vjp(g):
+        # tap i reads xp[i:i+T]: its input gradient is one shifted add
+        gxp = np.zeros_like(xp)
+        gw = np.empty_like(w)
+        for i in range(K):
+            gxp[..., i:i + T, :] += g * w[:, i]
+            gw[:, i] = _rows(g * xp[..., i:i + T, :]).sum(axis=0)
+        return gxp[..., K - 1:, :], gw, _rows(g).sum(axis=0)
+
+    return y, vjp
+
+
+# -- stages -------------------------------------------------------------------
 
 def embed_inputs(w, x_norm: np.ndarray):
+    """Affine lift of the normalized features; x_norm is a constant."""
     if np.abs(x_norm).max(initial=0.0) > EMBED_MAGNITUDE_WARN:
         log.warning("embed_inputs: normalized feature magnitude exceeds %.0f; "
                     "normalization stats may not match this data",
                     EMBED_MAGNITUDE_WARN)
-    return ad.add(ad.matmul(x_norm, w["embed.w"]), w["embed.b"])
+    tw, tb = ad.as_tensor(w["embed.w"]), ad.as_tensor(w["embed.b"])
+    return ad.primitive(x_norm @ tw.data + tb.data, "embed", (tw, tb),
+                        lambda g: _linear_vjp(g, x_norm, tw, tb))
+
+
+_TFL_WEIGHTS = ("norm.g", "in_proj.w", "conv.w", "conv.b", "x_proj.w",
+                "dt_proj.w", "dt_proj.b", "a_log", "d", "out_proj.w")
 
 
 def tfl_forward(w, config: ModelConfig, x):
-    """Gated selective-scan block with residual; x: (..., T, d_model)."""
+    """Gated selective-scan block with residual, as one autodiff node.
+
+    x: (..., T, d_model). RMS norm; input projection to the scan input and
+    the gate; causal conv, SiLU; step sizes (softplus), B and C; the scan;
+    SiLU gate; output projection; residual. Without a tape, the conv's
+    buffers and the scan's inputs are released once the forward pass is done
+    with them, since only the VJP would read them again.
+    """
     di, r, n = config.d_inner, config.dt_rank, config.n_state
-    u = ad.rms_norm(x, w["tfl.norm.g"])
-    proj = ad.matmul(u, w["tfl.in_proj.w"])
-    xs = proj[..., :di]
+    x_t = ad.as_tensor(x)
+    weights = tuple(ad.as_tensor(w[f"tfl.{name}"]) for name in _TFL_WEIGHTS)
+    X = x_t.data
+    gn, Win, cw, cb, Wx, Wdt, bdt, a_log, D, Wout = (t.data for t in weights)
+    keep = ad.needs_grad(x_t, *weights)
+    ms = (X * X).mean(axis=-1, keepdims=True) + 1e-5
+    inv = ms ** -0.5
+    proj = ((X * inv) * gn) @ Win
     gate = proj[..., di:]
-    xs = ad.silu(ad.causal_conv1d(xs, w["tfl.conv.w"], w["tfl.conv.b"]))
-    x_dbl = ad.matmul(xs, w["tfl.x_proj.w"])
-    delta = ad.softplus(ad.add(ad.matmul(x_dbl[..., :r], w["tfl.dt_proj.w"]),
-                               w["tfl.dt_proj.b"]))
-    b_seq = x_dbl[..., r:r + n]
-    c_seq = x_dbl[..., r + n:]
-    a_mat = ad.neg(ad.exp(w["tfl.a_log"]))
-    y = selective_scan(xs, delta, a_mat, b_seq, c_seq, w["tfl.d"])
-    y = ad.mul(y, ad.silu(gate))
-    return ad.add(x, ad.matmul(y, w["tfl.out_proj.w"]))
+    conv, conv_vjp = causal_conv1d(proj[..., :di], cw, cb)
+    s1 = _sigmoid(conv)
+    xs = conv * s1
+    if not keep:
+        del conv, conv_vjp, s1
+    x_dbl = xs @ Wx
+    delta = np.logaddexp(0.0, x_dbl[..., :r] @ Wdt + bdt)
+    with np.errstate(over="ignore"):
+        a_mat = -np.exp(a_log)
+    y, scan_vjp = selective_scan(xs, delta, a_mat, x_dbl[..., r:r + n],
+                                 x_dbl[..., r + n:], D, keep)
+    if not keep:
+        del xs, delta
+    s2 = _sigmoid(gate)
+    sg = gate * s2
+    yg = y * sg
+    out = X + yg @ Wout
+
+    def vjp(g):
+        tgn, tin, tcw, tcb, twx, twdt, tbdt, talog, td, tout = weights
+        gyg = _linear_vjp(g, yg, tout)
+        gproj = np.empty(proj.shape)
+        gproj[..., di:] = gyg * y * s2 * (1.0 + gate * (1.0 - s2))
+        gU, gDT, gA, gB, gC, gD = scan_vjp(gyg * sg)
+        ad.accumulate(td, gD)
+        ad.accumulate(talog, gA * a_mat)        # d(-exp(a_log)) = a_mat
+        gx_dbl = np.empty(x_dbl.shape)
+        # softplus' = sigmoid = 1 - exp(-softplus)
+        gx_dbl[..., :r] = _linear_vjp(gDT * -np.expm1(-delta), x_dbl[..., :r],
+                                      twdt, tbdt)
+        gx_dbl[..., r:r + n] = gB
+        gx_dbl[..., r + n:] = gC
+        gxs = _linear_vjp(gx_dbl, xs, twx)
+        gxs += gU
+        gxs, gcw, gcb = conv_vjp(gxs * s1 * (1.0 + conv * (1.0 - s1)))
+        ad.accumulate(tcw, gcw)
+        ad.accumulate(tcb, gcb)
+        gproj[..., :di] = gxs
+        xn = X * inv
+        gu = _linear_vjp(gproj, xn * gn, tin)
+        ad.accumulate(tgn, _rows(gu * xn).sum(axis=0))
+        gxn = gu * gn
+        # xn = X * inv with inv = ms**-0.5 and ms = mean(X*X) + eps
+        gms = (gxn * X).sum(axis=-1, keepdims=True) * -0.5 * ms ** -1.5
+        gsq = np.broadcast_to(gms, X.shape) / X.shape[-1] * X
+        gx = g + gxn * inv
+        gx += gsq
+        gx += gsq
+        ad.accumulate(x_t, gx)
+
+    return ad.primitive(out, "tfl", (x_t,) + weights, vjp)
+
+
+_FUL_WEIGHTS = ("fc1.w", "fc1.b", "fc2.w", "fc2.b", "mu.w", "mu.b",
+                "logvar.w", "logvar.b")
 
 
 def ful_forward(w, x_last, noise=None):
-    """Variational head: mu, logvar, and a latent sample (mu when noise is None)."""
-    h1 = ad.relu(ad.add(ad.matmul(x_last, w["ful.fc1.w"]), w["ful.fc1.b"]))
-    h2 = ad.relu(ad.add(ad.matmul(h1, w["ful.fc2.w"]), w["ful.fc2.b"]))
-    mu = ad.add(ad.matmul(h2, w["ful.mu.w"]), w["ful.mu.b"])
-    logvar = ad.add(ad.matmul(h2, w["ful.logvar.w"]), w["ful.logvar.b"])
-    if noise is None:
-        return mu, mu, logvar
-    sigma = ad.exp(ad.mul(logvar, 0.5))
-    z = ad.add(mu, ad.mul(sigma, np.asarray(noise, dtype=float)))
-    return z, mu, logvar
+    """Variational head: two ReLU layers, mu, logvar and the latent sample
+    z = mu + exp(logvar / 2) * noise (mu when noise is None). One autodiff
+    node holds the stacked (z, mu, logvar), returned as its three slices."""
+    x_t = ad.as_tensor(x_last)
+    weights = tuple(ad.as_tensor(w[f"ful.{name}"]) for name in _FUL_WEIGHTS)
+    W1, c1, W2, c2, Wmu, cmu, Wlv, clv = (t.data for t in weights)
+    X = x_t.data
+    h1 = np.maximum(X @ W1 + c1, 0.0)
+    h2 = np.maximum(h1 @ W2 + c2, 0.0)
+    mu = h2 @ Wmu + cmu
+    logvar = h2 @ Wlv + clv
+    z = mu
+    if noise is not None:
+        noise = np.asarray(noise, dtype=float)
+        with np.errstate(over="ignore"):
+            sigma = np.exp(logvar * 0.5)
+        z = mu + sigma * noise
+
+    def vjp(g):
+        t1, tc1, t2, tc2, tmu, tcmu, tlv, tclv = weights
+        gz, gmu, glv = g
+        if noise is not None:
+            glv = glv + gz * noise * sigma * 0.5
+        gh = _linear_vjp(gmu + gz, h2, tmu, tcmu)
+        gh += _linear_vjp(glv, h2, tlv, tclv)
+        gh *= h2 > 0.0
+        gh = _linear_vjp(gh, h1, t2, tc2)
+        gh *= h1 > 0.0
+        ad.accumulate(x_t, _linear_vjp(gh, X, t1, tc1))
+
+    stacked = ad.primitive(np.stack([z, mu, logvar]), "ful", (x_t,) + weights, vjp)
+    return stacked[0], stacked[1], stacked[2]
 
 
 _ATTN_WEIGHTS = ("attn.q.w", "attn.k.w", "attn.v.w", "attn.o.w", "ln1.g", "ln1.b",
                  "ff.w1", "ff.b1", "ff.w2", "ff.b2", "ln2.g", "ln2.b")
-
-
-def _rows(a):
-    """(..., n) -> (rows, n), so a weight gradient is one 2-D GEMM."""
-    return a.reshape(-1, a.shape[-1])
 
 
 def _layer_norm(x, gain, bias):
@@ -496,17 +611,12 @@ def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
         tq, tk, tv, to, tg1, tb1, tw1, tc1, tw2, tc2, tg2, tb2 = weights
         # gr: gradient of the residual sum under each layer norm
         gr = _layer_norm_vjp(g, n2, inv2, tg2, tb2)
-        ad.accumulate(tc2, _rows(gr).sum(axis=0))
-        ad.accumulate(tw2, _rows(h).T @ _rows(gr))
-        gh = (_rows(gr) @ W2.T).reshape(h.shape)
+        gh = _linear_vjp(gr, h, tw2, tc2)
         gh *= h > 0.0
-        ad.accumulate(tc1, _rows(gh).sum(axis=0))
-        ad.accumulate(tw1, _rows(x1).T @ _rows(gh))
-        gr += (_rows(gh) @ W1.T).reshape(gr.shape)
+        gr += _linear_vjp(gh, x1, tw1, tc1)
         gr = _layer_norm_vjp(gr, n1, inv1, tg1, tb1)
-        ad.accumulate(to, _rows(o).T @ _rows(gr))
         # per head: go = dO, gs = dP, then dS
-        go = split((_rows(gr) @ Wo.T).reshape(gr.shape))
+        go = split(_linear_vjp(gr, o, to))
         gv = merge(np.swapaxes(p, -1, -2) @ go)
         gs = go @ np.swapaxes(vh, -1, -2)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
@@ -514,13 +624,9 @@ def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
         gs *= scale
         gq = merge(gs @ kh)
         gk = merge(np.swapaxes(gs, -1, -2) @ qh)
-        ad.accumulate(tq, _rows(X).T @ _rows(gq))
-        ad.accumulate(tk, _rows(M).T @ _rows(gk))
-        ad.accumulate(tv, _rows(M).T @ _rows(gv))
-        gr += (_rows(gq) @ Wq.T).reshape(gr.shape)
-        gm = _rows(gk) @ Wk.T
-        gm += _rows(gv) @ Wv.T
-        gm = gm.reshape(M.shape)
+        gr += _linear_vjp(gq, X, tq)
+        gm = _linear_vjp(gk, M, tk)
+        gm += _linear_vjp(gv, M, tv)
         if self_attn:
             gr += gm
         else:
@@ -531,9 +637,12 @@ def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
 
 
 def pfl_forward(w, config: ModelConfig, z):
-    """Cross-vehicle attention; vehicle i sees vehicles 1..i (upstream only)."""
+    """Cross-vehicle attention; vehicle i sees vehicles 1..i (upstream only).
+    Adding the position table to z is one node."""
+    z = ad.as_tensor(z)
     n_veh = z.shape[-2]
-    x = ad.add(z, sinusoidal_encoding(n_veh, config.d_model))
+    x = ad.primitive(z.data + sinusoidal_encoding(n_veh, config.d_model),
+                     "pfl_position", (z,), lambda g: ad.accumulate(z, g))
     mask = np.tril(np.ones((n_veh, n_veh), dtype=bool))
     for i in range(config.attn_layers):
         x = _attn_layer(w, f"pfl.{i}", x, x, config.attn_heads, mask)
@@ -541,13 +650,19 @@ def pfl_forward(w, config: ModelConfig, z):
 
 
 def narp_decode(w, config: ModelConfig, latent, memory):
-    """All parameter blocks decoded at once from horizon-step queries."""
-    S = config.n_param_steps
-    q = ad.add(ad.reshape(latent, latent.shape[:-1] + (1, latent.shape[-1])),
-               sinusoidal_encoding(S, config.d_model))
+    """All parameter blocks decoded at once from horizon-step queries: the
+    latent plus a position per block (one node), the cross-attention layers
+    over the temporal memory, then the linear head (one node)."""
+    lat = ad.as_tensor(latent)
+    q = ad.primitive(lat.data.reshape(lat.shape[:-1] + (1, lat.shape[-1]))
+                     + sinusoidal_encoding(config.n_param_steps, config.d_model),
+                     "narp_query", (lat,),
+                     lambda g: ad.accumulate(lat, g.sum(axis=-2)))
     for i in range(config.attn_layers):
         q = _attn_layer(w, f"dec.{i}", q, memory, config.attn_heads)
-    return ad.add(ad.matmul(q, w["dec.head.w"]), w["dec.head.b"])
+    tw, tb = ad.as_tensor(w["dec.head.w"]), ad.as_tensor(w["dec.head.b"])
+    return ad.primitive(q.data @ tw.data + tb.data, "narp_head", (q, tw, tb),
+                        lambda g: ad.accumulate(q, _linear_vjp(g, q.data, tw, tb)))
 
 
 @dataclass
@@ -633,8 +748,8 @@ def gradcheck_model(config: ModelConfig = None, seed: int = 0,
         out = model_forward(model, cfg, hist, lead)
         l_v, l_s = training.prediction_losses(out.result, targets)
         kl = training.kl_loss(out.mu, out.logvar)
-        return ad.add(ad.add(l_v, l_s),
-                      ad.mul(kl, training.TrainConfig.alpha_kl))
+        return training.total_loss(l_v, l_s, kl, (1.0, 1.0),
+                                   training.TrainConfig.alpha_kl)
 
     err = ad.finite_diff_check(graph, arrays, step=step)
     return err, sum(a.size for a in arrays)

@@ -130,8 +130,8 @@ class ModelController(_LinearLaw):
             out = net.model_forward(self.params, self.config,
                                     history, lead_future, noise=noise)
         self._theta = out.theta.data
-        self._v_star = out.xstar.v_star.data
-        self._s_star = out.xstar.s_star.data
+        self._v_star = out.xstar.v_star
+        self._s_star = out.xstar.s_star
 
 
 # -- simulator --------------------------------------------------------------------

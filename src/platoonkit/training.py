@@ -45,19 +45,51 @@ class CheckpointError(Exception):
 def prediction_losses(result, targets: np.ndarray):
     """Mean squared error of predicted speed and gap over every future step.
 
-    targets: (B, N, F, 2) ground-truth [speed, gap]. Returns (l_v, l_s).
+    targets: (B, N, F, 2) ground-truth [speed, gap], a constant. One autodiff
+    node holds [l_v, l_s]; returns its two slices (l_v, l_s).
     """
     targets = np.asarray(targets, dtype=float)
-    ev = ad.sub(result.v, targets[..., 0])
-    es = ad.sub(result.s, targets[..., 1])
-    return ad.tmean(ad.mul(ev, ev)), ad.tmean(ad.mul(es, es))
+    v, s = ad.as_tensor(result.v), ad.as_tensor(result.s)
+    ev = v.data - targets[..., 0]
+    es = s.data - targets[..., 1]
+
+    def vjp(g):
+        ad.accumulate(v, ev * (2.0 * (g[0] / ev.size)))
+        ad.accumulate(s, es * (2.0 * (g[1] / es.size)))
+
+    losses = ad.primitive(np.array([(ev * ev).mean(), (es * es).mean()]),
+                          "prediction_losses", (v, s), vjp)
+    return losses[0], losses[1]
 
 
 def kl_loss(mu, logvar):
-    """KL(q || N(0, I)) averaged over batch, vehicles, and latent channels."""
-    inner = ad.sub(ad.add(ad.mul(mu, mu), ad.exp(logvar)),
-                   ad.add(logvar, 1.0))
-    return ad.mul(ad.tmean(inner), 0.5)
+    """KL(q || N(0, I)) averaged over batch, vehicles, and latent channels,
+    as one autodiff node."""
+    mu, logvar = ad.as_tensor(mu), ad.as_tensor(logvar)
+    with np.errstate(over="ignore"):
+        var = np.exp(logvar.data)
+    inner = (mu.data * mu.data + var) - (logvar.data + 1.0)
+
+    def vjp(g):
+        g_inner = g * 0.5 / inner.size
+        ad.accumulate(mu, mu.data * (2.0 * g_inner))
+        ad.accumulate(logvar, g_inner * var - g_inner)
+
+    return ad.primitive(inner.mean() * 0.5, "kl_loss", (mu, logvar), vjp)
+
+
+def total_loss(l_v, l_s, kl, task_weights, alpha_kl: float):
+    """The training objective w_v l_v + w_s l_s + alpha_kl kl, as one autodiff
+    node; the task weights and alpha_kl are constants."""
+    parts = (l_v, l_s, kl)
+    scales = (float(task_weights[0]), float(task_weights[1]), float(alpha_kl))
+
+    def vjp(g):
+        for part, scale in zip(parts, scales):
+            ad.accumulate(part, g * scale)
+
+    return ad.primitive((l_v.data * scales[0] + l_s.data * scales[1])
+                        + kl.data * scales[2], "total_loss", parts, vjp)
 
 
 def dwa_weights(loss_history, temperature: float = DWA_TEMPERATURE) -> np.ndarray:
@@ -330,9 +362,7 @@ def train(params: net.ModelParams, config: net.ModelConfig,
                 out = net.model_forward(params, config, hist, lead, noise=noise)
                 l_v, l_s = prediction_losses(out.result, targets)
                 kl = kl_loss(out.mu, out.logvar)
-                total = ad.add(ad.add(ad.mul(l_v, weights_vs[0]),
-                                      ad.mul(l_s, weights_vs[1])),
-                               ad.mul(kl, tcfg.alpha_kl))
+                total = total_loss(l_v, l_s, kl, weights_vs, tcfg.alpha_kl)
                 tape = ad.Tape.trace(total)
                 tape.backward(np.ones_like(total.data))
                 opt.step()

@@ -8,6 +8,7 @@ import sys
 import weakref
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ import pytest
 from platoonkit import autodiff as ad
 from platoonkit import dynamics as dyn
 from platoonkit import network as net
+from platoonkit import training as tr
 
+
+# constants the finite-difference rows close over: data, noise and targets
+_CONSTANTS = np.random.default_rng(zlib.crc32(b"constants"))
+_X_NORM = _CONSTANTS.standard_normal((2, 3, 5, 3))
+_NOISE = _CONSTANTS.standard_normal((2, 3, 4))
+_TARGETS = _CONSTANTS.standard_normal((2, 3, 4, 2))
 
 # every row keeps at least one unmasked entry, so no softmax row degenerates
 _SOFTMAX_MASK = np.array([[True, True, False, True, False],
@@ -31,6 +39,8 @@ _CAUSAL_MASK = np.tril(np.ones((3, 3), dtype=bool))
 # an attention layer of width 4 with 2 heads, in ``network._ATTN_WEIGHTS`` order
 _ATTN_SHAPES = [(4, 4), (4, 4), (4, 4), (4, 4), (4,), (4,),
                 (4, 16), (16,), (16, 4), (4,), (4,), (4,)]
+# constant attention weights of the pfl and narp rows
+_ATTN = [_CONSTANTS.standard_normal(s) for s in _ATTN_SHAPES]
 
 
 def _attn(x, m, *weights, mask=True):
@@ -39,26 +49,104 @@ def _attn(x, m, *weights, mask=True):
     return net._attn_layer(w, "a", x, m, 2, mask)
 
 
+def _probe_sum(t, probe):
+    """sum(t * probe) as one node: the scalar a finite-difference check compares."""
+    def vjp(g):
+        ad.accumulate(t, g * probe)
+
+    return ad.primitive(np.sum(t.data * probe), "sum", (t,), vjp)
+
+
+def _joint(*tensors):
+    """Several outputs as one scalar "sum" node, each summed against its own
+    fixed weights, so a gradient error in any of them shows."""
+    weights = [np.linspace(-1.0, 2.0 + i, t.data.size).reshape(t.shape)
+               for i, t in enumerate(tensors)]
+
+    def vjp(g):
+        for t, w in zip(tensors, weights):
+            ad.accumulate(t, g * w)
+
+    return ad.primitive(sum(np.sum(t.data * w) for t, w in zip(tensors, weights)),
+                        "sum", tensors, vjp)
+
+
+def _config(**over):
+    base = dict(d_model=4, n_state=2, conv_kernel=3, ve_hidden=3, attn_layers=1,
+                attn_heads=2, history_len=5, horizon=2, param_window=1)
+    return net.ModelConfig(**dict(base, **over))
+
+
+def _stage_shapes(config, prefix):
+    """Shapes of the weights named ``prefix``..., in ``weight_shapes`` order."""
+    return [s for name, s in net.weight_shapes(config).items()
+            if name.startswith(prefix)]
+
+
+def _tfl(config, x, *ws):
+    """``network.tfl_forward`` with its weights given in ``_TFL_WEIGHTS`` order."""
+    w = {f"tfl.{name}": t for name, t in zip(net._TFL_WEIGHTS, ws)}
+    return net.tfl_forward(w, config, x)
+
+
+def _tfl_case(name, batch, **over):
+    cfg = _config(**over)
+    shapes = [batch + (cfg.history_len, cfg.d_model)] + _stage_shapes(cfg, "tfl.")
+    return (name, lambda x, *ws: _tfl(cfg, x, *ws), [_rand] * len(shapes), shapes)
+
+
+def _ful(noise):
+    def op(x, *ws):
+        w = {f"ful.{name}": t for name, t in zip(net._FUL_WEIGHTS, ws)}
+        return _joint(*net.ful_forward(w, x, noise))
+    return op
+
+
+def _pfl(x):
+    """``network.pfl_forward`` with constant attention weights (the attention
+    rows perturb those)."""
+    w = {f"pfl.0.{name}": a for name, a in zip(net._ATTN_WEIGHTS, _ATTN)}
+    return net.pfl_forward(w, _config(), x)
+
+
+def _narp(latent, memory, head_w, head_b):
+    """``network.narp_decode`` with constant attention weights."""
+    w = {f"dec.0.{name}": a for name, a in zip(net._ATTN_WEIGHTS, _ATTN)}
+    w["dec.head.w"], w["dec.head.b"] = head_w, head_b
+    return net.narp_decode(w, _config(), latent, memory)
+
+
+def _embed(x_norm):
+    return lambda w, b: net.embed_inputs({"embed.w": w, "embed.b": b}, x_norm)
+
+
 def test_square_scalar_forward_backward():
-    # d(x*x)/dx at 3 is 6; frozen hand value.
-    outputs, grads = ad.forward_backward(lambda x: ad.mul(x, x), [np.array(3.0)])
+    # d(x*x)/dx at 3 is 6, through the squared-error loss; frozen hand value.
+    zero = np.zeros((1, 1, 1, 2))
+    outputs, grads = ad.forward_backward(
+        lambda x: tr.prediction_losses(SimpleNamespace(v=x, s=x), zero)[0],
+        [np.full((1, 1, 1), 3.0)])
     assert float(outputs) == 9.0
-    assert float(grads[0]) == 6.0
+    assert grads[0].item() == 6.0
 
 
 def test_softplus_zero_value_and_gradient():
-    # softplus(0) = ln 2, gradient = sigmoid(0) = 0.5; frozen hand values.
-    outputs, grads = ad.forward_backward(lambda x: ad.softplus(x), [np.array(0.0)])
+    # softplus(0) = ln 2, gradient = sigmoid(0) = 0.5, with the encoding's
+    # signs (-, +, +); frozen hand values.
+    outputs, grads = ad.forward_backward(
+        lambda x: ad.tsum(dyn.encode_parameters(x)), [np.zeros(3)])
     assert abs(float(outputs) - math.log(2.0)) < 1e-12
     assert abs(float(outputs) - 0.693147) < 1e-6
-    assert abs(float(grads[0]) - 0.5) < 1e-12
+    np.testing.assert_allclose(grads[0], [-0.5, 0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_matmul_finite_difference():
+    # the embedding is one matmul plus a bias
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2))
-    err = ad.finite_diff_check(lambda x, y: ad.tsum(ad.matmul(x, y)), [a, b], step=1e-6)
+    x = rng.standard_normal((2, 3))
+    err = ad.finite_diff_check(lambda w, b: ad.tsum(_embed(x)(w, b)),
+                               [rng.standard_normal((3, 2)), rng.standard_normal(2)],
+                               step=1e-6)
     assert err < 1e-5
 
 
@@ -113,61 +201,64 @@ def test_masked_softmax_gradient_matches_fd():
     probe = rng.standard_normal((2, 3, 4))
 
     def graph(xv, mv):
-        return ad.tsum(ad.mul(_attn(xv, mv, *ws, mask=_SOFTMAX_MASK), probe))
+        return _probe_sum(_attn(xv, mv, *ws, mask=_SOFTMAX_MASK), probe)
 
     assert ad.finite_diff_check(graph, [x, m]) < 1e-6
 
 
 def test_tape_replay_bit_identical():
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((4, 3))
-    w = rng.standard_normal((3, 2))
+    cfg = _config()
+    arrays = [rng.standard_normal((2, 3, 5, 4))] + [
+        rng.standard_normal(s) for s in _stage_shapes(cfg, "tfl.")]
 
-    def graph(xv, wv):
-        return ad.tsum(ad.silu(ad.matmul(xv, wv)))
+    def graph(*leaves):
+        return ad.tsum(_tfl(cfg, *leaves))
 
-    out1, grads1 = ad.forward_backward(graph, [x, w])
-    out2, grads2 = ad.forward_backward(graph, [x, w])
+    out1, grads1 = ad.forward_backward(graph, arrays)
+    out2, grads2 = ad.forward_backward(graph, arrays)
     assert np.array_equal(out1, out2)
     for g1, g2 in zip(grads1, grads2):
         assert np.array_equal(g1, g2)
 
 
 def test_shared_subexpression_accumulates_once_per_path():
-    # z = y + y with y = x*x: dz/dx = 4x; tape must visit y exactly once.
-    _, grads = ad.forward_backward(
-        lambda x: ad.add(ad.mul(x, x), ad.mul(x, x)), [np.array(2.0)])
-    assert float(grads[0]) == 8.0
-
+    # z = y + y + y with y = kl(x) = x*x/2 at a zero logvar: dz/dx = 3x; the
+    # tape must visit y exactly once and pass all three paths through it.
     def graph(x):
-        y = ad.mul(x, x)
-        return ad.add(y, y)
+        y = tr.kl_loss(x, np.zeros(1))
+        return tr.total_loss(y, y, y, (1.0, 1.0), 1.0)
 
-    _, grads = ad.forward_backward(graph, [np.array(2.0)])
-    assert float(grads[0]) == 8.0
+    _, grads = ad.forward_backward(graph, [np.array([2.0])])
+    assert float(grads[0][0]) == 6.0
+    tape = ad.Tape.trace(graph(ad.param(np.array([2.0]))))
+    assert [n._op for n in tape.nodes] == ["tensor", "kl_loss", "total_loss"]
 
 
 def test_unused_leaf_gets_zero_gradient():
-    _, grads = ad.forward_backward(lambda x, y: ad.tsum(ad.mul(x, x)),
+    _, grads = ad.forward_backward(lambda x, y: ad.tsum(x),
                                    [np.ones(3), np.ones(4)])
     assert np.array_equal(grads[1], np.zeros(4))
 
 
 def test_shape_mismatch_names_both_operands():
+    rng = np.random.default_rng(15)
+    ws = [rng.standard_normal(s) for s in _ATTN_SHAPES]
     with pytest.raises(ad.ShapeMismatch) as exc:
-        ad.add(ad.as_tensor(np.zeros((2, 3))), ad.as_tensor(np.zeros((4, 5))))
-    assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
+        _attn(np.zeros((2, 3, 4)), np.zeros((2, 5, 6)), *ws)
+    assert "(2, 3, 4)" in str(exc.value) and "(2, 5, 6)" in str(exc.value)
     with pytest.raises(ad.ShapeMismatch) as exc:
-        ad.matmul(ad.as_tensor(np.zeros((2, 3))), ad.as_tensor(np.zeros((5, 2))))
-    assert "matmul" in str(exc.value)
+        dyn.encode_parameters(ad.param(np.zeros((2, 3)))).backward(np.ones(3))
+    assert "(3,)" in str(exc.value) and "(2, 3)" in str(exc.value)
 
 
 def test_nonfinite_rejected_at_boundary_and_inside():
     with pytest.raises(ad.NonFiniteValue):
         ad.as_tensor(np.array([1.0, np.inf]))
+    # exp(1000) overflows inside the KL node
     with pytest.raises(ad.NonFiniteValue) as exc:
-        ad.exp(ad.as_tensor(np.array(1000.0)))
-    assert "exp" in str(exc.value)
+        tr.kl_loss(np.zeros(1), np.array([1000.0]))
+    assert "kl_loss" in str(exc.value)
 
 
 def test_finite_diff_step_bounds():
@@ -191,20 +282,34 @@ def test_layer_norm_statistics_and_gradient():
 
     def graph(g1, b1, g2, b2):
         layer = _attn(x, x, *ws[:4], g1, b1, *ws[6:10], g2, b2)
-        return ad.tsum(ad.mul(layer, weights))
+        return _probe_sum(layer, weights)
 
     assert ad.finite_diff_check(graph, [ws[4], ws[5], ws[10], ws[11]]) < 1e-6
 
 
 def test_rms_norm_gradient():
+    # the TFL block opens with an RMS norm: the gradient of its input and gain
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((2, 6)) + 0.5
-    g = rng.standard_normal(6)
+    cfg = _config()
+    x = rng.standard_normal((2, 5, 4)) + 0.5
+    ws = [rng.standard_normal(s) for s in _stage_shapes(cfg, "tfl.")]
+    probe = np.arange(40.0).reshape(2, 5, 4)
 
     def graph(xv, gv):
-        return ad.tsum(ad.mul(ad.rms_norm(xv, gv), np.arange(12.0).reshape(2, 6)))
+        return _probe_sum(_tfl(cfg, xv, gv, *ws[1:]), probe)
 
-    assert ad.finite_diff_check(graph, [x, g]) < 1e-6
+    assert ad.finite_diff_check(graph, [x, ws[0]]) < 1e-6
+
+
+def _conv(x, w, b):
+    """``network.causal_conv1d`` and its VJP as one node."""
+    y, conv_vjp = net.causal_conv1d(x.data, w.data, b.data)
+
+    def vjp(g):
+        for t, grad in zip((x, w, b), conv_vjp(g)):
+            ad.accumulate(t, grad)
+
+    return ad.primitive(y, "causal_conv1d", (x, w, b), vjp)
 
 
 def test_causal_conv_is_causal_and_correct():
@@ -212,7 +317,7 @@ def test_causal_conv_is_causal_and_correct():
     x = rng.standard_normal((5, 3))
     w = rng.standard_normal((3, 4))
     b = rng.standard_normal(3)
-    out = ad.causal_conv1d(ad.as_tensor(x), ad.as_tensor(w), ad.as_tensor(b)).data
+    out = net.causal_conv1d(x, w, b)[0]
 
     # direct reference: y[t,c] = sum_i w[c,i] * x[t-K+1+i, c] + b[c]
     K = 4
@@ -226,14 +331,14 @@ def test_causal_conv_is_causal_and_correct():
     # causality: perturbing x at t=3 leaves outputs at t<3 unchanged
     x2 = x.copy()
     x2[3] += 1.0
-    out2 = ad.causal_conv1d(ad.as_tensor(x2), ad.as_tensor(w), ad.as_tensor(b)).data
+    out2 = net.causal_conv1d(x2, w, b)[0]
     assert np.array_equal(out[:3], out2[:3])
     assert not np.allclose(out[3:], out2[3:])
 
     weights = np.random.default_rng(99).standard_normal((5, 3))
 
     def graph(xv, wv, bv):
-        return ad.tsum(ad.mul(ad.causal_conv1d(xv, wv, bv), weights))
+        return _probe_sum(_conv(xv, wv, bv), weights)
 
     assert ad.finite_diff_check(graph, [x, w, b]) < 1e-6
 
@@ -243,31 +348,28 @@ def test_causal_conv_matches_tap_order_and_rows():
     x = rng.standard_normal((3, 2, 7, 5))
     w = rng.standard_normal((5, 4))
     b = rng.standard_normal(5)
-    out = ad.causal_conv1d(ad.param(x), ad.param(w), ad.param(b))
+    out, vjp = net.causal_conv1d(x, w, b)
     xp = np.concatenate([np.zeros((3, 2, 3, 5)), x], axis=-2)
     want = xp[..., 0:7, :] * w[:, 0]
     for i in range(1, 4):
         want = want + xp[..., i:i + 7, :] * w[:, i]
-    np.testing.assert_array_equal(out.data, want + b)
+    np.testing.assert_array_equal(out, want + b)
     g = rng.standard_normal(out.shape)
-    xt = ad.param(x)
-    ad.causal_conv1d(xt, w, b).backward(g)
+    gx = vjp(g)[0]
     for row in range(3):
-        single = ad.param(x[row:row + 1])
-        y = ad.causal_conv1d(single, w, b)
-        y.backward(g[row:row + 1])
-        np.testing.assert_array_equal(y.data[0], out.data[row])
-        np.testing.assert_array_equal(single.grad[0], xt.grad[row])
+        y, row_vjp = net.causal_conv1d(x[row:row + 1], w, b)
+        np.testing.assert_array_equal(y[0], out[row])
+        np.testing.assert_array_equal(row_vjp(g[row:row + 1])[0][0], gx[row])
 
 
 def test_graph_is_freed_without_the_cycle_collector():
     rng = np.random.default_rng(13)
-    x = ad.param(rng.standard_normal((3, 4)))
+    x = ad.param(rng.standard_normal((3, 4, 3)))
     gc.disable()
     try:
-        inner = ad.exp(ad.silu(ad.matmul(x, rng.standard_normal((4, 2)))))
+        inner = dyn.encode_parameters(x)
         probe = weakref.ref(inner)
-        loss = ad.tsum(ad.mul(inner, ad.silu(inner)))
+        loss = _joint(inner[..., 0], inner[1:], inner)
         del inner
         loss.backward()
         assert probe() is not None          # the loss still holds its graph
@@ -280,12 +382,60 @@ def test_graph_is_freed_without_the_cycle_collector():
 
 def test_no_grad_blocks_recording():
     with ad.no_grad():
-        out = ad.mul(ad.param(np.ones(3)), 2.0)
+        out = dyn.encode_parameters(ad.param(np.ones(3)))
     assert out._vjp is None and not out.requires_grad
+
+
+def test_constant_parents_are_not_recorded():
+    w = ad.param(np.ones((3, 2)))
+    out = _embed(np.ones((4, 3)))(w, ad.as_tensor(np.zeros(2)))
+    assert out._parents == (w,)
+    assert [n._op for n in ad.Tape.trace(out).nodes] == ["tensor", "embed"]
+
+
+def _sum3(a, b, c):
+    return tr.total_loss(a, b, c, (1.0, 1.0), 1.0)
+
+
+def test_slices_and_a_whole_read_sum_into_one_buffer(monkeypatch):
+    # a parent read by two slices and whole, as memory is by FUL and NARP
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((3, 4))
+    w0, w12 = rng.standard_normal(4), rng.standard_normal((2, 4))
+    w_all = rng.standard_normal((3, 4))
+
+    def graph(p):
+        return _sum3(_probe_sum(p[0], w0), _probe_sum(p[1:], w12),
+                     _probe_sum(p, w_all))
+
+    _, grads = ad.forward_backward(graph, [a])
+    want = w_all.copy()
+    want[0] += w0
+    want[1:] += w12
+    np.testing.assert_array_equal(grads[0], want)
+    assert ad.finite_diff_check(graph, [a]) < 1e-9
+
+    # slices alone: one zero-filled buffer for the parent, not one per slice
+    calls = []
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like",
+                        lambda x, *args, **kw: calls.append(x.shape)
+                        or zeros_like(x, *args, **kw))
+    p = ad.param(a)
+    _sum3(_probe_sum(p[0], w0), _probe_sum(p[1:], w12),
+          _probe_sum(p[:, 2], w_all[:, 0])).backward()
+    assert calls == [(3, 4)]
+    want = np.zeros((3, 4))
+    want[0] += w0
+    want[1:] += w12
+    want[:, 2] += w_all[:, 0]
+    np.testing.assert_array_equal(p.grad, want)
 
 
 # -- every primitive against the finite-difference oracle ---------------------
 # Spec contract: < 1e-4 relative error across 100 random shape/seed combos.
+# Each row is a variant of a node the model records; data, noise and
+# targets are constants, the rest are the leaves the oracle perturbs.
 
 def _rand(rng, shape):
     return rng.standard_normal(shape)
@@ -299,46 +449,55 @@ def _neg(rng, shape):
     return -rng.uniform(0.5, 2.0, shape)
 
 
-def _away_from_zero(rng, shape):
-    x = rng.standard_normal(shape)
-    return x + np.sign(x) * 0.2
+def _large(rng, shape):
+    """|x| in [30, 60], where softplus is x or e^x to double precision."""
+    return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(30.0, 60.0, shape)
 
 
 def _rollout_series(x0, lead, th, v_star, s_star):
-    """All four rollout series, weighted differently, as one output."""
+    """All four rollout series as one output."""
     r = dyn.rollout(x0, lead, th, dyn.ExpectedState(v_star, s_star))
-    return ad.add(ad.add(r.v, ad.mul(r.s, 0.5)),
-                  ad.add(ad.mul(r.a, 2.0), ad.mul(r.dv, -1.5)))
+    return _joint(r.v, r.s, r.a, r.dv)
 
+
+def _losses(v, s):
+    return _joint(*tr.prediction_losses(SimpleNamespace(v=v, s=s), _TARGETS))
+
+
+_FUL_SHAPES = _stage_shapes(_config(), "ful.")
+_HEAD_SHAPES = [(4, 3), (3,)]
 
 PRIMITIVE_CASES = [
-    ("add", lambda a, b: ad.add(a, b), [_rand, _rand], [(3, 4), (3, 4)]),
-    ("add_broadcast", lambda a, b: ad.add(a, b), [_rand, _rand], [(2, 3, 4), (4,)]),
-    ("sub", lambda a, b: ad.sub(a, b), [_rand, _rand], [(5,), (5,)]),
-    ("mul", lambda a, b: ad.mul(a, b), [_rand, _rand], [(2, 4), (2, 4)]),
-    ("mul_broadcast", lambda a, b: ad.mul(a, b), [_rand, _rand], [(3, 1, 4), (2, 4)]),
-    ("neg", lambda a: ad.neg(a), [_rand], [(4, 2)]),
-    ("power", lambda a: ad.power(a, 3), [_rand], [(3, 3)]),
-    ("matmul", lambda a, b: ad.matmul(a, b), [_rand, _rand], [(3, 4), (4, 2)]),
-    ("matmul_batched", lambda a, b: ad.matmul(a, b), [_rand, _rand], [(2, 3, 4), (4, 2)]),
-    ("matmul_both_batched", lambda a, b: ad.matmul(a, b), [_rand, _rand],
-     [(2, 3, 4), (2, 4, 2)]),
-    ("exp", lambda a: ad.exp(a), [_rand], [(3, 2)]),
-    ("softplus", lambda a: ad.softplus(a), [_rand], [(4, 3)]),
-    ("silu", lambda a: ad.silu(a), [_rand], [(2, 5)]),
-    ("relu", lambda a: ad.relu(a), [_away_from_zero], [(4, 4)]),
-    ("sum_axis", lambda a: ad.tsum(a, axis=1), [_rand], [(3, 4, 2)]),
-    ("mean_axis", lambda a: ad.tmean(a, axis=-1), [_rand], [(2, 6)]),
-    ("reshape", lambda a: ad.reshape(a, (6, 2)), [_rand], [(3, 4)]),
+    ("embed", _embed(_X_NORM), [_rand, _rand], [(3, 4), (4,)]),
+    ("embed_unbatched", _embed(_X_NORM[0, 0]), [_rand, _rand], [(3, 2), (2,)]),
+    _tfl_case("tfl", (2, 3)),
+    _tfl_case("tfl_unbatched", ()),
+    _tfl_case("tfl_history_shorter_than_kernel", (2,), history_len=2,
+              conv_kernel=4),
+    _tfl_case("tfl_kernel_1", (2,), conv_kernel=1),
+    _tfl_case("tfl_three_states", (2,), n_state=3),
+    ("ful_mean", _ful(None), [_rand] * 9, [(2, 3, 4)] + _FUL_SHAPES),
+    ("ful_noise", _ful(_NOISE), [_rand] * 9, [(2, 3, 4)] + _FUL_SHAPES),
+    ("pfl_position", _pfl, [_rand], [(2, 3, 4)]),
+    ("pfl_single_vehicle", _pfl, [_rand], [(2, 1, 4)]),
+    ("narp", _narp, [_rand] * 4, [(2, 3, 4), (2, 3, 5, 4)] + _HEAD_SHAPES),
+    ("narp_unbatched", _narp, [_rand] * 4, [(4,), (5, 4)] + _HEAD_SHAPES),
+    ("encode", dyn.encode_parameters, [_rand], [(2, 3, 2, 3)]),
+    ("encode_unbatched", dyn.encode_parameters, [_rand], [(3,)]),
+    ("encode_large_raw", dyn.encode_parameters, [_large], [(4, 3)]),
+    ("prediction_losses", _losses, [_rand, _rand], [(2, 3, 4), (2, 3, 4)]),
+    ("kl_loss", tr.kl_loss, [_rand, _rand], [(2, 3), (2, 3)]),
+    ("total_loss", lambda a, b, c: tr.total_loss(a, b, c, (0.7, 1.3), 0.01),
+     [_rand] * 3, [(), (), ()]),
     ("slice", lambda a: a[1:, ::2], [_rand], [(4, 6)]),
-    ("rms_norm", lambda x, g: ad.rms_norm(x, g), [_rand, _rand], [(2, 5), (5,)]),
-    ("causal_conv1d", lambda x, w, b: ad.causal_conv1d(x, w, b), [_rand, _rand, _rand],
-     [(6, 3), (3, 4), (3,)]),
-    ("selective_scan", lambda u, dt, a, b, c, d: net.selective_scan(u, dt, a, b, c, d),
-     [_rand, _pos, _neg, _rand, _rand, _rand],
-     [(2, 5, 3), (2, 5, 3), (3, 2), (2, 5, 2), (2, 5, 2), (3,)]),
-    ("rollout", lambda x0, lead, th, vs, ss: _rollout_series(x0, lead, th, vs, ss),
-     [_rand, _rand, _rand, _rand, _rand], [(2, 3, 3), (2, 4), (2, 3, 2, 3), (2, 3), (3,)]),
+    # one parent read by two overlapping slices and whole
+    ("slices_of_one_parent", lambda a: _joint(a[0], a[:, 1:], a), [_rand], [(3, 4)]),
+    ("sum_axis", lambda a: ad.tsum(a, axis=1), [_rand], [(3, 4, 2)]),
+    ("rollout", _rollout_series, [_rand] * 5,
+     [(2, 3, 3), (2, 4), (2, 3, 2, 3), (2, 3), (3,)]),
+    # every batch row behind one leader
+    ("rollout_shared_leader", _rollout_series, [_rand] * 5,
+     [(2, 3, 3), (4,), (2, 3, 2, 3), (2, 3), (2, 3)]),
     # platoon self-attention: one input for queries, keys and values
     ("attn_layer_self_causal", lambda x, *ws: _attn(x, x, *ws, mask=_CAUSAL_MASK),
      [_rand] * 13, [(2, 3, 4)] + _ATTN_SHAPES),
@@ -350,13 +509,32 @@ PRIMITIVE_CASES = [
 ]
 
 
+def _scan(*leaves):
+    """``network.selective_scan`` and its VJP as one node."""
+    y, scan_vjp = net.selective_scan(*[t.data for t in leaves], keep_states=True)
+
+    def vjp(g):
+        for t, grad in zip(leaves, scan_vjp(g)):
+            ad.accumulate(t, grad)
+
+    return ad.primitive(y, "selective_scan", leaves, vjp)
+
+
+# the numpy kernels inside the TFL node, each wrapped as a node of its own
+KERNEL_CASES = [
+    ("causal_conv1d", _conv, [_rand] * 3, [(6, 3), (3, 4), (3,)]),
+    ("selective_scan", _scan, [_rand, _pos, _neg, _rand, _rand, _rand],
+     [(2, 5, 3), (2, 5, 3), (3, 2), (2, 5, 2), (2, 5, 2), (3,)]),
+]
+
+
 def _case_rng(name: str, seed: int):
     """Generator for one finite-difference row; the same in every process."""
     return np.random.default_rng(zlib.crc32(f"{name}:{seed}".encode()))
 
 
-@pytest.mark.parametrize("name,op,makers,shapes", PRIMITIVE_CASES,
-                         ids=[c[0] for c in PRIMITIVE_CASES])
+@pytest.mark.parametrize("name,op,makers,shapes", PRIMITIVE_CASES + KERNEL_CASES,
+                         ids=[c[0] for c in PRIMITIVE_CASES + KERNEL_CASES])
 def test_primitive_gradients_match_finite_differences(name, op, makers, shapes):
     for seed in range(4):
         rng = _case_rng(name, seed)
@@ -364,7 +542,7 @@ def test_primitive_gradients_match_finite_differences(name, op, makers, shapes):
         probe = rng.standard_normal(op(*[ad.as_tensor(a) for a in arrays]).data.shape)
 
         def graph(*leaves):
-            return ad.tsum(ad.mul(op(*leaves), probe))
+            return _probe_sum(op(*leaves), probe)
 
         err = ad.finite_diff_check(graph, arrays, step=1e-6)
         assert err < 1e-4, f"{name} seed {seed}: rel err {err}"
@@ -396,7 +574,7 @@ def test_primitive_case_draws_do_not_depend_on_hash_seed():
 
 
 def test_primitive_case_count_covers_contract():
-    # 26 primitive variants x 4 seeds >= 100 randomized oracle comparisons
+    # 27 primitive variants x 4 seeds >= 100 randomized oracle comparisons
     assert len(PRIMITIVE_CASES) * 4 >= 100
 
 

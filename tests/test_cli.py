@@ -193,6 +193,39 @@ def test_datagen_rejects_bad_noise_sigma(capsys, tmp_path, sigma):
     assert not out.exists()
 
 
+_DATAGEN = ["datagen", "--platoons", "1"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (_DATAGEN, "--duration-s"), (["train", "--data", "d"], "--lr"),
+    (["gradcheck"], "--step")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_positive_float_flags_reject_non_finite(capsys, tmp_path, command, flag,
+                                                 value):
+    out = tmp_path / "o"
+    argv = command + [f"{flag}={value}"]
+    if command[0] != "gradcheck":
+        argv += ["--out", str(out)]
+    code, _, err = _run(capsys, argv)
+    assert code == 1 and flag in err and "finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    _DATAGEN, ["train", "--data", "d"], ["simulate", "--checkpoint", "c",
+                                         "--data", "d"],
+    ["calibrate-idm", "--data", "d"], ["gradcheck"]])
+def test_negative_seed_is_usage_error_naming_the_flag(capsys, tmp_path, command):
+    out = tmp_path / "o"
+    argv = command + ["--seed=-3"]
+    if command[0] != "gradcheck":
+        argv += ["--out", str(out)]
+    code, _, err = _run(capsys, argv)
+    assert code == 1 and "--seed" in err and "non-negative integer" in err
+    assert not out.exists()
+
+
 # -- train / eval ---------------------------------------------------------------------
 
 def test_train_emits_checkpoint_and_logs(checkpoint, capsys):

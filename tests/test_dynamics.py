@@ -9,6 +9,17 @@ from hypothesis import strategies as st
 
 from platoonkit import autodiff as ad
 from platoonkit import dynamics as dyn
+from platoonkit import training as tr
+
+
+def _probe_sum(tensors, probes):
+    """sum_i sum(t_i * p_i) as one node: a scalar to differentiate."""
+    def vjp(g):
+        for t, p in zip(tensors, probes):
+            ad.accumulate(t, g * p)
+
+    return ad.primitive(sum(np.sum(t.data * p) for t, p in zip(tensors, probes)),
+                        "sum", tuple(tensors), vjp)
 
 
 def _scalar_rollout(initial, lead_future, theta, v_star, s_star, dt):
@@ -122,9 +133,9 @@ class TestExpectedState:
         hist[0, 1, :, 0] = [5.0, 5.0, 5.0]
         hist[0, 1, :, 1] = [8.0, 8.0, 8.0]
         xs = dyn.expected_state(hist)
-        assert xs.v_star.data[0, 0] == pytest.approx(11.0, abs=1e-12)
-        assert xs.s_star.data[0, 0] == pytest.approx(22.0, abs=1e-12)
-        assert xs.v_star.data[0, 1] == pytest.approx(5.0, abs=1e-12)
+        assert xs.v_star[0, 0] == pytest.approx(11.0, abs=1e-12)
+        assert xs.s_star[0, 0] == pytest.approx(22.0, abs=1e-12)
+        assert xs.v_star[0, 1] == pytest.approx(5.0, abs=1e-12)
         assert xs.dv_star == 0.0
 
     def test_shape_guard(self):
@@ -202,23 +213,23 @@ class TestRolloutBatchingAndShapes:
         ss = rng.uniform(10, 40, size=(2, n))
         theta_t = ad.param(theta)
         batched = dyn.rollout(init, lead, theta_t, dyn.ExpectedState(vs, ss))
-        ad.tsum(ad.mul(batched.v, batched.s)).backward()
+        _probe_sum((batched.v, batched.s), (batched.s.data, batched.v.data)).backward()
         for b in range(2):
             theta_b = ad.param(theta[b:b + 1])
             single = dyn.rollout(init[b:b + 1], lead[b:b + 1], theta_b,
                                  dyn.ExpectedState(vs[b:b + 1], ss[b:b + 1]))
             for whole, one in zip(batched.arrays(), single.arrays()):
                 np.testing.assert_array_equal(whole[b], one[0])
-            ad.tsum(ad.mul(single.v, single.s)).backward()
+            _probe_sum((single.v, single.s), (single.s.data, single.v.data)).backward()
             np.testing.assert_array_equal(theta_t.grad[b], theta_b.grad[0])
 
     def test_one_tape_node_under_the_series(self):
         theta = ad.param(np.tile(dyn.SIGN_PATTERN * 0.5, (2, 3, 2, 1)))
         out = dyn.rollout(np.ones((2, 3, 3)), np.ones((2, 4)), theta,
                           dyn.ExpectedState(np.zeros((2, 3)), np.ones((2, 3))))
-        ops = [n._op for n in ad.Tape.trace(ad.add(out.v, out.s)).nodes
-               if n._vjp is not None]
-        assert sorted(ops) == ["add", "rollout", "slice", "slice"]
+        ops = [n._op for n in ad.Tape.trace(
+            _probe_sum((out.v, out.s), (1.0, 1.0))).nodes if n._vjp is not None]
+        assert sorted(ops) == ["rollout", "slice", "slice", "sum"]
 
     def test_output_shapes(self):
         out = dyn.rollout(np.zeros((4, 6, 3)), np.full((4, 20), 1.0),
@@ -271,14 +282,14 @@ class TestStabilityAndGradients:
         raw = rng.normal(0.0, 0.8, size=(1, 2, 2, 3))
         init = rng.uniform(8, 15, size=(1, 2, 3))
         lead = rng.uniform(8, 15, size=(1, 6))
-        target_v = rng.uniform(8, 15, size=(1, 2, 6))
+        targets = np.stack([rng.uniform(8, 15, size=(1, 2, 6)),
+                            np.zeros((1, 2, 6))], axis=-1)
         xstar = dyn.ExpectedState(init[..., 0].copy(), init[..., 1].copy())
 
         def graph(raw_t):
             theta = dyn.encode_parameters(raw_t)
             out = dyn.rollout(init, lead, theta, xstar)
-            err = ad.sub(out.v, target_v)
-            return ad.tmean(ad.mul(err, err))
+            return tr.prediction_losses(out, targets)[0]
 
         err = ad.finite_diff_check(graph, [raw], step=1e-6)
         assert err < 1e-6
@@ -294,8 +305,6 @@ class TestStabilityAndGradients:
 
         def graph(x0, lead, theta, v_star, s_star):
             out = dyn.rollout(x0, lead, theta, dyn.ExpectedState(v_star, s_star))
-            terms = [ad.tsum(ad.mul(series, p))
-                     for series, p in zip((out.v, out.s, out.a, out.dv), probes)]
-            return ad.add(ad.add(terms[0], terms[1]), ad.add(terms[2], terms[3]))
+            return _probe_sum((out.v, out.s, out.a, out.dv), probes)
 
         assert ad.finite_diff_check(graph, arrays, step=1e-6) < 1e-6

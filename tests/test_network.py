@@ -107,7 +107,7 @@ class TestSelectiveScan:
         b_seq = np.ones((2, 1))
         c_seq = np.ones((2, 1))
         d_gain = np.zeros(1)
-        y = net.selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain).data
+        y = net.selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain)[0]
         assert y[0, 0] == pytest.approx(ln2, abs=1e-12)
         assert y[1, 0] == pytest.approx(1.5 * ln2, abs=1e-12)
 
@@ -119,7 +119,7 @@ class TestSelectiveScan:
         b_seq = rng.normal(size=(1, 2, 5, 4))
         c_seq = rng.normal(size=(1, 2, 5, 4))
         d_gain = rng.normal(size=3)
-        y = net.selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain).data
+        y = net.selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain)[0]
         np.testing.assert_allclose(y, d_gain * u, rtol=0, atol=1e-15)
 
 
@@ -158,36 +158,59 @@ _BLOCK = _block_rows(8)
 
 
 def _scan_both_ways(arrays):
-    """Scan output without a tape, and with one (as recorded leaves)."""
-    with ad.no_grad():
-        plain = net.selective_scan(*arrays).data
-    recorded = net.selective_scan(*[ad.param(a) for a in arrays])
-    assert recorded.requires_grad
-    return plain, recorded.data
+    """Scan output without the state history, and with it (as for the VJP)."""
+    plain, none = net.selective_scan(*arrays)
+    kept, vjp = net.selective_scan(*arrays, keep_states=True)
+    assert none is None and callable(vjp)
+    return plain, kept
+
+
+def _scan_node(*leaves):
+    """The scan kernel and its VJP as one node."""
+    y, scan_vjp = net.selective_scan(*[t.data for t in leaves], keep_states=True)
+
+    def vjp(g):
+        for t, grad in zip(leaves, scan_vjp(g)):
+            ad.accumulate(t, grad)
+
+    return ad.primitive(y, "selective_scan", leaves, vjp)
+
+
+def _scan_grads(arrays, g):
+    """Output and input gradients of the scan kernel for output gradient g."""
+    y, vjp = net.selective_scan(*arrays, keep_states=True)
+    return y, vjp(g)
+
+
+def _probe_sum(t, probe):
+    """sum(t * probe) as one node: the scalar a finite-difference check compares."""
+    def vjp(g):
+        ad.accumulate(t, g * probe)
+
+    return ad.primitive(np.sum(t.data * probe), "sum", (t,), vjp)
 
 
 class TestFusedScan:
     def test_matches_per_step_reference_bitwise(self):
         arrays = _scan_inputs(np.random.default_rng(4), (2, 3), 21, 16, 8)
         want = _reference_scan(*arrays)
-        with ad.no_grad():
-            np.testing.assert_array_equal(net.selective_scan(*arrays).data, want)
-        recorded = net.selective_scan(*[ad.param(a) for a in arrays])
-        assert recorded.requires_grad
-        np.testing.assert_array_equal(recorded.data, want)
+        for got in _scan_both_ways(arrays):
+            np.testing.assert_array_equal(got, want)
 
     def test_one_tape_node(self):
-        leaves = [ad.param(a) for a in
-                  _scan_inputs(np.random.default_rng(0), (2,), 6, 3, 2)]
-        tape = ad.Tape.trace(net.selective_scan(*leaves))
-        assert [n._op for n in tape.nodes if n._vjp is not None] == ["selective_scan"]
+        # the scan is a kernel inside the TFL block, which is one node
+        cfg = _tiny_config()
+        w = net.init_params(cfg, seed=0).weights
+        x = ad.param(np.random.default_rng(0).normal(size=(2, 3, 4, cfg.d_model)))
+        tape = ad.Tape.trace(net.tfl_forward(w, cfg, x))
+        assert [n._op for n in tape.nodes if n._vjp is not None] == ["tfl"]
 
     def test_gradients_match_finite_differences(self):
         arrays = _scan_inputs(np.random.default_rng(5), (2, 2), 4, 3, 2)
         probe = np.random.default_rng(6).normal(size=(2, 2, 4, 3))
 
         def graph(*leaves):
-            return ad.tsum(ad.mul(net.selective_scan(*leaves), probe))
+            return _probe_sum(_scan_node(*leaves), probe)
 
         assert ad.finite_diff_check(graph, arrays) < 1e-6
 
@@ -206,19 +229,15 @@ class TestFusedScan:
     def test_batch_rows_match_single_runs(self):
         arrays = _scan_inputs(np.random.default_rng(7), (3, 2), 8, 6, 4)
         g = np.random.default_rng(8).normal(size=(3, 2, 8, 6))
-        leaves = [ad.param(a) for a in arrays]
-        net.selective_scan(*leaves).backward(g)
+        whole, grads = _scan_grads(arrays, g)
         batched = {0, 1, 3, 4}                  # u, delta, B, C carry rows
         for row in range(3):
-            single = [ad.param(a[row:row + 1] if i in batched else a)
+            single = [a[row:row + 1] if i in batched else a
                       for i, a in enumerate(arrays)]
-            y = net.selective_scan(*single)
-            y.backward(g[row:row + 1])
-            with ad.no_grad():
-                whole = net.selective_scan(*arrays).data
-            np.testing.assert_array_equal(y.data[0], whole[row])
+            y, row_grads = _scan_grads(single, g[row:row + 1])
+            np.testing.assert_array_equal(y[0], whole[row])
             for i in batched:
-                np.testing.assert_array_equal(single[i].grad[0], leaves[i].grad[row])
+                np.testing.assert_array_equal(row_grads[i][0], grads[i][row])
 
     # one row, one block - 1, one block and one block + 1; then 2.5 blocks at
     # each state size, so every size also crosses block boundaries
@@ -250,21 +269,18 @@ class TestFusedScan:
         arrays = _scan_inputs(np.random.default_rng(12), (rows,), T, C, S)
         g = np.random.default_rng(13).normal(size=(rows, T, C))
         batched = {0, 1, 3, 4}                  # u, delta, B, C carry rows
-        with ad.no_grad():
-            whole = net.selective_scan(*arrays).data
+        whole = net.selective_scan(*arrays)[0]
         for row in (0, _BLOCK - 1, _BLOCK, rows - 1):
             only = np.zeros_like(g)
             only[row] = g[row]
-            leaves = [ad.param(a) for a in arrays]
-            net.selective_scan(*leaves).backward(only)
-            single = [ad.param(a[row:row + 1] if i in batched else a)
+            _, grads = _scan_grads(arrays, only)
+            single = [a[row:row + 1] if i in batched else a
                       for i, a in enumerate(arrays)]
-            y = net.selective_scan(*single)
-            y.backward(g[row:row + 1])
-            _assert_bits(y.data[0], whole[row])
-            for i, (solo, leaf) in enumerate(zip(single, leaves)):
-                _assert_bits(solo.grad[0] if i in batched else solo.grad,
-                             leaf.grad[row] if i in batched else leaf.grad)
+            y, solo = _scan_grads(single, g[row:row + 1])
+            _assert_bits(y[0], whole[row])
+            for i in range(6):
+                _assert_bits(solo[i][0] if i in batched else solo[i],
+                             grads[i][row] if i in batched else grads[i])
 
     def test_no_grad_keeps_no_state_history(self):
         batch, T, C, S = (4, 3), 21, 32, 8
@@ -272,8 +288,7 @@ class TestFusedScan:
         history_bytes = 8 * math.prod(batch + (T, C, S))
         tracemalloc.start()
         try:
-            with ad.no_grad():
-                net.selective_scan(*arrays)
+            net.selective_scan(*arrays)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -285,8 +300,7 @@ class TestFusedScan:
         arrays = _scan_inputs(np.random.default_rng(10), (rows,), T, C, S)
         tracemalloc.start()
         try:
-            with ad.no_grad():
-                y = net.selective_scan(*arrays).data
+            y = net.selective_scan(*arrays)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -315,6 +329,82 @@ class TestTemporalBlock:
         y = net.tfl_forward(p.weights, cfg, x).data
         np.testing.assert_array_equal(y[0, 0], y[0, 1])
         np.testing.assert_array_equal(y[0, 0], y[0, 2])
+
+
+def _composed_tfl_forward(w, cfg, x):
+    """Oracle: the TFL block as the composition the fused node replaced, one
+    numpy expression per former tape node, in the order they ran, with the
+    per-step reference scan."""
+    def wd(name):
+        return w[f"tfl.{name}"].data
+
+    def silu(a):
+        return a * (1.0 / (1.0 + np.exp(-a)))
+
+    di, r, n, K = cfg.d_inner, cfg.dt_rank, cfg.n_state, cfg.conv_kernel
+    inv = ((x * x).mean(axis=-1, keepdims=True) + np.asarray(1e-5)) ** -0.5
+    proj = ((x * inv) * wd("norm.g")) @ wd("in_proj.w")
+    xs, gate = proj[..., :di], proj[..., di:]
+    T = x.shape[-2]
+    xp = np.zeros(x.shape[:-2] + (K - 1 + T, di))
+    xp[..., K - 1:, :] = xs
+    conv = xp[..., :T, :] * wd("conv.w")[:, 0]
+    for i in range(1, K):
+        conv += xp[..., i:i + T, :] * wd("conv.w")[:, i]
+    conv += wd("conv.b")
+    xs = silu(conv)
+    x_dbl = xs @ wd("x_proj.w")
+    delta = np.logaddexp(0.0, (x_dbl[..., :r] @ wd("dt_proj.w")) + wd("dt_proj.b"))
+    a_mat = -np.exp(wd("a_log"))
+    y = _reference_scan(xs, delta, a_mat, x_dbl[..., r:r + n], x_dbl[..., r + n:],
+                        wd("d"))
+    return x + (y * silu(gate)) @ wd("out_proj.w")
+
+
+class TestFusedTemporalBlock:
+    def test_matches_the_composition_bitwise(self):
+        cfg = net.ModelConfig()
+        w = net.init_params(cfg, seed=2).weights
+        x = np.random.default_rng(30).normal(size=(3, 6, cfg.history_len, cfg.d_model))
+        want = _composed_tfl_forward(w, cfg, x)
+        with ad.no_grad():
+            plain = net.tfl_forward(w, cfg, x)
+        recorded = net.tfl_forward(w, cfg, ad.param(x))
+        assert recorded.requires_grad and plain._vjp is None
+        _assert_bits(plain.data, want)
+        _assert_bits(recorded.data, want)
+
+    def test_batch_rows_match_single_runs(self):
+        cfg = net.ModelConfig()
+        w = net.init_params(cfg, seed=3).weights
+        rng = np.random.default_rng(31)
+        x = ad.param(rng.normal(size=(3, 2, cfg.history_len, cfg.d_model)))
+        g = rng.normal(size=x.shape)
+        y = net.tfl_forward(w, cfg, x)
+        y.backward(g)
+        for row in range(3):
+            single = ad.param(x.data[row:row + 1])
+            y1 = net.tfl_forward(w, cfg, single)
+            y1.backward(g[row:row + 1])
+            _assert_bits(y1.data[0], y.data[row])
+            _assert_bits(single.grad[0], x.grad[row])
+
+    def test_no_grad_peak_memory(self):
+        # without a tape, intermediates go once used: at B=64 the peak beyond
+        # the output stays under 3.6 buffers of (B, N, T, 2 d_inner)
+        cfg = net.ModelConfig()
+        w = net.init_params(cfg, seed=0).weights
+        x = np.random.default_rng(32).normal(size=(64, 6, cfg.history_len,
+                                                   cfg.d_model))
+        buffer = 8 * x.size // cfg.d_model * 2 * cfg.d_inner
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                y = net.tfl_forward(w, cfg, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - y.data.nbytes) / buffer <= 3.6
 
 
 class TestVariationalHead:
@@ -530,9 +620,9 @@ class TestModelForward:
         p = net.init_params(cfg, seed=0)
         hist, lead = _window_batch(cfg, np.random.default_rng(13), batch=1)
         out = net.model_forward(p, cfg, hist, lead)
-        np.testing.assert_allclose(out.xstar.v_star.data, hist[..., 0].mean(axis=-1),
+        np.testing.assert_allclose(out.xstar.v_star, hist[..., 0].mean(axis=-1),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.xstar.s_star.data, hist[..., 1].mean(axis=-1),
+        np.testing.assert_allclose(out.xstar.s_star, hist[..., 1].mean(axis=-1),
                                    rtol=0, atol=1e-12)
 
 

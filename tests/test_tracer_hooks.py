@@ -52,3 +52,30 @@ def test_install_and_uninstall_restore_every_name():
         t.uninstall()
     assert all(owner.__dict__[attr] is original for (owner, attr), original
                in zip(targets, before))
+
+
+def test_every_model_stage_span_opens_and_owns_its_nodes():
+    # one tiny training step under the tracer: a stage the model stops
+    # calling reads no span here, not just a node count of 0
+    from platoonkit import data, network, training
+    tracer = _load_tracer()
+    cfg = network.desk_config()
+    windows = [w for rec in data.generate_synthetic_platoons(
+                   1, n_followers=2, duration_s=1.5, seed=3)
+               for w in data.extract_windows(rec, cfg.history_len, cfg.horizon, 5)]
+    params = network.init_params(cfg)
+    params.norm_mean, params.norm_std = network.fit_normalization(windows)
+    t = tracer.Tracer()
+    t.install("step")
+    try:
+        training.train(params, cfg, windows, windows,
+                       training.TrainConfig(epochs=1, batch_size=len(windows)))
+    finally:
+        t.uninstall()
+    opened = {span[0] for span in t.spans}
+    nodes = {stage: t.samples["step"][f"{stage}.nodes"] for stage in tracer.STAGES}
+    assert set(tracer.STAGES) <= opened
+    assert all(len(counts) == 1 for counts in nodes.values())
+    # the expected state is plain numpy means of the data: no node by design
+    assert nodes.pop("dynamics.xstar") == [0]
+    assert {stage: n for stage, (n,) in nodes.items() if n < 1} == {}

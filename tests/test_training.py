@@ -1,5 +1,6 @@
 """Tests for losses, weight balancing, Adam, checkpoints, and the train loop."""
 
+import collections
 import gc
 import io
 import json
@@ -343,7 +344,7 @@ def _default_step(batch=8, n_veh=6, seed=0):
     out = net.model_forward(params, cfg, hist, lead, noise=noise)
     l_v, l_s = tr.prediction_losses(out.result, targets)
     kl = tr.kl_loss(out.mu, out.logvar)
-    total = ad.add(ad.add(l_v, l_s), ad.mul(kl, 0.0025))
+    total = tr.total_loss(l_v, l_s, kl, (1.0, 1.0), 0.0025)
     return total, out, params
 
 
@@ -354,11 +355,24 @@ class TestTrainingStepGraph:
         total, _, _ = _default_step()
         assert len(ad.Tape.trace(total).nodes) < 400
 
-    def test_default_step_records_at_most_160_tape_nodes(self):
-        # each attention layer is one node too; the step-by-step attention
-        # stacks recorded 334 nodes per step in all
+    def test_default_step_records_at_most_95_tape_nodes(self):
+        # each model stage is one node too: 70 weights and 23 ops; the
+        # step-by-step attention stacks recorded 334 nodes per step in all,
+        # the step-by-step stages around them 158
         total, _, _ = _default_step()
-        assert len(ad.Tape.trace(total).nodes) <= 160
+        assert len(ad.Tape.trace(total).nodes) <= 95
+
+    def test_default_step_records_one_node_per_stage(self):
+        total, _, params = _default_step()
+        nodes = ad.Tape.trace(total).nodes
+        leaves = [n for n in nodes if n._vjp is None]
+        weights = {id(t) for t in params.weights.values()}
+        assert len(leaves) == 70 and all(id(n) in weights for n in leaves)
+        ops = collections.Counter(n._op for n in nodes if n._vjp is not None)
+        assert ops == {"embed": 1, "tfl": 1, "ful": 1, "pfl_position": 1,
+                       "attn_layer": 4, "narp_query": 1, "narp_head": 1,
+                       "encode": 1, "rollout": 1, "prediction_losses": 1,
+                       "kl_loss": 1, "total_loss": 1, "slice": 8}
 
     def test_step_graph_is_freed_without_the_cycle_collector(self):
         gc.disable()
