@@ -23,8 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import DT
+
 REACTION_TIME = 1.0        # s
 COMFORT_DECEL = 3.4        # m/s^2
+MAPE_THRESHOLD = 0.5       # |truth| below this is left out of MAPE
 DIV_EPS = 1e-9
 OMEGA_MIN = 0.05           # rad/s
 OMEGA_MAX = 5.0
@@ -49,16 +52,16 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def mape(pred, truth, threshold: float = 0.5) -> float:
-    """Mean absolute percentage error, excluding |truth| < threshold."""
+def mape(pred, truth) -> float:
+    """Mean absolute percentage error, excluding |truth| < MAPE_THRESHOLD."""
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
         raise AnalysisError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    keep = np.abs(truth) >= threshold
+    keep = np.abs(truth) >= MAPE_THRESHOLD
     if not keep.any():
-        raise AnalysisError(
-            f"every truth value is below the {threshold} exclusion threshold")
+        raise AnalysisError(f"every truth value is below the "
+                            f"{MAPE_THRESHOLD} exclusion threshold")
     return float(100.0 * np.mean(np.abs(truth[keep] - pred[keep])
                                  / np.abs(truth[keep])))
 
@@ -140,7 +143,7 @@ def head_to_tail_gain(theta) -> StabilitySpectrum:
 
 # -- surrogate safety -----------------------------------------------------------
 
-def pet_series(positions, lengths, dt: float) -> np.ndarray:
+def pet_series(positions, lengths) -> np.ndarray:
     """Post-encroachment time per follower and frame; NaN when never reached.
 
     positions: (V, T) front-bumper positions, leader first; lengths: (V,).
@@ -170,13 +173,12 @@ def pet_series(positions, lengths, dt: float) -> np.ndarray:
         hi = xm[kk]
         frac = np.divide(target - lo, hi - lo,
                          out=np.zeros(T), where=(hi > lo))
-        tau = ((kk - 1) - t_idx + frac) * dt
+        tau = ((kk - 1) - t_idx + frac) * DT
         out[i] = np.where(ok, tau, np.nan)
     return out
 
 
-def ssdd_series(speeds, gaps, reaction_time: float = REACTION_TIME,
-                decel: float = COMFORT_DECEL) -> np.ndarray:
+def ssdd_series(speeds, gaps) -> np.ndarray:
     """Safe stopping distance difference per follower and frame.
 
     speeds: (V, T) leader first; gaps: (V-1, T). Positive values mean the
@@ -188,12 +190,10 @@ def ssdd_series(speeds, gaps, reaction_time: float = REACTION_TIME,
         raise AnalysisError(f"need (V>=2, T) speeds, got {speeds.shape}")
     if gaps.shape != (speeds.shape[0] - 1, speeds.shape[1]):
         raise AnalysisError(f"gaps shape {gaps.shape} does not match speeds")
-    if decel <= 0.0 or reaction_time < 0.0:
-        raise AnalysisError("decel must be positive and reaction_time nonnegative")
     v_lead = speeds[:-1]
     v = speeds[1:]
     # grouped so the braking terms cancel exactly at matched speeds
-    return gaps - v * reaction_time + (v_lead ** 2 - v ** 2) / (2.0 * decel)
+    return gaps - v * REACTION_TIME + (v_lead ** 2 - v ** 2) / (2.0 * COMFORT_DECEL)
 
 
 # -- distribution comparison ------------------------------------------------------
@@ -239,7 +239,7 @@ def persistence_prediction(history, horizon: int):
     return v, s
 
 
-def horizon_metrics(pred_v, true_v, pred_s, true_s, dt: float = 0.1,
+def horizon_metrics(pred_v, true_v, pred_s, true_s,
                     horizons=HORIZONS_S) -> dict:
     """Per-lead-time and pooled error table.
 
@@ -251,7 +251,7 @@ def horizon_metrics(pred_v, true_v, pred_s, true_s, dt: float = 0.1,
     F = pred_v.shape[-1]
     table = {}
     for h in horizons:
-        idx = int(round(h / dt)) - 1
+        idx = int(round(h / DT)) - 1
         if not 0 <= idx < F:
             raise AnalysisError(f"horizon {h} s is outside the {F}-step window")
         table[f"{h:g}s"] = {

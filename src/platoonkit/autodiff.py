@@ -249,8 +249,8 @@ def getitem(a, idx) -> Tensor:
 
 # -- verification -------------------------------------------------------------
 
-def forward_backward(graph: Callable, inputs: Sequence[np.ndarray], seed=1.0):
-    """Evaluate ``graph`` on leaf tensors and backpropagate ``seed``.
+def forward_backward(graph: Callable, inputs: Sequence[np.ndarray]):
+    """Evaluate ``graph`` on leaf tensors and backpropagate a seed of 1.
 
     ``graph`` maps leaf Tensors to a scalar loss Tensor. Returns (output,
     gradients) where gradients align with ``inputs`` (zeros for unused
@@ -260,7 +260,7 @@ def forward_backward(graph: Callable, inputs: Sequence[np.ndarray], seed=1.0):
     loss = graph(*leaves)
     if loss.data.size != 1:
         raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
-    loss.backward(np.full_like(loss.data, float(np.asarray(seed))))
+    loss.backward()
     grads = [lf.grad if lf.grad is not None else np.zeros_like(lf.data) for lf in leaves]
     return loss.data.copy(), grads
 

@@ -184,7 +184,6 @@ def _cmd_train(args) -> int:
         if value is not None:
             train_kw[name] = value
     config = _model_config(model_kw)
-    _check_dt(config.dt, "the model config")
     try:
         tcfg = training.TrainConfig(**train_kw)
     except (TypeError, ValueError) as exc:
@@ -194,8 +193,8 @@ def _cmd_train(args) -> int:
     if not 0.0 < args.val_ratio < 1.0:
         raise CliError(f"--val-ratio must be in (0, 1), got {args.val_ratio}")
     from . import data
-    train_recs, val_recs, _ = data.split_dataset(
-        records, (1.0 - args.val_ratio, args.val_ratio, 0.0), seed=tcfg.seed)
+    train_recs, val_recs = data.split_dataset(records, args.val_ratio,
+                                              tcfg.seed)
     if not train_recs or not val_recs:
         raise CliError(f"{len(records)} platoon(s) cannot fill both splits "
                        f"at --val-ratio {args.val_ratio}")
@@ -251,7 +250,7 @@ def _predictions(params, config, windows, batch_size):
 
 
 def _cmd_eval(args) -> int:
-    from . import analysis
+    from . import analysis, data
     params, config, records = _load_model_and_data(args)
     windows = _all_windows(records, config, args.stride)
     if not windows:
@@ -260,12 +259,10 @@ def _cmd_eval(args) -> int:
                                           args.batch_size)
     # report the part of the standard lead-time grid the horizon covers
     horizons = tuple(h for h in analysis.HORIZONS_S
-                     if int(round(h / config.dt)) <= config.horizon)
+                     if int(round(h / data.DT)) <= config.horizon)
     try:
-        model_table = analysis.horizon_metrics(pv, tv, ps, ts, dt=config.dt,
-                                               horizons=horizons)
-        base_table = analysis.horizon_metrics(bv, tv, bs, ts, dt=config.dt,
-                                              horizons=horizons)
+        model_table = analysis.horizon_metrics(pv, tv, ps, ts, horizons)
+        base_table = analysis.horizon_metrics(bv, tv, bs, ts, horizons)
     except analysis.AnalysisError as exc:
         raise CliError(str(exc)) from exc
     improvement = {}
@@ -281,19 +278,10 @@ def _cmd_eval(args) -> int:
 
 
 def _load_model_and_data(args):
-    """Checkpoint plus records; the model must run at the data's time step."""
+    """Checkpoint plus records."""
     from . import training
     params, config = training.load_checkpoint(args.checkpoint)
-    _check_dt(config.dt, f"checkpoint {args.checkpoint}")
     return params, config, _load_records(args.data)
-
-
-def _check_dt(dt, model):
-    """Reject a model that plans at another step than the CSV's ``DT``."""
-    from . import data
-    if dt != data.DT:
-        raise CliError(f"{model} plans at dt={dt} s but trajectories are "
-                       f"sampled at dt={data.DT} s")
 
 
 def _cmd_simulate(args) -> int:
@@ -388,10 +376,10 @@ def _safety_section(records):
     """Finite PET and SSDD samples pooled over platoons, and their report
     section; returns (section, pet, ssdd)."""
     import numpy as np
-    from . import analysis, data
+    from . import analysis
     pet, ssdd = [], []
     for rec in records:
-        p = analysis.pet_series(rec.positions, rec.lengths, data.DT)
+        p = analysis.pet_series(rec.positions, rec.lengths)
         pet.append(p[np.isfinite(p)])
         ssdd.append(analysis.ssdd_series(rec.speeds, rec.gaps()).ravel())
     pet, ssdd = np.concatenate(pet), np.concatenate(ssdd)
@@ -547,10 +535,10 @@ def _build_parser() -> _Parser:
 
 
 def _data_error_types():
-    from . import analysis, data, simulate, training
+    from . import analysis, autodiff, data, simulate, training
     return (CliError, data.DataError, training.CheckpointError,
             simulate.SimulationError, analysis.AnalysisError,
-            ValueError, OSError)
+            autodiff.NonFiniteValue, ValueError, OSError)
 
 
 def dispatch(argv) -> int:

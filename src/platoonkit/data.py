@@ -8,8 +8,8 @@ at 9 significant digits):
 Vehicle 0 is the leader; indices increase rearward. Positions are front
 bumpers and increase in the travel direction. The gap of follower n is
 ``position[n-1] - length[n-1] - position[n]`` and must stay positive.
-The sampling interval is fixed at ``DT`` = 0.1 s, a constant of the format
-that is not stored in the file. A ``PlatoonRecord`` holds one platoon in the
+The sampling interval is ``DT`` = 0.1 s (``dynamics.DT``), a format
+constant not stored in the file. A ``PlatoonRecord`` holds one platoon in the
 same layout: leader-first (V, T) positions and speeds and (V,) lengths.
 Window extraction and closed-loop replanning build model inputs with
 ``features``.
@@ -27,10 +27,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import idm
+from .dynamics import DT
 
 log = logging.getLogger(__name__)
 
-DT = 0.1
 CSV_FIELDS = ("platoon_id", "vehicle_index", "frame", "position_m",
               "speed_mps", "length_m")
 
@@ -273,26 +273,20 @@ def extract_windows(record: PlatoonRecord, history_len: int, horizon: int,
     return windows
 
 
-def split_dataset(records: Sequence[PlatoonRecord], ratios=(0.7, 0.1, 0.2),
-                  seed: int = 0):
-    """Shuffle platoons with ``seed`` and split into (train, val, test).
+def split_dataset(records: Sequence[PlatoonRecord], val_ratio: float,
+                  seed: int):
+    """Shuffle platoons with ``seed`` and split them into (train, val).
 
-    Counts: floor(r0*M), floor(r1*M + 0.5) (half-up), remainder. Every platoon
-    lands in exactly one split.
+    val gets floor(val_ratio*M + 0.5) platoons (half-up) and train the rest,
+    so every platoon lands in exactly one split.
     """
-    r = tuple(float(x) for x in ratios)
-    if len(r) != 3 or any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be 3 non-negative values summing to 1, got {ratios}")
+    if not 0.0 <= val_ratio <= 1.0:
+        raise ValueError(f"val_ratio must be in [0, 1], got {val_ratio}")
     M = len(records)
-    n_train = int(np.floor(r[0] * M))
-    n_val = int(np.floor(r[1] * M + 0.5))
-    if n_train + n_val > M:
-        n_val = M - n_train
+    n_train = M - int(np.floor(val_ratio * M + 0.5))
     perm = np.random.default_rng(seed).permutation(M)
-    train = [records[i] for i in perm[:n_train]]
-    val = [records[i] for i in perm[n_train:n_train + n_val]]
-    test = [records[i] for i in perm[n_train + n_val:]]
-    return train, val, test
+    return ([records[i] for i in perm[:n_train]],
+            [records[i] for i in perm[n_train:]])
 
 
 # -- synthetic generation ---------------------------------------------------------
@@ -371,7 +365,7 @@ def synthesize_platoon(platoon_id: str, profile: LeadProfile, params: list,
     if noise_sigma > 0.0:
         noise = np.random.default_rng(noise_seed).normal(
             0.0, noise_sigma, (duration_steps - 1, len(params)))
-    sim = idm.simulate_idm_platoon(lead, pos, spd, lengths, params, DT, noise)
+    sim = idm.simulate_idm_platoon(lead, pos, spd, lengths, params, noise)
     if sim.collision_frame is not None:
         raise GenerationError(
             f"platoon {platoon_id}: gap collapsed at frame {sim.collision_frame}")
@@ -451,7 +445,6 @@ def follower_observation(record: PlatoonRecord,
                          f"(1..{record.n_followers})")
     lead = vehicle_index - 1
     return idm.FollowerObservation(
-        dt=DT,
         lead_positions=record.positions[lead],
         lead_speeds=record.speeds[lead],
         lead_length=record.lengths[lead],

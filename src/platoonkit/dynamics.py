@@ -8,9 +8,9 @@ with the sign pattern f_v < 0, f_s > 0, f_dv > 0 enforced by construction
 (softplus magnitudes times fixed signs), which guarantees local stability of
 the single-vehicle closed loop. ``linear_accel``, the law's one
 implementation, serves the rollout and ``simulate``'s controllers. The
-rollout integrates all followers jointly with explicit Euler steps; the gap update uses the kinematic identity
-s(k+1) = s(k) + dt * dv(k), so gaps, speeds, and positions remain mutually
-consistent to machine precision.
+rollout steps all followers jointly by explicit Euler at ``DT``, the one
+sampling step (``data`` re-exports it); s(k+1) = s(k) + dt * dv(k) keeps
+gaps, speeds, and positions consistent to machine precision.
 
 ``encode_parameters`` and ``rollout`` are the differentiable path, one
 autodiff node each. The rollout's inputs may be Tensors or plain arrays
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 
+DT = 0.1                   # s, the sampling and integration step
 SIGN_PATTERN = np.array([-1.0, 1.0, 1.0])
 
 
@@ -77,7 +78,6 @@ class ExpectedState:
 
     v_star: np.ndarray   # (..., N)
     s_star: np.ndarray
-    dv_star: float = 0.0
 
 
 def expected_state(history) -> ExpectedState:
@@ -107,7 +107,7 @@ class RolloutResult:
 
 
 def rollout(initial, lead_future, theta, xstar: ExpectedState,
-            dt: float = 0.1) -> RolloutResult:
+            dt: float = DT) -> RolloutResult:
     """Integrate the platoon forward through the full horizon, as one node.
 
     initial: (..., N, 3) follower states [v, s, dv] at anchor time t.

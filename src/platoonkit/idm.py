@@ -4,12 +4,11 @@ Sign convention: ``dv_approach = v_follower - v_leader`` (positive while
 closing in). Callers holding the platoon-feature convention
 ``dv = v_leader - v_follower`` must negate at this boundary.
 
-Platoon simulation and GA fitness step the followers in gap form with
-``dynamics.euler_platoon``, coupled to the leader's speed series; positions
-are cascaded from the leader's afterwards. Calibration runs followers in
-lockstep: each generation evaluates every candidate of every follower with
-the same series length and dt as one batch row, behind that follower's own
-observed leader, while each follower breeds from its own random streams.
+Platoon simulation and GA fitness step followers in gap form with
+``dynamics.euler_platoon`` at ``dynamics.DT`` behind the leader's speeds and
+cascade positions afterwards. Calibration runs followers in lockstep: each
+generation is one batch row per candidate of every follower of one length,
+each behind its own leader, while each follower breeds from its own streams.
 """
 
 from __future__ import annotations
@@ -125,12 +124,12 @@ class IdmSimulation:
 
 
 def simulate_idm_platoon(lead_speeds, initial_positions, initial_speeds,
-                         lengths, params: list, dt: float = 0.1,
+                         lengths, params: list,
                          accel_noise=None) -> IdmSimulation:
     """Integrate followers behind a speed-scripted leader.
 
     Gap-form Euler update (``dynamics.euler_platoon``) from frame-t states;
-    the leader moves by x(t+1) = x(t) + dt*v(t). Gap of follower n is
+    the leader moves by x(t+1) = x(t) + DT*v(t). Gap of follower n is
     x_{n-1} - length_{n-1} - x_n (rear bumper to front bumper).
     ``accel_noise``, if given, is a (T-1, n_followers) array added to
     follower accelerations. On a collision the output is truncated to the
@@ -157,13 +156,13 @@ def simulate_idm_platoon(lead_speeds, initial_positions, initial_speeds,
     gaps = np.empty((n_follow, T))
     spd[:, 0] = initial_speeds[1:]
     gaps[:, 0] = initial_positions[:-1] - lengths[:-1] - initial_positions[1:]
-    _, collision = dyn.euler_platoon(spd, gaps, lead_speeds, accel, dt)
+    _, collision = dyn.euler_platoon(spd, gaps, lead_speeds, accel, dyn.DT)
     valid = int(collision)
     if valid == 0:
         raise CollisionError("initial platoon state already overlaps")
-    # cumsum adds in sequence: the same sums as stepping x(t) + dt*v(t)
+    # cumsum adds in sequence: the same sums as stepping x(t) + DT*v(t)
     lead_pos = np.cumsum(np.concatenate(
-        ([initial_positions[0]], dt * lead_speeds[:valid - 1])))
+        ([initial_positions[0]], dyn.DT * lead_speeds[:valid - 1])))
     positions = dyn.cascade_positions(lead_pos, lengths, gaps[:, :valid])
     return IdmSimulation(
         np.vstack([lead_pos, positions]),
@@ -178,7 +177,6 @@ class FollowerObservation:
     """One follower's trajectory plus its (observed, fixed) leader. The GA
     couples to the leader's speeds; its positions only define observed gaps."""
 
-    dt: float
     lead_positions: np.ndarray
     lead_speeds: np.ndarray
     lead_length: float
@@ -192,9 +190,6 @@ class FollowerObservation:
         if len(self.lead_positions) != T or len(self.lead_speeds) != T \
                 or len(self.speeds) != T:
             raise ValueError("observation series lengths disagree")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(
-                f"FollowerObservation.dt must be finite and > 0, got {self.dt}")
         for name in ("lead_positions", "lead_speeds", "lead_length",
                      "positions", "speeds"):
             if not np.isfinite(getattr(self, name)).all():
@@ -221,9 +216,9 @@ class CalibrationResult:
 def _evaluate_population(pops: np.ndarray, observations) -> np.ndarray:
     """Fitness of every candidate, flat in (follower, candidate) order.
 
-    ``pops`` is (F, M, 5), one population per observation of one (length,
-    dt) group. All F*M candidates re-simulate as batch rows of one
-    ``euler_platoon`` call, each behind its own follower's observed leader.
+    ``pops`` is (F, M, 5), one population per observation of one length.
+    All F*M candidates re-simulate as batch rows of one ``euler_platoon``
+    call, each behind its own follower's observed leader.
     Fitness = gap RMSE + speed RMSE against that follower's observation;
     collided candidates get COLLISION_FITNESS.
     """
@@ -243,8 +238,7 @@ def _evaluate_population(pops: np.ndarray, observations) -> np.ndarray:
 
     # collided rows step on with non-positive gaps; their values are discarded
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, collision = dyn.euler_platoon(spd, gaps, lead, accel,
-                                         observations[0].dt)
+        _, collision = dyn.euler_platoon(spd, gaps, lead, accel, dyn.DT)
         fitness = (np.sqrt(np.mean((gaps[..., 0, :] - obs_gaps) ** 2, axis=-1))
                    + np.sqrt(np.mean((spd[..., 0, :] - obs_speeds) ** 2, axis=-1)))
     fitness[collision < T] = COLLISION_FITNESS
@@ -275,8 +269,7 @@ def _breed(pop, fitness, rng, lo, hi, sigma, out) -> None:
         np.minimum(np.maximum(x, lo, out=x), hi, out=child)
 
 
-def calibrate_followers(observations, seeds, bounds=None,
-                        budget: int = 100) -> list:
+def calibrate_followers(observations, seeds, budget: int = 100) -> list:
     """Real-coded GA fit of IDM parameters to each observed follower.
 
     Population 50, tournament size 3, blend crossover (alpha=0.5), Gaussian
@@ -286,27 +279,24 @@ def calibrate_followers(observations, seeds, bounds=None,
     its own SeedSequence-spawned stream.
 
     Followers run in lockstep: per generation, the populations of all
-    observations with the same (length, dt) are evaluated in one batched
-    Euler pass, and each follower then breeds from its own streams. A
-    follower's result does not depend on which others share its batch.
+    observations with the same length are evaluated in one batched Euler
+    pass, and each follower then breeds from its own streams. A follower's
+    result does not depend on which others share its batch.
     Returns one CalibrationResult per observation, in input order.
     """
     observations, seeds = list(observations), list(seeds)
     if len(seeds) != len(observations):
         raise ValueError(f"{len(seeds)} seeds for {len(observations)} "
                          f"observations")
-    bounds = np.asarray(DEFAULT_BOUNDS if bounds is None else bounds, dtype=float)
-    if bounds.shape != (5, 2) or np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise ValueError("bounds must be (5, 2) with low < high")
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    lo, hi = bounds[:, 0], bounds[:, 1]
+    lo, hi = DEFAULT_BOUNDS[:, 0], DEFAULT_BOUNDS[:, 1]
     span = hi - lo
     sigma = MUTATION_SIGMA * span
 
     groups = {}
     for i, obs in enumerate(observations):
-        groups.setdefault((len(obs.speeds), obs.dt), []).append(i)
+        groups.setdefault(len(obs.speeds), []).append(i)
     results = [None] * len(observations)
     for members in groups.values():
         group = [observations[i] for i in members]
@@ -344,8 +334,8 @@ def calibrate_followers(observations, seeds, bounds=None,
     return results
 
 
-def calibrate_ga(observation: FollowerObservation, bounds=None, seed: int = 0,
+def calibrate_ga(observation: FollowerObservation, seed: int = 0,
                  budget: int = 100) -> CalibrationResult:
     """GA fit of IDM parameters to one observed follower: the one-observation
     case of ``calibrate_followers``."""
-    return calibrate_followers([observation], [seed], bounds, budget)[0]
+    return calibrate_followers([observation], [seed], budget)[0]

@@ -73,7 +73,6 @@ class ModelConfig:
     history_len: int = 21
     horizon: int = 20
     param_window: int = 5      # steps steered by one parameter triple
-    dt: float = 0.1
     disable_tfl: bool = False
     disable_pfl: bool = False
 
@@ -93,8 +92,6 @@ class ModelConfig:
         if self.d_model % self.attn_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by {self.attn_heads} heads")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
     @property
     def n_param_steps(self) -> int:
@@ -706,7 +703,7 @@ def model_forward(params: ModelParams, config: ModelConfig,
     theta = dyn.encode_parameters(narp_decode(w, config, latent, memory))
     xstar = dyn.expected_state(history)
     initial = history[..., -1, :]                     # raw units at the anchor
-    result = dyn.rollout(initial, lead_future, theta, xstar, dt=config.dt)
+    result = dyn.rollout(initial, lead_future, theta, xstar)
     return ModelOutput(result=result, theta=theta, mu=mu, logvar=logvar,
                        xstar=xstar)
 
@@ -721,7 +718,6 @@ def desk_config() -> ModelConfig:
 
 
 def gradcheck_model(config: ModelConfig = None, seed: int = 0,
-                    batch: int = 1, n_vehicles: int = 2,
                     step: float = 1e-6) -> tuple:
     """Compare analytic gradients of the full training loss against central
     finite differences for every weight element. Returns (max_rel_err, count).
@@ -730,13 +726,13 @@ def gradcheck_model(config: ModelConfig = None, seed: int = 0,
     cfg = config or desk_config()
     params = init_params(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    hist = np.empty((batch, n_vehicles, cfg.history_len, 3))
+    hist = np.empty((1, 2, cfg.history_len, 3))
     hist[..., 0] = rng.uniform(8.0, 15.0, hist.shape[:-1])
     hist[..., 1] = rng.uniform(10.0, 30.0, hist.shape[:-1])
     hist[..., 2] = rng.uniform(-1.0, 1.0, hist.shape[:-1])
-    lead = rng.uniform(8.0, 15.0, (batch, cfg.horizon))
-    tv = rng.uniform(8.0, 15.0, (batch, n_vehicles, cfg.horizon))
-    ts = rng.uniform(10.0, 30.0, (batch, n_vehicles, cfg.horizon))
+    lead = rng.uniform(8.0, 15.0, (1, cfg.horizon))
+    tv = rng.uniform(8.0, 15.0, (1, 2, cfg.horizon))
+    ts = rng.uniform(10.0, 30.0, (1, 2, cfg.horizon))
     targets = np.stack([tv, ts], axis=-1)
     mean, std = hist.reshape(-1, 3).mean(axis=0), hist.reshape(-1, 3).std(axis=0)
     mean, std = _q32(mean), _q32(np.maximum(std, NORM_STD_FLOOR))

@@ -18,12 +18,12 @@ afterwards by cascading gaps down from the true leader positions, so speeds,
 gaps, and positions stay mutually consistent to machine precision. A run
 carries them as a ``data.PlatoonRecord`` whose row 0 is the replayed leader.
 
-A controller has ``history_len`` and ``horizon`` (and may have ``dt``),
-``replan(history, lead_future, platoons)`` taking (B, N, P, 3) histories,
-(B, F) leader futures and the B indices of the planned records in the list
-handed to ``simulate_platoons``, and ``accel(k, v, s, dv)`` on the (B, N)
-states of those rows. Replan histories come from ``data.features`` and the
-linear law from ``dynamics.linear_accel``, as for windows and the rollout.
+Every run steps at ``dynamics.DT``. A controller has ``history_len`` and
+``horizon``, ``replan(history, lead_future, platoons)`` taking (B, N, P, 3)
+histories, (B, F) leader futures and the B indices of the planned records in
+the list handed to ``simulate_platoons``, and ``accel(k, v, s, dv)`` on the
+(B, N) states of those rows. Histories come from ``data.features`` and the law
+from ``dynamics.linear_accel``, as for windows and the rollout.
 
 Speeds are clamped at zero (vehicles do not reverse); the number of clamped
 entries is reported. A non-positive gap truncates the run strictly before
@@ -96,11 +96,9 @@ class ScriptedThetaController(_LinearLaw):
 class ModelController(_LinearLaw):
     """Plans a batch of platoons with one pass of the neural pipeline.
 
-    ``dt`` is the step the model was trained at; ``simulate_platoons``
-    refuses it unless it is the records' step ``data.DT``. Latents stay at
-    their means unless a ``seed`` is given; then platoon i draws its noise
-    from child i of ``SeedSequence(seed)``, so its run does not depend on
-    which platoons share its batch.
+    Latents stay at their means unless a ``seed`` is given; then platoon i
+    draws its noise from child i of ``SeedSequence(seed)``, so its run does
+    not depend on which platoons share its batch.
     """
 
     def __init__(self, params: net.ModelParams, config: net.ModelConfig,
@@ -109,7 +107,6 @@ class ModelController(_LinearLaw):
         self.config = config
         self.seed = seed
         self._rngs = {}
-        self.dt = config.dt
         self.history_len = config.history_len
         self.horizon = config.horizon
         self.m = config.param_window
@@ -163,8 +160,7 @@ def simulate_platoons(records, controller, warmup_steps: int = None,
     verbatim (default: the controller's required history length); the
     simulation starts from the last copied frame. Near the end of a record
     the leader-future handed to the planner is padded by holding its last
-    value; only the steps that fit in the record are applied. A controller
-    with a ``dt`` attribute must plan at the records' step ``data.DT``.
+    value; only the steps that fit in the record are applied.
     """
     P = controller.history_len if warmup_steps is None else warmup_steps
     R = controller.horizon if replan_interval is None else replan_interval
@@ -190,11 +186,7 @@ def closed_loop_simulate(record: data.PlatoonRecord, controller,
 
 
 def _check_record(record, controller, P: int, R: int) -> None:
-    plan_dt = getattr(controller, "dt", data.DT)
-    if plan_dt != data.DT:
-        problem = (f"controller plans at dt={plan_dt} s but the record is "
-                   f"sampled at dt={data.DT} s")
-    elif P < controller.history_len:
+    if P < controller.history_len:
         problem = (f"warmup of {P} frames cannot feed a history of "
                    f"{controller.history_len}")
     elif record.duration <= P:
@@ -246,8 +238,7 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
         return a
 
     clamps, collision = dyn.euler_platoon(
-        spd[..., P - 1:], gaps[..., P - 1:], lead_spd[:, P - 1:], accel,
-        data.DT)
+        spd[..., P - 1:], gaps[..., P - 1:], lead_spd[:, P - 1:], accel, dyn.DT)
     runs = []
     for b, rec in enumerate(records):
         T_eff = P - 1 + int(collision[b])

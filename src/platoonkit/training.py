@@ -31,7 +31,7 @@ ADAM_EPS = 1e-8
 DWA_TEMPERATURE = 2.0
 DWA_FLOOR = 1e-12
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
 
@@ -92,7 +92,7 @@ def total_loss(l_v, l_s, kl, task_weights, alpha_kl: float):
                         + kl.data * scales[2], "total_loss", parts, vjp)
 
 
-def dwa_weights(loss_history, temperature: float = DWA_TEMPERATURE) -> np.ndarray:
+def dwa_weights(loss_history) -> np.ndarray:
     """Per-task weights from the last two epochs of task losses.
 
     loss_history: sequence of (l_v, l_s) epoch means. Fewer than two entries,
@@ -106,7 +106,7 @@ def dwa_weights(loss_history, temperature: float = DWA_TEMPERATURE) -> np.ndarra
     if (prev2 < DWA_FLOOR).any():
         return np.ones(K)
     ratio = prev / prev2
-    e = np.exp(ratio / temperature)
+    e = np.exp(ratio / DWA_TEMPERATURE)
     return K * e / e.sum()
 
 
@@ -298,6 +298,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr <= 0 or self.alpha_kl < 0:
             raise ValueError("lr must be > 0 and alpha_kl >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

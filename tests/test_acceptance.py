@@ -186,7 +186,7 @@ def test_criterion_04_overfit(capsys):
 
 def test_criterion_05_generalization(capsys, trained_model):
     ev = trained_model["eval"]
-    idx = int(round(2.0 / trained_model["config"].dt)) - 1
+    idx = int(round(2.0 / data.DT)) - 1
     model_v = analysis.rmse(ev["pv"][:, idx], ev["tv"][:, idx])
     model_s = analysis.rmse(ev["ps"][:, idx], ev["ts"][:, idx])
     base_v = analysis.rmse(ev["bv"][:, idx], ev["tv"][:, idx])
@@ -283,10 +283,10 @@ def test_criterion_07_calibration_recovery(capsys):
 
 def test_criterion_08_safety_fixtures(capsys):
     # constant-speed platoon: PET = gap / speed at every reachable frame
-    steps = 10.0 * 0.1
+    steps = 10.0 * data.DT
     lead = 100.0 + steps * np.arange(80)
     positions = np.stack([lead, lead - 4.5 - 20.0])
-    pet = analysis.pet_series(positions, np.array([4.5, 4.5]), dt=0.1)
+    pet = analysis.pet_series(positions, np.array([4.5, 4.5]))
     pet_ok = bool(np.all(np.abs(pet[0, :59] - 2.0) < 1e-9))
 
     edges = np.arange(0.0, 11.0)

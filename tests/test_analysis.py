@@ -127,8 +127,8 @@ def test_head_to_tail_flags_amplification():
 
 # -- PET -------------------------------------------------------------------------
 
-def _constant_speed_positions(gap, T=60, dt=0.1, v=10.0, length=4.5):
-    step = v * dt
+def _constant_speed_positions(gap, T=60, v=10.0, length=4.5):
+    step = v * an.DT
     lead = 100.0 + step * np.arange(T)
     follow = lead - length - gap
     return np.stack([lead, follow]), np.array([length, length])
@@ -137,7 +137,7 @@ def _constant_speed_positions(gap, T=60, dt=0.1, v=10.0, length=4.5):
 def test_pet_constant_speed_fixture():
     # equal speeds 10 m/s, 20 m gap: every reachable frame gives 2.0 s
     pos, lengths = _constant_speed_positions(gap=20.0)
-    pet = an.pet_series(pos, lengths, dt=0.1)
+    pet = an.pet_series(pos, lengths)
     assert pet.shape == (1, 60)
     assert np.allclose(pet[0, :40], 2.0, atol=1e-9)
     assert np.isnan(pet[0, 40:]).all()
@@ -145,7 +145,7 @@ def test_pet_constant_speed_fixture():
 
 def test_pet_halved_gap_halves():
     pos, lengths = _constant_speed_positions(gap=10.0)
-    pet = an.pet_series(pos, lengths, dt=0.1)
+    pet = an.pet_series(pos, lengths)
     assert np.allclose(pet[0, :50], 1.0, atol=1e-9)
 
 
@@ -154,7 +154,7 @@ def test_pet_interpolates_between_frames():
     T = 60
     lead = np.full(T, 14.5)
     follow = 0.3 * np.arange(T)
-    pet = an.pet_series(np.stack([lead, follow]), np.array([4.5, 4.5]), dt=0.1)
+    pet = an.pet_series(np.stack([lead, follow]), np.array([4.5, 4.5]))
     assert abs(pet[0, 0] - 10.0 / 3.0) < 1e-9
 
 
@@ -163,26 +163,26 @@ def test_pet_unreached_is_nan():
     T = 40
     lead = 30.0 + 1.0 * np.arange(T)
     follow = np.zeros(T)
-    pet = an.pet_series(np.stack([lead, follow]), np.array([4.5, 4.5]), dt=0.1)
+    pet = an.pet_series(np.stack([lead, follow]), np.array([4.5, 4.5]))
     assert np.isnan(pet).all()
 
 
 def test_pet_translation_invariant():
     pos, lengths = _constant_speed_positions(gap=13.0)
-    a = an.pet_series(pos, lengths, dt=0.1)
-    b = an.pet_series(pos + 1234.5, lengths, dt=0.1)
+    a = an.pet_series(pos, lengths)
+    b = an.pet_series(pos + 1234.5, lengths)
     assert np.allclose(a, b, atol=1e-9, equal_nan=True)
 
 
 @settings(max_examples=100, deadline=None)
 @given(v=st.floats(0.5, 40.0), gap=st.floats(0.5, 100.0),
-       dt=st.sampled_from([0.05, 0.1, 0.2]), frames=st.integers(2, 200),
-       length=st.floats(3.0, 6.0), start=st.floats(-1000.0, 1000.0))
-def test_pet_behind_constant_speed_is_gap_over_speed(v, gap, dt, frames, length,
+       frames=st.integers(2, 200), length=st.floats(3.0, 6.0),
+       start=st.floats(-1000.0, 1000.0))
+def test_pet_behind_constant_speed_is_gap_over_speed(v, gap, frames, length,
                                                       start):
-    lead = start + v * dt * np.arange(frames)
+    lead = start + v * an.DT * np.arange(frames)
     follow = lead - length - gap
-    pet = an.pet_series(np.stack([lead, follow]), np.array([length, 4.0]), dt)
+    pet = an.pet_series(np.stack([lead, follow]), np.array([length, 4.0]))
     # NaN exactly where the leader's rear lies past the follower's last frame
     past = (lead - length) > follow[-1]
     np.testing.assert_array_equal(np.isnan(pet[0]), past)
@@ -193,14 +193,14 @@ def test_pet_rejects_reversing_follower():
     lead = np.array([20.0, 21.0, 22.0])
     follow = np.array([5.0, 6.0, 4.0])
     with pytest.raises(an.AnalysisError, match="backwards"):
-        an.pet_series(np.stack([lead, follow]), np.array([4.0, 4.0]), dt=0.1)
+        an.pet_series(np.stack([lead, follow]), np.array([4.0, 4.0]))
 
 
 def test_pet_input_validation():
     with pytest.raises(an.AnalysisError, match="positions"):
-        an.pet_series(np.zeros((1, 5)), np.array([4.0]), dt=0.1)
+        an.pet_series(np.zeros((1, 5)), np.array([4.0]))
     with pytest.raises(an.AnalysisError, match="lengths"):
-        an.pet_series(np.zeros((2, 5)), np.array([4.0]), dt=0.1)
+        an.pet_series(np.zeros((2, 5)), np.array([4.0]))
 
 
 # -- SSDD ------------------------------------------------------------------------
@@ -234,8 +234,6 @@ def test_ssdd_zero_when_gap_covers_reaction_distance():
 def test_ssdd_validation():
     with pytest.raises(an.AnalysisError, match="gaps"):
         an.ssdd_series(np.zeros((3, 5)), np.zeros((1, 5)))
-    with pytest.raises(an.AnalysisError, match="decel"):
-        an.ssdd_series(np.zeros((2, 5)), np.zeros((1, 5)), decel=0.0)
 
 
 # -- histogram divergences ---------------------------------------------------------
@@ -316,7 +314,7 @@ def test_horizon_metrics_scores_the_named_step():
     pred_v[..., 4] += 2.0     # lead time 0.5 s only
     pred_s = true_s.copy()
     pred_s[..., 9] += 1.0     # lead time 1.0 s only
-    table = an.horizon_metrics(pred_v, true_v, pred_s, true_s, dt=0.1)
+    table = an.horizon_metrics(pred_v, true_v, pred_s, true_s)
     assert set(table) == {"0.5s", "1s", "1.5s", "2s", "avg"}
     assert abs(table["0.5s"]["rmse_speed"] - 2.0) < 1e-12
     assert table["1s"]["rmse_speed"] == 0.0
@@ -329,7 +327,7 @@ def test_horizon_metrics_scores_the_named_step():
 def test_horizon_metrics_rejects_out_of_window_horizon():
     x = np.zeros((1, 1, 10)) + 1.0
     with pytest.raises(an.AnalysisError, match="window"):
-        an.horizon_metrics(x, x, x, x, dt=0.1)   # 1.5 s needs 15 steps
+        an.horizon_metrics(x, x, x, x)   # 1.5 s needs 15 steps
 
 
 def test_persistence_prediction_holds_anchor():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,7 @@ def test_config_must_be_object(capsys, tmp_path, corpus):
     ("train", "model", "disable_tfl", 0),
     ("train", "train", "epochs", 1.0),
     ("train", "train", "batch_size", "16"),
+    ("train", "train", "seed", -2),
     ("gradcheck", "model", "d_model", 8.0),
     ("gradcheck", "model", "disable_pfl", "no"),
 ])
@@ -353,32 +355,57 @@ def test_checkpoint_bad_values_are_data_errors(checkpoint, corpus, capsys,
 
 
 @pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
-def test_checkpoint_dt_mismatch_is_data_error(command, corpus, capsys,
-                                              tmp_path):
-    from platoonkit import network as net
-    from platoonkit import training
-    config = net.ModelConfig(**TINY_MODEL, dt=0.2)
-    training.save_checkpoint(str(tmp_path / "ckpt"), net.init_params(config),
-                             config)
-    argv = [command, "--checkpoint", str(tmp_path / "ckpt"),
-            "--data", str(corpus)]
+def test_format_1_checkpoint_is_data_error(checkpoint, corpus, capsys, tmp_path,
+                                           command):
+    # the parent layout: format 1, a config that still holds dt
+    old = tmp_path / "ckpt"
+    old.mkdir()
+    (old / "weights.bin").write_bytes((checkpoint / "weights.bin").read_bytes())
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    manifest["format"] = 1
+    manifest["config"]["dt"] = 0.1
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    argv = [command, "--checkpoint", str(old), "--data", str(corpus)]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "sim")]
     code, _, err = _run(capsys, argv)
-    assert code == 2
-    assert "dt=0.2" in err and "dt=0.1" in err
+    assert code == 2 and "unsupported checkpoint format 1" in err
+    assert "Traceback" not in err
 
 
-def test_train_dt_mismatch_is_data_error(corpus, capsys, tmp_path):
+def test_train_config_dt_is_rejected(corpus, capsys, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"model": {**TINY_MODEL, "dt": 0.2},
+    cfg.write_text(json.dumps({"model": {**TINY_MODEL, "dt": 0.1},
                                "train": {"epochs": 1}}))
     code, _, err = _run(capsys, ["train", "--data", str(corpus),
                                  "--out", str(tmp_path / "ckpt"),
                                  "--config", str(cfg), "--stride", "8"])
-    assert code == 2
-    assert "dt=0.2" in err and "dt=0.1" in err
-    assert not (tmp_path / "ckpt" / "weights.bin").exists()
+    assert code == 2 and "'dt'" in err and "Traceback" not in err
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def huge_corpus(tmp_path_factory, corpus):
+    # positions and speeds times 1e200: finite, so the CSV loads, but the
+    # model's activations overflow
+    out = tmp_path_factory.mktemp("huge")
+    records = [data.PlatoonRecord(r.platoon_id, r.positions * 1e200,
+                                  r.speeds * 1e200, r.lengths)
+               for r in data.load_trajectories(corpus)]
+    data.write_trajectories(records, out / "huge.csv")
+    return out
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
+def test_non_finite_model_output_is_data_error(checkpoint, huge_corpus, capsys,
+                                               tmp_path, command):
+    argv = [command, "--checkpoint", str(checkpoint), "--data", str(huge_corpus)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim")]
+    with np.errstate(all="ignore"):
+        code, _, err = _run(capsys, argv)
+    assert code == 2 and "Traceback" not in err
+    assert re.search(r"non-finite value produced by '\w+'", err), err
 
 
 # -- simulate / stability / safety ---------------------------------------------------

@@ -1,5 +1,7 @@
 """Data layer: CSV round trips, windowing arithmetic, splits, synthetic corpus."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,26 +68,44 @@ def test_split_counts_and_partition():
     def fakes(M):
         return [_tiny_record(pid=f"p{i:04d}", T=2) for i in range(M)]
 
-    train, val, test = data.split_dataset(fakes(739), seed=1)
-    assert (len(train), len(val), len(test)) == (517, 74, 148)
-    train, val, test = data.split_dataset(fakes(10), seed=1)
-    assert (len(train), len(val), len(test)) == (7, 1, 2)
+    train, val = data.split_dataset(fakes(739), 0.1, seed=1)
+    assert (len(train), len(val)) == (665, 74)
+    train, val = data.split_dataset(fakes(10), 0.1, seed=1)
+    assert (len(train), len(val)) == (9, 1)
 
     recs = fakes(53)
-    train, val, test = data.split_dataset(recs, seed=9)
-    ids = [r.platoon_id for r in train + val + test]
+    train, val = data.split_dataset(recs, 0.1, seed=9)
+    ids = [r.platoon_id for r in train + val]
     assert sorted(ids) == sorted(r.platoon_id for r in recs)
     assert len(set(ids)) == len(ids)
 
-    again = data.split_dataset(recs, seed=9)
+    again = data.split_dataset(recs, 0.1, seed=9)
     assert [r.platoon_id for r in again[0]] == [r.platoon_id for r in train]
-    other = data.split_dataset(recs, seed=10)
+    other = data.split_dataset(recs, 0.1, seed=10)
     assert [r.platoon_id for r in other[0]] != [r.platoon_id for r in train]
 
 
+def test_split_keeps_every_platoon_at_every_corpus_size():
+    # val takes floor(0.1 M + 0.5) platoons and train the rest, so no
+    # platoon is dropped; a corpus with no remainder (M = 20) splits as
+    # before: train is the first 18 of the permutation, val the last 2
+    for M in range(1, 61):
+        recs = [_tiny_record(pid=f"p{i:04d}", T=2) for i in range(M)]
+        train, val = data.split_dataset(recs, 0.1, seed=3)
+        assert len(val) == math.floor(0.1 * M + 0.5), M
+        assert len(train) + len(val) == M, M
+        assert {r.platoon_id for r in train + val} == \
+            {r.platoon_id for r in recs}, M
+    perm = np.random.default_rng(3).permutation(20)
+    train, val = data.split_dataset(recs[:20], 0.1, seed=3)
+    assert [r.platoon_id for r in train] == [f"p{i:04d}" for i in perm[:18]]
+    assert [r.platoon_id for r in val] == [f"p{i:04d}" for i in perm[18:]]
+
+
 def test_split_ratio_validation():
-    with pytest.raises(ValueError):
-        data.split_dataset([_tiny_record()], ratios=(0.5, 0.2, 0.2))
+    for ratio in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="val_ratio"):
+            data.split_dataset([_tiny_record()], ratio, seed=0)
 
 
 def test_csv_round_trip_is_byte_exact(tmp_path):
@@ -303,7 +323,6 @@ def test_follower_observation_adapter():
     rec = _tiny_record(T=10)
     obs = data.follower_observation(rec, 1)
     assert len(obs.positions) == 10
-    assert obs.dt == data.DT
     assert obs.lead_length == 4.0
     assert np.array_equal(obs.gaps, rec.gaps()[0])
     with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 """Tests for the sign-constrained dynamics and horizon rollout."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import platoonkit
 from platoonkit import autodiff as ad
+from platoonkit import data
 from platoonkit import dynamics as dyn
 from platoonkit import training as tr
 
@@ -136,7 +140,6 @@ class TestExpectedState:
         assert xs.v_star[0, 0] == pytest.approx(11.0, abs=1e-12)
         assert xs.s_star[0, 0] == pytest.approx(22.0, abs=1e-12)
         assert xs.v_star[0, 1] == pytest.approx(5.0, abs=1e-12)
-        assert xs.dv_star == 0.0
 
     def test_shape_guard(self):
         with pytest.raises(ad.ShapeMismatch):
@@ -308,3 +311,34 @@ class TestStabilityAndGradients:
             return _probe_sum((out.v, out.s, out.a, out.dv), probes)
 
         assert ad.finite_diff_check(graph, arrays, step=1e-6) < 1e-6
+
+
+def test_one_sampling_step():
+    # DT is defined once, in dynamics; outside the two integrators no
+    # parameter, dataclass field or attribute named dt can carry a second step
+    takes_dt, defines_dt = set(), set()
+    for path in sorted(Path(platoonkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                names += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+                if "dt" in names:
+                    takes_dt.add(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    target = getattr(stmt, "target", None)
+                    if isinstance(target, ast.Name) and target.id == "dt":
+                        takes_dt.add(f"{path.stem}.{node.name}.dt")
+            elif isinstance(node, ast.Attribute) and node.attr == "dt" \
+                    and isinstance(node.ctx, ast.Store):
+                takes_dt.add(f"{path.stem}: .dt assigned")
+        for stmt in tree.body:
+            targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            if any(isinstance(t, ast.Name) and t.id == "DT" for t in targets):
+                defines_dt.add(path.stem)
+    assert takes_dt == {"dynamics.rollout", "dynamics.euler_platoon"}
+    assert defines_dt == {"dynamics"}
+    assert data.DT is dyn.DT == 0.1

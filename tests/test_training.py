@@ -276,7 +276,6 @@ class TestCheckpoints:
             history_len=data.draw(st.integers(1, 8), "history_len"),
             horizon=window * data.draw(st.integers(1, 3), "steps"),
             param_window=window,
-            dt=data.draw(st.floats(1e-3, 1.0), "dt"),
             disable_tfl=data.draw(st.booleans(), "disable_tfl"),
             disable_pfl=data.draw(st.booleans(), "disable_pfl"))
         params = net.init_params(cfg, seed=data.draw(st.integers(0, 99), "seed"))
