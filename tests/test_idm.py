@@ -184,14 +184,24 @@ def test_observation_rejects_non_finite_fields(name, bad):
         idm.FollowerObservation(**fields)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_observation_rejects_bad_dt(dt):
+    # the GA steps every follower at data.DT; an observation takes no step
+    # of its own, so no bad one can reach the fit
+    with pytest.raises(TypeError, match="dt"):
+        idm.FollowerObservation(np.zeros(5), np.zeros(5), 4.5,
+                                np.zeros(5), np.zeros(5), dt=dt)
+
+
 # -- lockstep calibration --------------------------------------------------------
 
-# (true params, frames, leader seed): two length groups, one leader per
+# (true params, frames, leader seed): three length groups, one leader per
 # follower
 _FLEET = [(idm.IdmParams(28.0, 1.4, 2.2, 1.1, 1.8), 60, 5),
           (idm.IdmParams(24.0, 1.0, 3.0, 1.5, 2.4), 80, 6),
           (idm.IdmParams(32.0, 1.8, 1.5, 0.9, 1.2), 60, 7),
-          (idm.IdmParams(26.0, 1.2, 2.6, 1.3, 2.0), 80, 8)]
+          (idm.IdmParams(26.0, 1.2, 2.6, 1.3, 2.0), 80, 8),
+          (idm.IdmParams(30.0, 1.6, 2.0, 1.0, 1.5), 40, 9)]
 
 
 def _fleet_observation(true_params, frames, seed):
@@ -251,9 +261,9 @@ def test_breed_matches_reference_draws(seed):
     assert out.tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lockstep_equals_solo_runs(n):
-    # the first n of the fleet: one group for n=1, two after that
+    # the first n of the fleet: one group for n=1, up to three after that
     seeds = [100 + i for i in range(n)]
     results = idm.calibrate_followers(FLEET[:n], seeds, budget=SOLO_BUDGET)
     assert len(results) == n
@@ -288,10 +298,11 @@ def test_lockstep_one_euler_pass_per_generation_and_group(monkeypatch):
 
     monkeypatch.setattr(idm.dyn, "euler_platoon", counting)
     budget = 2
-    idm.calibrate_followers(FLEET, [1, 2, 3, 4], budget=budget)
+    idm.calibrate_followers(FLEET, [1, 2, 3, 4, 5], budget=budget)
     # every candidate of a length group is a row of one call
     assert calls == {(2, idm.POPULATION, 1, 60): budget + 1,
-                     (2, idm.POPULATION, 1, 80): budget + 1}
+                     (2, idm.POPULATION, 1, 80): budget + 1,
+                     (1, idm.POPULATION, 1, 40): budget + 1}
 
 
 def test_lockstep_fitness_matches_independent_simulation():

@@ -206,6 +206,27 @@ class TestModelControllerIntegration:
             rec, sim.ModelController(params, cfg, seed=4))
         assert not np.array_equal(det.record.speeds, sto.record.speeds)
 
+    def test_planning_step_must_match_record(self):
+        # neither the config nor the controller takes a step of its own, so
+        # every plan is stepped at the record's DT: s' = s + DT * dv
+        with pytest.raises(TypeError, match="dt"):
+            net.ModelConfig(d_model=4, n_state=2, conv_kernel=4, ve_hidden=4,
+                            attn_layers=1, attn_heads=2, history_len=6,
+                            horizon=4, param_window=2, dt=0.2)
+        cfg = self._cfg()
+        params = net.init_params(cfg, seed=0)
+        with pytest.raises(TypeError, match="dt"):
+            sim.ModelController(params, cfg, dt=0.2)
+        rec = _record()
+        run = sim.closed_loop_simulate(rec, sim.ModelController(params, cfg))
+        P, T = run.warmup_steps, run.record.duration
+        assert T > P + 1
+        spd = run.record.speeds
+        np.testing.assert_allclose(
+            run.gaps[:, P:T] - run.gaps[:, P - 1:T - 1],
+            dyn.DT * (spd[:-1, P - 1:T - 1] - spd[1:, P - 1:T - 1]),
+            rtol=0, atol=1e-9)
+
     def test_accel_before_replan_rejected(self):
         cfg = self._cfg()
         mc = sim.ModelController(net.init_params(cfg), cfg)
