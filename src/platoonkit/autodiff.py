@@ -200,13 +200,15 @@ def softmax_weights(scores: np.ndarray, mask=True) -> np.ndarray:
     A kernel for fused primitives, not a tape op: their VJPs work from the
     weights it returns. Rows with every position masked produce all-zero
     weights (no attention) rather than NaN; such rows are counted and
-    reported via ``degenerate_softmax_rows``.
+    reported via ``degenerate_softmax_rows``. A row with an unmasked +inf or
+    NaN score is not dead: it comes out non-finite, for the stage boundary
+    to report.
     """
     global _degenerate_rows
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
     s = np.where(mask, scores, -np.inf)
     rowmax = s.max(axis=-1, keepdims=True)
-    dead = ~np.isfinite(rowmax)
+    dead = ~mask.any(axis=-1, keepdims=True)
     if dead.any():
         n = int(dead.sum())
         _degenerate_rows += n

@@ -8,7 +8,8 @@ Platoon simulation and GA fitness step followers in gap form with
 ``dynamics.euler_platoon`` at ``dynamics.DT`` behind the leader's speeds and
 cascade positions afterwards. Calibration runs followers in lockstep: each
 generation is one batch row per candidate of every follower of one length,
-each behind its own leader, while each follower breeds from its own streams.
+each behind its own leader, while each follower breeds its next generation
+from a stream of its own, in four batched draws (``_breed``).
 """
 
 from __future__ import annotations
@@ -248,25 +249,29 @@ def _evaluate_population(pops: np.ndarray, observations) -> np.ndarray:
 def _breed(pop, fitness, rng, lo, hi, sigma, out) -> None:
     """Fill ``out`` with the generation after ``pop``: its ELITES best, then
     tournament-picked blend children with Gaussian mutation (per-gene sigma),
-    clipped to [lo, hi]. Draws, per child: picks, blend, mutation mask, noise.
+    clipped to [lo, hi]. All children come from four draws, in this order:
+    picks (children, 2, TOURNAMENT), blends, mutation masks and noise (each
+    (children, 5)); each tournament's winner is the first arg-min of its picks.
 
     The blend and the noise are ``rng.uniform(low, high)`` and
     ``rng.normal(0, sigma)`` spelled out: numpy computes those as
     ``low + (high - low) * u`` and ``0 + sigma * z`` from the same stream
-    draws, so the children are bit-identical, and its array-argument forms
-    cost several times more per call.
+    draws, so the children are bit-identical.
     """
     out[:ELITES] = pop[np.argsort(fitness, kind="stable")[:ELITES]]
-    for child in out[ELITES:]:
-        picks = rng.integers(0, POPULATION, size=(2, TOURNAMENT))
-        p1, p2 = pop[picks[[0, 1], fitness[picks].argmin(1)]]
-        g_lo = np.minimum(p1, p2)
-        g_hi = np.maximum(p1, p2)
-        reach = BLEND_ALPHA * (g_hi - g_lo)
-        low = g_lo - reach
-        x = low + (g_hi + reach - low) * rng.random(5)
-        x += (rng.random(5) < MUTATION_PROB) * (sigma * rng.standard_normal(5))
-        np.minimum(np.maximum(x, lo, out=x), hi, out=child)
+    n = POPULATION - ELITES
+    picks = rng.integers(0, POPULATION, size=(n, 2, TOURNAMENT))
+    won = np.take_along_axis(picks, fitness[picks].argmin(-1)[..., None],
+                             -1)[..., 0]
+    p1, p2 = pop[won[:, 0]], pop[won[:, 1]]
+    g_lo = np.minimum(p1, p2)
+    g_hi = np.maximum(p1, p2)
+    reach = BLEND_ALPHA * (g_hi - g_lo)
+    low = g_lo - reach
+    x = low + (g_hi + reach - low) * rng.random((n, 5))
+    mutate = rng.random((n, 5)) < MUTATION_PROB
+    x += mutate * (sigma * rng.standard_normal((n, 5)))
+    np.minimum(np.maximum(x, lo, out=x), hi, out=out[ELITES:])
 
 
 def calibrate_followers(observations, seeds, budget: int = 100) -> list:
@@ -276,7 +281,8 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
     mutation (sigma = 5% of range, per-gene prob 0.2), 2 elites. ``budget``
     counts generations; 0 returns the best of the seeded initial population.
     Follower i is deterministic for ``seeds[i]``: every generation draws from
-    its own SeedSequence-spawned stream.
+    its own stream, the next child of ``SeedSequence(seeds[i])``, spawned when
+    that generation is drawn.
 
     Followers run in lockstep: per generation, the populations of all
     observations with the same length are evaluated in one batched Euler
@@ -300,12 +306,11 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
     results = [None] * len(observations)
     for members in groups.values():
         group = [observations[i] for i in members]
-        streams = [np.random.SeedSequence(seeds[i]).spawn(budget + 1)
-                   for i in members]
+        streams = [np.random.SeedSequence(seeds[i]) for i in members]
         rows = np.arange(len(members))
         pops = np.empty((len(members), POPULATION, 5))
         for pop, stream in zip(pops, streams):
-            rng = np.random.default_rng(stream[0])
+            rng = np.random.default_rng(stream.spawn(1)[0])
             pop[...] = lo + rng.uniform(size=(POPULATION, 5)) * span
         fitness = _evaluate_population(pops, group).reshape(len(members), -1)
 
@@ -314,10 +319,10 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
         best_fit = fitness[rows, idx]
         history = [[float(f)] for f in best_fit]
 
-        for g in range(budget):
+        for _ in range(budget):
             nxt = np.empty_like(pops)
             for pop, fit, stream, out in zip(pops, fitness, streams, nxt):
-                _breed(pop, fit, np.random.default_rng(stream[g + 1]),
+                _breed(pop, fit, np.random.default_rng(stream.spawn(1)[0]),
                        lo, hi, sigma, out)
             pops = nxt
             fitness = _evaluate_population(pops, group).reshape(len(members), -1)

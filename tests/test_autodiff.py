@@ -192,6 +192,26 @@ def test_masked_softmax_rows_sum_to_one_or_zero():
     assert ad.degenerate_softmax_rows() - before == 1
 
 
+def test_non_finite_softmax_row_is_not_counted_as_masked(caplog):
+    # an unmasked +inf or NaN score is an overflow, not masking: the row
+    # comes out non-finite and uncounted; only the all-masked row counts
+    before = ad.degenerate_softmax_rows()
+    x = np.array([[1.0, np.inf, 0.0],
+                  [np.nan, 1.0, 2.0],
+                  [1.0, 2.0, 3.0]])
+    mask = np.array([[True, True, False],
+                     [True, True, True],
+                     [False, False, False]])
+    with caplog.at_level("WARNING", logger="platoonkit.autodiff"), \
+            np.errstate(invalid="ignore"):
+        out = ad.softmax_weights(x, mask)
+    assert not np.isfinite(out[0]).all() and not np.isfinite(out[1]).all()
+    assert (out[2] == 0.0).all()
+    assert ad.degenerate_softmax_rows() - before == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "softmax_weights: 1 fully-masked rows produced zero weights"]
+
+
 def test_masked_softmax_gradient_matches_fd():
     # the softmax backward inside the fused attention layer, under a mask
     # that is not causal, for the queries and the memory

@@ -229,36 +229,100 @@ def _solo(i, seed):
 
 
 def _reference_breed(pop, fitness, rng, lo, hi):
-    """Children drawn with numpy's own uniform and normal, one at a time."""
+    """A generation drawn with numpy's own uniform and normal, one batched
+    call each: picks, blends, mutation masks, noise."""
+    n = idm.POPULATION - idm.ELITES
     order = np.argsort(fitness, kind="stable")
-    children = [pop[order[:idm.ELITES]]]
-    for _ in range(idm.POPULATION - idm.ELITES):
-        picks = rng.integers(0, idm.POPULATION, size=(2, idm.TOURNAMENT))
-        p1 = pop[picks[0][np.argmin(fitness[picks[0]])]]
-        p2 = pop[picks[1][np.argmin(fitness[picks[1]])]]
-        g_lo, g_hi = np.minimum(p1, p2), np.maximum(p1, p2)
-        d = g_hi - g_lo
-        child = rng.uniform(g_lo - idm.BLEND_ALPHA * d,
-                            g_hi + idm.BLEND_ALPHA * d)
-        mutate = rng.random(5) < idm.MUTATION_PROB
-        child = child + mutate * rng.normal(0.0, idm.MUTATION_SIGMA * (hi - lo))
-        children.append(np.clip(child, lo, hi)[None, :])
-    return np.concatenate(children)
+    picks = rng.integers(0, idm.POPULATION, size=(n, 2, idm.TOURNAMENT))
+    winners = np.array([[t[np.argmin(fitness[t])] for t in pair]
+                        for pair in picks])
+    p1, p2 = pop[winners[:, 0]], pop[winners[:, 1]]
+    g_lo, g_hi = np.minimum(p1, p2), np.maximum(p1, p2)
+    d = g_hi - g_lo
+    child = rng.uniform(g_lo - idm.BLEND_ALPHA * d, g_hi + idm.BLEND_ALPHA * d)
+    mutate = rng.random((n, 5)) < idm.MUTATION_PROB
+    child = child + mutate * rng.normal(0.0, idm.MUTATION_SIGMA * (hi - lo),
+                                        (n, 5))
+    return np.concatenate([pop[order[:idm.ELITES]], np.clip(child, lo, hi)])
+
+
+def _generation(seed, fitness_levels=(0.5, 1.0, 2.0, idm.COLLISION_FITNESS)):
+    # ties and collided candidates, as real generations have
+    lo, hi = idm.DEFAULT_BOUNDS[:, 0], idm.DEFAULT_BOUNDS[:, 1]
+    rng = np.random.default_rng(seed)
+    pop = lo + rng.uniform(size=(idm.POPULATION, 5)) * (hi - lo)
+    return pop, rng.choice(fitness_levels, idm.POPULATION)
+
+
+def _bred(pop, fitness, rng):
+    lo, hi = idm.DEFAULT_BOUNDS[:, 0], idm.DEFAULT_BOUNDS[:, 1]
+    out = np.empty_like(pop)
+    idm._breed(pop, fitness, rng, lo, hi, idm.MUTATION_SIGMA * (hi - lo), out)
+    return out
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_breed_matches_reference_draws(seed):
     lo, hi = idm.DEFAULT_BOUNDS[:, 0], idm.DEFAULT_BOUNDS[:, 1]
-    rng = np.random.default_rng(seed)
-    pop = lo + rng.uniform(size=(idm.POPULATION, 5)) * (hi - lo)
-    # ties and collided candidates, as real generations have
-    fitness = rng.choice([0.5, 1.0, 2.0, idm.COLLISION_FITNESS], idm.POPULATION)
-    out = np.empty_like(pop)
-    idm._breed(pop, fitness, np.random.default_rng(seed + 10), lo, hi,
-               idm.MUTATION_SIGMA * (hi - lo), out)
+    pop, fitness = _generation(seed)
+    out = _bred(pop, fitness, np.random.default_rng(seed + 10))
     expect = _reference_breed(pop, fitness, np.random.default_rng(seed + 10),
                               lo, hi)
     assert out.tobytes() == expect.tobytes()
+
+
+_breed_cases = given(st.integers(0, 2**32 - 1),
+                     st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@_breed_cases
+def test_breed_children_stay_within_bounds(seed, levels):
+    out = _bred(*_generation(seed, levels), np.random.default_rng(seed))
+    lo, hi = idm.DEFAULT_BOUNDS[:, 0], idm.DEFAULT_BOUNDS[:, 1]
+    assert ((out >= lo) & (out <= hi)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@_breed_cases
+def test_breed_keeps_the_elites_in_stable_order(seed, levels):
+    pop, fitness = _generation(seed, levels)
+    out = _bred(pop, fitness, np.random.default_rng(seed))
+    best = sorted(range(idm.POPULATION), key=lambda i: (fitness[i], i))
+    assert out[:idm.ELITES].tobytes() == pop[best[:idm.ELITES]].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@_breed_cases
+def test_breed_makes_exactly_four_draws(seed, levels):
+    # a per-child draw loop consumes the stream differently and fails here
+    n = idm.POPULATION - idm.ELITES
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    _bred(*_generation(seed, levels), rng)
+    twin.integers(0, idm.POPULATION, size=(n, 2, idm.TOURNAMENT))
+    twin.random((n, 5))
+    twin.random((n, 5))
+    twin.standard_normal((n, 5))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_generation_streams_are_spawned_one_at_a_time(monkeypatch):
+    # eager spawning of budget + 1 children would cost memory in the budget;
+    # one child per generation gives the same streams, keys (0,)..(budget,)
+    asked, keys = [], []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            asked.append(n_children)
+            children = super().spawn(n_children)
+            keys.extend(c.spawn_key for c in children)
+            return children
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    budget = 4
+    idm.calibrate_followers(FLEET[:2], [1, 2], budget=budget)
+    assert set(asked) == {1}
+    assert sorted(keys) == sorted([(g,) for g in range(budget + 1)] * 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

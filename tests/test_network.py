@@ -538,6 +538,20 @@ class TestFusedAttention:
                 for solo, leaf in zip(single, leaves):
                     _assert_bits(solo.grad[0], leaf.grad[row])
 
+    def test_attention_overflow_names_the_layer(self, caplog):
+        # scores that overflow to +inf are not masking: the layer's output is
+        # non-finite and the stage boundary names it, with no masking warning
+        cfg = _tiny_config()
+        w = net.init_params(cfg, seed=5).weights
+        x = np.random.default_rng(23).normal(size=(2, 3, cfg.d_model)) * 1e200
+        before = ad.degenerate_softmax_rows()
+        with caplog.at_level(logging.WARNING, logger="platoonkit.autodiff"), \
+                np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ad.NonFiniteValue, match="'attn_layer'"):
+            net._attn_layer(w, "pfl.0", x, x, cfg.attn_heads)
+        assert ad.degenerate_softmax_rows() == before
+        assert not any("fully-masked" in r.message for r in caplog.records)
+
     def test_fully_masked_query_gets_zero_attention(self, caplog):
         # vehicle 1 sees no vehicle: its softmax row is all zeros, not NaN,
         # so the layer passes it through the norms and feedforward alone
