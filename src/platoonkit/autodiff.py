@@ -213,7 +213,8 @@ def softmax_weights(scores: np.ndarray, mask=True) -> np.ndarray:
         n = int(dead.sum())
         _degenerate_rows += n
         log.warning("softmax_weights: %d fully-masked rows produced zero weights", n)
-    s -= np.where(dead, 0.0, rowmax)
+    with np.errstate(invalid="ignore"):    # inf - inf: the row reads non-finite
+        s -= np.where(dead, 0.0, rowmax)
     np.exp(s, out=s)                    # exp(-inf) = 0 at masked positions
     # a live row sums to at least exp(0) = 1; a dead row's zeros divide by 1
     s /= np.where(dead, 1.0, s.sum(axis=-1, keepdims=True))

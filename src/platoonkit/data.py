@@ -17,7 +17,7 @@ Window extraction and closed-loop replanning build model inputs with
 
 from __future__ import annotations
 
-import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -144,60 +144,133 @@ def write_trajectories(records: Sequence[PlatoonRecord], path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _parse_file(path: Path, rows: dict) -> None:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+# One CSV row as the bulk parse reads it; platoon ids stay str objects.
+_ROW = np.dtype(list(zip(CSV_FIELDS, (object, np.int64, np.int64, float,
+                                      float, float))))
+
+
+def _parse_file(path: Path) -> np.ndarray:
+    """The data rows of one CSV file, in file order, as a ``_ROW`` array.
+
+    One ``np.loadtxt`` pass parses every row. Only when it fails, or finds a
+    quote or a non-finite value, is the file scanned again row by row, to
+    name the first bad line.
+    """
+    text = path.read_text(encoding="utf-8")
+    if not text:
+        raise DataFormatError(f"{path}: empty file")
+    head, _, body = text.partition("\n")
+    header = head.split(",") if head else []
+    if tuple(header) != CSV_FIELDS:
+        raise DataFormatError(f"{path}: bad header {header}")
+    if not body.strip("\n"):
+        return np.empty(0, _ROW)
+    failure = "quoted cells are not supported"
+    if '"' not in body:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if tuple(header) != CSV_FIELDS:
-            raise DataFormatError(f"{path}: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataFormatError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-            pid = row[0]
-            try:
-                vi = int(row[1])
-                frame = int(row[2])
-                pos = float(row[3])
-                spd = float(row[4])
-                length = float(row[5])
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: {e}") from None
-            if not (math.isfinite(pos) and math.isfinite(spd)
-                    and math.isfinite(length)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite value")
-            rows.setdefault(pid, {}).setdefault(vi, []).append((frame, pos, spd, length))
+            rows = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError as e:
+            failure = str(e)
+        else:
+            if all(np.isfinite(rows[name]).all() for name in CSV_FIELDS[3:]):
+                return rows
+            failure = "non-finite value"
+    raise _bad_line(path, body, failure)
 
 
-def _assemble(pid: str, by_vehicle: dict) -> PlatoonRecord:
-    """Raises DataError with a diagnostic for structurally broken platoons."""
-    indices = sorted(by_vehicle)
-    if indices != list(range(len(indices))):
-        raise DataError(f"platoon {pid}: vehicle indices {indices} not contiguous from 0")
-    positions, speeds, lengths = [], [], []
-    frame_range = None
-    for vi in indices:
-        entries = sorted(by_vehicle[vi])
-        frames = [e[0] for e in entries]
-        if len(set(frames)) != len(frames):
-            raise DataError(f"platoon {pid}: vehicle {vi} has duplicate frames")
-        if frames != list(range(frames[0], frames[0] + len(frames))):
-            raise DataError(f"platoon {pid}: vehicle {vi} has missing frames")
-        if frame_range is None:
-            frame_range = (frames[0], frames[-1])
-        elif (frames[0], frames[-1]) != frame_range:
-            raise DataError(f"platoon {pid}: vehicle {vi} frame range differs")
-        if len({e[3] for e in entries}) != 1:
-            raise DataError(f"platoon {pid}: vehicle {vi} length varies across frames")
-        positions.append(np.array([e[1] for e in entries]))
-        speeds.append(np.array([e[2] for e in entries]))
-        lengths.append(entries[0][3])
-    return PlatoonRecord(pid, np.stack(positions), np.stack(speeds),
-                         np.array(lengths))
+def _bad_line(path: Path, body: str, failure: str) -> DataFormatError:
+    """A DataFormatError naming the first line of ``body``, the text after
+    the header, that the bulk parse rejects, else one quoting ``failure``.
+
+    Blank lines are skipped. Every other line holds six unquoted cells:
+    ``vehicle_index`` and ``frame`` are integers that fit int64, the rest
+    finite decimals, all in ASCII with no underscores. A line that ``int``
+    or ``float`` rejects gets their message.
+    """
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 6:
+            return DataFormatError(
+                f"{path}:{lineno}: expected 6 columns, got {len(cells)}")
+        if '"' in line:
+            return DataFormatError(f"{path}:{lineno}: quoted cells are not supported")
+        try:
+            ints = [int(c) for c in cells[1:3]]
+            floats = [float(c) for c in cells[3:]]
+        except ValueError as e:
+            return DataFormatError(f"{path}:{lineno}: {e}")
+        if not all(map(math.isfinite, floats)):
+            return DataFormatError(f"{path}:{lineno}: non-finite value")
+        for name, cell in zip(CSV_FIELDS[1:], cells[1:]):
+            if "_" in cell or not cell.strip().isascii():
+                return DataFormatError(
+                    f"{path}:{lineno}: {name} {cell!r} is not a plain decimal")
+        if not all(-2 ** 63 <= i < 2 ** 63 for i in ints):
+            return DataFormatError(f"{path}:{lineno}: integer out of int64 range")
+    return DataFormatError(f"{path}: {failure}")
+
+
+# Per-vehicle defects, in the order they are checked.
+_DEFECTS = ("has duplicate frames", "has missing frames", "frame range differs",
+            "length varies across frames")
+
+
+def _assemble(ids: list, platoon, vehicle, frame, pos, spd, length) -> list:
+    """One (platoon_id, diagnostic or None, record or None) per platoon, in
+    the order of ``ids``.
+
+    The arguments after ``ids`` are row columns in any order; ``platoon``
+    indexes ``ids``. A platoon whose vehicle indices are not 0..V-1 is
+    rejected, else the first of its vehicles with one of ``_DEFECTS`` names
+    it (frame ranges are compared with vehicle 0's), else
+    ``validate_record``'s diagnostic of the assembled record, if any.
+    """
+    order = np.lexsort((frame, vehicle, platoon))
+    platoon, vehicle, frame, pos, spd, length = (
+        column[order] for column in (platoon, vehicle, frame, pos, spd, length))
+    # rows starts[k]:ends[k] are vehicle k; vehicles heads[p]:tails[p] are
+    # platoon p, and lead[k] is vehicle k's platoon leader
+    n = len(order)
+    new_vehicle = np.ones(n, dtype=bool)
+    new_vehicle[1:] = (platoon[1:] != platoon[:-1]) | (vehicle[1:] != vehicle[:-1])
+    starts = np.flatnonzero(new_vehicle)
+    ends = np.append(starts[1:], n)
+    owner = platoon[starts]
+    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+    tails = np.append(heads[1:], len(starts))
+    lead = np.repeat(heads, tails - heads)
+    first, last = frame[starts], frame[ends - 1]
+    repeat = np.zeros(n, dtype=bool)
+    repeat[1:] = (frame[1:] == frame[:-1]) & ~new_vehicle[1:]
+    defects = np.stack([
+        np.logical_or.reduceat(repeat, starts),
+        last - first + 1 != ends - starts,
+        (first != first[lead]) | (last != last[lead]),
+        np.minimum.reduceat(length, starts) != np.maximum.reduceat(length, starts),
+    ], axis=1)
+
+    out = []
+    for a, b in zip(heads, tails):
+        pid = ids[owner[a]]
+        indices = vehicle[starts[a:b]]
+        broken = defects[a:b].any(axis=1)
+        if indices[0] != 0 or indices[-1] != b - a - 1:
+            out.append((pid, f"platoon {pid}: vehicle indices "
+                             f"{indices.tolist()} not contiguous from 0", None))
+        elif broken.any():
+            vi = int(np.argmax(broken))
+            what = _DEFECTS[int(np.argmax(defects[a + vi]))]
+            out.append((pid, f"platoon {pid}: vehicle {vi} {what}", None))
+        else:
+            span = slice(starts[a], ends[b - 1])
+            record = PlatoonRecord(pid, pos[span].reshape(b - a, -1),
+                                   spd[span].reshape(b - a, -1),
+                                   length[starts[a:b]])
+            out.append((pid, validate_record(record), record))
+    return out
 
 
 def load_trajectories(path, rejects: Optional[list] = None) -> list:
@@ -206,24 +279,30 @@ def load_trajectories(path, rejects: Optional[list] = None) -> list:
     Lexically malformed rows raise DataFormatError. Platoons violating
     structural or physical invariants are skipped; each skip appends
     (platoon_id, reason) to ``rejects`` (if given) and logs a warning.
+    Records come in order of first appearance across the sorted files, and a
+    platoon may span files.
     """
     path = Path(path)
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
     if not files:
         raise DataError(f"{path}: no CSV files found")
-    rows: dict = {}
+    numbers: dict = {}              # platoon id -> number, by first appearance
+    parts = []
     for f in files:
-        _parse_file(f, rows)
+        rows = _parse_file(f)
+        ids, first, inverse = np.unique(rows["platoon_id"], return_index=True,
+                                        return_inverse=True)
+        for pid in ids[np.argsort(first)]:
+            numbers.setdefault(pid, len(numbers))
+        code = np.array([numbers[pid] for pid in ids], dtype=np.int64)
+        # copies, so that no id string outlives the parse of its file
+        parts.append((code[inverse],
+                      *(rows[name].copy() for name in CSV_FIELDS[1:])))
+    if not numbers:
+        return []
     records = []
-    for pid, by_vehicle in rows.items():
-        try:
-            record = _assemble(pid, by_vehicle)
-        except DataError as e:
-            log.warning("rejected %s", e)
-            if rejects is not None:
-                rejects.append((pid, str(e)))
-            continue
-        reason = validate_record(record)
+    for pid, reason, record in _assemble(list(numbers),
+                                         *map(np.concatenate, zip(*parts))):
         if reason is not None:
             log.warning("rejected %s", reason)
             if rejects is not None:

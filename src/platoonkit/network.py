@@ -444,9 +444,11 @@ def tfl_forward(w, config: ModelConfig, x):
     if not keep:
         del xs, delta
     s2 = _sigmoid(gate)
-    sg = gate * s2
-    yg = y * sg
-    out = X + yg @ Wout
+    # a non-finite scan output is reported once, by the stage boundary
+    with np.errstate(invalid="ignore", over="ignore"):
+        sg = gate * s2
+        yg = y * sg
+        out = X + yg @ Wout
 
     def vjp(g):
         tgn, tin, tcw, tcb, twx, twdt, tbdt, talog, td, tout = weights

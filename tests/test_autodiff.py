@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 import zlib
 from pathlib import Path
@@ -210,6 +211,15 @@ def test_non_finite_softmax_row_is_not_counted_as_masked(caplog):
     assert ad.degenerate_softmax_rows() - before == 1
     assert [r.getMessage() for r in caplog.records] == [
         "softmax_weights: 1 fully-masked rows produced zero weights"]
+
+
+def test_infinite_softmax_score_raises_no_numpy_warning():
+    # inf - inf in the max shift makes the row non-finite; the stage
+    # boundary reports that, so numpy stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.softmax_weights(np.array([[1.0, np.inf, 0.0]]))
+    assert not np.isfinite(out).all()
 
 
 def test_masked_softmax_gradient_matches_fd():

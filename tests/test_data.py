@@ -1,6 +1,8 @@
 """Data layer: CSV round trips, windowing arithmetic, splits, synthetic corpus."""
 
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +319,161 @@ def test_directory_loading(tmp_path):
     data.write_trajectories(b, tmp_path / "b.csv")
     records = data.load_trajectories(tmp_path)
     assert len(records) == 4
+
+
+HEADER = ",".join(data.CSV_FIELDS) + "\n"
+
+
+def _rows(pid, n_vehicles=2, frames=3, length="4.5"):
+    """CSV rows of a valid platoon: vehicles 20 m apart at 10 m/s."""
+    return "".join(f"{pid},{v},{t},{100 - 20 * v + t},10.0,{length}\n"
+                   for v in range(n_vehicles) for t in range(frames))
+
+
+def _load_text(tmp_path, text, name="bad.csv"):
+    f = tmp_path / name
+    f.write_bytes(text.encode())
+    rejects = []
+    return data.load_trajectories(f, rejects=rejects), rejects
+
+
+def test_empty_file_rejected(tmp_path):
+    with pytest.raises(data.DataFormatError, match=r"bad\.csv: empty file"):
+        _load_text(tmp_path, "")
+
+
+def test_header_only_file_loads_no_records(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _load_text(tmp_path, HEADER) == ([], [])
+        assert _load_text(tmp_path, HEADER + "\n\n") == ([], [])
+
+
+def test_wrong_column_count_names_its_line(tmp_path):
+    text = HEADER + _rows("p0") + "p0,0,3,103.0,10.0\n"
+    with pytest.raises(data.DataFormatError,
+                       match=r"bad\.csv:8: expected 6 columns, got 5"):
+        _load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("column", [1, 2])
+def test_decimal_in_integer_column_names_its_line(tmp_path, column):
+    row = ["p0", "1", "2", "82.0", "10.0", "4.5"]
+    row[column] = "1.0"
+    text = HEADER + "p0,0,0,100.0,10.0,4.5\n\n" + ",".join(row) + "\n"
+    with pytest.raises(data.DataFormatError,
+                       match=r"bad\.csv:4: invalid literal for int\(\)"):
+        _load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("row", [
+    '"p0",0,1,101.0,10.0,4.5',
+    'p0,0,1,"3.5",10.0,4.5',
+    'p0,0,1,101.0,10.0,"4.5"',
+    "p0,1_0,1,101.0,10.0,4.5",
+    "p0,0,1_0,101.0,10.0,4.5",
+    "p0,0,1,1_000,10.0,4.5",
+    "p0,0,1,101.0,1_0.0,4.5",
+])
+def test_quoted_or_underscored_cell_names_its_line(tmp_path, row):
+    # csv.reader and float() took these; the bulk parse does not
+    text = HEADER + "p0,0,0,100.0,10.0,4.5\n" + row + "\n"
+    with pytest.raises(data.DataFormatError, match=r"bad\.csv:3: "):
+        _load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("rows, reason", [
+    (_rows("p0") + "p0,1,2,82.0,10.0,4.5\n", "vehicle 1 has duplicate frames"),
+    (_rows("p0") + "p0,1,3,83.0,10.0,4.5\n", "vehicle 1 frame range differs"),
+    (_rows("p0").replace("p0,1,2,82,10.0,4.5", "p0,1,2,82,10.0,4.6"),
+     "vehicle 1 length varies across frames"),
+    (_rows("p0").replace("p0,1,", "p0,2,"),
+     "vehicle indices [0, 2] not contiguous from 0"),
+])
+def test_structurally_broken_platoon_rejected(tmp_path, rows, reason):
+    text = HEADER + _rows("good") + rows
+    records, rejects = _load_text(tmp_path, text)
+    assert [r.platoon_id for r in records] == ["good"]
+    assert rejects == [("p0", f"platoon p0: {reason}")]
+
+
+def test_platoon_split_across_files_is_merged(tmp_path):
+    rows = _rows("p0", n_vehicles=3).splitlines(keepends=True)
+    (tmp_path / "a.csv").write_text(HEADER + "".join(rows[::2]))
+    (tmp_path / "b.csv").write_text(HEADER + "".join(rows[1::2]))
+    whole, _ = _load_text(tmp_path, HEADER + "".join(rows), name="whole.txt")
+    (merged,) = data.load_trajectories(tmp_path)
+    assert np.array_equal(merged.positions, whole[0].positions)
+    assert np.array_equal(merged.speeds, whole[0].speeds)
+    assert np.array_equal(merged.lengths, whole[0].lengths)
+
+
+def test_records_come_in_first_appearance_order_across_files(tmp_path):
+    (tmp_path / "a.csv").write_text(HEADER + _rows("z") + _rows("m"))
+    (tmp_path / "b.csv").write_text(HEADER + _rows("a") + _rows("m", frames=0)
+                                    + _rows("b"))
+    (tmp_path / "c.csv").write_text(HEADER + _rows("m", frames=0) + _rows("c"))
+    assert [r.platoon_id for r in data.load_trajectories(tmp_path)] == \
+        ["z", "m", "a", "b", "c"]
+
+
+def test_crlf_line_endings_load_like_lf(tmp_path):
+    text = HEADER + _rows("p0") + "\n" + _rows("p1", n_vehicles=3)
+    lf, _ = _load_text(tmp_path, text, name="lf.csv")
+    crlf, _ = _load_text(tmp_path, text.replace("\n", "\r\n"), name="crlf.csv")
+    assert [r.platoon_id for r in crlf] == ["p0", "p1"]
+    for a, b in zip(lf, crlf):
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.speeds, b.speeds)
+        assert np.array_equal(a.lengths, b.lengths)
+
+
+def _reference_load(path):
+    """Platoons of a CSV directory read with ``csv.reader`` and ``float()``,
+    row by row: (ids in first-appearance order, {id: (positions, speeds,
+    lengths)})."""
+    by_id = {}
+    for f in sorted(path.glob("*.csv")):
+        with open(f, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for pid, vi, frame, pos, spd, length in filter(None, reader):
+                by_id.setdefault(pid, {}).setdefault(int(vi), []).append(
+                    (int(frame), float(pos), float(spd), float(length)))
+    arrays = {}
+    for pid, by_vehicle in by_id.items():
+        rows = [sorted(by_vehicle[v]) for v in sorted(by_vehicle)]
+        arrays[pid] = (np.array([[r[1] for r in v] for v in rows]),
+                       np.array([[r[2] for r in v] for v in rows]),
+                       np.array([v[0][3] for v in rows]))
+    return list(by_id), arrays
+
+
+def test_loaded_arrays_match_a_row_by_row_reference(tmp_path):
+    corpora = [data.generate_synthetic_platoons(n, n_followers=k,
+                                                duration_s=4.0, seed=seed)
+               for n, k, seed in ((3, 6, 31), (4, 3, 32), (2, 1, 33))]
+    records = [r for corpus in corpora for r in corpus]
+    # several platoons per file, files not in id order, one platoon split
+    # over c.csv and d.csv by alternate rows
+    data.write_trajectories(records[2:5], tmp_path / "a.csv")
+    data.write_trajectories(records[5:], tmp_path / "b.csv")
+    data.write_trajectories(records[:1], tmp_path / "d.csv")
+    data.write_trajectories(records[1:2], tmp_path / "c.csv")
+    split = (tmp_path / "d.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "d.csv").write_text(HEADER + "".join(split[1::2]))
+    (tmp_path / "c.csv").write_text((tmp_path / "c.csv").read_text()
+                                    + "".join(split[2::2]))
+
+    ids, want = _reference_load(tmp_path)
+    loaded = data.load_trajectories(tmp_path)
+    assert [r.platoon_id for r in loaded] == ids
+    assert sorted(ids) == sorted(r.platoon_id for r in records)
+    for rec in loaded:
+        positions, speeds, lengths = want[rec.platoon_id]
+        assert np.array_equal(rec.positions, positions)
+        assert np.array_equal(rec.speeds, speeds)
+        assert np.array_equal(rec.lengths, lengths)
 
 
 def test_follower_observation_adapter():

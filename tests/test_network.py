@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,22 @@ class TestTemporalBlock:
         y = net.tfl_forward(p.weights, cfg, x).data
         np.testing.assert_array_equal(y[0, 0], y[0, 1])
         np.testing.assert_array_equal(y[0, 0], y[0, 2])
+
+    def test_non_finite_output_is_reported_once_by_the_stage(self):
+        # a huge gate and output projection overflow after the scan: the
+        # stage boundary names 'tfl', and numpy raises no warning first
+        cfg = _tiny_config()
+        w = dict(net.init_params(cfg, seed=1).weights)
+        w_in = w["tfl.in_proj.w"].data.copy()
+        w_in[:, cfg.d_inner:] *= 1e200
+        w["tfl.in_proj.w"] = w_in
+        w["tfl.out_proj.w"] = w["tfl.out_proj.w"].data * 1e200
+        x = np.random.default_rng(4).normal(size=(1, 2, cfg.history_len,
+                                                  cfg.d_model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteValue, match="'tfl'"):
+                net.tfl_forward(w, cfg, x)
 
 
 def _composed_tfl_forward(w, cfg, x):
