@@ -4,8 +4,9 @@ Define-by-run tape: every node holds a forward value computed in numpy and a
 hand-written vector-Jacobian closure. Each model stage records one node
 through ``primitive`` (``network``, ``dynamics``, ``training``). Besides the
 tape, this module keeps ``getitem``, which splits a stacked node, ``tsum``,
-which scalarises outputs for gradient checks, and ``softmax_weights``, the one
-softmax, a numpy kernel that counts fully-masked rows.
+which scalarises outputs for gradient checks, and two numpy kernels:
+``softmax_weights``, the one softmax, which counts fully-masked rows, and
+``softplus``, the one softplus.
 
 ``Tape.trace`` orders the nodes reachable from an output topologically and
 ``backward`` replays them once in reverse; the graph is rebuilt on every
@@ -19,6 +20,7 @@ validates gradients against central differences.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import logging
 from typing import Callable, Sequence
 
@@ -41,20 +43,32 @@ class NonFiniteValue(AutodiffError):
     """A NaN or Inf appeared at a graph boundary or inside a primitive."""
 
 
-_grad_enabled = True
+class _GradMode:
+    """Whether ops are recorded: a context variable, so each thread (and
+    asyncio task) has its own, on by default. Its truth value is the mode."""
+
+    __slots__ = ("var",)
+
+    def __init__(self):
+        self.var = contextvars.ContextVar("grad_enabled", default=True)
+
+    def __bool__(self) -> bool:
+        return self.var.get()
+
+
+_grad_enabled = _GradMode()
 _degenerate_rows = 0  # fully-masked softmax rows seen by this process
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (forward values only)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block (forward values only), in
+    the calling thread only."""
+    token = _grad_enabled.var.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.var.reset(token)
 
 
 def degenerate_softmax_rows() -> int:
@@ -219,6 +233,24 @@ def softmax_weights(scores: np.ndarray, mask=True) -> np.ndarray:
     # a live row sums to at least exp(0) = 1; a dead row's zeros divide by 1
     s /= np.where(dead, 1.0, s.sum(axis=-1, keepdims=True))
     return s
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), overwriting ``x``.
+
+    The split form never overflows. numpy's log-add-exp of (0, x) evaluates
+    the same formula one element at a time; here ``exp`` and ``log1p`` run
+    as vectorised loops, several times faster. Both are within one ulp of
+    the exact value, so they can differ by two. NaN stays NaN, +inf stays
+    +inf and -inf gives 0. Returns ``x``.
+    """
+    tail = np.abs(x)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.maximum(x, 0.0, out=x)
+    x += tail
+    return x
 
 
 # -- reduction / slicing -------------------------------------------------------

@@ -45,7 +45,7 @@ def encode_parameters(raw):
     t = ad.as_tensor(raw)
     if t.shape[-1] != 3:
         raise ad.ShapeMismatch(f"encode_parameters: last axis must be 3, got {t.shape}")
-    soft = np.logaddexp(0.0, t.data)
+    soft = ad.softplus(t.data.copy())
 
     def vjp(g):
         # softplus' = sigmoid = 1 - exp(-softplus), which cannot overflow

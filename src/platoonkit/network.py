@@ -18,9 +18,9 @@ NARP, is one autodiff node whose forward pass runs the numpy operations of
 the step-by-step composition it replaced, in their order (so its output has
 the same bits), with a hand-written VJP. Inside TFL the selective scan and
 the causal conv are numpy kernels that return their own VJPs; the scan runs
-in cache-sized blocks of rows in numpy's summation order, so its output does
-not depend on the batch. Initial draws are quantized to float32 so a float32
-checkpoint reproduces the exact float64 forward pass.
+forward and backward in cache-sized blocks of rows, in numpy's summation
+order, so its output does not depend on the batch. Initial draws are quantized
+to float32 so a float32 checkpoint reproduces the exact float64 forward pass.
 """
 
 from __future__ import annotations
@@ -220,8 +220,20 @@ _PAIRWISE_BLOCK = 128        # numpy's PW_BLOCKSIZE
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), in one new buffer."""
+    s = np.negative(x)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def _silu_slope(x, s):
+    """1 + x (1 - s) for s = sigmoid(x): d(x s)/dx is s times this."""
+    slope = np.subtract(1.0, s)
+    slope *= x
+    slope += 1.0
+    return slope
 
 
 def _rows(a):
@@ -281,6 +293,17 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     block's buffers are allocated besides y. sum_s C_t h adds its S products
     in numpy's pairwise order (``_sum_states``), so y is bit-identical to a
     per-step loop over the whole batch.
+
+    The history is time-major, (T, rows, S, C), so one step of one row block
+    is a contiguous slab. The VJP runs the reverse recurrence over the same
+    row blocks in three reused (rows, S, C) buffers: the state gradient, the
+    decay (then the decay times the state gradient) and the gradient of
+    delta*A. The per-step matvecs write into the gradients with ``out=``,
+    the sums over s and over rows are single-pass einsums, and the
+    elementwise terms of the u and delta gradients run once over all steps.
+    The input gradients equal a per-step loop over the whole batch bit for
+    bit, except a_mat's, which sums over rows within each step rather than
+    over steps within each row.
     """
     batch, (T, C), S = u.shape[:-2], u.shape[-2:], a_mat.shape[-1]
     # States are held as (rows, S, C) so every elementwise op runs along the
@@ -288,21 +311,20 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     # one cache-sized block of rows at a time in reused buffers.
     R = math.prod(batch)
     rows = max(1, min(R, _SCAN_BLOCK // (S * C)))
+    blocks = [slice(r0, min(r0 + rows, R)) for r0 in range(0, R, rows)]
     a_t = np.ascontiguousarray(a_mat.T)
     y = np.empty(u.shape)
-    H = np.empty(batch + (T, S, C)) if keep_states else None
+    H = np.empty((T, R, S, C)) if keep_states else None
     U2, DT2, y2 = (a.reshape(R, T, C) for a in (u, delta, y))
     B2, C2 = b_seq.reshape(R, T, S), c_seq.reshape(R, T, S)
-    H2 = H.reshape(R, T, S, C) if keep_states else None
     h = None if keep_states else np.empty((rows, S, C))
     # one scratch buffer holds the decay, then the injection, then the
     # products C_t h summed into y_t
     work = np.empty((rows, S, C))
     du = np.empty((rows, 1, C))
     with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in range(0, R, rows):
-            blk = slice(r0, min(r0 + rows, R))
-            n = blk.stop - r0
+        for blk in blocks:
+            n = blk.stop - blk.start
             Ub, DTb, Bb, Cb, yb = U2[blk], DT2[blk], B2[blk], C2[blk], y2[blk]
             w, du_b = work[:n], du[:n]
             # y_t = sum_s C_t h + D u_t. numpy's sum starts from +0.0, which
@@ -313,7 +335,7 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
             for t in range(T):
                 dt_t = DTb[:, t, None, :]                    # (n, 1, C)
                 np.multiply(dt_t, Ub[:, t, None, :], out=du_b)
-                h_t = H2[blk, t] if keep_states else h[:n]
+                h_t = H[t, blk] if keep_states else h[:n]
                 if t == 0:
                     np.multiply(du_b, Bb[:, t, :, None], out=h_t)
                 else:
@@ -334,33 +356,41 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
         # arXiv 2312.00752)
         gU, gDT = np.empty(u.shape), np.empty(u.shape)
         gB, gC = np.empty(b_seq.shape), np.empty(b_seq.shape)
-        gA = np.zeros(batch + (S, C))       # summed over rows at the end
-        gh = np.empty(batch + (S, C))       # gradient of h_t
-        q = np.empty_like(gh)
-        for t in range(T - 1, -1, -1):
-            g_t = g[..., t, :]
-            dt_t = delta[..., t, :]
-            u_t = u[..., t, :]
-            if t == T - 1:
-                np.multiply(g_t[..., None, :], c_seq[..., t, :, None], out=gh)
-            else:
-                gh *= decay                 # exp(delta_{t+1} A) from step t+1
-                gh += g_t[..., None, :] * c_seq[..., t, :, None]
-            gC[..., t, :] = (H[..., t, :, :] @ g_t[..., :, None])[..., 0]
-            gB[..., t, :] = (gh @ (dt_t * u_t)[..., :, None])[..., 0]
-            g_du = (b_seq[..., t, None, :] @ gh)[..., 0, :]
-            gU[..., t, :] = g_du * dt_t + g_t * d_gain
-            gDT[..., t, :] = g_du * u_t
-            if t > 0:
+        gA = np.zeros((S, C))
+        G2, gU2, gDT2 = (a.reshape(R, T, C) for a in (g, gU, gDT))
+        gB2, gC2 = gB.reshape(R, T, S), gC.reshape(R, T, S)
+        gh_buf, dgh_buf, q_buf = (np.empty((rows, S, C)) for _ in range(3))
+        du_buf = np.empty((rows, C, 1))
+        for blk in blocks:
+            n = blk.stop - blk.start
+            Ub, DTb, Bb, Cb, Gb = U2[blk], DT2[blk], B2[blk], C2[blk], G2[blk]
+            gh, dgh, q, du_b = gh_buf[:n], dgh_buf[:n], q_buf[:n], du_buf[:n]
+            for t in range(T - 1, -1, -1):
+                g_t, dt_t = Gb[:, t], DTb[:, t]
+                np.multiply(g_t[:, None, :], Cb[:, t, :, None], out=gh)
+                if t < T - 1:
+                    gh += dgh           # exp(delta_{t+1} A) gh_{t+1}
+                np.matmul(H[t, blk], g_t[:, :, None], out=gC2[blk, t, :, None])
+                np.multiply(dt_t, Ub[:, t], out=du_b[:, :, 0])
+                np.matmul(gh, du_b, out=gB2[blk, t, :, None])
+                # g_du = sum_s B_t gh, kept in gU until the end
+                np.matmul(Bb[:, t, None, :], gh, out=gU2[blk, t, None, :])
+                if t == 0:
+                    break
                 # decay_t = exp(delta_t A) multiplies h_{t-1}
-                decay = np.exp(dt_t[..., None, :] * a_t)
-                np.multiply(gh, H[..., t - 1, :, :], out=q)
-                q *= decay                  # gradient of delta_t * A
-                gDT[..., t, :] += (q * a_t).sum(axis=-2)
-                q *= dt_t[..., None, :]
-                gA += q
-        gA = gA.reshape(-1, S, C).sum(axis=0).T
-        return gU, gDT, gA, gB, gC, _rows(g * u).sum(axis=0)
+                np.multiply(dt_t[:, None, :], a_t, out=dgh)
+                np.exp(dgh, out=dgh)
+                np.multiply(gh, H[t - 1, blk], out=q)
+                q *= dgh                # gradient of delta_t A
+                dgh *= gh
+                # its sum over s, kept in gDT until the end
+                np.einsum("rsc,sc->rc", q, a_t, out=gDT2[blk, t])
+                gA += np.einsum("rsc,rc->sc", q, dt_t)
+        gDT[..., 1:, :] += gU[..., 1:, :] * u[..., 1:, :]
+        np.multiply(gU[..., 0, :], u[..., 0, :], out=gDT[..., 0, :])
+        gU *= delta
+        gU += g * d_gain
+        return gU, gDT, gA.T, gB, gC, _rows(g * u).sum(axis=0)
 
     return y, vjp
 
@@ -378,18 +408,23 @@ def causal_conv1d(x, w, b):
     xp = np.zeros(x.shape[:-2] + (K - 1 + T, C))
     xp[..., K - 1:, :] = x
     y = xp[..., :T, :] * w[:, 0]
+    tap = np.empty_like(y)
     for i in range(1, K):
-        y += xp[..., i:i + T, :] * w[:, i]
+        y += np.multiply(xp[..., i:i + T, :], w[:, i], out=tap)
     y += b
 
     def vjp(g):
-        # tap i reads xp[i:i+T]: its input gradient is one shifted add
-        gxp = np.zeros_like(xp)
+        # tap i reads x shifted by K-1-i steps: its input gradient is one
+        # shifted add, in tap order, and its weight gradient one reduction
+        gx = np.zeros_like(x)
         gw = np.empty_like(w)
+        g3, xp3 = g.reshape(-1, T, C), xp.reshape(-1, K - 1 + T, C)
         for i in range(K):
-            gxp[..., i:i + T, :] += g * w[:, i]
-            gw[:, i] = _rows(g * xp[..., i:i + T, :]).sum(axis=0)
-        return gxp[..., K - 1:, :], gw, _rows(g).sum(axis=0)
+            lag = K - 1 - i
+            if lag < T:
+                gx[..., :T - lag, :] += g[..., lag:, :] * w[:, i]
+            gw[:, i] = np.einsum("rtc,rtc->c", g3, xp3[:, i:i + T])
+        return gx, gw, _rows(g).sum(axis=0)
 
     return y, vjp
 
@@ -436,7 +471,9 @@ def tfl_forward(w, config: ModelConfig, x):
     if not keep:
         del conv, conv_vjp, s1
     x_dbl = xs @ Wx
-    delta = np.logaddexp(0.0, x_dbl[..., :r] @ Wdt + bdt)
+    delta = x_dbl[..., :r] @ Wdt
+    delta += bdt
+    ad.softplus(delta)
     with np.errstate(over="ignore"):
         a_mat = -np.exp(a_log)
     y, scan_vjp = selective_scan(xs, delta, a_mat, x_dbl[..., r:r + n],
@@ -454,19 +491,23 @@ def tfl_forward(w, config: ModelConfig, x):
         tgn, tin, tcw, tcb, twx, twdt, tbdt, talog, td, tout = weights
         gyg = _linear_vjp(g, yg, tout)
         gproj = np.empty(proj.shape)
-        gproj[..., di:] = gyg * y * s2 * (1.0 + gate * (1.0 - s2))
+        gsg = gyg * y
+        gsg *= s2
+        np.multiply(gsg, _silu_slope(gate, s2), out=gproj[..., di:])
         gU, gDT, gA, gB, gC, gD = scan_vjp(gyg * sg)
         ad.accumulate(td, gD)
         ad.accumulate(talog, gA * a_mat)        # d(-exp(a_log)) = a_mat
         gx_dbl = np.empty(x_dbl.shape)
         # softplus' = sigmoid = 1 - exp(-softplus)
-        gx_dbl[..., :r] = _linear_vjp(gDT * -np.expm1(-delta), x_dbl[..., :r],
-                                      twdt, tbdt)
+        gDT *= -np.expm1(-delta)
+        gx_dbl[..., :r] = _linear_vjp(gDT, x_dbl[..., :r], twdt, tbdt)
         gx_dbl[..., r:r + n] = gB
         gx_dbl[..., r + n:] = gC
         gxs = _linear_vjp(gx_dbl, xs, twx)
         gxs += gU
-        gxs, gcw, gcb = conv_vjp(gxs * s1 * (1.0 + conv * (1.0 - s1)))
+        gxs *= s1
+        gxs *= _silu_slope(conv, s1)
+        gxs, gcw, gcb = conv_vjp(gxs)
         ad.accumulate(tcw, gcw)
         ad.accumulate(tcb, gcb)
         gproj[..., :di] = gxs

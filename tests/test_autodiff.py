@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 import zlib
@@ -139,6 +140,29 @@ def test_softplus_zero_value_and_gradient():
     assert abs(float(outputs) - math.log(2.0)) < 1e-12
     assert abs(float(outputs) - 0.693147) < 1e-6
     np.testing.assert_allclose(grads[0], [-0.5, 0.5, 0.5], rtol=0, atol=1e-12)
+
+
+def test_softplus_within_two_ulp_of_logaddexp():
+    tiny = np.finfo(float).smallest_subnormal
+    edges = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 709.0, -709.0,
+             745.0, -745.0, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(16)
+    x = np.concatenate([edges, np.linspace(-800.0, 800.0, 16001),
+                        rng.normal(scale=5.0, size=20000)])
+    with np.errstate(invalid="ignore"):     # the reference flags NaN input
+        want = np.logaddexp(0.0, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ad.softplus(x.copy())
+    nan = np.isnan(x)
+    assert np.isnan(got[nan]).all()
+    assert got[x == np.inf][0] == np.inf and got[x == -np.inf][0] == 0.0
+    # both are >= +0.0 here, so their bit patterns order like their values.
+    # Each is within 1 ulp of the exact value (checked against 200-bit
+    # arithmetic on [-40, 40]), so they can sit 2 ulp apart, on either side
+    ulps = np.abs(got[~nan].view(np.int64) - want[~nan].view(np.int64))
+    assert ulps.max() <= 2
+    assert (ulps <= 1).mean() > 0.99
 
 
 def test_matmul_finite_difference():
@@ -414,6 +438,31 @@ def test_no_grad_blocks_recording():
     with ad.no_grad():
         out = dyn.encode_parameters(ad.param(np.ones(3)))
     assert out._vjp is None and not out.requires_grad
+
+
+def test_no_grad_in_one_thread_leaves_another_recording():
+    # thread A holds no_grad open while the main thread records, then
+    # records nothing itself
+    entered, recorded = threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        with ad.no_grad():
+            entered.set()
+            recorded.wait(timeout=10.0)
+            seen["a"] = dyn.encode_parameters(ad.param(np.ones(3)))
+
+    worker = threading.Thread(target=thread_a)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10.0)
+        out = dyn.encode_parameters(ad.param(np.ones(3)))
+    finally:
+        recorded.set()
+        worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert out.requires_grad and out._vjp is not None
+    assert seen["a"]._vjp is None and not seen["a"].requires_grad
 
 
 def test_constant_parents_are_not_recorded():

@@ -215,6 +215,18 @@ class TestFusedScan:
 
         assert ad.finite_diff_check(graph, arrays) < 1e-6
 
+    def test_gradients_match_finite_differences_across_row_blocks(self, monkeypatch):
+        # blocks of two rows: five rows run as three blocks, the last partial
+        S, C = 2, 3
+        monkeypatch.setattr(net, "_SCAN_BLOCK", 2 * S * C)
+        arrays = _scan_inputs(np.random.default_rng(14), (5,), 4, C, S)
+        probe = np.random.default_rng(15).normal(size=(5, 4, C))
+
+        def graph(*leaves):
+            return _probe_sum(_scan_node(*leaves), probe)
+
+        assert ad.finite_diff_check(graph, arrays) < 1e-6
+
     @pytest.mark.parametrize("S", list(range(1, 21)) + [127, 128, 129, 300])
     def test_state_sum_keeps_numpy_summation_order(self, S):
         # mixed signs over 40 decades, where any change of order shows; a
@@ -371,7 +383,8 @@ def _composed_tfl_forward(w, cfg, x):
     conv += wd("conv.b")
     xs = silu(conv)
     x_dbl = xs @ wd("x_proj.w")
-    delta = np.logaddexp(0.0, (x_dbl[..., :r] @ wd("dt_proj.w")) + wd("dt_proj.b"))
+    z = (x_dbl[..., :r] @ wd("dt_proj.w")) + wd("dt_proj.b")
+    delta = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))     # softplus
     a_mat = -np.exp(wd("a_log"))
     y = _reference_scan(xs, delta, a_mat, x_dbl[..., r:r + n], x_dbl[..., r + n:],
                         wd("d"))
