@@ -101,10 +101,6 @@ def string_stability_margin(theta) -> np.ndarray:
     return (f_dv - f_v) ** 2 - f_dv ** 2 - 2.0 * f_s
 
 
-def is_string_stable(theta) -> np.ndarray:
-    return string_stability_margin(theta) >= 0.0
-
-
 @dataclass(frozen=True)
 class StabilitySpectrum:
     omega: np.ndarray              # (W,)

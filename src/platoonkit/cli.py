@@ -26,6 +26,11 @@ EXIT_DATA = 2
 
 GRADCHECK_TOL = 1e-4
 
+# upper bounds of the count flags, checked at parse time
+MAX_PLATOONS = 10_000        # synthetic platoon ids carry four digits
+MAX_DURATION_S = 3600.0
+MAX_BUDGET = 10_000
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -67,6 +72,16 @@ def _positive_float(text):
     if not (math.isfinite(v) and v > 0):
         raise argparse.ArgumentTypeError(f"{text} is not a finite positive number")
     return v
+
+
+def _at_most(parse, maximum):
+    """``parse``, then reject values above ``maximum``."""
+    def check(text):
+        v = parse(text)
+        if v > maximum:
+            raise argparse.ArgumentTypeError(f"{text} is above the maximum {maximum:g}")
+        return v
+    return check
 
 
 def _json_text(payload) -> str:
@@ -465,9 +480,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("datagen", help="generate a synthetic platoon corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--platoons", type=_positive_int, required=True)
+    p.add_argument("--platoons", type=_at_most(_positive_int, MAX_PLATOONS),
+                   required=True, help=f"at most {MAX_PLATOONS:g}")
     p.add_argument("--followers", type=_positive_int, default=6)
-    p.add_argument("--duration-s", type=_positive_float, default=15.0)
+    p.add_argument("--duration-s", type=_at_most(_positive_float, MAX_DURATION_S),
+                   default=15.0, help=f"at most {MAX_DURATION_S:g}")
     p.add_argument("--noise-sigma", type=float, default=0.1)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(handler=_cmd_datagen)
@@ -521,7 +538,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--vehicle", type=_positive_int,
                    help="calibrate one follower index instead of all")
-    p.add_argument("--budget", type=_positive_int, default=100)
+    p.add_argument("--budget", type=_at_most(_positive_int, MAX_BUDGET),
+                   default=100, help=f"GA generations, at most {MAX_BUDGET:g}")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_calibrate_idm)

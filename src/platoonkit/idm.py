@@ -71,19 +71,6 @@ def _accel_raw(v, s, dv_approach, v0, T, s0, a_max, b, delta=4.0):
     return a_max * (1.0 - (v / v0) ** delta - (s_star / s) ** 2)
 
 
-def idm_acceleration(v, s, dv_approach, p: IdmParams):
-    """Acceleration for speed ``v``, gap ``s``, approach rate ``dv_approach``.
-
-    Unbounded below (hard braking allowed); bounded above by ``p.a_max``.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise CollisionError("non-positive gap handed to idm_acceleration")
-    return _accel_raw(np.asarray(v, dtype=float), s_arr,
-                      np.asarray(dv_approach, dtype=float),
-                      p.v0, p.T, p.s0, p.a_max, p.b, p.delta)
-
-
 def equilibrium_gap(v: float, p: IdmParams) -> float:
     """Gap with zero acceleration at steady speed ``v`` (requires v < v0)."""
     if not 0.0 <= v < p.v0:

@@ -124,10 +124,6 @@ def _q32(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
-def count_parameters(params: ModelParams) -> int:
-    return sum(t.data.size for t in params.weights.values())
-
-
 def weight_shapes(config: ModelConfig) -> "OrderedDict[str, tuple]":
     """Name -> shape of every learnable weight, in draw and checkpoint order."""
     d, di, n = config.d_model, config.d_inner, config.n_state
@@ -216,7 +212,6 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 # State elements per row block of the selective scan: 48 rows of an (8, 128)
 # state, ~400 KB per float64 buffer, so a block's buffers stay in L2.
 _SCAN_BLOCK = 48 * 8 * 128
-_PAIRWISE_BLOCK = 128        # numpy's PW_BLOCKSIZE
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -250,38 +245,6 @@ def _linear_vjp(g, x, w, b=None):
     return (_rows(g) @ w.data.T).reshape(x.shape)
 
 
-def _sum_states(p):
-    """Sum p (rows, S, C) over S in place; return the (rows, C) sum, a view.
-
-    The terms are added in the order numpy's pairwise sum adds a contiguous
-    last axis, so the result equals ``swapaxes(p, -1, -2).sum(-1)`` bit for
-    bit apart from that sum's +0.0 start value: fewer than 8 terms one after
-    another; up to 128 in 8 running sums combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one after another;
-    more by recursive halving at a multiple of 8.
-    """
-    n = p.shape[1]
-    if n < 8:
-        for i in range(1, n):
-            p[:, 0] += p[:, i]
-        return p[:, 0]
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2
-        half -= half % 8
-        left = _sum_states(p[:, :half])
-        return np.add(left, _sum_states(p[:, half:]), out=left)
-    r = p[:, :8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        r += p[:, i:i + 8]
-    r[:, 0::2] += r[:, 1::2]                  # r0+r1, r2+r3, r4+r5, r6+r7
-    r[:, 0::4] += r[:, 2::4]
-    r[:, 0] += r[:, 4]
-    for i in range(tail, n):
-        r[:, 0] += p[:, i]
-    return r[:, 0]
-
-
 def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     """Input-dependent diagonal state-space recurrence on numpy arrays.
 
@@ -290,9 +253,10 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     is y_t = sum_s C_t h + D u_t. Zero initial state. Returns (y, vjp): with
     ``keep_states`` the state history is kept and vjp(g) returns the
     gradients of the six inputs; otherwise vjp is None and only one row
-    block's buffers are allocated besides y. sum_s C_t h adds its S products
-    in numpy's pairwise order (``_sum_states``), so y is bit-identical to a
-    per-step loop over the whole batch.
+    block's buffers are allocated besides y. Both sums over s are stacked
+    matmuls, one matrix per row: the injection B_t (delta u_t) is a K=1 outer
+    product and sum_s C_t h a (1, S) @ (S, C) product, so each row's bits do
+    not depend on the batch it runs in.
 
     The history is time-major, (T, rows, S, C), so one step of one row block
     is a contiguous slab. The VJP runs the reverse recurrence over the same
@@ -318,34 +282,29 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     U2, DT2, y2 = (a.reshape(R, T, C) for a in (u, delta, y))
     B2, C2 = b_seq.reshape(R, T, S), c_seq.reshape(R, T, S)
     h = None if keep_states else np.empty((rows, S, C))
-    # one scratch buffer holds the decay, then the injection, then the
-    # products C_t h summed into y_t
-    work = np.empty((rows, S, C))
-    du = np.empty((rows, 1, C))
+    work = np.empty((rows, S, C))          # the decay, then the injection
+    du, ch = np.empty((rows, 1, C)), np.empty((rows, 1, C))
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in blocks:
             n = blk.stop - blk.start
             Ub, DTb, Bb, Cb, yb = U2[blk], DT2[blk], B2[blk], C2[blk], y2[blk]
-            w, du_b = work[:n], du[:n]
-            # y_t = sum_s C_t h + D u_t. numpy's sum starts from +0.0, which
-            # turns an all -0.0 sum into +0.0; added to D u instead, that
-            # +0.0 gives the same bits
+            w, du_b, ch_b = work[:n], du[:n], ch[:n]
             np.multiply(d_gain, Ub, out=yb)
-            yb += 0.0
             for t in range(T):
                 dt_t = DTb[:, t, None, :]                    # (n, 1, C)
                 np.multiply(dt_t, Ub[:, t, None, :], out=du_b)
                 h_t = H[t, blk] if keep_states else h[:n]
                 if t == 0:
-                    np.multiply(du_b, Bb[:, t, :, None], out=h_t)
+                    np.matmul(Bb[:, t, :, None], du_b, out=h_t)
                 else:
                     np.multiply(dt_t, a_t, out=w)
                     np.exp(w, out=w)
                     np.multiply(w, h_prev, out=h_t)
-                    np.multiply(du_b, Bb[:, t, :, None], out=w)
+                    np.matmul(Bb[:, t, :, None], du_b, out=w)
                     h_t += w
-                np.multiply(h_t, Cb[:, t, :, None], out=w)
-                np.add(_sum_states(w), yb[:, t], out=yb[:, t])
+                # y_t = sum_s C_t h + D u_t
+                np.matmul(Cb[:, t, None, :], h_t, out=ch_b)
+                yb[:, t] += ch_b[:, 0]
                 h_prev = h_t
     if not keep_states:
         return y, None

@@ -294,10 +294,13 @@ class TrainConfig:
 
     def __post_init__(self):
         net.check_field_types(self)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr <= 0 or self.alpha_kl < 0:
-            raise ValueError("lr must be > 0 and alpha_kl >= 0")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.alpha_kl < 0:
+            raise ValueError(f"alpha_kl must be >= 0, got {self.alpha_kl}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -214,6 +214,22 @@ def test_positive_float_flags_reject_non_finite(capsys, tmp_path, command, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, maximum", [
+    (_DATAGEN, "--duration-s", "1e308", cli.MAX_DURATION_S),
+    (["datagen"], "--platoons", "100000000000000000000", cli.MAX_PLATOONS),
+    (["calibrate-idm", "--data", "d"], "--budget", "100000000000000000000",
+     cli.MAX_BUDGET)])
+def test_count_flags_above_their_maximum_are_usage_errors(capsys, tmp_path, command,
+                                                          flag, value, maximum):
+    out = tmp_path / "o"
+    code, _, err = _run(capsys, command + [flag, value, "--out", str(out)])
+    assert code == 1 and flag in err and f"maximum {maximum:g}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert cli.dispatch([command[0], "--help"]) == 0
+    assert f"at most {maximum:g}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", [
     _DATAGEN, ["train", "--data", "d"], ["simulate", "--checkpoint", "c",
                                          "--data", "d"],
@@ -225,6 +241,27 @@ def test_negative_seed_is_usage_error_naming_the_flag(capsys, tmp_path, command)
         argv += ["--out", str(out)]
     code, _, err = _run(capsys, argv)
     assert code == 1 and "--seed" in err and "non-negative integer" in err
+    assert not out.exists()
+
+
+# --lr is a positive float flag, so 0 stops at parse time; through --config
+# the same value reaches TrainConfig
+@pytest.mark.parametrize("extra, train_cfg, code, named, other", [
+    (["--alpha-kl", "-5"], None, 2, "alpha_kl must be >= 0, got -5.0", "lr"),
+    (["--lr", "0"], None, 1, "--lr", "alpha"),
+    ([], {"lr": 0}, 2, "lr must be > 0, got 0", "alpha"),
+    ([], {"alpha_kl": -5}, 2, "alpha_kl must be >= 0, got -5", "lr")])
+def test_train_config_error_names_only_the_field_at_fault(
+        capsys, tmp_path, extra, train_cfg, code, named, other):
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(tmp_path / "d"), "--out", str(out)] + extra
+    if train_cfg is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"train": train_cfg}))
+        argv += ["--config", str(cfg)]
+    got, _, err = _run(capsys, argv)
+    assert got == code and named in err and other not in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

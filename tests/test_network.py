@@ -77,12 +77,6 @@ class TestInit:
         dt0 = np.logaddexp(0.0, p.weights["tfl.dt_proj.b"].data)
         assert (dt0 > 0.9e-3).all() and (dt0 < 1.1e-1).all()
 
-    def test_count_parameters(self):
-        cfg = _tiny_config()
-        p = net.init_params(cfg)
-        assert net.count_parameters(p) == sum(
-            t.data.size for t in p.weights.values())
-
 
 class TestSinusoidalEncoding:
     def test_first_row_and_shape(self):
@@ -135,13 +129,14 @@ def _scan_inputs(rng, batch, T, C, S):
 
 
 def _reference_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
-    """Per-step numpy loop in the operation order of the recurrence."""
+    """Per-step numpy loop over (..., S, C) states, in the recurrence's order."""
+    a_t = np.ascontiguousarray(a_mat.T)
     ys, h = [], None
     for t in range(u.shape[-2]):
-        dt_e = delta[..., t, :, None]
-        inject = (dt_e * u[..., t, :, None]) * b_seq[..., t, None, :]
-        h = inject if h is None else np.exp(dt_e * a_mat) * h + inject
-        ys.append((h * c_seq[..., t, None, :]).sum(axis=-1) + d_gain * u[..., t, :])
+        dt_e, u_t = delta[..., t, None, :], u[..., t, None, :]
+        inject = b_seq[..., t, :, None] * (dt_e * u_t)
+        h = inject if h is None else np.exp(dt_e * a_t) * h + inject
+        ys.append((c_seq[..., t, None, :] @ h)[..., 0, :] + d_gain * u[..., t, :])
     return np.stack(ys, axis=-2)
 
 
@@ -226,18 +221,6 @@ class TestFusedScan:
             return _probe_sum(_scan_node(*leaves), probe)
 
         assert ad.finite_diff_check(graph, arrays) < 1e-6
-
-    @pytest.mark.parametrize("S", list(range(1, 21)) + [127, 128, 129, 300])
-    def test_state_sum_keeps_numpy_summation_order(self, S):
-        # mixed signs over 40 decades, where any change of order shows; a
-        # numpy release that changes its pairwise order fails here first
-        rng = np.random.default_rng(S)
-        rows, C = 3, 16
-        p = (rng.choice([-1.0, 1.0], size=(rows, S, C))
-             * 10.0 ** rng.uniform(-20.0, 20.0, size=(rows, S, C)))
-        want = np.ascontiguousarray(np.swapaxes(p, -1, -2)).sum(axis=-1)
-        got = net._sum_states(p.copy())
-        _assert_bits(0.0 + got, want)
 
     def test_batch_rows_match_single_runs(self):
         arrays = _scan_inputs(np.random.default_rng(7), (3, 2), 8, 6, 4)
