@@ -3,18 +3,18 @@
 Define-by-run tape: every node holds a forward value computed in numpy and a
 hand-written vector-Jacobian closure. Each model stage records one node
 through ``primitive`` (``network``, ``dynamics``, ``training``). Besides the
-tape, this module keeps ``getitem``, which splits a stacked node, ``tsum``,
-which scalarises outputs for gradient checks, and two numpy kernels:
-``softmax_weights``, the one softmax, which counts fully-masked rows, and
-``softplus``, the one softplus.
+tape, this module keeps ``getitem``, which splits a stacked node, and two
+numpy kernels: ``softmax_weights``, the one softmax, which counts
+fully-masked rows, and ``softplus``, the one softplus.
 
-``Tape.trace`` orders the nodes reachable from an output topologically and
-``backward`` replays them once in reverse; the graph is rebuilt on every
-forward pass. A node records only its parents that require grad, so no
-constant is ever a leaf, and no VJP captures its own output, so a dropped
-graph is freed by reference counting. Storage is float64; a non-finite node
-output raises ``NonFiniteValue`` naming the node. ``finite_diff_check``
-validates gradients against central differences.
+``Tensor.backward`` has ``Tape.trace`` order the nodes reachable from an
+output topologically and ``Tape.backward`` replay them once in reverse; the
+graph is rebuilt on every forward pass. A node records only its parents
+that require grad, so no constant is ever a leaf, and no VJP captures its
+own output, so a dropped graph is freed by reference counting. Storage is
+float64; a non-finite node output raises ``NonFiniteValue`` naming the
+node. ``finite_diff_check`` backpropagates a scalar graph and checks its
+gradients against central differences.
 """
 
 from __future__ import annotations
@@ -253,18 +253,7 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# -- reduction / slicing -------------------------------------------------------
-
-def tsum(a, axis=None) -> Tensor:
-    """Sum over ``axis`` (all axes by default)."""
-    a = as_tensor(a)
-
-    def vjp(g):
-        g = g if axis is None else np.expand_dims(g, axis)
-        accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return _make(a.data.sum(axis=axis), "sum", (a,), vjp)
-
+# -- slicing ------------------------------------------------------------------
 
 def getitem(a, idx) -> Tensor:
     """Basic (slice / integer / ellipsis) indexing. The VJP adds into the
@@ -284,42 +273,32 @@ def getitem(a, idx) -> Tensor:
 
 # -- verification -------------------------------------------------------------
 
-def forward_backward(graph: Callable, inputs: Sequence[np.ndarray]):
-    """Evaluate ``graph`` on leaf tensors and backpropagate a seed of 1.
-
-    ``graph`` maps leaf Tensors to a scalar loss Tensor. Returns (output,
-    gradients) where gradients align with ``inputs`` (zeros for unused
-    leaves).
-    """
-    leaves = [param(np.asarray(x, dtype=DTYPE)) for x in inputs]
-    loss = graph(*leaves)
-    if loss.data.size != 1:
-        raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
-    loss.backward()
-    grads = [lf.grad if lf.grad is not None else np.zeros_like(lf.data) for lf in leaves]
-    return loss.data.copy(), grads
-
-
 def finite_diff_check(graph: Callable, inputs: Sequence[np.ndarray],
                       step: float = 1e-6) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Relative error per element: |analytic - central| / max(1, |central|).
-    ``graph`` must be deterministic (fix any sampling noise before calling).
+    ``graph`` maps one leaf Tensor per input to a scalar Tensor; a leaf it
+    does not use has zero gradient. Relative error per element:
+    |analytic - central| / max(1, |central|). ``graph`` must be
+    deterministic (fix any sampling noise before calling).
     """
     if not 1e-8 <= step <= 1e-4:
         raise ValueError(f"step {step} outside [1e-8, 1e-4]")
     work = [np.array(x, dtype=DTYPE) for x in inputs]
-    _, grads = forward_backward(graph, work)
+    leaves = [param(w) for w in work]
+    loss = graph(*leaves)
+    if loss.data.size != 1:
+        raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
+    loss.backward()
 
     def evaluate() -> float:
         with no_grad():
             return float(graph(*[Tensor(w) for w in work]).data)
 
     worst = 0.0
-    for arr, grad in zip(work, grads):
+    for arr, leaf in zip(work, leaves):
         flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
+        gflat = np.zeros(arr.size) if leaf.grad is None else leaf.grad.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step

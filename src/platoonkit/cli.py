@@ -30,6 +30,7 @@ GRADCHECK_TOL = 1e-4
 MAX_PLATOONS = 10_000        # synthetic platoon ids carry four digits
 MAX_DURATION_S = 3600.0
 MAX_BUDGET = 10_000
+MAX_EPOCHS = 10_000          # TrainConfig's bound too, so --config obeys it
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -493,7 +494,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON run config (model/train sections)")
-    p.add_argument("--epochs", type=_positive_int)
+    p.add_argument("--epochs", type=_at_most(_positive_int, MAX_EPOCHS),
+                   help=f"at most {MAX_EPOCHS:g}")
     p.add_argument("--batch-size", type=_positive_int)
     p.add_argument("--lr", type=_positive_float)
     p.add_argument("--alpha-kl", type=float)

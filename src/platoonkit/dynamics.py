@@ -54,17 +54,6 @@ def encode_parameters(raw):
     return ad.primitive(soft * SIGN_PATTERN, "encode", (t,), vjp)
 
 
-def validate_theta(values: np.ndarray) -> None:
-    """Assert the (..., 3) sign pattern; raises ValueError with the first bad index."""
-    arr = np.asarray(values)
-    if arr.shape[-1] != 3:
-        raise ValueError(f"theta last axis must be 3, got {arr.shape}")
-    bad = (arr * SIGN_PATTERN) <= 0.0
-    if bad.any():
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-        raise ValueError(f"theta sign violation at index {idx}: {arr[idx]}")
-
-
 def linear_accel(theta, v, s, dv, v_star, s_star):
     """The linear law on numpy arrays; theta (..., 3) holds [f_v, f_s, f_dv]
     for states that broadcast against theta[..., 0]."""
@@ -101,9 +90,6 @@ class RolloutResult:
     s: object
     a: object
     dv: object
-
-    def arrays(self):
-        return (self.v.data, self.s.data, self.a.data, self.dv.data)
 
 
 def rollout(initial, lead_future, theta, xstar: ExpectedState,

@@ -27,8 +27,8 @@ from ``dynamics.linear_accel``, as for windows and the rollout.
 
 Speeds are clamped at zero (vehicles do not reverse); the number of clamped
 entries is reported. A non-positive gap truncates the run strictly before
-the offending frame and records the collision. ``IdmController`` lives in
-``idm`` and is re-exported here.
+the offending frame and records the collision. The controllers are the
+learned ``ModelController`` here and ``idm.IdmController``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from . import autodiff as ad
 from . import data
 from . import dynamics as dyn
 from . import network as net
-from .idm import IdmController  # re-exported: simulate.IdmController
 
 
 class SimulationError(Exception):
@@ -51,54 +50,15 @@ class SimulationError(Exception):
 
 # -- controllers ----------------------------------------------------------------
 
-class _LinearLaw:
-    """The linear car-following law ``dynamics.linear_accel``.
-
-    Subclasses set ``_theta`` (..., N, S, 3), ``_v_star``, ``_s_star``
-    (..., N) and ``m``; block j = k // m of the current plan steers step k.
-    """
-
-    _theta = None
-
-    def accel(self, k: int, v, s, dv):
-        if self._theta is None:
-            raise SimulationError("accel called before the first replan")
-        return dyn.linear_accel(self._theta[..., k // self.m, :], v, s, dv,
-                                self._v_star, self._s_star)
-
-
-class ScriptedThetaController(_LinearLaw):
-    """Fixed parameter schedule around a fixed expected state.
-
-    theta: (N, S, 3) sign-constrained triples; block j steers steps
-    j*steps_per_block .. (j+1)*steps_per_block - 1 of each plan. Every
-    platoon in a batch follows the same schedule.
-    """
-
-    history_len = 1
-
-    def __init__(self, theta, v_star, s_star, steps_per_block: int):
-        self._theta = np.asarray(theta, dtype=float)
-        dyn.validate_theta(self._theta)
-        if self._theta.ndim != 3:
-            raise ValueError(f"theta must be (N, S, 3), got {self._theta.shape}")
-        self._v_star = np.asarray(v_star, dtype=float)
-        self._s_star = np.asarray(s_star, dtype=float)
-        if steps_per_block < 1:
-            raise ValueError("steps_per_block must be >= 1")
-        self.m = steps_per_block
-        self.horizon = self._theta.shape[1] * steps_per_block
-
-    def replan(self, history, lead_future, platoons):
-        pass
-
-
-class ModelController(_LinearLaw):
+class ModelController:
     """Plans a batch of platoons with one pass of the neural pipeline.
 
-    Latents stay at their means unless a ``seed`` is given; then platoon i
-    draws its noise from child i of ``SeedSequence(seed)``, so its run does
-    not depend on which platoons share its batch.
+    Each replan keeps the predicted parameter blocks and expected state;
+    ``accel`` then applies ``dynamics.linear_accel``, block j = k // m of the
+    plan steering step k. Latents stay at their means unless a ``seed`` is
+    given; then platoon i draws its noise from child i of
+    ``SeedSequence(seed)``, so its run does not depend on which platoons
+    share its batch.
     """
 
     def __init__(self, params: net.ModelParams, config: net.ModelConfig,
@@ -107,6 +67,7 @@ class ModelController(_LinearLaw):
         self.config = config
         self.seed = seed
         self._rngs = {}
+        self._theta = None
         self.history_len = config.history_len
         self.horizon = config.horizon
         self.m = config.param_window
@@ -129,6 +90,12 @@ class ModelController(_LinearLaw):
         self._theta = out.theta.data
         self._v_star = out.xstar.v_star
         self._s_star = out.xstar.s_star
+
+    def accel(self, k: int, v, s, dv):
+        if self._theta is None:
+            raise SimulationError("accel called before the first replan")
+        return dyn.linear_accel(self._theta[..., k // self.m, :], v, s, dv,
+                                self._v_star, self._s_star)
 
 
 # -- simulator --------------------------------------------------------------------

@@ -8,7 +8,11 @@ that stopped improving receives more weight.
 
 Weights are float64 in memory but snapped to float32-representable values
 after every optimizer step; checkpoints store raw float32 and therefore
-reproduce the in-memory forward pass bit for bit when reloaded.
+reproduce the in-memory forward pass bit for bit when reloaded. A checkpoint
+(format 3) is a manifest of the config and the input normalization plus the
+weights in ``network.weight_shapes`` order, so the config alone fixes where
+each weight lies. Each step backpropagates the weighted total loss with
+``Tensor.backward``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ ADAM_EPS = 1e-8
 DWA_TEMPERATURE = 2.0
 DWA_FLOOR = 1e-12
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
 
@@ -162,92 +166,75 @@ class Adam:
 
 def save_checkpoint(path: str, params: net.ModelParams,
                     config: net.ModelConfig) -> None:
-    """Write manifest.json + weights.bin (little-endian float32) into ``path``."""
+    """Write manifest.json (format, config, normalization) and weights.bin:
+    every weight as little-endian float32, in ``weight_shapes(config)``
+    order, into ``path``."""
     os.makedirs(path, exist_ok=True)
-    entries = []
-    offset = 0
-    blobs = []
-    for name, tensor in params.weights.items():
-        a32 = tensor.data.astype("<f4")
-        entries.append({"name": name, "shape": list(tensor.data.shape),
-                        "offset": offset, "size": int(a32.size)})
-        blobs.append(a32.tobytes())
-        offset += a32.size
+    blob = b"".join(params.weights[name].data.astype("<f4").tobytes()
+                    for name in net.weight_shapes(config))
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": dataclasses.asdict(config),
         "norm_mean": [float(x) for x in params.norm_mean],
         "norm_std": [float(x) for x in params.norm_std],
-        "weights": entries,
-        "total_values": offset,
     }
     with open(os.path.join(path, WEIGHTS_NAME), "wb") as f:
-        f.write(b"".join(blobs))
+        f.write(blob)
     with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint directory; returns (params, config). The weights must
-    match ``weight_shapes(config)`` by name and shape, lie in weights.bin and
-    be finite; ``norm_mean`` and ``norm_std`` must be 3 finite values each,
-    the std above 0."""
+    """Read a checkpoint directory; returns (params, config). weights.bin is
+    split by the config's weight shapes: it must hold exactly their values,
+    each weight finite; ``norm_mean`` and ``norm_std`` must be 3 finite
+    values each, the std above 0."""
     try:
         with open(os.path.join(path, MANIFEST_NAME), encoding="utf-8") as f:
             manifest = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest in {path}: {exc}") from exc
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"unsupported checkpoint format {manifest.get('format')!r}")
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"unsupported checkpoint format {fmt!r}")
     try:
         config = net.ModelConfig(**manifest["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad config in manifest: {exc}") from exc
     try:
-        raw = np.fromfile(os.path.join(path, WEIGHTS_NAME), dtype="<f4")
+        with open(os.path.join(path, WEIGHTS_NAME), "rb") as f:
+            blob = f.read()
     except OSError as exc:
         raise CheckpointError(f"unreadable weights in {path}: {exc}") from exc
+    layout = net.weight_shapes(config)
+    total = sum(math.prod(shape) for shape in layout.values())
+    if len(blob) != 4 * total:
+        raise CheckpointError(f"weights.bin holds {len(blob)} bytes, the config "
+                              f"needs {total} float32 values")
+    raw = np.frombuffer(blob, dtype="<f4")
+    weights = OrderedDict()
+    lo = 0
+    for name, shape in layout.items():
+        hi = lo + math.prod(shape)
+        values = raw[lo:hi].astype(np.float64).reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"weight {name} holds non-finite values")
+        weights[name] = ad.param(values)
+        lo = hi
     try:
-        if raw.size != manifest["total_values"]:
-            raise CheckpointError(
-                f"weights.bin holds {raw.size} values, manifest says "
-                f"{manifest['total_values']}")
-        entries = {e["name"]: e for e in manifest["weights"]}
-        layout = net.weight_shapes(config)
-        if set(entries) != set(layout):
-            raise CheckpointError(
-                f"manifest weights do not match the config: missing "
-                f"{sorted(set(layout) - set(entries))}, unknown "
-                f"{sorted(set(entries) - set(layout))}")
-        weights = OrderedDict()
-        for name, expected in layout.items():
-            shape, lo = tuple(entries[name]["shape"]), entries[name]["offset"]
-            hi = lo + math.prod(expected)
-            if shape != expected:
-                raise CheckpointError(f"weight {name} has shape {list(shape)}, "
-                                      f"the config needs {list(expected)}")
-            if not 0 <= lo <= hi <= raw.size:
-                raise CheckpointError(f"weight {name} spans values {lo}..{hi}, "
-                                      f"outside the {raw.size} in weights.bin")
-            values = raw[lo:hi].astype(np.float64).reshape(shape)
-            if not np.isfinite(values).all():
-                raise CheckpointError(f"weight {name} holds non-finite values")
-            weights[name] = ad.param(values)
         norm = {}
         for field in ("norm_mean", "norm_std"):
             norm[field] = np.asarray(manifest[field], dtype=float)
             if norm[field].shape != (3,) or not np.isfinite(norm[field]).all():
                 raise CheckpointError(f"{field} must be 3 finite values, got "
                                       f"{manifest[field]!r}")
-        if not (norm["norm_std"] > 0.0).all():
-            raise CheckpointError(f"norm_std must be above 0, got "
-                                  f"{manifest['norm_std']!r}")
-        params = net.ModelParams(weights=weights, **norm)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed manifest in {path}: {exc!r}") from exc
-    return params, config
+    if not (norm["norm_std"] > 0.0).all():
+        raise CheckpointError(f"norm_std must be above 0, got "
+                              f"{manifest['norm_std']!r}")
+    return net.ModelParams(weights=weights, **norm), config
 
 
 # -- batching ---------------------------------------------------------------------
@@ -294,9 +281,12 @@ class TrainConfig:
 
     def __post_init__(self):
         net.check_field_types(self)
+        from .cli import MAX_EPOCHS
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be <= {MAX_EPOCHS}, got {self.epochs}")
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.alpha_kl < 0:
@@ -368,8 +358,7 @@ def train(params: net.ModelParams, config: net.ModelConfig,
                 l_v, l_s = prediction_losses(out.result, targets)
                 kl = kl_loss(out.mu, out.logvar)
                 total = total_loss(l_v, l_s, kl, weights_vs, tcfg.alpha_kl)
-                tape = ad.Tape.trace(total)
-                tape.backward(np.ones_like(total.data))
+                total.backward()
                 opt.step()
             except ad.NonFiniteValue as exc:
                 abort_reason = f"epoch {epoch} batch {batch}: {exc}"

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline coverage via dispatch()."""
 
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from platoonkit import cli, data
+from platoonkit import network as net
+from platoonkit import training
 
 
 def _run(capsys, argv):
@@ -74,7 +77,12 @@ def test_nonpositive_count_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.dispatch(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    commands = [name for action in cli._build_parser()._actions
+                if action.dest == "command" for name in action.choices]
+    assert "gradcheck" in commands
+    for name in commands:
+        assert name in out
 
 
 def test_missing_data_is_data_error(capsys, tmp_path):
@@ -230,6 +238,27 @@ def test_count_flags_above_their_maximum_are_usage_errors(capsys, tmp_path, comm
     assert f"at most {maximum:g}" in capsys.readouterr().out
 
 
+def test_epochs_bound_holds_for_the_flag_and_the_config(capsys, tmp_path):
+    # parse_args and the constructors only: training spawns one seed per
+    # epoch up front, so an unbounded count would allocate until killed
+    parser = cli._build_parser()
+    argv = ["train", "--data", str(tmp_path / "none"), "--out", "o"]
+    top = str(cli.MAX_EPOCHS)
+    assert parser.parse_args(argv + ["--epochs", top]).epochs == cli.MAX_EPOCHS
+    with pytest.raises(cli._UsageError, match=f"maximum {cli.MAX_EPOCHS:g}"):
+        parser.parse_args(argv + ["--epochs", "100000000000000000000"])
+    assert cli.dispatch(["train", "--help"]) == 0
+    assert f"at most {cli.MAX_EPOCHS:g}" in capsys.readouterr().out
+    assert training.TrainConfig(epochs=cli.MAX_EPOCHS).epochs == cli.MAX_EPOCHS
+    with pytest.raises(ValueError, match=f"epochs must be <= {top}"):
+        training.TrainConfig(epochs=10 ** 20)
+    # --config: the config is checked before the (missing) data is read
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"train": {"epochs": 10 ** 20}}))
+    code, _, err = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 2 and f"epochs must be <= {top}" in err
+
+
 @pytest.mark.parametrize("command", [
     _DATAGEN, ["train", "--data", "d"], ["simulate", "--checkpoint", "c",
                                          "--data", "d"],
@@ -293,7 +322,6 @@ def test_train_stdout_is_jsonl_epochs(tmp_path, corpus, capsys):
 
 def test_train_abort_reports_cause(tmp_path, corpus, capsys, monkeypatch):
     from platoonkit import autodiff as ad
-    from platoonkit import network as net
 
     def failing(*args, **kwargs):
         raise ad.NonFiniteValue("non-finite value produced by 'exp'")
@@ -352,19 +380,6 @@ def test_eval_bad_checkpoint_is_data_error(capsys, tmp_path, corpus):
     assert code == 2 and "manifest" in err
 
 
-def test_eval_checkpoint_missing_weight_is_data_error(checkpoint, corpus, capsys,
-                                                     tmp_path):
-    broken = tmp_path / "ckpt"
-    broken.mkdir()
-    (broken / "weights.bin").write_bytes((checkpoint / "weights.bin").read_bytes())
-    manifest = json.loads((checkpoint / "manifest.json").read_text())
-    dropped = manifest["weights"].pop()["name"]
-    (broken / "manifest.json").write_text(json.dumps(manifest))
-    code, _, err = _run(capsys, ["eval", "--checkpoint", str(broken),
-                                 "--data", str(corpus)])
-    assert code == 2 and dropped in err
-
-
 @pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
 @pytest.mark.parametrize("field, value", [
     ("weight", None), ("norm_std", [0.0, 1.0, 1.0]),
@@ -376,9 +391,10 @@ def test_checkpoint_bad_values_are_data_errors(checkpoint, corpus, capsys,
     weights = np.fromfile(checkpoint / "weights.bin", dtype="<f4")
     manifest = json.loads((checkpoint / "manifest.json").read_text())
     if field == "weight":
-        entry = manifest["weights"][-1]
-        weights[entry["offset"]] = np.nan
-        field = entry["name"]
+        # the first value of the last weight in the config's layout
+        shapes = net.weight_shapes(net.ModelConfig(**manifest["config"]))
+        field, shape = list(shapes.items())[-1]
+        weights[weights.size - math.prod(shape)] = np.nan
     else:
         manifest[field] = value
     weights.tofile(broken / "weights.bin")
@@ -407,6 +423,44 @@ def test_format_1_checkpoint_is_data_error(checkpoint, corpus, capsys, tmp_path,
         argv += ["--out", str(tmp_path / "sim")]
     code, _, err = _run(capsys, argv)
     assert code == 2 and "unsupported checkpoint format 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
+def test_format_2_checkpoint_is_data_error(checkpoint, corpus, capsys, tmp_path,
+                                           command):
+    # format 2 kept a table of weight offsets beside the config; no reader
+    # is left for it, so it is refused by its format number alone
+    old = tmp_path / "ckpt"
+    old.mkdir()
+    (old / "weights.bin").write_bytes((checkpoint / "weights.bin").read_bytes())
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    manifest["format"] = 2
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    argv = [command, "--checkpoint", str(old), "--data", str(corpus)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim")]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and "unsupported checkpoint format 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
+@pytest.mark.parametrize("blob_edit", ["truncated", "trailing_byte"])
+def test_weights_of_wrong_size_are_data_errors(checkpoint, corpus, capsys,
+                                               tmp_path, command, blob_edit):
+    broken = tmp_path / "ckpt"
+    broken.mkdir()
+    blob = (checkpoint / "weights.bin").read_bytes()
+    blob = blob[:-4] if blob_edit == "truncated" else blob + b"\0"
+    (broken / "weights.bin").write_bytes(blob)
+    (broken / "manifest.json").write_bytes(
+        (checkpoint / "manifest.json").read_bytes())
+    argv = [command, "--checkpoint", str(broken), "--data", str(corpus)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "sim")]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and "weights.bin holds" in err
     assert "Traceback" not in err
 
 

@@ -59,6 +59,11 @@ def _scalar_rollout(initial, lead_future, theta, v_star, s_star, dt):
     return {key: np.array(val).T for key, val in out.items()}
 
 
+def _series(res):
+    """The four rollout series as arrays: (v, s, a, dv)."""
+    return res.v.data, res.s.data, res.a.data, res.dv.data
+
+
 def _run(initial, lead, theta, v_star, s_star, dt=0.1):
     res = dyn.rollout(np.asarray(initial, dtype=float)[None, :, :],
                       np.asarray(lead, dtype=float)[None, :],
@@ -66,7 +71,7 @@ def _run(initial, lead, theta, v_star, s_star, dt=0.1):
                       dyn.ExpectedState(np.asarray(v_star, float)[None, :],
                                         np.asarray(s_star, float)[None, :]),
                       dt=dt)
-    v, s, a, dv = res.arrays()
+    v, s, a, dv = _series(res)
     return {"v": v[0], "s": s[0], "a": a[0], "dv": dv[0]}
 
 
@@ -90,7 +95,7 @@ def rollout_cases(draw):
 def test_rollout_gap_and_relative_speed_identities(case):
     res = dyn.rollout(case["initial"], case["lead"], case["theta"], case["xstar"],
                       dt=case["dt"])
-    v, s, _, dv = res.arrays()
+    v, s, _, dv = _series(res)
     dt = case["dt"]
     # s_{k+1} = s_k + dt dv_k exactly, from the anchor state on
     s_prev = np.concatenate([case["initial"][..., 1:2], s[..., :-1]], axis=-1)
@@ -116,16 +121,10 @@ class TestEncoding:
         assert (theta[..., 0] < 0).all()
         assert (theta[..., 1] > 0).all()
         assert (theta[..., 2] > 0).all()
-        dyn.validate_theta(theta)
 
     def test_bad_last_axis(self):
         with pytest.raises(ad.ShapeMismatch):
             dyn.encode_parameters(np.zeros((2, 4)))
-
-    def test_validate_reports_index(self):
-        theta = np.array([[-1.0, 0.5, 0.5], [-1.0, -0.5, 0.5]])
-        with pytest.raises(ValueError, match=r"\(1, 1\)"):
-            dyn.validate_theta(theta)
 
 
 class TestExpectedState:
@@ -221,7 +220,7 @@ class TestRolloutBatchingAndShapes:
             theta_b = ad.param(theta[b:b + 1])
             single = dyn.rollout(init[b:b + 1], lead[b:b + 1], theta_b,
                                  dyn.ExpectedState(vs[b:b + 1], ss[b:b + 1]))
-            for whole, one in zip(batched.arrays(), single.arrays()):
+            for whole, one in zip(_series(batched), _series(single)):
                 np.testing.assert_array_equal(whole[b], one[0])
             _probe_sum((single.v, single.s), (single.s.data, single.v.data)).backward()
             np.testing.assert_array_equal(theta_t.grad[b], theta_b.grad[0])

@@ -9,7 +9,7 @@ from platoonkit import data
 from platoonkit import dynamics as dyn
 from platoonkit import network as net
 from platoonkit import simulate as sim
-from platoonkit.idm import IdmParams
+from platoonkit.idm import IdmController, IdmParams
 
 
 def _record(duration_steps=120, n_followers=2, seed=3, platoon_id="cl-test"):
@@ -27,6 +27,31 @@ def _stable_theta(rng, n, S):
     return dyn.encode_parameters(raw).data
 
 
+class _PerPlatoonLaw:
+    """A fixed linear law per record index: plans[i] = (theta, v*, s*).
+
+    Checks on every replan that rows which have collided are left out.
+    """
+
+    history_len = 1
+
+    def __init__(self, plans, steps_per_block):
+        self.plans = plans
+        self.m = steps_per_block
+        self.horizon = plans[0][0].shape[1] * steps_per_block
+
+    def replan(self, history, lead_future, platoons):
+        assert (history[..., 1] > 0.0).all()
+        picked = [self.plans[i] for i in platoons]
+        self.theta, self.v_star, self.s_star = (
+            np.stack(part) for part in zip(*picked))
+
+    def accel(self, k, v, s, dv):
+        th = self.theta[:, :, k // self.m]
+        return (th[..., 0] * (v - self.v_star) + th[..., 1] * (s - self.s_star)
+                + th[..., 2] * dv)
+
+
 class TestScriptedMatchesChainedRollout:
     def test_bitwise_agreement_with_open_loop_chain(self):
         rec = _record(duration_steps=120)
@@ -37,7 +62,7 @@ class TestScriptedMatchesChainedRollout:
         theta = _stable_theta(rng, N, S)
         v_star = rec.speeds[1:, :P].mean(axis=1)
         s_star = rec.gaps()[:, :P].mean(axis=1)
-        ctrl = sim.ScriptedThetaController(theta, v_star, s_star, m)
+        ctrl = _PerPlatoonLaw([(theta, v_star, s_star)], m)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=P)
         assert run.viable and run.clamp_count == 0
 
@@ -70,8 +95,8 @@ class TestScriptedMatchesChainedRollout:
         rec = _record()
         rng = np.random.default_rng(1)
         theta = _stable_theta(rng, rec.n_followers, 2)
-        ctrl = sim.ScriptedThetaController(
-            theta, rec.speeds[1:, 0], rec.gaps()[:, 0], 3)
+        ctrl = _PerPlatoonLaw(
+            [(theta, rec.speeds[1:, 0], rec.gaps()[:, 0])], 3)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=8)
         np.testing.assert_array_equal(run.record.speeds[1:, :8],
                                       rec.speeds[1:, :8])
@@ -89,7 +114,7 @@ class TestIdmSelfConsistency:
         rec = data.synthesize_platoon("idm-cl", profile, params, lengths,
                                       noise_sigma=0.0, noise_seed=0,
                                       duration_steps=150)
-        run = sim.closed_loop_simulate(rec, sim.IdmController(params),
+        run = sim.closed_loop_simulate(rec, IdmController(params),
                                        warmup_steps=1)
         assert run.viable
         np.testing.assert_allclose(run.record.speeds[1:], rec.speeds[1:],
@@ -100,7 +125,7 @@ class TestIdmSelfConsistency:
 
     def test_controller_rejects_scalar_params(self):
         with pytest.raises(TypeError, match="list"):
-            sim.IdmController(IdmParams(30, 1.2, 2, 1.1, 1.6))
+            IdmController(IdmParams(30, 1.2, 2, 1.1, 1.6))
 
 
 class TestSimulatorMechanics:
@@ -108,8 +133,8 @@ class TestSimulatorMechanics:
         rec = _record()
         rng = np.random.default_rng(2)
         theta = _stable_theta(rng, rec.n_followers, 2)
-        ctrl = sim.ScriptedThetaController(
-            theta, rec.speeds[1:, 5], rec.gaps()[:, 5], 3)
+        ctrl = _PerPlatoonLaw(
+            [(theta, rec.speeds[1:, 5], rec.gaps()[:, 5])], 3)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
         lengths = rec.lengths
         np.testing.assert_array_equal(run.record.positions[0], rec.positions[0])
@@ -125,8 +150,8 @@ class TestSimulatorMechanics:
         n = rec.n_followers
         # Strong pull toward a 0.2 m gap collapses the platoon quickly.
         theta = np.tile(np.array([-0.4, 2.5, 0.1]), (n, 1, 1))
-        ctrl = sim.ScriptedThetaController(
-            theta, rec.speeds[1:, 5], np.full(n, 0.2), 4)
+        ctrl = _PerPlatoonLaw(
+            [(theta, rec.speeds[1:, 5], np.full(n, 0.2))], 4)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
         assert run.collision_frame is not None
         assert run.duration == run.collision_frame
@@ -138,8 +163,8 @@ class TestSimulatorMechanics:
         # Huge speed-error gain with a tiny target speed forces braking
         # through zero within a step or two.
         theta = np.tile(np.array([-50.0, 0.01, 0.01]), (n, 1, 1))
-        ctrl = sim.ScriptedThetaController(
-            theta, np.full(n, 0.5), rec.gaps()[:, 5], 4)
+        ctrl = _PerPlatoonLaw(
+            [(theta, np.full(n, 0.5), rec.gaps()[:, 5])], 4)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
         assert run.clamp_count > 0
         assert (run.record.speeds[1:] >= 0.0).all()
@@ -168,7 +193,7 @@ class TestSimulatorMechanics:
 
     def test_guards(self):
         rec = _record(duration_steps=30)
-        ctrl = sim.IdmController([IdmParams(30, 1.2, 2, 1.1, 1.6)] * rec.n_followers)
+        ctrl = IdmController([IdmParams(30, 1.2, 2, 1.1, 1.6)] * rec.n_followers)
         with pytest.raises(sim.SimulationError, match="warmup"):
             cfg = net.ModelConfig(d_model=4, attn_heads=2, history_len=6,
                                   horizon=4, param_window=2, n_state=2,
@@ -242,7 +267,7 @@ class TestDeviationReport:
         rec = data.synthesize_platoon("dev", profile, params,
                                       np.full(n + 1, 4.5), noise_sigma=0.0,
                                       noise_seed=0, duration_steps=100)
-        run = sim.closed_loop_simulate(rec, sim.IdmController(params),
+        run = sim.closed_loop_simulate(rec, IdmController(params),
                                        warmup_steps=1)
         rep = sim.compare_runs(rec, run)
         assert rep.rmse_speed < 1e-9
@@ -253,8 +278,8 @@ class TestDeviationReport:
         rec = _record()
         rng = np.random.default_rng(8)
         theta = _stable_theta(rng, rec.n_followers, 2)
-        ctrl = sim.ScriptedThetaController(
-            theta, rec.speeds[1:, 5], rec.gaps()[:, 5], 3)
+        ctrl = _PerPlatoonLaw(
+            [(theta, rec.speeds[1:, 5], rec.gaps()[:, 5])], 3)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
         rep = sim.compare_runs(rec, run)
         path = str(tmp_path / "dev.csv")
@@ -266,31 +291,6 @@ class TestDeviationReport:
         assert len(rows) == 1 + rep.speed_dev.size
         got = float(rows[1][2])
         assert got == pytest.approx(rep.speed_dev[0, 0], rel=1e-9)
-
-
-class _PerPlatoonLaw:
-    """A fixed linear law per record index: plans[i] = (theta, v*, s*).
-
-    Checks on every replan that rows which have collided are left out.
-    """
-
-    history_len = 1
-
-    def __init__(self, plans, steps_per_block):
-        self.plans = plans
-        self.m = steps_per_block
-        self.horizon = plans[0][0].shape[1] * steps_per_block
-
-    def replan(self, history, lead_future, platoons):
-        assert (history[..., 1] > 0.0).all()
-        picked = [self.plans[i] for i in platoons]
-        self.theta, self.v_star, self.s_star = (
-            np.stack(part) for part in zip(*picked))
-
-    def accel(self, k, v, s, dv):
-        th = self.theta[:, :, k // self.m]
-        return (th[..., 0] * (v - self.v_star) + th[..., 1] * (s - self.s_star)
-                + th[..., 2] * dv)
 
 
 def _assert_same_run(got, want):
