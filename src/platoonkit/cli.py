@@ -26,8 +26,10 @@ EXIT_DATA = 2
 
 GRADCHECK_TOL = 1e-4
 
-# upper bounds of the count flags, checked at parse time
+# upper bounds of the count and size flags, checked at parse time
 MAX_PLATOONS = 10_000        # synthetic platoon ids carry four digits
+MAX_FOLLOWERS = 1_000        # each follower's IDM law is drawn in Python
+MAX_NOISE_SIGMA = 10.0       # m/s^2 of acceleration noise, about 1 g
 MAX_DURATION_S = 3600.0
 MAX_BUDGET = 10_000
 MAX_EPOCHS = 10_000          # TrainConfig's bound too, so --config obeys it
@@ -76,10 +78,11 @@ def _positive_float(text):
 
 
 def _at_most(parse, maximum):
-    """``parse``, then reject values above ``maximum``."""
+    """``parse``, then reject finite values above ``maximum``; ``inf`` is
+    left to the finiteness check of ``parse`` or the handler."""
     def check(text):
         v = parse(text)
-        if v > maximum:
+        if maximum < v < math.inf:
             raise argparse.ArgumentTypeError(f"{text} is above the maximum {maximum:g}")
         return v
     return check
@@ -483,10 +486,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--platoons", type=_at_most(_positive_int, MAX_PLATOONS),
                    required=True, help=f"at most {MAX_PLATOONS:g}")
-    p.add_argument("--followers", type=_positive_int, default=6)
+    p.add_argument("--followers", type=_at_most(_positive_int, MAX_FOLLOWERS),
+                   default=6, help=f"at most {MAX_FOLLOWERS:g}")
     p.add_argument("--duration-s", type=_at_most(_positive_float, MAX_DURATION_S),
                    default=15.0, help=f"at most {MAX_DURATION_S:g}")
-    p.add_argument("--noise-sigma", type=float, default=0.1)
+    p.add_argument("--noise-sigma", type=_at_most(float, MAX_NOISE_SIGMA),
+                   default=0.1, help=f"m/s^2, at most {MAX_NOISE_SIGMA:g}")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(handler=_cmd_datagen)
 

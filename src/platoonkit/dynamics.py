@@ -190,6 +190,11 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
     Step k applies a = accel(k, v, s, dv), with dv = v_ahead - v and frames
     0..k already filled: v' = max(0, v + dt*a), s' = s + dt*dv.
 
+    ``v``, ``s`` and ``dv`` are the integrator's own contiguous (..., N)
+    buffers, overwritten by the next step: ``accel`` must neither keep nor
+    write them. Its return value is consumed before the next call, so the
+    callback may hand back the same output buffer every step.
+
     Returns (clamp_count, collision_frame), both per row: the number of
     speeds clamped at zero by the steps before the row's collision frame,
     and the first frame with a non-positive gap (T if none). Frames from a
@@ -199,10 +204,11 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
     T = speeds.shape[-1]
     collision = np.full(speeds.shape[:-2], T)
     clamps = np.zeros(speeds.shape[:-2], dtype=int)
-    v, s = speeds[..., 0], gaps[..., 0]
-    # row = [leader, followers]; its first N entries are the speeds ahead
-    row = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
-    row_lead, row_follow, ahead = row[..., 0], row[..., 1:], row[..., :-1]
+    v, s = speeds[..., 0].copy(), gaps[..., 0].copy()
+    dv, step = np.empty_like(v), np.empty_like(v)
+    # views made once: the buffers are only ever written in place
+    first, ahead, behind = v[..., 0], v[..., :-1], v[..., 1:]
+    dv_first, dv_behind = dv[..., 0], dv[..., 1:]
     for k in range(T):
         # fmin skips NaN, where min returns it: a NaN row hides no other row
         if np.fmin.reduce(s, axis=None) <= 0.0:
@@ -212,15 +218,16 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
                 break
         if k == T - 1:
             break
-        row_lead[...] = lead_speeds[..., k]
-        row_follow[...] = v
-        dv = ahead - v
-        v = v + dt * accel(k, v, s, dv)
+        np.subtract(lead_speeds[..., k], first, out=dv_first)
+        np.subtract(ahead, behind, out=dv_behind)
+        np.multiply(dt, accel(k, v, s, dv), out=step)
+        np.add(v, step, out=v)
         if np.fmin.reduce(v, axis=None) < 0.0:
             neg = v < 0.0
             clamps += np.where(collision == T, neg.sum(axis=-1), 0)
             v[neg] = 0.0
-        s = s + dt * dv
+        np.multiply(dt, dv, out=step)
+        np.add(s, step, out=s)
         speeds[..., k + 1] = v
         gaps[..., k + 1] = s
     return clamps, collision

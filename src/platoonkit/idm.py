@@ -6,10 +6,13 @@ closing in). Callers holding the platoon-feature convention
 
 Platoon simulation and GA fitness step followers in gap form with
 ``dynamics.euler_platoon`` at ``dynamics.DT`` behind the leader's speeds and
-cascade positions afterwards. Calibration runs followers in lockstep: each
-generation is one batch row per candidate of every follower of one length,
-each behind its own leader, while each follower breeds its next generation
-from a stream of its own, in four batched draws (``_breed``).
+cascade positions afterwards. The GA's law is ``_accel_raw``'s operations,
+in its order, on contiguous gene columns into reused buffers, so its
+fitness is bit-identical to ``_accel_raw``'s. Calibration runs followers in
+lockstep: each generation is one batch row per candidate of every follower
+of one length, each behind its own leader, and one breeding pass over all
+of their populations, in which each follower draws from a stream of its
+own, four draws per generation (``_breed``).
 """
 
 from __future__ import annotations
@@ -201,28 +204,53 @@ class CalibrationResult:
     best_history: list = field(default_factory=list)
 
 
-def _evaluate_population(pops: np.ndarray, observations) -> np.ndarray:
+def _stack_observations(observations):
+    """(gaps, speeds, lead_speeds) of observations of one length, each
+    (F, 1, T): the per-group constants of ``_evaluate_population``."""
+    return tuple(np.stack([getattr(o, name) for o in observations])[:, None]
+                 for name in ("gaps", "speeds", "lead_speeds"))
+
+
+def _evaluate_population(pops: np.ndarray, stacks) -> np.ndarray:
     """Fitness of every candidate, flat in (follower, candidate) order.
 
-    ``pops`` is (F, M, 5), one population per observation of one length.
-    All F*M candidates re-simulate as batch rows of one ``euler_platoon``
-    call, each behind its own follower's observed leader.
+    ``pops`` is (F, M, 5), one population per observation of one length;
+    ``stacks`` is ``_stack_observations`` of those observations. All F*M
+    candidates re-simulate as batch rows of one ``euler_platoon`` call, each
+    behind its own follower's observed leader. The step applies
+    ``_accel_raw``'s operations in its order, into reused buffers, on
+    contiguous gene columns, with ``2*sqrt(a_max*b)`` formed once and the
+    approach rate's negation folded into a subtraction (``x + (-y)/c`` is
+    ``x - y/c`` exactly), so the fitness is bit-identical to ``_accel_raw``'s.
     Fitness = gap RMSE + speed RMSE against that follower's observation;
     collided candidates get COLLISION_FITNESS.
     """
+    obs_gaps, obs_speeds, lead = stacks
     F, M = pops.shape[:2]
-    v0, Th, s0, a_max, b = np.moveaxis(pops, -1, 0)[..., None]
-    obs_gaps, obs_speeds, lead = (
-        np.stack([getattr(o, name) for o in observations])[:, None]
-        for name in ("gaps", "speeds", "lead_speeds"))          # (F, 1, T)
+    v0, Th, s0, a_max, b = np.ascontiguousarray(
+        np.moveaxis(pops, -1, 0))[..., None]                    # (F, M, 1)
+    c = 2.0 * np.sqrt(a_max * b)
     T = obs_speeds.shape[-1]
     spd = np.empty((F, M, 1, T))
     gaps = np.empty((F, M, 1, T))
     spd[..., 0, 0] = obs_speeds[..., 0]
     gaps[..., 0, 0] = obs_gaps[..., 0]
+    s_star, ratio = np.empty((F, M, 1)), np.empty((F, M, 1))
 
     def accel(k, v, s, dv):
-        return _accel_raw(v, s, -dv, v0, Th, s0, a_max, b)
+        np.multiply(v, Th, out=s_star)
+        np.multiply(v, dv, out=ratio)
+        np.divide(ratio, c, out=ratio)
+        np.subtract(s_star, ratio, out=s_star)
+        np.maximum(0.0, s_star, out=s_star)
+        np.add(s0, s_star, out=s_star)
+        np.divide(v, v0, out=ratio)
+        np.power(ratio, 4.0, out=ratio)     # pow: two squarings round apart
+        np.subtract(1.0, ratio, out=ratio)
+        np.divide(s_star, s, out=s_star)
+        np.square(s_star, out=s_star)
+        np.subtract(ratio, s_star, out=ratio)
+        return np.multiply(a_max, ratio, out=ratio)
 
     # collided rows step on with non-positive gaps; their values are discarded
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -233,32 +261,40 @@ def _evaluate_population(pops: np.ndarray, observations) -> np.ndarray:
     return fitness.reshape(-1)
 
 
-def _breed(pop, fitness, rng, lo, hi, sigma, out) -> None:
-    """Fill ``out`` with the generation after ``pop``: its ELITES best, then
-    tournament-picked blend children with Gaussian mutation (per-gene sigma),
-    clipped to [lo, hi]. All children come from four draws, in this order:
-    picks (children, 2, TOURNAMENT), blends, mutation masks and noise (each
-    (children, 5)); each tournament's winner is the first arg-min of its picks.
+def _breed(pops, fitness, rngs, lo, hi, sigma) -> np.ndarray:
+    """The generation after ``pops`` (F, M, 5), one population per follower:
+    each population's ELITES best, then tournament-picked blend children with
+    Gaussian mutation (per-gene sigma), clipped to [lo, hi].
 
+    Follower f's children come from four draws on ``rngs[f]``, in this
+    order: picks (children, 2, TOURNAMENT), blends, mutation masks and noise
+    (each (children, 5)); each tournament's winner is the first arg-min of
+    its picks. The arithmetic then runs once over all F populations.
     The blend and the noise are ``rng.uniform(low, high)`` and
     ``rng.normal(0, sigma)`` spelled out: numpy computes those as
     ``low + (high - low) * u`` and ``0 + sigma * z`` from the same stream
     draws, so the children are bit-identical.
     """
-    out[:ELITES] = pop[np.argsort(fitness, kind="stable")[:ELITES]]
     n = POPULATION - ELITES
-    picks = rng.integers(0, POPULATION, size=(n, 2, TOURNAMENT))
-    won = np.take_along_axis(picks, fitness[picks].argmin(-1)[..., None],
-                             -1)[..., 0]
-    p1, p2 = pop[won[:, 0]], pop[won[:, 1]]
+    picks, blend, mutate, noise = (np.stack(d) for d in zip(*[
+        (rng.integers(0, POPULATION, size=(n, 2, TOURNAMENT)),
+         rng.random((n, 5)), rng.random((n, 5)), rng.standard_normal((n, 5)))
+        for rng in rngs]))
+    rows = np.arange(len(pops))[:, None]
+    out = np.empty_like(pops)
+    out[:, :ELITES] = pops[rows, np.argsort(fitness, kind="stable")[:, :ELITES]]
+    scores = np.take_along_axis(fitness, picks.reshape(len(pops), -1), 1)
+    won = np.take_along_axis(
+        picks, scores.reshape(picks.shape).argmin(-1)[..., None], -1)[..., 0]
+    p1, p2 = pops[rows, won[..., 0]], pops[rows, won[..., 1]]
     g_lo = np.minimum(p1, p2)
     g_hi = np.maximum(p1, p2)
     reach = BLEND_ALPHA * (g_hi - g_lo)
     low = g_lo - reach
-    x = low + (g_hi + reach - low) * rng.random((n, 5))
-    mutate = rng.random((n, 5)) < MUTATION_PROB
-    x += mutate * (sigma * rng.standard_normal((n, 5)))
-    np.minimum(np.maximum(x, lo, out=x), hi, out=out[ELITES:])
+    x = low + (g_hi + reach - low) * blend
+    x += (mutate < MUTATION_PROB) * (sigma * noise)
+    np.minimum(np.maximum(x, lo, out=x), hi, out=out[:, ELITES:])
+    return out
 
 
 def calibrate_followers(observations, seeds, budget: int = 100) -> list:
@@ -273,9 +309,9 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
 
     Followers run in lockstep: per generation, the populations of all
     observations with the same length are evaluated in one batched Euler
-    pass, and each follower then breeds from its own streams. A follower's
-    result does not depend on which others share its batch.
-    Returns one CalibrationResult per observation, in input order.
+    pass and bred in one batched pass, each follower drawing from its own
+    streams. A follower's result does not depend on which others share its
+    batch. Returns one CalibrationResult per observation, in input order.
     """
     observations, seeds = list(observations), list(seeds)
     if len(seeds) != len(observations):
@@ -292,14 +328,14 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
         groups.setdefault(len(obs.speeds), []).append(i)
     results = [None] * len(observations)
     for members in groups.values():
-        group = [observations[i] for i in members]
+        stacks = _stack_observations([observations[i] for i in members])
         streams = [np.random.SeedSequence(seeds[i]) for i in members]
         rows = np.arange(len(members))
         pops = np.empty((len(members), POPULATION, 5))
         for pop, stream in zip(pops, streams):
             rng = np.random.default_rng(stream.spawn(1)[0])
             pop[...] = lo + rng.uniform(size=(POPULATION, 5)) * span
-        fitness = _evaluate_population(pops, group).reshape(len(members), -1)
+        fitness = _evaluate_population(pops, stacks).reshape(len(members), -1)
 
         idx = fitness.argmin(axis=1)
         best = pops[rows, idx]
@@ -307,12 +343,9 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
         history = [[float(f)] for f in best_fit]
 
         for _ in range(budget):
-            nxt = np.empty_like(pops)
-            for pop, fit, stream, out in zip(pops, fitness, streams, nxt):
-                _breed(pop, fit, np.random.default_rng(stream.spawn(1)[0]),
-                       lo, hi, sigma, out)
-            pops = nxt
-            fitness = _evaluate_population(pops, group).reshape(len(members), -1)
+            pops = _breed(pops, fitness, [np.random.default_rng(s.spawn(1)[0])
+                                          for s in streams], lo, hi, sigma)
+            fitness = _evaluate_population(pops, stacks).reshape(len(members), -1)
             idx = fitness.argmin(axis=1)
             better = np.flatnonzero(fitness[rows, idx] < best_fit)
             best_fit[better] = fitness[better, idx[better]]

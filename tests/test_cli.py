@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +238,45 @@ def test_count_flags_above_their_maximum_are_usage_errors(capsys, tmp_path, comm
     assert not out.exists()
     assert cli.dispatch([command[0], "--help"]) == 0
     assert f"at most {maximum:g}" in capsys.readouterr().out
+
+
+def test_followers_bound_is_checked_at_parse_time(capsys):
+    # parse_args only: a run at such a count samples one IDM law per
+    # follower in Python and would run until killed
+    parser = cli._build_parser()
+    argv = ["datagen", "--out", "o", "--platoons", "1", "--followers"]
+    top = str(cli.MAX_FOLLOWERS)
+    assert parser.parse_args(argv + [top]).followers == cli.MAX_FOLLOWERS
+    for huge in (str(cli.MAX_FOLLOWERS + 1), "10000000",
+                 "100000000000000000000"):
+        with pytest.raises(cli._UsageError,
+                           match=f"--followers: .*maximum {cli.MAX_FOLLOWERS:g}"):
+            parser.parse_args(argv + [huge])
+    assert cli.dispatch(["datagen", "--help"]) == 0
+    assert f"at most {cli.MAX_FOLLOWERS:g}" in capsys.readouterr().out
+
+
+def test_noise_sigma_above_its_maximum_is_a_usage_error_without_warnings(
+        capsys, tmp_path):
+    # 1e308 overflowed the synthetic noise into numpy warnings before the
+    # data error; the bound stops it before any platoon is drawn
+    parser = cli._build_parser()
+    top = str(cli.MAX_NOISE_SIGMA)
+    argv = ["datagen", "--out", "o", "--platoons", "1", "--noise-sigma"]
+    assert parser.parse_args(argv + [top]).noise_sigma == cli.MAX_NOISE_SIGMA
+    out = tmp_path / "o"
+    path = os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "platoonkit.cli", "datagen",
+         "--out", str(out), "--platoons", "1", "--noise-sigma", "1e308"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 1 and "--noise-sigma" in proc.stderr
+    assert f"maximum {cli.MAX_NOISE_SIGMA:g}" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+    assert cli.dispatch(["datagen", "--help"]) == 0
+    assert f"at most {cli.MAX_NOISE_SIGMA:g}" in capsys.readouterr().out
 
 
 def test_epochs_bound_holds_for_the_flag_and_the_config(capsys, tmp_path):

@@ -17,6 +17,23 @@ def _linear_law(gains, v_star, s_star):
     return accel
 
 
+def _linear_law_one_buffer(gains, v_star, s_star):
+    """``_linear_law``'s operations in its order, written into two reused
+    buffers; every call hands back the same array."""
+    f_v, f_s, f_dv = gains
+    bufs = []
+
+    def accel(k, v, s, dv):
+        if not bufs:
+            bufs.extend((np.empty_like(v), np.empty_like(v)))
+        a, t = bufs
+        np.multiply(f_v, np.subtract(v, v_star, out=a), out=a)
+        np.multiply(f_s, np.subtract(s, s_star, out=t), out=t)
+        np.add(a, t, out=a)
+        return np.add(a, np.multiply(f_dv, dv, out=t), out=a)
+    return accel
+
+
 @st.composite
 def platoons(draw):
     """A batch of platoons with per-row linear laws behind one shared (T,)
@@ -45,7 +62,7 @@ def platoons(draw):
     return case
 
 
-def _run(case, row=None, nan_row=None):
+def _run(case, row=None, nan_row=None, make_law=_linear_law):
     """Integrate the whole batch, or only ``row`` with batch shape ();
     the law of batch row ``nan_row`` gives NaN accelerations."""
     pick = (lambda a: a) if row is None else (lambda a: a[row])
@@ -57,8 +74,8 @@ def _run(case, row=None, nan_row=None):
     gaps = np.zeros(s0.shape + (frames,))
     speeds[..., 0] = v0
     gaps[..., 0] = s0
-    law = _linear_law([pick(g) for g in case["gains"]], pick(case["v_star"]),
-                      pick(case["s_star"]))
+    law = make_law([pick(g) for g in case["gains"]], pick(case["v_star"]),
+                   pick(case["s_star"]))
     if nan_row is not None:
         finite_law = law
 
@@ -154,6 +171,16 @@ def test_nan_row_leaves_other_rows_as_their_solo_runs(case, data):
         last = min(int(one_cf), frames - 1) + 1
         np.testing.assert_array_equal(speeds[r, :, :last], one_v[:, :last])
         np.testing.assert_array_equal(gaps[r, :, :last], one_s[:, :last])
+
+
+@SETTINGS
+@given(platoons())
+def test_law_reusing_one_output_buffer_matches_fresh_arrays(case):
+    # the integrator consumes each acceleration before its next call
+    fresh = _run(case)
+    reused = _run(case, make_law=_linear_law_one_buffer)
+    for want, got in zip(fresh[:4], reused[:4]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_cascade_positions_hand_values():

@@ -253,10 +253,10 @@ def _generation(seed, fitness_levels=(0.5, 1.0, 2.0, idm.COLLISION_FITNESS)):
 
 
 def _bred(pop, fitness, rng):
+    """``_breed`` of a one-follower batch."""
     lo, hi = idm.DEFAULT_BOUNDS[:, 0], idm.DEFAULT_BOUNDS[:, 1]
-    out = np.empty_like(pop)
-    idm._breed(pop, fitness, rng, lo, hi, idm.MUTATION_SIGMA * (hi - lo), out)
-    return out
+    return idm._breed(pop[None], fitness[None], [rng], lo, hi,
+                      idm.MUTATION_SIGMA * (hi - lo))[0]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -267,6 +267,20 @@ def test_breed_matches_reference_draws(seed):
     expect = _reference_breed(pop, fitness, np.random.default_rng(seed + 10),
                               lo, hi)
     assert out.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_breed_batch_rows_match_one_follower_batches(seeds):
+    # each follower draws from its own stream: its children do not depend
+    # on which populations share the batch
+    lo, hi = idm.DEFAULT_BOUNDS[:, 0], idm.DEFAULT_BOUNDS[:, 1]
+    pops, fitness = (np.stack(part) for part in zip(*map(_generation, seeds)))
+    out = idm._breed(pops, fitness, [np.random.default_rng(s) for s in seeds],
+                     lo, hi, idm.MUTATION_SIGMA * (hi - lo))
+    for f, seed in enumerate(seeds):
+        assert out[f].tobytes() == _bred(pops[f], fitness[f],
+                                         np.random.default_rng(seed)).tobytes()
 
 
 _breed_cases = given(st.integers(0, 2**32 - 1),
@@ -373,7 +387,8 @@ def test_lockstep_fitness_matches_independent_simulation():
     lo, span = idm.DEFAULT_BOUNDS[:, 0], np.ptp(idm.DEFAULT_BOUNDS, axis=1)
     pops = lo + rng.uniform(size=(2, idm.POPULATION, 5)) * span
     group = [FLEET[0], FLEET[2]]
-    fitness = idm._evaluate_population(pops, group).reshape(2, -1)
+    fitness = idm._evaluate_population(
+        pops, idm._stack_observations(group)).reshape(2, -1)
     for f, obs in enumerate(group):
         lengths = np.full(2, 4.5)
         for m in range(0, idm.POPULATION, 7):
@@ -388,6 +403,62 @@ def test_lockstep_fitness_matches_independent_simulation():
             expect = (np.sqrt(np.mean((gaps - obs.gaps) ** 2))
                       + np.sqrt(np.mean((sim.speeds[1] - obs.speeds) ** 2)))
             assert abs(fitness[f, m] - expect) < 1e-9
+
+
+def _reference_fitness(pops, observations):
+    """The fitness step as a plain allocating loop: strided gene views,
+    ``_accel_raw`` on the negated dv, a leader-first row copy per step.
+    Returns the flat fitness and the number of speeds clamped at zero."""
+    F, M = pops.shape[:2]
+    v0, Th, s0, a_max, b = np.moveaxis(pops, -1, 0)[..., None]
+    obs_gaps, obs_speeds, lead = (
+        np.stack([getattr(o, name) for o in observations])[:, None]
+        for name in ("gaps", "speeds", "lead_speeds"))          # (F, 1, T)
+    T = obs_speeds.shape[-1]
+    spd = np.empty((F, M, T))
+    gaps = np.empty((F, M, T))
+    spd[..., 0], gaps[..., 0] = obs_speeds[..., 0], obs_gaps[..., 0]
+    v, s = spd[..., :1], gaps[..., :1]
+    collision = np.full((F, M), T)
+    clamps = 0
+    row = np.empty((F, M, 2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(T):
+            hit = (s <= 0.0).any(axis=-1) & (collision == T)
+            collision = np.where(hit, k, collision)
+            if (collision < T).all() or k == T - 1:
+                break
+            row[..., 0] = lead[..., k]
+            row[..., 1:] = v
+            dv = row[..., :-1] - v
+            v = v + data.DT * idm._accel_raw(v, s, -dv, v0, Th, s0, a_max, b)
+            neg = v < 0.0
+            clamps += int((neg[..., 0] & (collision == T)).sum())
+            v[neg] = 0.0
+            s = s + data.DT * dv
+            spd[..., k + 1], gaps[..., k + 1] = v[..., 0], s[..., 0]
+        fitness = (np.sqrt(np.mean((gaps - obs_gaps) ** 2, axis=-1))
+                   + np.sqrt(np.mean((spd - obs_speeds) ** 2, axis=-1)))
+    fitness[collision < T] = idm.COLLISION_FITNESS
+    return fitness.reshape(-1), clamps
+
+
+def test_fitness_is_bit_identical_to_the_allocating_reference():
+    # one length group; gene rows that drive into the leader (no headway,
+    # no jam gap, a strong engine and a weak brake term) or brake to a
+    # standstill (a jam gap far beyond the observed gap)
+    rng = np.random.default_rng(1)
+    lo, span = idm.DEFAULT_BOUNDS[:, 0], np.ptp(idm.DEFAULT_BOUNDS, axis=1)
+    pops = lo + rng.uniform(size=(2, idm.POPULATION, 5)) * span
+    pops[:, ::5] = [40.0, 1e-3, 1e-3, 4.0, 1e6]
+    pops[:, 1::7] = [20.0, 3.0, 200.0, 4.0, 5.0]
+    group = [FLEET[0], FLEET[2]]
+    fitness = idm._evaluate_population(pops, idm._stack_observations(group))
+    expect, clamps = _reference_fitness(pops, group)
+    collided = expect == idm.COLLISION_FITNESS
+    assert collided.any() and not collided.all() and clamps > 0
+    assert fitness.shape == (2 * idm.POPULATION,)
+    assert fitness.tobytes() == expect.tobytes()
 
 
 def test_lockstep_validates_before_any_generation(monkeypatch):
