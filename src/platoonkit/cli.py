@@ -70,19 +70,26 @@ def _non_negative_int(text):
     return v
 
 
-def _positive_float(text):
+def _non_negative_float(text):
     v = float(text)
-    if not (math.isfinite(v) and v > 0):
+    if not (math.isfinite(v) and v >= 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number >= 0")
+    return v
+
+
+def _positive_float(text):
+    v = _non_negative_float(text)
+    if v == 0:
         raise argparse.ArgumentTypeError(f"{text} is not a finite positive number")
     return v
 
 
 def _at_most(parse, maximum):
-    """``parse``, then reject finite values above ``maximum``; ``inf`` is
-    left to the finiteness check of ``parse`` or the handler."""
+    """``parse``, then reject values above ``maximum``; every ``parse``
+    rejects ``inf`` itself."""
     def check(text):
         v = parse(text)
-        if maximum < v < math.inf:
+        if v > maximum:
             raise argparse.ArgumentTypeError(f"{text} is above the maximum {maximum:g}")
         return v
     return check
@@ -171,9 +178,6 @@ def _all_windows(records, config, stride):
 
 def _cmd_datagen(args) -> int:
     from . import data
-    if not (math.isfinite(args.noise_sigma) and args.noise_sigma >= 0.0):
-        raise CliError(f"--noise-sigma must be a finite number >= 0, "
-                       f"got {args.noise_sigma}")
     try:
         records = data.generate_synthetic_platoons(
             args.platoons, n_followers=args.followers,
@@ -490,7 +494,8 @@ def _build_parser() -> _Parser:
                    default=6, help=f"at most {MAX_FOLLOWERS:g}")
     p.add_argument("--duration-s", type=_at_most(_positive_float, MAX_DURATION_S),
                    default=15.0, help=f"at most {MAX_DURATION_S:g}")
-    p.add_argument("--noise-sigma", type=_at_most(float, MAX_NOISE_SIGMA),
+    p.add_argument("--noise-sigma",
+                   type=_at_most(_non_negative_float, MAX_NOISE_SIGMA),
                    default=0.1, help=f"m/s^2, at most {MAX_NOISE_SIGMA:g}")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(handler=_cmd_datagen)

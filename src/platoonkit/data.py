@@ -472,13 +472,8 @@ def _sample_profile(rng: np.random.Generator) -> LeadProfile:
 
 
 def _sample_idm_params(rng: np.random.Generator) -> idm.IdmParams:
-    return idm.IdmParams(
-        v0=rng.uniform(*SYNTH_IDM_RANGES["v0"]),
-        T=rng.uniform(*SYNTH_IDM_RANGES["T"]),
-        s0=rng.uniform(*SYNTH_IDM_RANGES["s0"]),
-        a_max=rng.uniform(*SYNTH_IDM_RANGES["a_max"]),
-        b=rng.uniform(*SYNTH_IDM_RANGES["b"]),
-    )
+    return idm.IdmParams(*[rng.uniform(*SYNTH_IDM_RANGES[name])
+                           for name in idm.GENE_NAMES])
 
 
 def generate_synthetic_platoons(count: int, n_followers: int = 6,
@@ -522,10 +517,7 @@ def follower_observation(record: PlatoonRecord,
     if not 1 <= vehicle_index <= record.n_followers:
         raise ValueError(f"vehicle_index {vehicle_index} is not a follower "
                          f"(1..{record.n_followers})")
-    lead = vehicle_index - 1
     return idm.FollowerObservation(
-        lead_positions=record.positions[lead],
-        lead_speeds=record.speeds[lead],
-        lead_length=record.lengths[lead],
-        positions=record.positions[vehicle_index],
-        speeds=record.speeds[vehicle_index])
+        lead_speeds=record.speeds[vehicle_index - 1],
+        speeds=record.speeds[vehicle_index],
+        gaps=record.gaps()[vehicle_index - 1])

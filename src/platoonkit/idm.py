@@ -1,23 +1,22 @@
 """Intelligent Driver Model car-following baseline and GA calibration.
 
-Sign convention: ``dv_approach = v_follower - v_leader`` (positive while
-closing in). Callers holding the platoon-feature convention
-``dv = v_leader - v_follower`` must negate at this boundary.
+``_accel`` is the one IDM law (Treiber, Hennecke & Helbing, 2000). It takes
+the platoon's ``dv = v_ahead - v``, as ``dynamics`` does, and writes into
+two buffers its caller passes: ``IdmController`` (datagen and closed-loop
+simulation) passes fresh ones per step, the GA's fitness step reused ones.
 
 Platoon simulation and GA fitness step followers in gap form with
 ``dynamics.euler_platoon`` at ``dynamics.DT`` behind the leader's speeds and
-cascade positions afterwards. The GA's law is ``_accel_raw``'s operations,
-in its order, on contiguous gene columns into reused buffers, so its
-fitness is bit-identical to ``_accel_raw``'s. Calibration runs followers in
-lockstep: each generation is one batch row per candidate of every follower
-of one length, each behind its own leader, and one breeding pass over all
-of their populations, in which each follower draws from a stream of its
-own, four draws per generation (``_breed``).
+cascade positions afterwards. Calibration runs followers in lockstep: each
+generation is one batch row per candidate of every follower of one length,
+each behind its own leader, and one breeding pass over all of their
+populations, in which each follower draws from a stream of its own, four
+draws per generation (``_breed``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -29,28 +28,28 @@ class CollisionError(Exception):
     pass
 
 
+# The GA's genes, in IdmParams field order.
+GENE_NAMES = ("v0", "T", "s0", "a_max", "b")
+DELTA = 4.0   # acceleration exponent, fixed by convention
+
+
 @dataclass(frozen=True)
 class IdmParams:
-    """Per-vehicle IDM parameters. ``delta`` is fixed at 4 by convention."""
+    """Per-vehicle IDM parameters."""
 
     v0: float      # desired speed, m/s
     T: float       # desired time headway, s
     s0: float      # jam spacing, m
     a_max: float   # max acceleration, m/s^2
     b: float       # comfortable deceleration, m/s^2
-    delta: float = 4.0
 
     def __post_init__(self):
-        for name in ("v0", "T", "s0", "a_max", "b", "delta"):
+        for name in GENE_NAMES:
             if not getattr(self, name) > 0:
                 raise ValueError(f"IdmParams.{name} must be positive")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v0, self.T, self.s0, self.a_max, self.b])
 
-
-# Calibration search space; gene order matches IdmParams field order.
-GENE_NAMES = ("v0", "T", "s0", "a_max", "b")
+# Calibration search space, one row per gene.
 DEFAULT_BOUNDS = np.array([
     [10.0, 40.0],   # v0
     [0.5, 3.0],     # T
@@ -68,17 +67,31 @@ ELITES = 2
 COLLISION_FITNESS = 1e9
 
 
-def _accel_raw(v, s, dv_approach, v0, T, s0, a_max, b, delta=4.0):
-    """IDM acceleration without spacing validation; broadcasts on every input."""
-    s_star = s0 + np.maximum(0.0, v * T + v * dv_approach / (2.0 * np.sqrt(a_max * b)))
-    return a_max * (1.0 - (v / v0) ** delta - (s_star / s) ** 2)
+def _accel(v, s, dv, v0, T, s0, a_max, c, s_star, out):
+    """IDM acceleration a_max*(1 - (v/v0)^DELTA - (s*/s)^2), with
+    s* = s0 + max(0, v*T - v*dv/c) and c = 2*sqrt(a_max*b), written into
+    ``out`` and returned; ``s_star`` holds s*. Both buffers have the
+    broadcast shape of the inputs. Gaps are not validated."""
+    np.multiply(v, T, out=s_star)
+    np.multiply(v, dv, out=out)
+    np.divide(out, c, out=out)
+    np.subtract(s_star, out, out=s_star)
+    np.maximum(0.0, s_star, out=s_star)
+    np.add(s0, s_star, out=s_star)
+    np.divide(v, v0, out=out)
+    np.power(out, DELTA, out=out)     # pow: two squarings round apart
+    np.subtract(1.0, out, out=out)
+    np.divide(s_star, s, out=s_star)
+    np.square(s_star, out=s_star)
+    np.subtract(out, s_star, out=out)
+    return np.multiply(a_max, out, out=out)
 
 
 def equilibrium_gap(v: float, p: IdmParams) -> float:
     """Gap with zero acceleration at steady speed ``v`` (requires v < v0)."""
     if not 0.0 <= v < p.v0:
         raise ValueError(f"no equilibrium at v={v} for v0={p.v0}")
-    return (p.s0 + v * p.T) / np.sqrt(1.0 - (v / p.v0) ** p.delta)
+    return (p.s0 + v * p.T) / np.sqrt(1.0 - (v / p.v0) ** DELTA)
 
 
 class IdmController:
@@ -92,17 +105,15 @@ class IdmController:
             raise TypeError("pass one IdmParams per follower (a list)")
         if not params:
             raise ValueError("need at least one follower")
-        cols = np.stack([p.as_array() for p in params], axis=1)
-        self._v0, self._T, self._s0, self._a_max, self._b = cols
-        self._delta = np.array([p.delta for p in params])
+        v0, T, s0, a_max, b = np.stack([astuple(p) for p in params], axis=1)
+        self._genes = (v0, T, s0, a_max, 2.0 * np.sqrt(a_max * b))
 
     def replan(self, history, lead_future, platoons):
         pass
 
     def accel(self, k: int, v, s, dv):
-        # approach rate is follower minus leader speed: the negative of dv
-        return _accel_raw(v, s, -dv, self._v0, self._T, self._s0,
-                          self._a_max, self._b, self._delta)
+        shape = np.broadcast(v, self._genes[0]).shape
+        return _accel(v, s, dv, *self._genes, np.empty(shape), np.empty(shape))
 
 
 @dataclass(frozen=True)
@@ -165,30 +176,23 @@ def simulate_idm_platoon(lead_speeds, initial_positions, initial_speeds,
 
 @dataclass(frozen=True)
 class FollowerObservation:
-    """One follower's trajectory plus its (observed, fixed) leader. The GA
-    couples to the leader's speeds; its positions only define observed gaps."""
+    """One follower's speeds and gaps behind its (observed, fixed) leader's
+    speeds: the series the GA fits to."""
 
-    lead_positions: np.ndarray
     lead_speeds: np.ndarray
-    lead_length: float
-    positions: np.ndarray
     speeds: np.ndarray
+    gaps: np.ndarray
 
     def __post_init__(self):
-        T = len(self.positions)
+        T = len(self.speeds)
         if T < 2:
             raise ValueError("observation needs at least 2 frames")
-        if len(self.lead_positions) != T or len(self.lead_speeds) != T \
-                or len(self.speeds) != T:
-            raise ValueError("observation series lengths disagree")
-        for name in ("lead_positions", "lead_speeds", "lead_length",
-                     "positions", "speeds"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"FollowerObservation.{name} is not finite")
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return self.lead_positions - self.lead_length - self.positions
+        for f in fields(self):
+            series = getattr(self, f.name)
+            if len(series) != T:
+                raise ValueError("observation series lengths disagree")
+            if not np.isfinite(series).all():
+                raise ValueError(f"FollowerObservation.{f.name} is not finite")
 
 
 @dataclass(frozen=True)
@@ -217,11 +221,8 @@ def _evaluate_population(pops: np.ndarray, stacks) -> np.ndarray:
     ``pops`` is (F, M, 5), one population per observation of one length;
     ``stacks`` is ``_stack_observations`` of those observations. All F*M
     candidates re-simulate as batch rows of one ``euler_platoon`` call, each
-    behind its own follower's observed leader. The step applies
-    ``_accel_raw``'s operations in its order, into reused buffers, on
-    contiguous gene columns, with ``2*sqrt(a_max*b)`` formed once and the
-    approach rate's negation folded into a subtraction (``x + (-y)/c`` is
-    ``x - y/c`` exactly), so the fitness is bit-identical to ``_accel_raw``'s.
+    behind its own follower's observed leader. The step is ``_accel`` on
+    contiguous gene columns, with ``c`` formed once and both buffers reused.
     Fitness = gap RMSE + speed RMSE against that follower's observation;
     collided candidates get COLLISION_FITNESS.
     """
@@ -230,27 +231,14 @@ def _evaluate_population(pops: np.ndarray, stacks) -> np.ndarray:
     v0, Th, s0, a_max, b = np.ascontiguousarray(
         np.moveaxis(pops, -1, 0))[..., None]                    # (F, M, 1)
     c = 2.0 * np.sqrt(a_max * b)
+    s_star, out = np.empty((F, M, 1)), np.empty((F, M, 1))
     T = obs_speeds.shape[-1]
     spd = np.empty((F, M, 1, T))
     gaps = np.empty((F, M, 1, T))
     spd[..., 0, 0] = obs_speeds[..., 0]
     gaps[..., 0, 0] = obs_gaps[..., 0]
-    s_star, ratio = np.empty((F, M, 1)), np.empty((F, M, 1))
-
-    def accel(k, v, s, dv):
-        np.multiply(v, Th, out=s_star)
-        np.multiply(v, dv, out=ratio)
-        np.divide(ratio, c, out=ratio)
-        np.subtract(s_star, ratio, out=s_star)
-        np.maximum(0.0, s_star, out=s_star)
-        np.add(s0, s_star, out=s_star)
-        np.divide(v, v0, out=ratio)
-        np.power(ratio, 4.0, out=ratio)     # pow: two squarings round apart
-        np.subtract(1.0, ratio, out=ratio)
-        np.divide(s_star, s, out=s_star)
-        np.square(s_star, out=s_star)
-        np.subtract(ratio, s_star, out=ratio)
-        return np.multiply(a_max, ratio, out=ratio)
+    accel = lambda k, v, s, dv: _accel(v, s, dv, v0, Th, s0, a_max, c,
+                                       s_star, out)
 
     # collided rows step on with non-positive gaps; their values are discarded
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

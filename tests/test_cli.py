@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from platoonkit import cli, data
+from platoonkit import cli, data, idm
 from platoonkit import network as net
 from platoonkit import training
 
@@ -196,12 +196,13 @@ def test_datagen_too_short_duration_is_data_error(capsys, tmp_path):
     assert code == 2 and "duration" in err
 
 
-@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "-1"])
 def test_datagen_rejects_bad_noise_sigma(capsys, tmp_path, sigma):
     out = tmp_path / "o"
     code, _, err = _run(capsys, ["datagen", "--out", str(out), "--platoons", "1",
                                  f"--noise-sigma={sigma}"])
-    assert code == 2 and "--noise-sigma" in err
+    assert code == 1 and "--noise-sigma" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -639,7 +640,7 @@ def test_calibrate_idm_deterministic(corpus, capsys):
     report = json.loads(out1)
     assert len(report) == 6
     row = next(iter(report.values()))["1"]
-    assert set(row["params"]) == {"v0", "T", "s0", "a_max", "b", "delta"}
+    assert set(row["params"]) == set(idm.GENE_NAMES)
     assert row["gap_rmse"] >= 0.0
 
 

@@ -479,8 +479,9 @@ def test_loaded_arrays_match_a_row_by_row_reference(tmp_path):
 def test_follower_observation_adapter():
     rec = _tiny_record(T=10)
     obs = data.follower_observation(rec, 1)
-    assert len(obs.positions) == 10
-    assert obs.lead_length == 4.0
+    assert len(obs.speeds) == 10
+    assert np.array_equal(obs.lead_speeds, rec.speeds[0])
+    assert np.array_equal(obs.speeds, rec.speeds[1])
     assert np.array_equal(obs.gaps, rec.gaps()[0])
     with pytest.raises(ValueError):
         data.follower_observation(rec, 0)

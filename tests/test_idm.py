@@ -4,7 +4,7 @@ import functools
 import json
 import math
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -17,9 +17,17 @@ from platoonkit import cli, data, idm
 STD = idm.IdmParams(v0=30.0, T=1.0, s0=2.0, a_max=1.0, b=1.5)
 
 
-def _accel(v, s, dv_approach, p):
-    """One follower's IDM acceleration on the simulator's path."""
-    return idm.IdmController([p]).accel(0, v, s, -dv_approach)[0]
+def _accel(v, s, dv, p):
+    """One follower's IDM acceleration on the simulator's path; ``dv`` is
+    the speed ahead minus the follower's own."""
+    return idm.IdmController([p]).accel(0, v, s, dv)[0]
+
+
+def _idm_formula(v, s, dv, v0, T, s0, a_max, b):
+    """The IDM acceleration as published, with allocating numpy operations;
+    its approach rate v - v_ahead is -dv."""
+    s_star = s0 + np.maximum(0.0, v * T + v * -dv / (2.0 * np.sqrt(a_max * b)))
+    return a_max * (1.0 - (v / v0) ** 4.0 - (s_star / s) ** 2)
 
 
 def test_equilibrium_spacing_gives_zero_acceleration():
@@ -40,12 +48,13 @@ def test_free_road_limit_and_desired_speed():
 
 
 def test_approach_rate_sign_convention():
-    # dv_approach = v_follower - v_leader. Closing in (positive) must brake
-    # harder than steady following; hand value locks the convention.
+    # dv = v_leader - v_follower, as in the platoon features. Closing in
+    # (negative) must brake harder than steady following; hand value locks
+    # the convention.
     p = idm.IdmParams(v0=30.0, T=1.5, s0=2.0, a_max=1.0, b=2.0)
-    closing = float(_accel(20.0, 50.0, 5.0, p))
+    closing = float(_accel(20.0, 50.0, -5.0, p))
     neutral = float(_accel(20.0, 50.0, 0.0, p))
-    receding = float(_accel(20.0, 50.0, -5.0, p))
+    receding = float(_accel(20.0, 50.0, 5.0, p))
     assert closing < neutral <= receding
     s_star = 2.0 + 20.0 * 1.5 + 20.0 * 5.0 / (2.0 * math.sqrt(2.0))
     expect = 1.0 * (1.0 - (20.0 / 30.0) ** 4 - (s_star / 50.0) ** 2)
@@ -114,6 +123,102 @@ def test_simulation_euler_identities():
     assert np.abs(dx - 0.1 * sim.speeds[:, :-1]).max() < 1e-12
 
 
+_CONTROLLER_STATES = {
+    "float": lambda x: float(x[0, 0]),
+    "vector": lambda x: x[0],
+    "batch": lambda x: x,
+    "live rows": lambda x: x[np.array([True, False, True, True])],
+}
+
+
+@pytest.mark.parametrize("state", sorted(_CONTROLLER_STATES))
+def test_controller_gives_the_formula_bits_on_every_state_shape(state):
+    # datagen steps (N,) states, closed-loop simulation (B, N) states and
+    # their live rows, the hand-value tests floats
+    params = [STD, idm.IdmParams(25.0, 1.6, 3.0, 2.2, 0.7),
+              idm.IdmParams(35.0, 0.8, 1.2, 0.6, 4.1)]
+    rng = np.random.default_rng(4)
+    v, s, dv = (_CONTROLLER_STATES[state](x) for x in (
+        rng.uniform(0.0, 30.0, (4, 3)), rng.uniform(0.5, 60.0, (4, 3)),
+        rng.normal(0.0, 3.0, (4, 3))))
+    got = idm.IdmController(params).accel(0, v, s, dv)
+    genes = np.array([astuple(p) for p in params]).T
+    want = _idm_formula(v, s, dv, *genes)
+    assert got.shape == want.shape == np.broadcast_shapes(np.shape(v), (3,))
+    assert got.tobytes() == want.tobytes()
+
+
+def _reference_platoon(lead, positions, speeds, lengths, params, noise):
+    """``simulate_idm_platoon`` as a plain allocating Euler loop over the
+    published formula: gap form, speeds clamped at zero, the leader stepped
+    by x + DT*v and followers placed behind it by their gaps, truncated
+    before the first non-positive gap. Returns (positions, speeds,
+    collision frame, clamp count)."""
+    genes = np.array([astuple(p) for p in params]).T
+    v = speeds[1:]
+    s = positions[:-1] - lengths[:-1] - positions[1:]
+    x = positions[0]
+    rows, clamps, collision = [], 0, None
+    for k in range(len(lead)):
+        if (s <= 0.0).any():
+            collision = k
+            break
+        rows.append((x, v, s))
+        if k == len(lead) - 1:
+            break
+        dv = np.concatenate(([lead[k]], v[:-1])) - v
+        v = v + data.DT * (_idm_formula(v, s, dv, *genes) + noise[k])
+        clamps += int((v < 0.0).sum())
+        v = np.where(v < 0.0, 0.0, v)
+        s = s + data.DT * dv
+        x = x + data.DT * lead[k]
+    pos = np.empty((len(params) + 1, len(rows)))
+    pos[0] = [r[0] for r in rows]
+    for i in range(len(params)):
+        pos[i + 1] = pos[i] - lengths[i] - np.array([r[2][i] for r in rows])
+    spd = np.vstack([lead[:len(rows)], np.array([r[1] for r in rows]).T])
+    return pos, spd, collision, clamps
+
+
+# (params, leader speeds, initial positions, initial speeds) per case
+_DATAGEN_CASES = {
+    # desired speeds near the driven ones and steps as large as the speeds:
+    # a last-bit change of the law shows in the speeds
+    "creeping": ([idm.IdmParams(3.0, 1.2, 2.0, 4.0, 1.8),
+                  idm.IdmParams(4.0, 1.5, 3.0, 3.5, 2.0)],
+                 1.5 + 0.9 * np.sin(0.1 * np.arange(200)),
+                 [0.0, -12.0, -25.0], [1.5, 0.2, 0.0]),
+    # the leader stops hard and a long jam gap makes the last follower
+    # brake below zero speed
+    "clamped": ([idm.IdmParams(28.0, 1.2, 2.0, 1.4, 1.8),
+                 idm.IdmParams(30.0, 1.5, 6.0, 2.5, 2.0)],
+                np.maximum(8.0 - 0.5 * np.arange(120), 0.0),
+                [0.0, -22.0, -33.0], [8.0, 8.0, 3.0]),
+    # the leader stops dead in front of a follower with a tiny headway
+    "collided": ([idm.IdmParams(30.0, 0.05, 0.2, 1.4, 1.8),
+                  idm.IdmParams(28.0, 1.2, 2.0, 1.4, 1.8)],
+                 np.where(np.arange(60) < 15, 8.0, 0.0),
+                 [0.0, -5.3, -20.0], [8.0, 8.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DATAGEN_CASES))
+def test_datagen_path_is_bit_identical_to_the_allocating_reference(case):
+    params, lead, positions, speeds = _DATAGEN_CASES[case]
+    positions, speeds = np.array(positions), np.array(speeds)
+    lengths = np.array([4.5, 4.7, 4.4])
+    noise = np.random.default_rng(6).normal(0.0, 0.3, (len(lead) - 1, 2))
+    sim = idm.simulate_idm_platoon(lead, positions, speeds, lengths, params,
+                                   noise)
+    pos, spd, collision, clamps = _reference_platoon(
+        lead, positions, speeds, lengths, params, noise)
+    assert sim.collision_frame == collision
+    assert (collision is not None) == (case == "collided")
+    assert clamps > 0 or case != "clamped"
+    assert sim.positions.tobytes() == pos.tobytes()
+    assert sim.speeds.tobytes() == spd.tobytes()
+
+
 def _make_observation(true_params, frames=400, seed=5):
     # Leader explores acceleration, braking, and cruise so each parameter
     # actually shapes the follower's response.
@@ -127,8 +232,8 @@ def _make_observation(true_params, frames=400, seed=5):
         np.full(2, 4.5), [true_params])
     assert sim.collision_frame is None
     return idm.FollowerObservation(
-        lead_positions=sim.positions[0], lead_speeds=sim.speeds[0],
-        lead_length=4.5, positions=sim.positions[1], speeds=sim.speeds[1])
+        lead_speeds=sim.speeds[0], speeds=sim.speeds[1],
+        gaps=sim.positions[0] - 4.5 - sim.positions[1])
 
 
 def test_calibration_deterministic_and_monotone():
@@ -159,27 +264,31 @@ def test_calibration_improves_fit():
 
 
 def test_observation_validation():
-    with pytest.raises(ValueError):
-        idm.FollowerObservation(np.zeros(1), np.zeros(1), 4.5,
-                                np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError):
-        idm.FollowerObservation(np.zeros(5), np.zeros(4), 4.5,
-                                np.zeros(5), np.zeros(5))
+    with pytest.raises(ValueError, match="2 frames"):
+        idm.FollowerObservation(np.zeros(1), np.zeros(1), np.zeros(1))
+    for short in range(3):
+        series = [np.zeros(5), np.zeros(5), np.zeros(5)]
+        series[short] = np.zeros(4)
+        with pytest.raises(ValueError, match="lengths disagree"):
+            idm.FollowerObservation(*series)
 
 
 @pytest.mark.parametrize("name", ["lead_positions", "lead_speeds",
                                   "lead_length", "positions", "speeds"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_observation_rejects_non_finite_fields(name, bad):
-    fields = {"lead_positions": np.arange(5.0) + 20.0,
+    # a bad leader position, leader length or own position reaches the
+    # observation through the gap built from it
+    record = {"lead_positions": np.arange(5.0) + 20.0,
               "lead_speeds": np.full(5, 10.0), "lead_length": 4.5,
               "positions": np.arange(5.0), "speeds": np.full(5, 10.0)}
     if name == "lead_length":
-        fields[name] = bad
+        record[name] = bad
     else:
-        fields[name][2] = bad
-    with pytest.raises(ValueError, match=name):
-        idm.FollowerObservation(**fields)
+        record[name][2] = bad
+    gaps = record["lead_positions"] - record["lead_length"] - record["positions"]
+    with pytest.raises(ValueError, match=name if "speeds" in name else "gaps"):
+        idm.FollowerObservation(record["lead_speeds"], record["speeds"], gaps)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
@@ -187,8 +296,7 @@ def test_observation_rejects_bad_dt(dt):
     # the GA steps every follower at data.DT; an observation takes no step
     # of its own, so no bad one can reach the fit
     with pytest.raises(TypeError, match="dt"):
-        idm.FollowerObservation(np.zeros(5), np.zeros(5), 4.5,
-                                np.zeros(5), np.zeros(5), dt=dt)
+        idm.FollowerObservation(np.zeros(5), np.zeros(5), np.zeros(5), dt=dt)
 
 
 # -- lockstep calibration --------------------------------------------------------
@@ -213,8 +321,8 @@ def _fleet_observation(true_params, frames, seed):
         np.array([lead_v[0], lead_v[0]]), np.full(2, 4.5), [true_params])
     assert sim.collision_frame is None
     return idm.FollowerObservation(
-        lead_positions=sim.positions[0], lead_speeds=sim.speeds[0],
-        lead_length=4.5, positions=sim.positions[1], speeds=sim.speeds[1])
+        lead_speeds=sim.speeds[0], speeds=sim.speeds[1],
+        gaps=sim.positions[0] - 4.5 - sim.positions[1])
 
 
 FLEET = [_fleet_observation(*spec) for spec in _FLEET]
@@ -393,7 +501,7 @@ def test_lockstep_fitness_matches_independent_simulation():
         lengths = np.full(2, 4.5)
         for m in range(0, idm.POPULATION, 7):
             sim = idm.simulate_idm_platoon(
-                obs.lead_speeds, np.array([obs.lead_positions[0], obs.positions[0]]),
+                obs.lead_speeds, np.array([obs.gaps[0] + 4.5, 0.0]),
                 np.array([obs.lead_speeds[0], obs.speeds[0]]), lengths,
                 [idm.IdmParams(*pops[f, m])])
             if sim.collision_frame is not None:
@@ -407,7 +515,7 @@ def test_lockstep_fitness_matches_independent_simulation():
 
 def _reference_fitness(pops, observations):
     """The fitness step as a plain allocating loop: strided gene views,
-    ``_accel_raw`` on the negated dv, a leader-first row copy per step.
+    the published IDM formula, a leader-first row copy per step.
     Returns the flat fitness and the number of speeds clamped at zero."""
     F, M = pops.shape[:2]
     v0, Th, s0, a_max, b = np.moveaxis(pops, -1, 0)[..., None]
@@ -431,7 +539,7 @@ def _reference_fitness(pops, observations):
             row[..., 0] = lead[..., k]
             row[..., 1:] = v
             dv = row[..., :-1] - v
-            v = v + data.DT * idm._accel_raw(v, s, -dv, v0, Th, s0, a_max, b)
+            v = v + data.DT * _idm_formula(v, s, dv, v0, Th, s0, a_max, b)
             neg = v < 0.0
             clamps += int((neg[..., 0] & (collision == T)).sum())
             v[neg] = 0.0
