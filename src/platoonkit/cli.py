@@ -84,6 +84,13 @@ def _positive_float(text):
     return v
 
 
+def _open_unit_float(text):
+    v = float(text)
+    if not 0 < v < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a number in (0, 1)")
+    return v
+
+
 def _at_most(parse, maximum):
     """``parse``, then reject values above ``maximum``; every ``parse``
     rejects ``inf`` itself."""
@@ -166,12 +173,10 @@ def _load_records(path):
 
 
 def _all_windows(records, config, stride):
+    """One ``data.extract_windows`` triple per record, in record order."""
     from . import data
-    windows = []
-    for rec in records:
-        windows.extend(data.extract_windows(
-            rec, config.history_len, config.horizon, stride))
-    return windows
+    return [data.extract_windows(rec, config.history_len, config.horizon,
+                                 stride) for rec in records]
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -213,8 +218,6 @@ def _cmd_train(args) -> int:
         raise CliError(f"bad training config: {exc}") from exc
 
     records = _load_records(args.data)
-    if not 0.0 < args.val_ratio < 1.0:
-        raise CliError(f"--val-ratio must be in (0, 1), got {args.val_ratio}")
     from . import data
     train_recs, val_recs = data.split_dataset(records, args.val_ratio,
                                               tcfg.seed)
@@ -223,7 +226,8 @@ def _cmd_train(args) -> int:
                        f"at --val-ratio {args.val_ratio}")
     train_w = _all_windows(train_recs, config, args.stride)
     val_w = _all_windows(val_recs, config, args.stride)
-    if not train_w or not val_w:
+    n_train, n_val = data.window_count(train_w), data.window_count(val_w)
+    if not n_train or not n_val:
         raise CliError("records are too short for the configured "
                        f"history_len={config.history_len} horizon={config.horizon}")
 
@@ -236,7 +240,7 @@ def _cmd_train(args) -> int:
     _write_manifest(out, "train", {
         "model": asdict(config), "train": asdict(tcfg),
         "stride": args.stride, "val_ratio": args.val_ratio,
-        "train_windows": len(train_w), "val_windows": len(val_w)})
+        "train_windows": n_train, "val_windows": n_val})
     # best_val stays infinite when no epoch completes; JSON has no Infinity
     best_val = result.best_val if math.isfinite(result.best_val) else None
     sys.stdout.write(json.dumps(
@@ -276,7 +280,8 @@ def _cmd_eval(args) -> int:
     from . import analysis, data
     params, config, records = _load_model_and_data(args)
     windows = _all_windows(records, config, args.stride)
-    if not windows:
+    n_windows = data.window_count(windows)
+    if not n_windows:
         raise CliError("no evaluation windows; records are too short")
     pv, ps, tv, ts, bv, bs = _predictions(params, config, windows,
                                           args.batch_size)
@@ -293,7 +298,7 @@ def _cmd_eval(args) -> int:
         improvement[key] = {
             metric: 100.0 * (1.0 - row[metric] / base)
             for metric, base in base_table[key].items() if base > 0}
-    report = {"platoons": len(records), "windows": len(windows),
+    report = {"platoons": len(records), "windows": n_windows,
               "horizons": model_table, "persistence": base_table,
               "improvement_pct": improvement}
     _emit(report, args.out)
@@ -312,12 +317,12 @@ def _cmd_simulate(args) -> int:
     from . import data
     from . import simulate as sim
     params, config, records = _load_model_and_data(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     controller = sim.ModelController(
         params, config, seed=args.seed if args.stochastic else None)
     runs = sim.simulate_platoons(records, controller, warmup_steps=args.warmup,
                                  replan_interval=args.replan)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     summary = {}
     for rec, run in zip(records, runs):
         row = {"viable": run.viable, "collision_frame": run.collision_frame,
@@ -350,32 +355,31 @@ def _cmd_stability(args) -> int:
     from . import autodiff as ad
     from . import network as net
     params, config, records = _load_model_and_data(args)
-    groups = {}     # follower count -> [(record, its first window)]
-    for rec in records:
-        # earliest snapshot only: deterministic and warmup-free
-        windows = data.extract_windows(rec, config.history_len,
-                                       config.horizon, stride=rec.duration)
-        if not windows:
+    # earliest snapshot only: deterministic and warmup-free
+    windows = [data.extract_windows(rec, config.history_len, config.horizon,
+                                    stride=rec.duration) for rec in records]
+    for rec, (history, _, _) in zip(records, windows):
+        if not len(history):
             raise CliError(f"{rec.platoon_id}: too short for a window")
-        groups.setdefault(rec.n_followers, []).append((rec, windows[0]))
+    # one batch per follower count, records in order within it
+    thetas = []
+    with ad.no_grad():
+        for hist, lead, _ in training.make_batches(windows, len(records)):
+            thetas.extend(net.model_forward(params, config, hist, lead).theta.data)
     report = {}
-    for group in groups.values():
-        hist, lead, _ = training.assemble_batch([w for _, w in group])
-        with ad.no_grad():
-            out = net.model_forward(params, config, hist, lead)
-        for (rec, _), theta in zip(group, out.theta.data):
-            spectrum = analysis.head_to_tail_gain(theta)
-            margins = analysis.string_stability_margin(spectrum.theta_used)
-            report[rec.platoon_id] = {
-                "amplified": spectrum.amplified,
-                "peak_gain": spectrum.peak_gain,
-                "peak_omega": spectrum.peak_omega,
-                "min_margin": float(margins.min()),
-                "stable_vehicles": int((margins >= 0.0).sum()),
-                "vehicles": int(margins.shape[0])}
-            if args.spectra is not None:
-                _write_spectrum_csv(Path(args.spectra), rec.platoon_id,
-                                    spectrum)
+    for rec, theta in zip(sorted(records, key=lambda r: r.n_followers), thetas):
+        spectrum = analysis.head_to_tail_gain(theta)
+        margins = analysis.string_stability_margin(spectrum.theta_used)
+        report[rec.platoon_id] = {
+            "amplified": spectrum.amplified,
+            "peak_gain": spectrum.peak_gain,
+            "peak_omega": spectrum.peak_omega,
+            "min_margin": float(margins.min()),
+            "stable_vehicles": int((margins >= 0.0).sum()),
+            "vehicles": int(margins.shape[0])}
+        if args.spectra is not None:
+            _write_spectrum_csv(Path(args.spectra), rec.platoon_id,
+                                spectrum)
     _emit(report, args.out)
     return EXIT_OK
 
@@ -508,9 +512,9 @@ def _build_parser() -> _Parser:
                    help=f"at most {MAX_EPOCHS:g}")
     p.add_argument("--batch-size", type=_positive_int)
     p.add_argument("--lr", type=_positive_float)
-    p.add_argument("--alpha-kl", type=float)
+    p.add_argument("--alpha-kl", type=_non_negative_float)
     p.add_argument("--seed", type=_non_negative_int)
-    p.add_argument("--val-ratio", type=float, default=0.1)
+    p.add_argument("--val-ratio", type=_open_unit_float, default=0.1)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_train)
 

@@ -12,7 +12,9 @@ The sampling interval is ``DT`` = 0.1 s (``dynamics.DT``), a format
 constant not stored in the file. A ``PlatoonRecord`` holds one platoon in the
 same layout: leader-first (V, T) positions and speeds and (V,) lengths.
 Window extraction and closed-loop replanning build model inputs with
-``features``.
+``features``. ``extract_windows`` returns all windows of one record as three
+arrays with the window index first: (W, N, P, 3) histories, (W, F) leader
+futures and (W, N, F, 2) targets.
 """
 
 from __future__ import annotations
@@ -314,42 +316,26 @@ def load_trajectories(path, rejects: Optional[list] = None) -> list:
 
 # -- windowing -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateWindow:
-    """History block plus the ground truth needed to score a prediction.
-
-    ``history``: (N, P, 3) follower features [speed, gap, rel_speed] ending at
-    the anchor frame t. ``lead_future``: (F,) leader speeds at t+1..t+F.
-    ``targets``: (N, F, 2) follower [speed, gap] at t+1..t+F.
-    """
-
-    platoon_id: str
-    anchor: int
-    history: np.ndarray
-    lead_future: np.ndarray
-    targets: np.ndarray
-
-
 def extract_windows(record: PlatoonRecord, history_len: int, horizon: int,
-                    stride: int = 1) -> list:
+                    stride: int = 1) -> tuple:
+    """The windows starting at frames 0, stride, 2*stride, ... as (history,
+    lead_future, targets): (W, N, P, 3) follower features over P =
+    ``history_len`` frames, then (W, F) leader speeds and (W, N, F, 2)
+    follower [speed, gap] over the F = ``horizon`` frames after them. A
+    record shorter than P + F frames has W = 0."""
     if history_len < 1 or horizon < 1 or stride < 1:
         raise ValueError("history_len, horizon, stride must be >= 1")
     P, F = history_len, horizon
-    T = record.duration
-    if T < P + F:
-        return []
-    feats = features(record.speeds, record.gaps())     # (N, T, 3)
-    lead_speed = record.speeds[0]
-    windows = []
-    for start in range(0, T - (P + F) + 1, stride):
-        anchor = start + P - 1
-        future = slice(anchor + 1, anchor + 1 + F)
-        windows.append(StateWindow(
-            record.platoon_id, anchor,
-            np.ascontiguousarray(feats[:, start:start + P, :]),
-            lead_speed[future].copy(),
-            np.ascontiguousarray(feats[:, future, :2])))
-    return windows
+    starts = np.arange(0, record.duration - (P + F) + 1, stride)[:, None]
+    past, future = starts + np.arange(P), starts + P + np.arange(F)
+    feats = features(record.speeds, record.gaps()).swapaxes(0, 1)  # (T, N, 3)
+    return (feats[past].swapaxes(1, 2).copy(), record.speeds[0][future],
+            feats[future, :, :2].swapaxes(1, 2).copy())
+
+
+def window_count(windows) -> int:
+    """Number of windows in a list of ``extract_windows`` triples."""
+    return sum(len(history) for history, _, _ in windows)
 
 
 def split_dataset(records: Sequence[PlatoonRecord], val_ratio: float,

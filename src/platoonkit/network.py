@@ -187,10 +187,11 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 
 
 def fit_normalization(windows) -> tuple:
-    """Per-feature mean/std over all history entries of the given windows."""
-    if not windows:
+    """Per-feature mean/std over all history entries of a list of
+    ``data.extract_windows`` triples."""
+    if not any(len(history) for history, _, _ in windows):
         raise ValueError("cannot fit normalization on an empty window list")
-    flat = np.concatenate([w.history.reshape(-1, 3) for w in windows], axis=0)
+    flat = np.concatenate([history.reshape(-1, 3) for history, _, _ in windows])
     mean = _q32(flat.mean(axis=0))
     std = _q32(np.maximum(flat.std(axis=0), NORM_STD_FLOOR))
     return mean, std

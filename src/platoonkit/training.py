@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import data
 from . import network as net
 
 ADAM_BETA1 = 0.9
@@ -239,33 +240,23 @@ def load_checkpoint(path: str):
 
 # -- batching ---------------------------------------------------------------------
 
-def assemble_batch(windows):
-    """Stack same-vehicle-count windows into (hist, lead, targets) arrays."""
-    hist = np.stack([w.history for w in windows])
-    lead = np.stack([w.lead_future for w in windows])
-    targets = np.stack([w.targets for w in windows])
-    return hist, lead, targets
-
-
 def make_batches(windows, batch_size: int, rng=None):
-    """Group windows by vehicle count, optionally shuffle, emit batches."""
+    """Batches (hist, lead, targets) from a list of window triples, as
+    ``data.extract_windows`` returns them: windows are grouped by vehicle
+    count, each group in list order and, given ``rng``, permuted."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     groups = {}
-    for w in windows:
-        groups.setdefault(w.history.shape[0], []).append(w)
+    for triple in windows:
+        groups.setdefault(triple[0].shape[1], []).append(triple)
     batches = []
     for n in sorted(groups):
-        group = groups[n]
-        order = rng.permutation(len(group)) if rng is not None else range(len(group))
-        chunk = []
-        for i in order:
-            chunk.append(group[i])
-            if len(chunk) == batch_size:
-                batches.append(assemble_batch(chunk))
-                chunk = []
-        if chunk:
-            batches.append(assemble_batch(chunk))
+        arrays = [np.concatenate(parts) for parts in zip(*groups[n])]
+        count = len(arrays[0])
+        order = rng.permutation(count) if rng is not None else np.arange(count)
+        for lo in range(0, count, batch_size):
+            rows = order[lo:lo + batch_size]
+            batches.append(tuple(a[rows] for a in arrays))
     return batches
 
 
@@ -305,9 +296,8 @@ class TrainResult:
 
 
 def _eval_windows(params, config, windows, batch_size):
-    """Deterministic losses over a window list; means weighted by window count."""
+    """Deterministic losses over window triples, weighted by window count."""
     sums = np.zeros(3)
-    count = 0
     with ad.no_grad():
         for hist, lead, targets in make_batches(windows, batch_size):
             out = net.model_forward(params, config, hist, lead)
@@ -315,8 +305,7 @@ def _eval_windows(params, config, windows, batch_size):
             kl = kl_loss(out.mu, out.logvar)
             b = hist.shape[0]
             sums += b * np.array([l_v.data, l_s.data, kl.data])
-            count += b
-    return sums / count
+    return sums / data.window_count(windows)
 
 
 def train(params: net.ModelParams, config: net.ModelConfig,
@@ -330,9 +319,10 @@ def train(params: net.ModelParams, config: net.ModelConfig,
     "aborted_non_finite"; ``abort_reason`` names the epoch, the batch index
     within it and the cause.
     """
-    if not train_windows:
+    n_train = data.window_count(train_windows)
+    if not n_train:
         raise ValueError("no training windows")
-    if not val_windows:
+    if not data.window_count(val_windows):
         raise ValueError("no validation windows")
     opt = Adam(params.weights, tcfg.lr)
     epoch_seeds = np.random.SeedSequence(tcfg.seed).spawn(tcfg.epochs)
@@ -348,7 +338,6 @@ def train(params: net.ModelParams, config: net.ModelConfig,
         weights_vs = dwa_weights(task_history)
         snap = opt.snapshot()
         sums = np.zeros(3)
-        seen = 0
         for batch, (hist, lead, targets) in enumerate(
                 make_batches(train_windows, tcfg.batch_size, rng)):
             b, n = hist.shape[0], hist.shape[1]
@@ -364,12 +353,11 @@ def train(params: net.ModelParams, config: net.ModelConfig,
                 abort_reason = f"epoch {epoch} batch {batch}: {exc}"
                 break
             sums += b * np.array([l_v.data, l_s.data, kl.data])
-            seen += b
         if abort_reason is not None:
             opt.restore(snap)
             status = "aborted_non_finite"
             break
-        train_means = sums / seen
+        train_means = sums / n_train
         task_history.append((train_means[0], train_means[1]))
         val = _eval_windows(params, config, val_windows, tcfg.batch_size)
         val_loss = val[0] + val[1] + tcfg.alpha_kl * val[2]

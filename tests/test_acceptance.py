@@ -27,11 +27,8 @@ def _report(capsys, num, name, ok, detail):
 
 
 def _windows(records, config, stride):
-    out = []
-    for rec in records:
-        out.extend(data.extract_windows(rec, config.history_len,
-                                        config.horizon, stride))
-    return out
+    return [data.extract_windows(rec, config.history_len, config.horizon,
+                                 stride) for rec in records]
 
 
 # -- shared trained model for criteria 5 and 9 ---------------------------------------
@@ -162,9 +159,9 @@ def test_criterion_04_overfit(capsys):
     config = net.desk_config()
     rec = data.generate_synthetic_platoons(1, n_followers=2,
                                            duration_s=6.0, seed=7)[0]
-    wins = data.extract_windows(rec, config.history_len, config.horizon,
-                                stride=7)[:8]
-    assert len(wins) == 8
+    wins = [tuple(a[:8] for a in data.extract_windows(
+        rec, config.history_len, config.horizon, stride=7))]
+    assert data.window_count(wins) == 8
     params = net.init_params(config, seed=0)
     params.norm_mean, params.norm_std = net.fit_normalization(wins)
     tcfg = training.TrainConfig(epochs=200, batch_size=8, lr=3e-3,

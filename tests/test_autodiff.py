@@ -692,13 +692,14 @@ def test_primitive_cases_match_the_ops_of_a_training_step(monkeypatch):
 
     monkeypatch.setattr(ad.Tape, "trace", classmethod(spy))
     cfg = net.desk_config()
-    windows = [w for rec in data.generate_synthetic_platoons(
-                   2, n_followers=2, duration_s=1.5, seed=3)
-               for w in data.extract_windows(rec, cfg.history_len, cfg.horizon, 5)]
+    windows = [data.extract_windows(rec, cfg.history_len, cfg.horizon, 5)
+               for rec in data.generate_synthetic_platoons(
+                   2, n_followers=2, duration_s=1.5, seed=3)]
     params = net.init_params(cfg)
     params.norm_mean, params.norm_std = net.fit_normalization(windows)
     training.train(params, cfg, windows, windows,
-                   training.TrainConfig(epochs=1, batch_size=len(windows)))
+                   training.TrainConfig(epochs=1,
+                                        batch_size=data.window_count(windows)))
     assert len(tapes) == 1
     model_ops = _recorded_ops(tapes[0])
 

@@ -315,10 +315,10 @@ def test_negative_seed_is_usage_error_naming_the_flag(capsys, tmp_path, command)
     assert not out.exists()
 
 
-# --lr is a positive float flag, so 0 stops at parse time; through --config
-# the same value reaches TrainConfig
+# --lr and --alpha-kl are checked at parse time, so 0 and -5 stop there;
+# through --config the same values reach TrainConfig
 @pytest.mark.parametrize("extra, train_cfg, code, named, other", [
-    (["--alpha-kl", "-5"], None, 2, "alpha_kl must be >= 0, got -5.0", "lr"),
+    (["--alpha-kl", "-5"], None, 1, "--alpha-kl", "lr"),
     (["--lr", "0"], None, 1, "--lr", "alpha"),
     ([], {"lr": 0}, 2, "lr must be > 0, got 0", "alpha"),
     ([], {"alpha_kl": -5}, 2, "alpha_kl must be >= 0, got -5", "lr")])
@@ -334,6 +334,28 @@ def test_train_config_error_names_only_the_field_at_fault(
     assert got == code and named in err and other not in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha-kl", "nan"), ("--alpha-kl", "inf"), ("--alpha-kl", "-inf"),
+    ("--val-ratio", "nan"), ("--val-ratio", "inf"), ("--val-ratio", "-inf"),
+    ("--val-ratio", "0"), ("--val-ratio", "1"), ("--val-ratio", "-0.5"),
+    ("--val-ratio", "1.5")])
+def test_train_fraction_and_weight_flags_are_checked_at_parse_time(
+        capsys, tmp_path, flag, value):
+    out = tmp_path / "o"
+    code, _, err = _run(capsys, ["train", "--data", str(tmp_path / "d"),
+                                 "--out", str(out), f"{flag}={value}"])
+    assert code == 1 and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_flag_bounds_are_open_for_val_ratio_and_closed_for_alpha_kl():
+    parser = cli._build_parser()
+    argv = ["train", "--data", "d", "--out", "o"]
+    assert parser.parse_args(argv + ["--alpha-kl", "0"]).alpha_kl == 0.0
+    assert parser.parse_args(argv + ["--val-ratio", "0.999"]).val_ratio == 0.999
+    assert parser.parse_args(argv).val_ratio == 0.1
 
 
 # -- train / eval ---------------------------------------------------------------------
@@ -550,6 +572,17 @@ def simdir(tmp_path_factory, checkpoint, corpus):
                          "--data", str(corpus), "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.mark.parametrize("flag", ["--warmup", "--replan"])
+def test_simulate_refused_run_leaves_no_out_directory(checkpoint, corpus, capsys,
+                                                      tmp_path, flag):
+    out = tmp_path / "sim"
+    code, _, err = _run(capsys, ["simulate", "--checkpoint", str(checkpoint),
+                                 "--data", str(corpus), "--out", str(out),
+                                 flag, "100000000000000000000"])
+    assert code == 2 and "Traceback" not in err and "error:" in err
+    assert not out.exists()
 
 
 def test_simulate_outputs(simdir, capsys):

@@ -42,7 +42,9 @@ def test_window_counts():
                               for i in range(2)])
         rec = data.PlatoonRecord("w", positions, np.full((2, T), 10.0),
                                  np.full(2, 4.0))
-        return len(data.extract_windows(rec, 21, 20, stride))
+        history, lead, targets = data.extract_windows(rec, 21, 20, stride)
+        assert len(lead) == len(targets) == len(history)
+        return len(history)
 
     assert count(150) == 110
     assert count(40) == 0
@@ -52,18 +54,118 @@ def test_window_counts():
 
 def test_window_contents_align_with_record():
     rec = _tiny_record(T=12)
-    wins = data.extract_windows(rec, history_len=4, horizon=3, stride=2)
-    assert len(wins) == (12 - 7) // 2 + 1
-    w = wins[1]
-    assert w.anchor == 2 + 4 - 1
+    history, lead, targets = data.extract_windows(rec, history_len=4,
+                                                  horizon=3, stride=2)
+    assert len(history) == (12 - 7) // 2 + 1
+    # row 1 starts at frame 1 * stride and has its anchor at 2 + 4 - 1
     spd = rec.speeds
     gaps = rec.gaps()
-    assert np.array_equal(w.history[:, :, 0], spd[1:, 2:6])
-    assert np.array_equal(w.history[:, :, 1], gaps[:, 2:6])
-    assert np.array_equal(w.history[:, :, 2], spd[:-1, 2:6] - spd[1:, 2:6])
-    assert np.array_equal(w.lead_future, spd[0, 6:9])
-    assert np.array_equal(w.targets[:, :, 0], spd[1:, 6:9])
-    assert np.array_equal(w.targets[:, :, 1], gaps[:, 6:9])
+    assert np.array_equal(history[1, :, :, 0], spd[1:, 2:6])
+    assert np.array_equal(history[1, :, :, 1], gaps[:, 2:6])
+    assert np.array_equal(history[1, :, :, 2], spd[:-1, 2:6] - spd[1:, 2:6])
+    assert np.array_equal(lead[1], spd[0, 6:9])
+    assert np.array_equal(targets[1, :, :, 0], spd[1:, 6:9])
+    assert np.array_equal(targets[1, :, :, 1], gaps[:, 6:9])
+
+
+def _reference_windows(rec, P, F, stride):
+    """Per-window (history, lead_future, targets), sliced from
+    ``data.features`` one window at a time."""
+    feats = data.features(rec.speeds, rec.gaps())
+    return [(feats[:, t:t + P], rec.speeds[0, t + P:t + P + F],
+             feats[:, t + P:t + P + F, :2])
+            for t in range(0, rec.duration - (P + F) + 1, stride)]
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def _stacked(windows, P, F, n):
+    """The windows of ``_reference_windows`` stacked, or empty arrays of the
+    triple's shapes when there are none."""
+    if not windows:
+        return (np.empty((0, n, P, 3)), np.empty((0, F)),
+                np.empty((0, n, F, 2)))
+    return tuple(np.stack(parts) for parts in zip(*windows))
+
+
+@pytest.mark.parametrize("T, stride, W", [
+    (40, 1, 29), (40, 3, 10), (12, 1, 1), (12, 5, 1), (11, 1, 0), (3, 2, 0)])
+def test_windows_equal_the_per_window_reference(T, stride, W):
+    # T = 12 is exactly P + F frames: one window; shorter records have none
+    P, F = 5, 7
+    rec = data.generate_synthetic_platoons(1, n_followers=3, duration_s=T / 10,
+                                           seed=4)[0]
+    assert rec.duration == T
+    got = data.extract_windows(rec, P, F, stride)
+    want = _stacked(_reference_windows(rec, P, F, stride), P, F, 3)
+    assert len(got) == 3 and len(got[0]) == W
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
+def _mixed_corpus():
+    # follower counts 3, 2, 3, 2, 3 and 4; the third and the last records are
+    # too short for a window, so no window has 4 followers
+    counts = (3, 2, 3, 2, 3, 4)
+    durations = (3.0, 2.5, 0.9, 2.0, 2.2, 0.5)
+    return [data.generate_synthetic_platoons(1, n_followers=n, duration_s=d,
+                                             seed=i)[0]
+            for i, (n, d) in enumerate(zip(counts, durations))]
+
+
+def _reference_batches(windows, batch_size, rng=None):
+    """Per-window batching: group by vehicle count in ascending order, keep
+    list order within a group, optionally permute it, stack chunks."""
+    groups = {}
+    for w in windows:
+        groups.setdefault(w[0].shape[0], []).append(w)
+    batches = []
+    for n in sorted(groups):
+        group = groups[n]
+        if rng is not None:
+            group = [group[i] for i in rng.permutation(len(group))]
+        for lo in range(0, len(group), batch_size):
+            batches.append(tuple(np.stack(parts)
+                                 for parts in zip(*group[lo:lo + batch_size])))
+    return batches
+
+
+@pytest.mark.parametrize("seed", [None, 0, 11])
+@pytest.mark.parametrize("batch_size", [1, 4, 64])
+def test_batches_of_a_mixed_corpus_equal_the_reference(seed, batch_size):
+    from platoonkit import training
+    P, F, stride = 6, 4, 2
+    records = _mixed_corpus()
+    triples = [data.extract_windows(rec, P, F, stride) for rec in records]
+    assert [len(h) for h, _, _ in triples] == [11, 8, 0, 6, 7, 0]
+    reference = [w for rec in records
+                 for w in _reference_windows(rec, P, F, stride)]
+    rngs = [None if seed is None else np.random.default_rng(seed)
+            for _ in range(2)]
+    got = training.make_batches(triples, batch_size, rngs[0])
+    want = _reference_batches(reference, batch_size, rngs[1])
+    assert isinstance(got, list) and len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            _assert_same_bits(a, b)
+    if seed is not None:    # the same draws, no more
+        assert rngs[0].random() == rngs[1].random()
+
+
+def test_normalization_of_a_mixed_corpus_equals_the_reference():
+    from platoonkit import network as net
+    P, F, stride = 6, 4, 1
+    records = _mixed_corpus()
+    triples = [data.extract_windows(rec, P, F, stride) for rec in records]
+    flat = np.concatenate([w[0].reshape(-1, 3) for rec in records
+                           for w in _reference_windows(rec, P, F, stride)])
+    mean, std = net.fit_normalization(triples)
+    _assert_same_bits(mean, net._q32(flat.mean(axis=0)))
+    _assert_same_bits(std, net._q32(np.maximum(flat.std(axis=0),
+                                               net.NORM_STD_FLOOR)))
 
 
 def test_split_counts_and_partition():

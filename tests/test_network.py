@@ -658,20 +658,18 @@ class TestNormalization:
         cfg = _tiny_config()
         rng = np.random.default_rng(14)
 
-        class W:
-            def __init__(self, h):
-                self.history = h
-
-        wins = [W(rng.normal(5.0, 2.0, size=(3, cfg.history_len, 3)))
-                for _ in range(4)]
+        wins = [(rng.normal(5.0, 2.0, size=(w, 3, cfg.history_len, 3)), None, None)
+                for w in (1, 3, 0, 2)]
         mean, std = net.fit_normalization(wins)
-        flat = np.concatenate([w.history.reshape(-1, 3) for w in wins])
+        flat = np.concatenate([h.reshape(-1, 3) for h, _, _ in wins])
         np.testing.assert_allclose(mean, flat.mean(axis=0), rtol=1e-6)
         np.testing.assert_allclose(std, flat.std(axis=0), rtol=1e-6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             net.fit_normalization([])
+        with pytest.raises(ValueError, match="empty"):
+            net.fit_normalization([(np.empty((0, 2, 6, 3)), None, None)])
 
     def test_magnitude_warning(self, caplog):
         cfg = _tiny_config()

@@ -60,16 +60,17 @@ def test_every_model_stage_span_opens_and_owns_its_nodes():
     from platoonkit import data, network, training
     tracer = _load_tracer()
     cfg = network.desk_config()
-    windows = [w for rec in data.generate_synthetic_platoons(
-                   1, n_followers=2, duration_s=1.5, seed=3)
-               for w in data.extract_windows(rec, cfg.history_len, cfg.horizon, 5)]
+    windows = [data.extract_windows(rec, cfg.history_len, cfg.horizon, 5)
+               for rec in data.generate_synthetic_platoons(
+                   1, n_followers=2, duration_s=1.5, seed=3)]
     params = network.init_params(cfg)
     params.norm_mean, params.norm_std = network.fit_normalization(windows)
     t = tracer.Tracer()
     t.install("step")
     try:
         training.train(params, cfg, windows, windows,
-                       training.TrainConfig(epochs=1, batch_size=len(windows)))
+                       training.TrainConfig(epochs=1,
+                                            batch_size=data.window_count(windows)))
     finally:
         t.uninstall()
     opened = {span[0] for span in t.spans}

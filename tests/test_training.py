@@ -29,14 +29,14 @@ def _tiny_config(**over):
     return net.ModelConfig(**base)
 
 
-def _windows(cfg, n_platoons=3, seed=5):
+def _windows(cfg, rows=slice(None), n_platoons=3, seed=5):
+    """Windows ``rows`` of a small two-follower corpus, taken in record
+    order, as a list of one triple."""
     records = data.generate_synthetic_platoons(
         n_platoons, n_followers=2, duration_s=10.0, seed=seed)
-    wins = []
-    for rec in records:
-        wins.extend(data.extract_windows(rec, cfg.history_len, cfg.horizon,
-                                         stride=4))
-    return wins
+    triples = [data.extract_windows(rec, cfg.history_len, cfg.horizon,
+                                    stride=4) for rec in records]
+    return [tuple(np.concatenate(parts)[rows] for parts in zip(*triples))]
 
 
 class TestLosses:
@@ -283,9 +283,8 @@ class TestCheckpoints:
 class TestBatching:
     def test_groups_never_mix_vehicle_counts(self):
         def win(n):
-            return SimpleNamespace(history=np.zeros((n, 6, 3)),
-                                   lead_future=np.zeros(4),
-                                   targets=np.zeros((n, 4, 2)))
+            return (np.zeros((1, n, 6, 3)), np.zeros((1, 4)),
+                    np.zeros((1, n, 4, 2)))
         wins = [win(2), win(3), win(2), win(3), win(2)]
         batches = tr.make_batches(wins, batch_size=2)
         counts = sorted(b[0].shape[:2] for b in batches)
@@ -293,9 +292,8 @@ class TestBatching:
 
     def test_shuffle_is_deterministic(self):
         def win(tag):
-            h = np.full((2, 6, 3), float(tag))
-            return SimpleNamespace(history=h, lead_future=np.zeros(4),
-                                   targets=np.zeros((2, 4, 2)))
+            return (np.full((1, 2, 6, 3), float(tag)), np.zeros((1, 4)),
+                    np.zeros((1, 2, 4, 2)))
         wins = [win(i) for i in range(7)]
         a = tr.make_batches(wins, 3, np.random.default_rng(0))
         b = tr.make_batches(wins, 3, np.random.default_rng(0))
@@ -371,10 +369,11 @@ class TestTrainingStepGraph:
 class TestTrainLoop:
     def test_runs_and_logs_deterministically(self, tmp_path):
         cfg = _tiny_config()
-        wins = _windows(cfg)
-        assert len(wins) >= 8
-        split = max(2, len(wins) // 5)
-        val, train_w = wins[:split], wins[split:]
+        count = data.window_count(_windows(cfg))
+        assert count >= 8
+        split = max(2, count // 5)
+        val = _windows(cfg, slice(None, split))
+        train_w = _windows(cfg, slice(split, None))
         results = []
         logs = []
         for _ in range(2):
@@ -400,7 +399,7 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_small_problem(self):
         cfg = _tiny_config()
-        wins = _windows(cfg)[:2]
+        wins = _windows(cfg, slice(None, 2))
         params = net.init_params(cfg, seed=2)
         params.norm_mean, params.norm_std = net.fit_normalization(wins)
         res = tr.train(params, cfg, wins, wins,
@@ -410,7 +409,7 @@ class TestTrainLoop:
 
     def test_non_finite_loss_aborts_and_restores(self):
         cfg = _tiny_config()
-        wins = _windows(cfg)[:4]
+        wins = _windows(cfg, slice(None, 4))
         params = net.init_params(cfg, seed=3)
         params.norm_mean, params.norm_std = net.fit_normalization(wins)
         before = {k: t.data.copy() for k, t in params.weights.items()}
@@ -423,7 +422,7 @@ class TestTrainLoop:
 
     def test_abort_names_epoch_batch_and_cause(self, monkeypatch):
         cfg = _tiny_config()
-        wins = _windows(cfg)[:4]
+        wins = _windows(cfg, slice(None, 4))
         params = net.init_params(cfg, seed=3)
         params.norm_mean, params.norm_std = net.fit_normalization(wins)
         forward, calls = net.model_forward, []
@@ -447,4 +446,9 @@ class TestTrainLoop:
         cfg = _tiny_config()
         params = net.init_params(cfg, seed=0)
         with pytest.raises(ValueError, match="training"):
-            tr.train(params, cfg, [], [SimpleNamespace()], tr.TrainConfig())
+            tr.train(params, cfg, [], _windows(cfg), tr.TrainConfig())
+        # records too short for a window give triples with no rows
+        empty = _windows(cfg, slice(0))
+        assert data.window_count(empty) == 0
+        with pytest.raises(ValueError, match="validation"):
+            tr.train(params, cfg, _windows(cfg), empty, tr.TrainConfig())
