@@ -33,6 +33,8 @@ MAX_NOISE_SIGMA = 10.0       # m/s^2 of acceleration noise, about 1 g
 MAX_DURATION_S = 3600.0
 MAX_BUDGET = 10_000
 MAX_EPOCHS = 10_000          # TrainConfig's bound too, so --config obeys it
+MAX_STRIDE = 1_000_000       # frames between windows, about 28 h at 0.1 s
+MAX_THREADS = 1_024          # written to the BLAS thread pool variables
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -233,6 +235,9 @@ def _cmd_train(args) -> int:
 
     params = net.init_params(config, seed=tcfg.seed)
     params.norm_mean, params.norm_std = net.fit_normalization(train_w)
+    # train groups the windows by vehicle count; grouping them here instead
+    # lets the per-record triples go before training starts
+    train_w, val_w = training.group_windows(train_w), training.group_windows(val_w)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = training.train(params, config, train_w, val_w, tcfg,
@@ -486,8 +491,9 @@ def _cmd_gradcheck(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="platoonkit",
                      description="platoon car-following toolkit")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="BLAS thread cap; determinism needs 1")
+    parser.add_argument("--threads", type=_at_most(_positive_int, MAX_THREADS),
+                        default=1, help="BLAS thread cap, at most "
+                        f"{MAX_THREADS:g}; determinism needs 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate a synthetic platoon corpus")
@@ -515,7 +521,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha-kl", type=_non_negative_float)
     p.add_argument("--seed", type=_non_negative_int)
     p.add_argument("--val-ratio", type=_open_unit_float, default=0.1)
-    p.add_argument("--stride", type=_positive_int, default=1)
+    p.add_argument("--stride", type=_at_most(_positive_int, MAX_STRIDE),
+                   default=1, help=f"frames, at most {MAX_STRIDE:g}")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("eval", help="open-loop horizon metrics vs persistence")
@@ -523,7 +530,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.add_argument("--batch-size", type=_positive_int, default=64)
-    p.add_argument("--stride", type=_positive_int, default=1)
+    p.add_argument("--stride", type=_at_most(_positive_int, MAX_STRIDE),
+                   default=1, help=f"frames, at most {MAX_STRIDE:g}")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("simulate", help="closed-loop re-simulation of platoons")

@@ -41,6 +41,10 @@ log = logging.getLogger(__name__)
 
 NORM_STD_FLOOR = 1e-6
 EMBED_MAGNITUDE_WARN = 100.0
+# size bounds of a ModelConfig: learnable weights (the default has 245,635),
+# and frames in one window, history and horizon together
+MAX_WEIGHTS = 50_000_000
+MAX_WINDOW = 10_000
 
 
 def check_field_types(config) -> None:
@@ -92,6 +96,20 @@ class ModelConfig:
         if self.d_model % self.attn_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by {self.attn_heads} heads")
+        window = self.history_len + self.horizon
+        if window > MAX_WINDOW:
+            raise ValueError(f"history_len + horizon must be <= {MAX_WINDOW}, "
+                             f"got {window}")
+        # the attention stacks are counted first, so that a huge attn_layers
+        # is refused before weight_shapes lists its layers one by one
+        layer = sum(math.prod(s) for _, s in _attn_layer_shapes("", self.d_model))
+        count = 2 * self.attn_layers * layer
+        if count <= MAX_WEIGHTS:
+            count = sum(math.prod(s) for s in weight_shapes(self).values())
+        if count > MAX_WEIGHTS:
+            raise ValueError(
+                f"d_model, n_state, conv_kernel, ve_hidden and attn_layers give "
+                f"more than {MAX_WEIGHTS:g} weights (at least {count:.3g})")
 
     @property
     def n_param_steps(self) -> int:
@@ -142,17 +160,19 @@ def weight_shapes(config: ModelConfig) -> "OrderedDict[str, tuple]":
     ])
     for prefix in ("pfl", "dec"):
         for i in range(config.attn_layers):
-            base = f"{prefix}.{i}"
-            for name in ("q", "k", "v", "o"):
-                shapes[f"{base}.attn.{name}.w"] = (d, d)
-            shapes.update([
-                (f"{base}.ln1.g", (d,)), (f"{base}.ln1.b", (d,)),
-                (f"{base}.ff.w1", (d, 4 * d)), (f"{base}.ff.b1", (4 * d,)),
-                (f"{base}.ff.w2", (4 * d, d)), (f"{base}.ff.b2", (d,)),
-                (f"{base}.ln2.g", (d,)), (f"{base}.ln2.b", (d,))])
+            shapes.update(_attn_layer_shapes(f"{prefix}.{i}", d))
     shapes["dec.head.w"] = (d, 3)
     shapes["dec.head.b"] = (3,)
     return shapes
+
+
+def _attn_layer_shapes(base: str, d: int) -> list:
+    """(name, shape) of one attention layer's weights, PFL's or NARP's."""
+    return [*((f"{base}.attn.{name}.w", (d, d)) for name in ("q", "k", "v", "o")),
+            (f"{base}.ln1.g", (d,)), (f"{base}.ln1.b", (d,)),
+            (f"{base}.ff.w1", (d, 4 * d)), (f"{base}.ff.b1", (4 * d,)),
+            (f"{base}.ff.w2", (4 * d, d)), (f"{base}.ff.b2", (d,)),
+            (f"{base}.ln2.g", (d,)), (f"{base}.ln2.b", (d,))]
 
 
 def _initial_value(name: str, shape: tuple, rng) -> np.ndarray:
@@ -254,10 +274,12 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     is y_t = sum_s C_t h + D u_t. Zero initial state. Returns (y, vjp): with
     ``keep_states`` the state history is kept and vjp(g) returns the
     gradients of the six inputs; otherwise vjp is None and only one row
-    block's buffers are allocated besides y. Both sums over s are stacked
-    matmuls, one matrix per row: the injection B_t (delta u_t) is a K=1 outer
-    product and sum_s C_t h a (1, S) @ (S, C) product, so each row's bits do
-    not depend on the batch it runs in.
+    block's buffers are allocated besides y. The two per-step outer products,
+    the injection B_t (delta u_t) and the decay exponent delta_t A, are
+    einsums with no summed index (one rounding per element, and +0.0 for a
+    -0.0 product, as a K=1 matmul gives). The readout sum_s C_t h is a stacked
+    (1, S) @ (S, C) matmul, one matrix per row, so each row's bits do not
+    depend on the batch it runs in.
 
     The history is time-major, (T, rows, S, C), so one step of one row block
     is a contiguous slab. The VJP runs the reverse recurrence over the same
@@ -284,7 +306,7 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     B2, C2 = b_seq.reshape(R, T, S), c_seq.reshape(R, T, S)
     h = None if keep_states else np.empty((rows, S, C))
     work = np.empty((rows, S, C))          # the decay, then the injection
-    du, ch = np.empty((rows, 1, C)), np.empty((rows, 1, C))
+    du, ch = np.empty((rows, C)), np.empty((rows, 1, C))
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in blocks:
             n = blk.stop - blk.start
@@ -292,16 +314,16 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
             w, du_b, ch_b = work[:n], du[:n], ch[:n]
             np.multiply(d_gain, Ub, out=yb)
             for t in range(T):
-                dt_t = DTb[:, t, None, :]                    # (n, 1, C)
-                np.multiply(dt_t, Ub[:, t, None, :], out=du_b)
+                dt_t = DTb[:, t]                             # (n, C)
+                np.multiply(dt_t, Ub[:, t], out=du_b)
                 h_t = H[t, blk] if keep_states else h[:n]
                 if t == 0:
-                    np.matmul(Bb[:, t, :, None], du_b, out=h_t)
+                    np.einsum("rs,rc->rsc", Bb[:, t], du_b, out=h_t)
                 else:
-                    np.multiply(dt_t, a_t, out=w)
+                    np.einsum("rc,sc->rsc", dt_t, a_t, out=w)
                     np.exp(w, out=w)
                     np.multiply(w, h_prev, out=h_t)
-                    np.matmul(Bb[:, t, :, None], du_b, out=w)
+                    np.einsum("rs,rc->rsc", Bb[:, t], du_b, out=w)
                     h_t += w
                 # y_t = sum_s C_t h + D u_t
                 np.matmul(Cb[:, t, None, :], h_t, out=ch_b)
@@ -338,7 +360,7 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
                 if t == 0:
                     break
                 # decay_t = exp(delta_t A) multiplies h_{t-1}
-                np.multiply(dt_t[:, None, :], a_t, out=dgh)
+                np.einsum("rc,sc->rsc", dt_t, a_t, out=dgh)
                 np.exp(dgh, out=dgh)
                 np.multiply(gh, H[t - 1, blk], out=q)
                 q *= dgh                # gradient of delta_t A

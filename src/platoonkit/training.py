@@ -240,18 +240,27 @@ def load_checkpoint(path: str):
 
 # -- batching ---------------------------------------------------------------------
 
-def make_batches(windows, batch_size: int, rng=None):
-    """Batches (hist, lead, targets) from a list of window triples, as
-    ``data.extract_windows`` returns them: windows are grouped by vehicle
-    count, each group in list order and, given ``rng``, permuted."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+def group_windows(windows) -> list:
+    """One window triple per vehicle count, in ascending count, from a list
+    of triples as ``data.extract_windows`` returns them: each count's windows
+    concatenated in list order. A list that holds one triple per count is
+    returned as it is, with no copy."""
     groups = {}
     for triple in windows:
         groups.setdefault(triple[0].shape[1], []).append(triple)
+    return [tuple(parts[0] if len(parts) == 1 else np.concatenate(parts)
+                  for parts in zip(*groups[n])) for n in sorted(groups)]
+
+
+def make_batches(windows, batch_size: int, rng=None):
+    """Batches (hist, lead, targets) from a list of window triples, as
+    ``data.extract_windows`` returns them: windows are grouped by vehicle
+    count (``group_windows``), each group in list order and, given ``rng``,
+    permuted."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     batches = []
-    for n in sorted(groups):
-        arrays = [np.concatenate(parts) for parts in zip(*groups[n])]
+    for arrays in group_windows(windows):
         count = len(arrays[0])
         order = rng.permutation(count) if rng is not None else np.arange(count)
         for lo in range(0, count, batch_size):
@@ -324,6 +333,9 @@ def train(params: net.ModelParams, config: net.ModelConfig,
         raise ValueError("no training windows")
     if not data.window_count(val_windows):
         raise ValueError("no validation windows")
+    # grouped once, so each epoch's batches gather from the same arrays
+    train_windows = group_windows(train_windows)
+    val_windows = group_windows(val_windows)
     opt = Adam(params.weights, tcfg.lr)
     epoch_seeds = np.random.SeedSequence(tcfg.seed).spawn(tcfg.epochs)
     task_history = []

@@ -670,7 +670,7 @@ def test_primitive_case_draws_do_not_depend_on_hash_seed():
 
 
 def test_primitive_case_count_covers_contract():
-    # 27 primitive variants x 4 seeds >= 100 randomized oracle comparisons
+    # 26 primitive variants x 4 seeds >= 100 randomized oracle comparisons
     assert len(PRIMITIVE_CASES) * 4 >= 100
 
 

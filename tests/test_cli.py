@@ -160,6 +160,25 @@ def test_config_negative_ve_hidden_names_field(capsys, tmp_path, corpus, command
     assert code == 2 and "ve_hidden" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+@pytest.mark.parametrize("model, field", [
+    # numpy asked for 2.84 PiB of weights, and 7.45 GiB of window indices
+    ({"d_model": 10_000_000, "attn_heads": 1}, "d_model"),
+    ({"history_len": 1_000_000_000}, "history_len + horizon"),
+    ({"attn_layers": 10 ** 12}, "attn_layers")])
+def test_config_too_large_is_data_error_naming_the_field(capsys, tmp_path, corpus,
+                                                         command, model, field):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": model}))
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg)]
+    if command == "train":
+        argv += ["--data", str(corpus), "--out", str(out)]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_missing_file(capsys, tmp_path, corpus):
     code, _, err = _run(capsys, ["train", "--data", str(corpus), "--out",
                                  str(tmp_path / "o"), "--config",
@@ -229,7 +248,12 @@ def test_positive_float_flags_reject_non_finite(capsys, tmp_path, command, flag,
     (_DATAGEN, "--duration-s", "1e308", cli.MAX_DURATION_S),
     (["datagen"], "--platoons", "100000000000000000000", cli.MAX_PLATOONS),
     (["calibrate-idm", "--data", "d"], "--budget", "100000000000000000000",
-     cli.MAX_BUDGET)])
+     cli.MAX_BUDGET),
+    # beyond int64, np.arange made float window indices
+    (["train", "--data", "d"], "--stride", "100000000000000000000",
+     cli.MAX_STRIDE),
+    (["eval", "--checkpoint", "c", "--data", "d"], "--stride",
+     "100000000000000000000", cli.MAX_STRIDE)])
 def test_count_flags_above_their_maximum_are_usage_errors(capsys, tmp_path, command,
                                                           flag, value, maximum):
     out = tmp_path / "o"
@@ -255,6 +279,20 @@ def test_followers_bound_is_checked_at_parse_time(capsys):
             parser.parse_args(argv + [huge])
     assert cli.dispatch(["datagen", "--help"]) == 0
     assert f"at most {cli.MAX_FOLLOWERS:g}" in capsys.readouterr().out
+
+
+def test_threads_bound_is_checked_at_parse_time(capsys):
+    # parse_args only: a run would ask the BLAS pools for that many threads
+    parser = cli._build_parser()
+    argv = ["safety", "--data", "d"]
+    top = str(cli.MAX_THREADS)
+    assert parser.parse_args(["--threads", top] + argv).threads == cli.MAX_THREADS
+    for huge in (str(cli.MAX_THREADS + 1), "100000000000000000000"):
+        with pytest.raises(cli._UsageError,
+                           match=f"--threads: .*maximum {cli.MAX_THREADS:g}"):
+            parser.parse_args(["--threads", huge] + argv)
+    assert cli.dispatch(["--help"]) == 0
+    assert f"at most {cli.MAX_THREADS:g}" in capsys.readouterr().out
 
 
 def test_noise_sigma_above_its_maximum_is_a_usage_error_without_warnings(

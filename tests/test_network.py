@@ -48,6 +48,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_state"):
             net.ModelConfig(n_state=0)
 
+    def test_size_bounds(self):
+        top = net.ModelConfig(history_len=net.MAX_WINDOW - 20)
+        assert top.history_len + top.horizon == net.MAX_WINDOW
+        with pytest.raises(ValueError, match=r"history_len \+ horizon"):
+            net.ModelConfig(history_len=net.MAX_WINDOW - 19)
+        # the bound is on weight_shapes' count, and every attention layer
+        # adds the same number of weights to it
+        def count(cfg):
+            return sum(math.prod(s) for s in net.weight_shapes(cfg).values())
+
+        one, two = (count(net.ModelConfig(attn_layers=n)) for n in (1, 2))
+        top = 1 + (net.MAX_WEIGHTS - one) // (two - one)
+        assert count(net.ModelConfig(attn_layers=top)) <= net.MAX_WEIGHTS
+        with pytest.raises(ValueError, match="attn_layers give more than"):
+            net.ModelConfig(attn_layers=top + 1)
+
 
 class TestInit:
     def test_deterministic_and_quantized(self):
@@ -138,6 +154,54 @@ def _reference_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
         h = inject if h is None else np.exp(dt_e * a_t) * h + inject
         ys.append((c_seq[..., t, None, :] @ h)[..., 0, :] + d_gain * u[..., t, :])
     return np.stack(ys, axis=-2)
+
+
+def _matmul_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
+    """Oracle for signed zeros: the scan as one (rows, S, C) block, with the
+    injection as a K=1 matmul and the decay exponent as a broadcast multiply.
+    Returns y and vjp(g), which gives the six input gradients."""
+    T = u.shape[-2]
+    U, DT, B, Cs = (a.reshape((-1,) + a.shape[-2:])
+                    for a in (u, delta, b_seq, c_seq))
+    a_t = np.ascontiguousarray(a_mat.T)
+    y = d_gain * U
+    H = np.empty((T,) + B.shape[:1] + a_t.shape)
+    for t in range(T):
+        dt_t = DT[:, t, None, :]
+        inject = np.matmul(B[:, t, :, None], dt_t * U[:, t, None, :])
+        H[t] = inject if t == 0 else np.exp(dt_t * a_t) * H[t - 1] + inject
+        y[:, t] += np.matmul(Cs[:, t, None, :], H[t])[:, 0]
+
+    def vjp(g):
+        G = g.reshape(U.shape)
+        gU, gDT = np.empty(U.shape), np.empty(U.shape)
+        gB, gC = np.empty(B.shape), np.empty(B.shape)
+        gA = np.zeros(a_t.shape)
+        for t in range(T - 1, -1, -1):
+            g_t, dt_t = G[:, t], DT[:, t]
+            gh = g_t[:, None, :] * Cs[:, t, :, None]
+            if t < T - 1:
+                gh += dgh
+            np.matmul(H[t], g_t[:, :, None], out=gC[:, t, :, None])
+            np.matmul(gh, (dt_t * U[:, t])[:, :, None], out=gB[:, t, :, None])
+            np.matmul(B[:, t, None, :], gh, out=gU[:, t, None, :])
+            if t == 0:
+                break
+            dgh = np.exp(dt_t[:, None, :] * a_t)
+            q = gh * H[t - 1]
+            q *= dgh
+            dgh *= gh
+            np.einsum("rsc,sc->rc", q, a_t, out=gDT[:, t])
+            gA += np.einsum("rsc,rc->sc", q, dt_t)
+        gDT[:, 1:] += gU[:, 1:] * U[:, 1:]
+        np.multiply(gU[:, 0], U[:, 0], out=gDT[:, 0])
+        gU *= DT
+        gU += G * d_gain
+        return (gU.reshape(u.shape), gDT.reshape(u.shape), gA.T,
+                gB.reshape(b_seq.shape), gC.reshape(b_seq.shape),
+                (G * U).reshape(-1, U.shape[-1]).sum(axis=0))
+
+    return y.reshape(u.shape), vjp
 
 
 def _assert_bits(got, want):
@@ -258,6 +322,30 @@ class TestFusedScan:
         assert not np.signbit(want[:, 0]).any()
         for got in _scan_both_ways(arrays):
             _assert_bits(got, want)
+
+    def test_signed_zeros_match_matmul_oracle_bitwise(self):
+        # exact +-0.0 in B, u and delta, down to whole rows of B and whole
+        # channels of u and delta: y and all six gradients keep the oracle's
+        # bits, sign bits included. A zero's sign inside the states does not
+        # reach them, since every read of the states is a sum that starts
+        # from +0.0 (or an exp, for the decay exponent).
+        rng = np.random.default_rng(16)
+        arrays = _scan_inputs(rng, (_BLOCK // 6, 6), 4, 128, 8)
+        u, delta, _, b_seq, _, _ = arrays
+        for a in (u, delta, b_seq):
+            hit = rng.random(a.shape) < 0.2
+            a[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+        b_seq[:, 0, 0] = -0.0
+        b_seq[:, 1, 1] = 0.0
+        u[:, :, 0, :8] = -0.0
+        delta[:, :, 1, 8:16] = -0.0
+        g = rng.normal(size=u.shape)
+        want, oracle_vjp = _matmul_scan(*arrays)
+        for got in _scan_both_ways(arrays):
+            _assert_bits(got, want)
+        _, grads = _scan_grads(arrays, g)
+        for got, grad in zip(grads, oracle_vjp(g)):
+            _assert_bits(got, grad)
 
     def test_rows_in_other_blocks_match_solo_runs(self):
         C, S, T = 128, 8, 4

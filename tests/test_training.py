@@ -300,6 +300,35 @@ class TestBatching:
         for (ha, _, _), (hb, _, _) in zip(a, b):
             np.testing.assert_array_equal(ha, hb)
 
+    def test_train_groups_each_split_once(self, monkeypatch):
+        # each vehicle count's windows are concatenated once, before the
+        # epochs; every epoch and validation pass batches the same arrays
+        cfg = _tiny_config()
+        records = [rec for n in (2, 3, 2) for rec in
+                   data.generate_synthetic_platoons(2, n_followers=n,
+                                                    duration_s=10.0, seed=n)]
+        triples = [data.extract_windows(rec, cfg.history_len, cfg.horizon,
+                                        stride=4) for rec in records]
+        groups = tr.group_windows(triples)
+        assert [g[0].shape[1] for g in groups] == [2, 3]
+        assert all(a is b for g, again in zip(groups, tr.group_windows(groups))
+                   for a, b in zip(g, again))
+        seen, make = [], tr.make_batches
+
+        def spy(windows, *args):
+            seen.append(windows)
+            return make(windows, *args)
+
+        monkeypatch.setattr(tr, "make_batches", spy)
+        params = net.init_params(cfg, seed=0)
+        params.norm_mean, params.norm_std = net.fit_normalization(triples)
+        tr.train(params, cfg, triples[:4], triples[4:],
+                 tr.TrainConfig(epochs=3, batch_size=4, seed=0))
+        assert len(seen) == 6
+        for split, counts in ((seen[0::2], [2, 3]), (seen[1::2], [2])):
+            assert all(w is split[0] for w in split)
+            assert [g[0].shape[1] for g in split[0]] == counts
+
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             tr.make_batches([], 0)
