@@ -80,16 +80,11 @@ def expected_state(history) -> ExpectedState:
 
 @dataclass(frozen=True)
 class RolloutResult:
-    """Predicted series, one entry per future step.
-
-    v[..., k], s[..., k], dv[..., k] are the states at t+k+1; a[..., k] is the
-    acceleration applied at t+k. All fields are (..., N, F) Tensors.
-    """
+    """Predicted speeds and gaps, one entry per future step: v[..., k] and
+    s[..., k] are the states at t+k+1, as (..., N, F) Tensors."""
 
     v: object
     s: object
-    a: object
-    dv: object
 
 
 def rollout(initial, lead_future, theta, xstar: ExpectedState,
@@ -104,9 +99,10 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
     just-updated speed of follower n-1.
 
     Every input may be an autodiff Tensor or a plain array (a constant). The
-    four series are computed in numpy and recorded as one (4, ..., N, F)
-    node; the backward pass runs the adjoint of the Euler recursion,
-    carrying the gradients of v, s and dv from the last step to the first.
+    speeds and gaps are computed in numpy and recorded as one (2, ..., N, F)
+    node. The relative speeds dv stay in a buffer that only the backward
+    pass reads; it runs the adjoint of the Euler recursion, carrying the
+    adjoints of the state (v, s, dv) from the last step to the first.
     """
     parents = tuple(ad.as_tensor(a) for a in (initial, lead_future, theta,
                                               xstar.v_star, xstar.s_star))
@@ -128,22 +124,19 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
     state = np.broadcast_shapes(x0.shape[:-1], lead_v.shape[:-1] + (1,),
                                 f.shape[:-2], vs.shape, ss.shape)   # (..., N)
 
-    out = np.empty((4,) + state + (F,))
-    v_out, s_out, a_out, dv_out = out
+    out = np.empty((2,) + state + (F,))
+    v_out, s_out = out
+    dv_out = np.empty(state + (F,))
     v, s, dv = x0[..., 0], x0[..., 1], x0[..., 2]
     for k in range(F):
         a = linear_accel(f[..., k // m, :], v, s, dv, vs, ss)
-        v_next = v + a * dt
-        s_next = s + dv * dt
-        dv_next = np.empty(state)
-        dv_next[..., 0] = lead_v[..., k] - v_next[..., 0]
-        dv_next[..., 1:] = v_next[..., :-1] - v_next[..., 1:]
-        a_out[..., k], v_out[..., k], s_out[..., k], dv_out[..., k] = \
-            a, v_next, s_next, dv_next
-        v, s, dv = v_next, s_next, dv_next
+        v, s, dv = v + a * dt, s + dv * dt, dv_out[..., k]
+        dv[..., 0] = lead_v[..., k] - v[..., 0]
+        dv[..., 1:] = v[..., :-1] - v[..., 1:]
+        v_out[..., k], s_out[..., k] = v, s
 
     def vjp(g):
-        g_v, g_s, g_a, g_dv = g
+        g_v, g_s = g
         g_lead = np.empty(state[:-1] + (F,))
         g_f = np.zeros(state + (S, 3))
         g_vs, g_ss = np.zeros(state), np.zeros(state)
@@ -151,12 +144,11 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
         lam_v, lam_s, lam_dv = np.zeros(state), np.zeros(state), np.zeros(state)
         for k in range(F - 1, -1, -1):
             j = k // m
-            gdv = lam_dv + g_dv[..., k]
-            g_lead[..., k] = gdv[..., 0]
-            gv = lam_v + g_v[..., k] - gdv      # dv_next = ahead - v_next
-            gv[..., :-1] += gdv[..., 1:]        # v_next[n] is ahead of n+1
+            g_lead[..., k] = lam_dv[..., 0]
+            gv = lam_v + g_v[..., k] - lam_dv   # dv_next = ahead - v_next
+            gv[..., :-1] += lam_dv[..., 1:]     # v_next[n] is ahead of n+1
             gs = lam_s + g_s[..., k]
-            ga = g_a[..., k] + gv * dt
+            ga = gv * dt
             if k == 0:
                 v, s, dv = x0[..., 0], x0[..., 1], x0[..., 2]
             else:
@@ -176,7 +168,7 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
         ad.accumulate(s_star, g_ss)
 
     series = ad.primitive(out, "rollout", parents, vjp)
-    return RolloutResult(v=series[0], s=series[1], a=series[2], dv=series[3])
+    return RolloutResult(v=series[0], s=series[1])
 
 
 def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,

@@ -16,7 +16,7 @@ draws per generation (``_breed``).
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -198,14 +198,11 @@ class FollowerObservation:
 @dataclass(frozen=True)
 class CalibrationResult:
     """Best candidate of a GA run. ``fitness`` is its gap RMSE (m) plus its
-    speed RMSE (m/s) against the observation, not the gap RMSE alone;
-    ``best_history`` holds the best fitness after each generation, starting
-    with the initial population."""
+    speed RMSE (m/s) against the observation, not the gap RMSE alone."""
 
     params: IdmParams
     fitness: float
     generations_used: int
-    best_history: list = field(default_factory=list)
 
 
 def _stack_observations(observations):
@@ -328,7 +325,6 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
         idx = fitness.argmin(axis=1)
         best = pops[rows, idx]
         best_fit = fitness[rows, idx]
-        history = [[float(f)] for f in best_fit]
 
         for _ in range(budget):
             pops = _breed(pops, fitness, [np.random.default_rng(s.spawn(1)[0])
@@ -338,12 +334,10 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
             better = np.flatnonzero(fitness[rows, idx] < best_fit)
             best_fit[better] = fitness[better, idx[better]]
             best[better] = pops[better, idx[better]]
-            for h, f in zip(history, best_fit):
-                h.append(float(f))
 
-        for i, genes, fit, h in zip(members, best, best_fit, history):
+        for i, genes, fit in zip(members, best, best_fit):
             params = IdmParams(*[float(x) for x in genes])
-            results[i] = CalibrationResult(params, float(fit), budget, h)
+            results[i] = CalibrationResult(params, float(fit), budget)
     return results
 
 

@@ -103,7 +103,6 @@ class ModelController:
 @dataclass
 class SimulationRun:
     record: data.PlatoonRecord  # (V, T') leader replayed, followers simulated
-    gaps: np.ndarray            # (N, T') integrated follower gaps
     warmup_steps: int
     clamp_count: int
     collision_frame: int = None
@@ -216,7 +215,7 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
         runs.append(SimulationRun(
             record=data.PlatoonRecord(rec.platoon_id, positions, speeds,
                                       rec.lengths),
-            gaps=run_gaps, warmup_steps=P, clamp_count=int(clamps[b]),
+            warmup_steps=P, clamp_count=int(clamps[b]),
             collision_frame=None if T_eff == T else T_eff))
     return runs
 

@@ -297,7 +297,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    history: list              # one dict per completed epoch
     best_val: float
     best_epoch: int
     status: str                # "completed" or "aborted_non_finite"
@@ -322,11 +321,11 @@ def train(params: net.ModelParams, config: net.ModelConfig,
           checkpoint_dir: str = None, log_stream=None) -> TrainResult:
     """Optimize ``params`` in place; keep the best-validation checkpoint.
 
-    Emits one JSON line per epoch to ``log_stream`` (no timestamps, so logs
-    are byte-reproducible). A non-finite training loss aborts the run: the
-    epoch-start state is restored and training stops with status
-    "aborted_non_finite"; ``abort_reason`` names the epoch, the batch index
-    within it and the cause.
+    Emits one JSON line per epoch to ``log_stream``, the run's only
+    per-epoch record (no timestamps, so logs are byte-reproducible). A
+    non-finite training loss aborts the run: the epoch-start state is
+    restored and training stops with status "aborted_non_finite";
+    ``abort_reason`` names the epoch, the batch index within it and the cause.
     """
     n_train = data.window_count(train_windows)
     if not n_train:
@@ -339,7 +338,6 @@ def train(params: net.ModelParams, config: net.ModelConfig,
     opt = Adam(params.weights, tcfg.lr)
     epoch_seeds = np.random.SeedSequence(tcfg.seed).spawn(tcfg.epochs)
     task_history = []
-    history = []
     best_val = math.inf
     best_epoch = -1
     status = "completed"
@@ -388,9 +386,7 @@ def train(params: net.ModelParams, config: net.ModelConfig,
             "val_kl": float(val[2]), "val_loss": float(val_loss),
             "best": bool(is_best),
         }
-        history.append(entry)
         if log_stream is not None:
             log_stream.write(json.dumps(entry, sort_keys=True) + "\n")
-    return TrainResult(history=history, best_val=best_val,
-                       best_epoch=best_epoch, status=status,
-                       abort_reason=abort_reason)
+    return TrainResult(best_val=best_val, best_epoch=best_epoch,
+                       status=status, abort_reason=abort_reason)

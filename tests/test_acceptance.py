@@ -5,6 +5,7 @@ capture-disabled channel so the line shows up in plain pytest output, then
 asserts. Tolerances are pinned in-line next to each check.
 """
 
+import io
 import json
 import time
 from pathlib import Path
@@ -166,9 +167,11 @@ def test_criterion_04_overfit(capsys):
     params.norm_mean, params.norm_std = net.fit_normalization(wins)
     tcfg = training.TrainConfig(epochs=200, batch_size=8, lr=3e-3,
                                 alpha_kl=0.0025, seed=0)
-    result = training.train(params, config, wins, wins, tcfg)
+    log = io.StringIO()
+    result = training.train(params, config, wins, wins, tcfg, log_stream=log)
+    epochs = [json.loads(line) for line in log.getvalue().splitlines()]
     total = [h["train_v"] + h["train_s"] + tcfg.alpha_kl * h["train_kl"]
-             for h in result.history]
+             for h in epochs]
     elapsed = time.time() - t0
     crossed = next((i for i, v in enumerate(total) if v <= 0.1 * total[0]),
                    None)

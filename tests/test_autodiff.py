@@ -552,9 +552,9 @@ def _large(rng, shape):
 
 
 def _rollout_series(x0, lead, th, v_star, s_star):
-    """All four rollout series as one output."""
+    """Both rollout series, speeds and gaps, as one output."""
     r = dyn.rollout(x0, lead, th, dyn.ExpectedState(v_star, s_star))
-    return _joint(r.v, r.s, r.a, r.dv)
+    return _joint(r.v, r.s)
 
 
 def _losses(v, s):

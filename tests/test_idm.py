@@ -241,8 +241,12 @@ def test_calibration_deterministic_and_monotone():
     r1 = idm.calibrate_ga(obs, seed=11, budget=8)
     r2 = idm.calibrate_ga(obs, seed=11, budget=8)
     assert r1.params == r2.params and r1.fitness == r2.fitness
-    hist = np.array(r1.best_history)
-    assert np.all(np.diff(hist) <= 0.0)  # elites guarantee monotone best
+    # generation g draws from the g-th child stream, so a shorter budget
+    # runs a prefix of a longer one: elites make the best non-increasing
+    best = [idm.calibrate_followers([obs], [11], b)[0].fitness
+            for b in range(9)]
+    assert best[-1] == r1.fitness
+    assert np.all(np.diff(best) <= 0.0)
     r3 = idm.calibrate_ga(obs, seed=12, budget=8)
     assert r3.fitness != r1.fitness or r3.params != r1.params
 
@@ -251,7 +255,6 @@ def test_budget_zero_returns_best_of_initial_population():
     obs = _make_observation(idm.IdmParams(28.0, 1.4, 2.2, 1.1, 1.8))
     r = idm.calibrate_ga(obs, seed=3, budget=0)
     assert r.generations_used == 0
-    assert len(r.best_history) == 1
     assert r.fitness < idm.COLLISION_FITNESS
 
 

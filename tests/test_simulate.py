@@ -52,6 +52,20 @@ class _PerPlatoonLaw:
                 + th[..., 2] * dv)
 
 
+class _Recording(_PerPlatoonLaw):
+    """A _PerPlatoonLaw that keeps every history it is handed. The gaps in a
+    history are the integrator's own, not re-derived from positions."""
+
+    def __init__(self, plans, steps_per_block, history_len=1):
+        super().__init__(plans, steps_per_block)
+        self.history_len = history_len
+        self.histories = []
+
+    def replan(self, history, lead_future, platoons):
+        self.histories.append(history.copy())
+        super().replan(history, lead_future, platoons)
+
+
 class TestScriptedMatchesChainedRollout:
     def test_bitwise_agreement_with_open_loop_chain(self):
         rec = _record(duration_steps=120)
@@ -83,24 +97,29 @@ class TestScriptedMatchesChainedRollout:
             got_s.append(out.s.data[0])
             v = out.v.data[0, :, -1].copy()
             s = out.s.data[0, :, -1].copy()
-            dv = out.dv.data[0, :, -1].copy()
+            # the rollout's own subtractions, so dv is bit-exact
+            dv = np.concatenate(([chunk[0, -1]], v[:-1])) - v
             t += F
         want_v = np.concatenate(got_v, axis=1)
         want_s = np.concatenate(got_s, axis=1)
         np.testing.assert_allclose(run.record.speeds[1:, P:], want_v,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(run.gaps[:, P:], want_s, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.record.gaps()[:, P:], want_s,
+                                   rtol=0, atol=1e-12)
 
     def test_warmup_frames_copied_verbatim(self):
         rec = _record()
         rng = np.random.default_rng(1)
         theta = _stable_theta(rng, rec.n_followers, 2)
-        ctrl = _PerPlatoonLaw(
-            [(theta, rec.speeds[1:, 0], rec.gaps()[:, 0])], 3)
+        # the first replan's history spans the whole warmup
+        ctrl = _Recording([(theta, rec.speeds[1:, 0], rec.gaps()[:, 0])], 3,
+                          history_len=8)
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=8)
         np.testing.assert_array_equal(run.record.speeds[1:, :8],
                                       rec.speeds[1:, :8])
-        np.testing.assert_array_equal(run.gaps[:, :8], rec.gaps()[:, :8])
+        first = ctrl.histories[0][0]
+        np.testing.assert_array_equal(first[..., 0], rec.speeds[1:, :8])
+        np.testing.assert_array_equal(first[..., 1], rec.gaps()[:, :8])
 
 
 class TestIdmSelfConsistency:
@@ -119,7 +138,8 @@ class TestIdmSelfConsistency:
         assert run.viable
         np.testing.assert_allclose(run.record.speeds[1:], rec.speeds[1:],
                                    rtol=0, atol=1e-9)
-        np.testing.assert_allclose(run.gaps, rec.gaps(), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(run.record.gaps(), rec.gaps(),
+                                   rtol=0, atol=1e-9)
         np.testing.assert_allclose(run.record.positions[1:], rec.positions[1:],
                                    rtol=0, atol=1e-9)
 
@@ -133,17 +153,15 @@ class TestSimulatorMechanics:
         rec = _record()
         rng = np.random.default_rng(2)
         theta = _stable_theta(rng, rec.n_followers, 2)
-        ctrl = _PerPlatoonLaw(
-            [(theta, rec.speeds[1:, 5], rec.gaps()[:, 5])], 3)
-        run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
-        lengths = rec.lengths
+        # a replan every step hands over the integrated gaps of frames 5..T-2
+        ctrl = _Recording([(theta, rec.speeds[1:, 5], rec.gaps()[:, 5])], 3)
+        run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6,
+                                       replan_interval=1)
         np.testing.assert_array_equal(run.record.positions[0], rec.positions[0])
-        prev = run.record.positions[0]
-        for i in range(rec.n_followers):
-            np.testing.assert_allclose(
-                prev - lengths[i] - run.record.positions[i + 1], run.gaps[i],
-                rtol=0, atol=1e-12)
-            prev = run.record.positions[i + 1]
+        integrated = np.stack([h[0, :, -1, 1] for h in ctrl.histories], axis=1)
+        assert integrated.shape == (rec.n_followers, run.duration - 6)
+        np.testing.assert_allclose(run.record.gaps()[:, 5:-1], integrated,
+                                   rtol=0, atol=1e-12)
 
     def test_collision_truncates_before_bad_frame(self):
         rec = _record()
@@ -155,7 +173,7 @@ class TestSimulatorMechanics:
         run = sim.closed_loop_simulate(rec, ctrl, warmup_steps=6)
         assert run.collision_frame is not None
         assert run.duration == run.collision_frame
-        assert (run.gaps[:, 6:] > 0.0).all()
+        assert (run.record.gaps()[:, 6:] > 0.0).all()
 
     def test_speeds_clamped_at_zero(self):
         rec = _record()
@@ -248,7 +266,7 @@ class TestModelControllerIntegration:
         assert T > P + 1
         spd = run.record.speeds
         np.testing.assert_allclose(
-            run.gaps[:, P:T] - run.gaps[:, P - 1:T - 1],
+            run.record.gaps()[:, P:T] - run.record.gaps()[:, P - 1:T - 1],
             dyn.DT * (spd[:-1, P - 1:T - 1] - spd[1:, P - 1:T - 1]),
             rtol=0, atol=1e-9)
 
@@ -297,7 +315,6 @@ def _assert_same_run(got, want):
     assert got.record.platoon_id == want.record.platoon_id
     assert got.collision_frame == want.collision_frame
     assert got.clamp_count == want.clamp_count
-    np.testing.assert_array_equal(got.gaps, want.gaps)
     for field in ("speeds", "positions", "lengths"):
         np.testing.assert_array_equal(getattr(got.record, field),
                                       getattr(want.record, field))

@@ -416,7 +416,6 @@ class TestTrainLoop:
             logs.append(stream.getvalue())
         assert logs[0] == logs[1]
         assert results[0].status == "completed"
-        assert len(results[0].history) == 3
         lines = [json.loads(ln) for ln in logs[0].splitlines()]
         assert [ln["epoch"] for ln in lines] == [0, 1, 2]
         assert all(math.isfinite(ln["val_loss"]) for ln in lines)
@@ -431,10 +430,13 @@ class TestTrainLoop:
         wins = _windows(cfg, slice(None, 2))
         params = net.init_params(cfg, seed=2)
         params.norm_mean, params.norm_std = net.fit_normalization(wins)
+        log = io.StringIO()
         res = tr.train(params, cfg, wins, wins,
-                       tr.TrainConfig(epochs=40, batch_size=2, lr=5e-3, seed=0))
+                       tr.TrainConfig(epochs=40, batch_size=2, lr=5e-3, seed=0),
+                       log_stream=log)
         assert res.status == "completed"
-        assert res.best_val < 0.9 * res.history[0]["val_loss"]
+        first = json.loads(log.getvalue().splitlines()[0])
+        assert res.best_val < 0.9 * first["val_loss"]
 
     def test_non_finite_loss_aborts_and_restores(self):
         cfg = _tiny_config()
@@ -442,10 +444,12 @@ class TestTrainLoop:
         params = net.init_params(cfg, seed=3)
         params.norm_mean, params.norm_std = net.fit_normalization(wins)
         before = {k: t.data.copy() for k, t in params.weights.items()}
+        log = io.StringIO()
         res = tr.train(params, cfg, wins, wins,
-                       tr.TrainConfig(epochs=5, batch_size=1, lr=1e30, seed=0))
+                       tr.TrainConfig(epochs=5, batch_size=1, lr=1e30, seed=0),
+                       log_stream=log)
         assert res.status == "aborted_non_finite"
-        assert len(res.history) < 5
+        assert len(log.getvalue().splitlines()) < 5
         for k, t in params.weights.items():
             np.testing.assert_array_equal(t.data, before[k])
 
@@ -464,12 +468,15 @@ class TestTrainLoop:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(net, "model_forward", failing)
+        log = io.StringIO()
         res = tr.train(params, cfg, wins, wins,
-                       tr.TrainConfig(epochs=3, batch_size=1, seed=0))
+                       tr.TrainConfig(epochs=3, batch_size=1, seed=0),
+                       log_stream=log)
         assert res.status == "aborted_non_finite"
         assert res.abort_reason == \
             "epoch 1 batch 2: non-finite value produced by 'exp'"
-        assert len(res.history) == 1
+        assert [json.loads(ln)["epoch"] for ln in log.getvalue().splitlines()] \
+            == [0]
 
     def test_empty_window_lists_rejected(self):
         cfg = _tiny_config()
