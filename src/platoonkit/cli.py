@@ -174,13 +174,6 @@ def _load_records(path):
     return records
 
 
-def _all_windows(records, config, stride):
-    """One ``data.extract_windows`` triple per record, in record order."""
-    from . import data
-    return [data.extract_windows(rec, config.history_len, config.horizon,
-                                 stride) for rec in records]
-
-
 # -- subcommand handlers ------------------------------------------------------------
 
 def _cmd_datagen(args) -> int:
@@ -226,8 +219,9 @@ def _cmd_train(args) -> int:
     if not train_recs or not val_recs:
         raise CliError(f"{len(records)} platoon(s) cannot fill both splits "
                        f"at --val-ratio {args.val_ratio}")
-    train_w = _all_windows(train_recs, config, args.stride)
-    val_w = _all_windows(val_recs, config, args.stride)
+    P, F = config.history_len, config.horizon
+    train_w = data.extract_windows(train_recs, P, F, args.stride)
+    val_w = data.extract_windows(val_recs, P, F, args.stride)
     n_train, n_val = data.window_count(train_w), data.window_count(val_w)
     if not n_train or not n_val:
         raise CliError("records are too short for the configured "
@@ -235,9 +229,6 @@ def _cmd_train(args) -> int:
 
     params = net.init_params(config, seed=tcfg.seed)
     params.norm_mean, params.norm_std = net.fit_normalization(train_w)
-    # train groups the windows by vehicle count; grouping them here instead
-    # lets the per-record triples go before training starts
-    train_w, val_w = training.group_windows(train_w), training.group_windows(val_w)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = training.train(params, config, train_w, val_w, tcfg,
@@ -284,7 +275,8 @@ def _predictions(params, config, windows, batch_size):
 def _cmd_eval(args) -> int:
     from . import analysis, data
     params, config, records = _load_model_and_data(args)
-    windows = _all_windows(records, config, args.stride)
+    windows = data.extract_windows(records, config.history_len, config.horizon,
+                                   args.stride)
     n_windows = data.window_count(windows)
     if not n_windows:
         raise CliError("no evaluation windows; records are too short")
@@ -356,20 +348,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    from . import analysis, data, training
+    from . import analysis, data
     from . import autodiff as ad
     from . import network as net
     params, config, records = _load_model_and_data(args)
-    # earliest snapshot only: deterministic and warmup-free
-    windows = [data.extract_windows(rec, config.history_len, config.horizon,
-                                    stride=rec.duration) for rec in records]
-    for rec, (history, _, _) in zip(records, windows):
-        if not len(history):
+    for rec in records:
+        if rec.duration < config.history_len + config.horizon:
             raise CliError(f"{rec.platoon_id}: too short for a window")
-    # one batch per follower count, records in order within it
+    # earliest snapshot only, deterministic and warmup-free: a stride of the
+    # longest duration leaves each record its window at frame 0
+    windows = data.extract_windows(records, config.history_len, config.horizon,
+                                   stride=max(rec.duration for rec in records))
     thetas = []
     with ad.no_grad():
-        for hist, lead, _ in training.make_batches(windows, len(records)):
+        for hist, lead, _ in windows:   # one batch per follower count
             thetas.extend(net.model_forward(params, config, hist, lead).theta.data)
     report = {}
     for rec, theta in zip(sorted(records, key=lambda r: r.n_followers), thetas):
@@ -554,7 +546,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("safety", help="PET/SSDD histograms and divergences")
     p.add_argument("--data", required=True)
-    p.add_argument("--sim", help="simulated trajectories to compare against")
+    p.add_argument("--sim", help="simulated trajectories to compare against: "
+                   "the simulated.csv file that simulate writes, not its "
+                   "--out directory")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_safety)
 

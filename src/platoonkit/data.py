@@ -12,9 +12,10 @@ The sampling interval is ``DT`` = 0.1 s (``dynamics.DT``), a format
 constant not stored in the file. A ``PlatoonRecord`` holds one platoon in the
 same layout: leader-first (V, T) positions and speeds and (V,) lengths.
 Window extraction and closed-loop replanning build model inputs with
-``features``. ``extract_windows`` returns all windows of one record as three
-arrays with the window index first: (W, N, P, 3) histories, (W, F) leader
-futures and (W, N, F, 2) targets.
+``features``. ``extract_windows`` cuts the windows of a list of records and
+returns them as one triple of arrays per follower count, with the window
+index first: (W, N, P, 3) histories, (W, F) leader futures and (W, N, F, 2)
+targets.
 """
 
 from __future__ import annotations
@@ -316,21 +317,30 @@ def load_trajectories(path, rejects: Optional[list] = None) -> list:
 
 # -- windowing -------------------------------------------------------------------
 
-def extract_windows(record: PlatoonRecord, history_len: int, horizon: int,
-                    stride: int = 1) -> tuple:
-    """The windows starting at frames 0, stride, 2*stride, ... as (history,
-    lead_future, targets): (W, N, P, 3) follower features over P =
-    ``history_len`` frames, then (W, F) leader speeds and (W, N, F, 2)
-    follower [speed, gap] over the F = ``horizon`` frames after them. A
-    record shorter than P + F frames has W = 0."""
+def extract_windows(records: Sequence[PlatoonRecord], history_len: int,
+                    horizon: int, stride: int = 1) -> list:
+    """The windows of each record starting at frames 0, stride, 2*stride, ...,
+    as one (history, lead_future, targets) triple per follower count N, in
+    ascending N: (W, N, P, 3) follower features over P = ``history_len``
+    frames, then (W, F) leader speeds and (W, N, F, 2) follower [speed, gap]
+    over the F = ``horizon`` frames after them. Within a count, the records'
+    windows follow in list order. A record shorter than P + F frames adds no
+    window, so a count whose records are all that short has W = 0."""
     if history_len < 1 or horizon < 1 or stride < 1:
         raise ValueError("history_len, horizon, stride must be >= 1")
     P, F = history_len, horizon
-    starts = np.arange(0, record.duration - (P + F) + 1, stride)[:, None]
-    past, future = starts + np.arange(P), starts + P + np.arange(F)
-    feats = features(record.speeds, record.gaps()).swapaxes(0, 1)  # (T, N, 3)
-    return (feats[past].swapaxes(1, 2).copy(), record.speeds[0][future],
-            feats[future, :, :2].swapaxes(1, 2).copy())
+    groups = {}
+    for record in records:
+        starts = np.arange(0, record.duration - (P + F) + 1, stride)[:, None]
+        past, future = starts + np.arange(P), starts + P + np.arange(F)
+        feats = features(record.speeds, record.gaps()).swapaxes(0, 1)  # (T, N, 3)
+        # copied to C order: np.concatenate keeps the swapped strides, and
+        # the strides reach the last digits of eval and of the epoch losses
+        groups.setdefault(record.n_followers, []).append(
+            (feats[past].swapaxes(1, 2).copy(), record.speeds[0][future],
+             feats[future, :, :2].swapaxes(1, 2).copy()))
+    return [tuple(parts[0] if len(parts) == 1 else np.concatenate(parts)
+                  for parts in zip(*groups[n])) for n in sorted(groups)]
 
 
 def window_count(windows) -> int:

@@ -180,7 +180,7 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
     gaps[..., :P] = [rec.gaps()[:, :P] for rec in records]
 
     H = controller.history_len
-    live = None     # rows the current plan covers; None while all run
+    live = None     # rows the current plan covers
 
     def accel(k, v, s, dv):
         # step k leaves frame t = P-1+k; the history is frames t-H+1..t
@@ -188,17 +188,15 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
         k_plan = k % R
         if k_plan == 0:
             t = P - 1 + k
+            # a NaN gap is not a hit: such a row stays live
             hit = (gaps[:, :, P - 1:t + 1] <= 0.0).any(axis=(1, 2))
-            live = np.flatnonzero(~hit) if hit.any() else None
-            sel = slice(None) if live is None else live
+            live = np.flatnonzero(~hit)
             frames = slice(t + 1 - H, t + 1)
-            seg_spd = np.concatenate([lead_spd[sel, None, frames],
-                                      spd[sel, :, frames]], axis=1)
-            history = data.features(seg_spd, gaps[sel, :, frames])
-            controller.replan(history, lead_pad[sel, t + 1:t + 1 + F],
-                              platoons[sel])
-        if live is None:
-            return controller.accel(k_plan, v, s, dv)
+            seg_spd = np.concatenate([lead_spd[live, None, frames],
+                                      spd[live, :, frames]], axis=1)
+            history = data.features(seg_spd, gaps[live, :, frames])
+            controller.replan(history, lead_pad[live, t + 1:t + 1 + F],
+                              platoons[live])
         a = np.zeros_like(v)
         a[live] = controller.accel(k_plan, v[live], s[live], dv[live])
         return a
@@ -226,7 +224,6 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
 class DeviationReport:
     """Simulated-minus-true deviations over the post-warmup frames."""
 
-    platoon_id: str
     frames: np.ndarray            # (W,) frame indices compared
     speed_dev: np.ndarray         # (N, W)
     position_dev: np.ndarray      # (N, W)
@@ -242,7 +239,6 @@ def compare_runs(record: data.PlatoonRecord, run: SimulationRun) -> DeviationRep
     speed_dev = run.record.speeds[1:, lo:hi] - record.speeds[1:, lo:hi]
     position_dev = run.record.positions[1:, lo:hi] - record.positions[1:, lo:hi]
     return DeviationReport(
-        platoon_id=record.platoon_id,
         frames=frames, speed_dev=speed_dev, position_dev=position_dev,
         rmse_speed=float(np.sqrt(np.mean(speed_dev ** 2))),
         rmse_position=float(np.sqrt(np.mean(position_dev ** 2))))

@@ -240,27 +240,14 @@ def load_checkpoint(path: str):
 
 # -- batching ---------------------------------------------------------------------
 
-def group_windows(windows) -> list:
-    """One window triple per vehicle count, in ascending count, from a list
-    of triples as ``data.extract_windows`` returns them: each count's windows
-    concatenated in list order. A list that holds one triple per count is
-    returned as it is, with no copy."""
-    groups = {}
-    for triple in windows:
-        groups.setdefault(triple[0].shape[1], []).append(triple)
-    return [tuple(parts[0] if len(parts) == 1 else np.concatenate(parts)
-                  for parts in zip(*groups[n])) for n in sorted(groups)]
-
-
 def make_batches(windows, batch_size: int, rng=None):
-    """Batches (hist, lead, targets) from a list of window triples, as
-    ``data.extract_windows`` returns them: windows are grouped by vehicle
-    count (``group_windows``), each group in list order and, given ``rng``,
-    permuted."""
+    """Batches (hist, lead, targets) from a list of window triples, one per
+    vehicle count as ``data.extract_windows`` returns them: each triple's
+    rows, permuted given ``rng``, sliced into batches of ``batch_size``."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     batches = []
-    for arrays in group_windows(windows):
+    for arrays in windows:
         count = len(arrays[0])
         order = rng.permutation(count) if rng is not None else np.arange(count)
         for lo in range(0, count, batch_size):
@@ -321,20 +308,20 @@ def train(params: net.ModelParams, config: net.ModelConfig,
           checkpoint_dir: str = None, log_stream=None) -> TrainResult:
     """Optimize ``params`` in place; keep the best-validation checkpoint.
 
-    Emits one JSON line per epoch to ``log_stream``, the run's only
-    per-epoch record (no timestamps, so logs are byte-reproducible). A
-    non-finite training loss aborts the run: the epoch-start state is
-    restored and training stops with status "aborted_non_finite";
-    ``abort_reason`` names the epoch, the batch index within it and the cause.
+    ``train_windows`` and ``val_windows`` are ``data.extract_windows`` lists,
+    one triple per vehicle count; every epoch and every validation pass
+    batches them as they are. Emits one JSON line per epoch to
+    ``log_stream``, the run's only per-epoch record (no timestamps, so logs
+    are byte-reproducible). A non-finite training loss aborts the run: the
+    epoch-start state is restored and training stops with status
+    "aborted_non_finite"; ``abort_reason`` names the epoch, the batch index
+    within it and the cause.
     """
     n_train = data.window_count(train_windows)
     if not n_train:
         raise ValueError("no training windows")
     if not data.window_count(val_windows):
         raise ValueError("no validation windows")
-    # grouped once, so each epoch's batches gather from the same arrays
-    train_windows = group_windows(train_windows)
-    val_windows = group_windows(val_windows)
     opt = Adam(params.weights, tcfg.lr)
     epoch_seeds = np.random.SeedSequence(tcfg.seed).spawn(tcfg.epochs)
     task_history = []

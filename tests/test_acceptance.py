@@ -27,11 +27,6 @@ def _report(capsys, num, name, ok, detail):
     assert ok, f"criterion {num} {name}: {detail}"
 
 
-def _windows(records, config, stride):
-    return [data.extract_windows(rec, config.history_len, config.horizon,
-                                 stride) for rec in records]
-
-
 # -- shared trained model for criteria 5 and 9 ---------------------------------------
 
 @pytest.fixture(scope="module")
@@ -44,8 +39,9 @@ def trained_model():
     records = data.generate_synthetic_platoons(250, n_followers=6,
                                                duration_s=15.0, seed=100)
     train_recs, test_recs = records[:200], records[200:]
-    train_w = _windows(train_recs[:190], config, stride=10)
-    val_w = _windows(train_recs[190:], config, stride=10)
+    P, F = config.history_len, config.horizon
+    train_w = data.extract_windows(train_recs[:190], P, F, stride=10)
+    val_w = data.extract_windows(train_recs[190:], P, F, stride=10)
     params = net.init_params(config, seed=1)
     params.norm_mean, params.norm_std = net.fit_normalization(train_w)
     tcfg = training.TrainConfig(epochs=10, batch_size=64, lr=1e-3,
@@ -54,8 +50,7 @@ def trained_model():
     assert result.status == "completed"
 
     # deterministic open-loop predictions on the held-out platoons
-    test_w = _windows(test_recs, config, stride=10)
-    F = config.horizon
+    test_w = data.extract_windows(test_recs, P, F, stride=10)
     chunks = {k: [] for k in ("pv", "ps", "tv", "ts", "bv", "bs")}
     with ad.no_grad():
         for hist, lead, targets in training.make_batches(test_w, 128):
@@ -160,8 +155,9 @@ def test_criterion_04_overfit(capsys):
     config = net.desk_config()
     rec = data.generate_synthetic_platoons(1, n_followers=2,
                                            duration_s=6.0, seed=7)[0]
-    wins = [tuple(a[:8] for a in data.extract_windows(
-        rec, config.history_len, config.horizon, stride=7))]
+    [triple] = data.extract_windows([rec], config.history_len,
+                                    config.horizon, stride=7)
+    wins = [tuple(a[:8] for a in triple)]
     assert data.window_count(wins) == 8
     params = net.init_params(config, seed=0)
     params.norm_mean, params.norm_std = net.fit_normalization(wins)

@@ -692,9 +692,10 @@ def test_primitive_cases_match_the_ops_of_a_training_step(monkeypatch):
 
     monkeypatch.setattr(ad.Tape, "trace", classmethod(spy))
     cfg = net.desk_config()
-    windows = [data.extract_windows(rec, cfg.history_len, cfg.horizon, 5)
-               for rec in data.generate_synthetic_platoons(
-                   2, n_followers=2, duration_s=1.5, seed=3)]
+    windows = data.extract_windows(
+        data.generate_synthetic_platoons(2, n_followers=2, duration_s=1.5,
+                                         seed=3),
+        cfg.history_len, cfg.horizon, 5)
     params = net.init_params(cfg)
     params.norm_mean, params.norm_std = net.fit_normalization(windows)
     training.train(params, cfg, windows, windows,

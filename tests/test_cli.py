@@ -686,6 +686,29 @@ def test_stability_too_short_for_a_window(checkpoint, capsys, tmp_path):
     assert code == 2 and "too short for a window" in err
 
 
+def test_stability_rows_of_a_mixed_corpus_equal_lone_runs(checkpoint, corpus,
+                                                          capsys, tmp_path):
+    # the 3-follower platoons load first (syn-1-* sorts before syn-3-*), but
+    # the 2-follower ones form the first batch: rows must still pair with
+    # their own platoons
+    mixed = tmp_path / "mixed"
+    assert _run(capsys, ["datagen", "--out", str(mixed), "--platoons", "2",
+                         "--followers", "3", "--duration-s", "8.0",
+                         "--seed", "1"])[0] == 0
+    for csv_path in sorted(corpus.glob("*.csv"))[:3]:
+        (mixed / csv_path.name).write_bytes(csv_path.read_bytes())
+    argv = ["stability", "--checkpoint", str(checkpoint), "--data"]
+    code, out, _ = _run(capsys, argv + [str(mixed)])
+    assert code == 0
+    report = json.loads(out)
+    assert [row["vehicles"] for row in report.values()] == [3, 3, 2, 2, 2]
+    for csv_path in sorted(mixed.glob("syn-*.csv")):
+        code, out, _ = _run(capsys, argv + [str(csv_path)])
+        assert code == 0
+        [(pid, row)] = json.loads(out).items()
+        assert report[pid] == row
+
+
 def test_safety_report_and_divergence(corpus, simdir, capsys):
     code, out, _ = _run(capsys, ["safety", "--data", str(corpus),
                                  "--sim", str(simdir / "simulated.csv")])
@@ -697,6 +720,16 @@ def test_safety_report_and_divergence(corpus, simdir, capsys):
     assert report["divergence"]["pet"]["kl"] >= 0.0
     assert 0.0 <= report["divergence"]["pet"]["hellinger"] <= 1.0
     assert 0.0 <= report["divergence"]["ssdd"]["hellinger"] <= 1.0
+
+
+def test_safety_sim_directory_is_data_error_naming_the_report(corpus, simdir,
+                                                              capsys):
+    # --sim takes simulated.csv; the directory also holds the dev_*.csv
+    # deviation reports, which are not trajectories
+    code, out, err = _run(capsys, ["safety", "--data", str(corpus),
+                                   "--sim", str(simdir)])
+    assert code == 2 and out == ""
+    assert "dev_" in err and "bad header" in err and "Traceback" not in err
 
 
 # -- calibrate-idm / gradcheck --------------------------------------------------------

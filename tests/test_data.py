@@ -42,7 +42,8 @@ def test_window_counts():
                               for i in range(2)])
         rec = data.PlatoonRecord("w", positions, np.full((2, T), 10.0),
                                  np.full(2, 4.0))
-        history, lead, targets = data.extract_windows(rec, 21, 20, stride)
+        [(history, lead, targets)] = data.extract_windows([rec], 21, 20,
+                                                          stride)
         assert len(lead) == len(targets) == len(history)
         return len(history)
 
@@ -54,8 +55,8 @@ def test_window_counts():
 
 def test_window_contents_align_with_record():
     rec = _tiny_record(T=12)
-    history, lead, targets = data.extract_windows(rec, history_len=4,
-                                                  horizon=3, stride=2)
+    [(history, lead, targets)] = data.extract_windows([rec], history_len=4,
+                                                      horizon=3, stride=2)
     assert len(history) == (12 - 7) // 2 + 1
     # row 1 starts at frame 1 * stride and has its anchor at 2 + 4 - 1
     spd = rec.speeds
@@ -99,7 +100,7 @@ def test_windows_equal_the_per_window_reference(T, stride, W):
     rec = data.generate_synthetic_platoons(1, n_followers=3, duration_s=T / 10,
                                            seed=4)[0]
     assert rec.duration == T
-    got = data.extract_windows(rec, P, F, stride)
+    [got] = data.extract_windows([rec], P, F, stride)
     want = _stacked(_reference_windows(rec, P, F, stride), P, F, 3)
     assert len(got) == 3 and len(got[0]) == W
     for g, w in zip(got, want):
@@ -133,14 +134,42 @@ def _reference_batches(windows, batch_size, rng=None):
     return batches
 
 
+def test_windows_never_mix_vehicle_counts():
+    def rec(n, seed):
+        return data.generate_synthetic_platoons(1, n_followers=n,
+                                                duration_s=2.0, seed=seed)[0]
+    records = [rec(2, 0), rec(3, 1), rec(2, 2), rec(3, 3), rec(2, 4)]
+    got = data.extract_windows(records, 6, 4, stride=5)
+    assert [(h.shape[1], len(h), len(lead), t.shape[1])
+            for h, lead, t in got] == [(2, 9, 9, 2), (3, 6, 6, 3)]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 5])
+def test_windows_of_a_mixed_corpus_are_c_ordered_and_in_record_order(stride):
+    # each count's triple is its records' reference windows, stacked in list
+    # order; _assert_same_bits also asserts that every array is C-contiguous
+    P, F = 6, 4
+    records = _mixed_corpus()
+    got = data.extract_windows(records, P, F, stride)
+    assert len(got) == 3
+    for n, triple in zip((2, 3, 4), got):
+        want = _stacked([w for rec in records if rec.n_followers == n
+                         for w in _reference_windows(rec, P, F, stride)],
+                        P, F, n)
+        for g, w in zip(triple, want):
+            _assert_same_bits(g, w)
+
+
 @pytest.mark.parametrize("seed", [None, 0, 11])
 @pytest.mark.parametrize("batch_size", [1, 4, 64])
 def test_batches_of_a_mixed_corpus_equal_the_reference(seed, batch_size):
     from platoonkit import training
     P, F, stride = 6, 4, 2
     records = _mixed_corpus()
-    triples = [data.extract_windows(rec, P, F, stride) for rec in records]
-    assert [len(h) for h, _, _ in triples] == [11, 8, 0, 6, 7, 0]
+    # per record 11, 8, 0, 6, 7 and 0 windows; 4 followers keep a 0-row group
+    triples = data.extract_windows(records, P, F, stride)
+    assert [(h.shape[1], len(h)) for h, _, _ in triples] == \
+        [(2, 14), (3, 18), (4, 0)]
     reference = [w for rec in records
                  for w in _reference_windows(rec, P, F, stride)]
     rngs = [None if seed is None else np.random.default_rng(seed)
@@ -159,7 +188,7 @@ def test_normalization_of_a_mixed_corpus_equals_the_reference():
     from platoonkit import network as net
     P, F, stride = 6, 4, 1
     records = _mixed_corpus()
-    triples = [data.extract_windows(rec, P, F, stride) for rec in records]
+    triples = data.extract_windows(records, P, F, stride)
     flat = np.concatenate([w[0].reshape(-1, 3) for rec in records
                            for w in _reference_windows(rec, P, F, stride)])
     mean, std = net.fit_normalization(triples)

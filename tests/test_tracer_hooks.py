@@ -60,9 +60,10 @@ def test_every_model_stage_span_opens_and_owns_its_nodes():
     from platoonkit import data, network, training
     tracer = _load_tracer()
     cfg = network.desk_config()
-    windows = [data.extract_windows(rec, cfg.history_len, cfg.horizon, 5)
-               for rec in data.generate_synthetic_platoons(
-                   1, n_followers=2, duration_s=1.5, seed=3)]
+    windows = data.extract_windows(
+        data.generate_synthetic_platoons(1, n_followers=2, duration_s=1.5,
+                                         seed=3),
+        cfg.history_len, cfg.horizon, 5)
     params = network.init_params(cfg)
     params.norm_mean, params.norm_std = network.fit_normalization(windows)
     t = tracer.Tracer()

@@ -34,9 +34,9 @@ def _windows(cfg, rows=slice(None), n_platoons=3, seed=5):
     order, as a list of one triple."""
     records = data.generate_synthetic_platoons(
         n_platoons, n_followers=2, duration_s=10.0, seed=seed)
-    triples = [data.extract_windows(rec, cfg.history_len, cfg.horizon,
-                                    stride=4) for rec in records]
-    return [tuple(np.concatenate(parts)[rows] for parts in zip(*triples))]
+    [triple] = data.extract_windows(records, cfg.history_len, cfg.horizon,
+                                    stride=4)
+    return [tuple(a[rows] for a in triple)]
 
 
 class TestLosses:
@@ -281,38 +281,28 @@ class TestCheckpoints:
 
 
 class TestBatching:
-    def test_groups_never_mix_vehicle_counts(self):
-        def win(n):
-            return (np.zeros((1, n, 6, 3)), np.zeros((1, 4)),
-                    np.zeros((1, n, 4, 2)))
-        wins = [win(2), win(3), win(2), win(3), win(2)]
-        batches = tr.make_batches(wins, batch_size=2)
-        counts = sorted(b[0].shape[:2] for b in batches)
-        assert counts == [(1, 2), (2, 2), (2, 3)]
-
     def test_shuffle_is_deterministic(self):
-        def win(tag):
-            return (np.full((1, 2, 6, 3), float(tag)), np.zeros((1, 4)),
-                    np.zeros((1, 2, 4, 2)))
-        wins = [win(i) for i in range(7)]
+        wins = [(np.arange(7.0)[:, None, None, None] * np.ones((7, 2, 6, 3)),
+                 np.zeros((7, 4)), np.zeros((7, 2, 4, 2)))]
         a = tr.make_batches(wins, 3, np.random.default_rng(0))
         b = tr.make_batches(wins, 3, np.random.default_rng(0))
+        assert len(a) == len(b) == 3
         for (ha, _, _), (hb, _, _) in zip(a, b):
             np.testing.assert_array_equal(ha, hb)
 
-    def test_train_groups_each_split_once(self, monkeypatch):
-        # each vehicle count's windows are concatenated once, before the
-        # epochs; every epoch and validation pass batches the same arrays
+    def test_train_batches_the_lists_it_is_given(self, monkeypatch):
+        # every epoch and every validation pass batch the very list that
+        # train was given, one triple per vehicle count
         cfg = _tiny_config()
         records = [rec for n in (2, 3, 2) for rec in
                    data.generate_synthetic_platoons(2, n_followers=n,
                                                     duration_s=10.0, seed=n)]
-        triples = [data.extract_windows(rec, cfg.history_len, cfg.horizon,
-                                        stride=4) for rec in records]
-        groups = tr.group_windows(triples)
-        assert [g[0].shape[1] for g in groups] == [2, 3]
-        assert all(a is b for g, again in zip(groups, tr.group_windows(groups))
-                   for a, b in zip(g, again))
+        train_w = data.extract_windows(records[:4], cfg.history_len,
+                                       cfg.horizon, stride=4)
+        val_w = data.extract_windows(records[4:], cfg.history_len,
+                                     cfg.horizon, stride=4)
+        assert [g[0].shape[1] for g in train_w] == [2, 3]
+        assert [g[0].shape[1] for g in val_w] == [2]
         seen, make = [], tr.make_batches
 
         def spy(windows, *args):
@@ -321,13 +311,12 @@ class TestBatching:
 
         monkeypatch.setattr(tr, "make_batches", spy)
         params = net.init_params(cfg, seed=0)
-        params.norm_mean, params.norm_std = net.fit_normalization(triples)
-        tr.train(params, cfg, triples[:4], triples[4:],
+        params.norm_mean, params.norm_std = net.fit_normalization(train_w)
+        tr.train(params, cfg, train_w, val_w,
                  tr.TrainConfig(epochs=3, batch_size=4, seed=0))
         assert len(seen) == 6
-        for split, counts in ((seen[0::2], [2, 3]), (seen[1::2], [2])):
-            assert all(w is split[0] for w in split)
-            assert [g[0].shape[1] for g in split[0]] == counts
+        assert all(w is train_w for w in seen[0::2])
+        assert all(w is val_w for w in seen[1::2])
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
