@@ -19,8 +19,10 @@ the step-by-step composition it replaced, in their order (so its output has
 the same bits), with a hand-written VJP. Inside TFL the selective scan and
 the causal conv are numpy kernels that return their own VJPs; the scan runs
 forward and backward in cache-sized blocks of rows, in numpy's summation
-order, so its output does not depend on the batch. Initial draws are quantized
-to float32 so a float32 checkpoint reproduces the exact float64 forward pass.
+order, so its output does not depend on the batch. Without a tape the whole
+TFL block runs in those row blocks, so its scratch memory does not grow with
+the batch. Initial draws are quantized to float32 so a float32 checkpoint
+reproduces the exact float64 forward pass.
 """
 
 from __future__ import annotations
@@ -230,8 +232,10 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 
 # -- kernels ------------------------------------------------------------------
 
-# State elements per row block of the selective scan: 48 rows of an (8, 128)
-# state, ~400 KB per float64 buffer, so a block's buffers stay in L2.
+# State elements per row block of the selective scan, and of the whole TFL
+# block without a tape: 48 rows of an (8, 128) state, ~400 KB per float64
+# buffer, so a block's scan buffers stay in L2 and the TFL's other arrays
+# (48 rows of (T, 2 d_inner) at most) take ~2 MB each, whatever the batch.
 _SCAN_BLOCK = 48 * 8 * 128
 
 
@@ -433,16 +437,36 @@ def tfl_forward(w, config: ModelConfig, x):
 
     x: (..., T, d_model). RMS norm; input projection to the scan input and
     the gate; causal conv, SiLU; step sizes (softplus), B and C; the scan;
-    SiLU gate; output projection; residual. Without a tape, the conv's
-    buffers and the scan's inputs are released once the forward pass is done
-    with them, since only the VJP would read them again.
+    SiLU gate; output projection; residual. With a tape, ``_tfl_rows`` runs
+    once over all rows and keeps what the VJP reads. Without a tape, the
+    whole block runs per row block of ``_SCAN_BLOCK`` state elements into
+    one output, so its scratch does not grow with the batch. A row is one
+    vehicle's (T, d_model) window, and every step works row by row (the
+    projections are one GEMM per row), so the output has the bits of a
+    single pass.
     """
-    di, r, n = config.d_inner, config.dt_rank, config.n_state
     x_t = ad.as_tensor(x)
     weights = tuple(ad.as_tensor(w[f"tfl.{name}"]) for name in _TFL_WEIGHTS)
     X = x_t.data
+    if ad.needs_grad(x_t, *weights):
+        out, rows_vjp = _tfl_rows(config, X, weights, keep=True)
+        return ad.primitive(out, "tfl", (x_t,) + weights,
+                            lambda g: ad.accumulate(x_t, rows_vjp(g)))
+    out = np.empty(X.shape)
+    X3, out3 = X.reshape((-1,) + X.shape[-2:]), out.reshape((-1,) + X.shape[-2:])
+    rows = max(1, _SCAN_BLOCK // (config.n_state * config.d_inner))
+    for r0 in range(0, len(X3), rows):
+        out3[r0:r0 + rows] = _tfl_rows(config, X3[r0:r0 + rows], weights)[0]
+    return ad.primitive(out, "tfl", (x_t,) + weights, None)
+
+
+def _tfl_rows(config: ModelConfig, X, weights, keep=False):
+    """The TFL block's numpy body on X: (..., T, d_model). Returns (out, vjp):
+    with ``keep``, vjp(g) accumulates the weight gradients and returns X's;
+    otherwise vjp is None, and the conv's buffers and the scan's inputs are
+    released once the forward pass is done with them."""
+    di, r, n = config.d_inner, config.dt_rank, config.n_state
     gn, Win, cw, cb, Wx, Wdt, bdt, a_log, D, Wout = (t.data for t in weights)
-    keep = ad.needs_grad(x_t, *weights)
     ms = (X * X).mean(axis=-1, keepdims=True) + 1e-5
     inv = ms ** -0.5
     proj = ((X * inv) * gn) @ Win
@@ -468,6 +492,8 @@ def tfl_forward(w, config: ModelConfig, x):
         sg = gate * s2
         yg = y * sg
         out = X + yg @ Wout
+    if not keep:
+        return out, None
 
     def vjp(g):
         tgn, tin, tcw, tcb, twx, twdt, tbdt, talog, td, tout = weights
@@ -503,9 +529,9 @@ def tfl_forward(w, config: ModelConfig, x):
         gx = g + gxn * inv
         gx += gsq
         gx += gsq
-        ad.accumulate(x_t, gx)
+        return gx
 
-    return ad.primitive(out, "tfl", (x_t,) + weights, vjp)
+    return out, vjp
 
 
 _FUL_WEIGHTS = ("fc1.w", "fc1.b", "fc2.w", "fc2.b", "mu.w", "mu.b",

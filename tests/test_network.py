@@ -464,16 +464,21 @@ def _composed_tfl_forward(w, cfg, x):
 
 class TestFusedTemporalBlock:
     def test_matches_the_composition_bitwise(self):
+        # 18 rows are one row block; 11 windows of 5 followers are 55 rows, a
+        # block of 48 and a ragged one of 7, with the boundary inside window 9
         cfg = net.ModelConfig()
+        assert _BLOCK == 48
         w = net.init_params(cfg, seed=2).weights
-        x = np.random.default_rng(30).normal(size=(3, 6, cfg.history_len, cfg.d_model))
-        want = _composed_tfl_forward(w, cfg, x)
-        with ad.no_grad():
-            plain = net.tfl_forward(w, cfg, x)
-        recorded = net.tfl_forward(w, cfg, ad.param(x))
-        assert recorded.requires_grad and plain._vjp is None
-        _assert_bits(plain.data, want)
-        _assert_bits(recorded.data, want)
+        for seed, batch in ((30, (3, 6)), (33, (11, 5))):
+            x = np.random.default_rng(seed).normal(
+                size=batch + (cfg.history_len, cfg.d_model))
+            want = _composed_tfl_forward(w, cfg, x)
+            with ad.no_grad():
+                plain = net.tfl_forward(w, cfg, x)
+            recorded = net.tfl_forward(w, cfg, ad.param(x))
+            assert recorded.requires_grad and plain._vjp is None
+            _assert_bits(plain.data, want)
+            _assert_bits(recorded.data, want)
 
     def test_batch_rows_match_single_runs(self):
         cfg = net.ModelConfig()
@@ -490,22 +495,38 @@ class TestFusedTemporalBlock:
             _assert_bits(y1.data[0], y.data[row])
             _assert_bits(single.grad[0], x.grad[row])
 
+    def test_row_blocks_keep_theta_per_window(self):
+        cfg = net.ModelConfig()
+        params = net.init_params(cfg, seed=4)
+        hist, lead = _window_batch(cfg, np.random.default_rng(34), batch=11,
+                                   n_veh=5)
+        params.norm_mean, params.norm_std = net.fit_normalization(
+            [(hist, lead, None)])
+        with ad.no_grad():
+            theta = net.model_forward(params, cfg, hist, lead).theta.data
+            for i in range(len(hist)):
+                solo = net.model_forward(params, cfg, hist[i:i + 1],
+                                         lead[i:i + 1]).theta.data
+                _assert_bits(solo[0], theta[i])
+
     def test_no_grad_peak_memory(self):
-        # without a tape, intermediates go once used: at B=64 the peak beyond
-        # the output stays under 3.6 buffers of (B, N, T, 2 d_inner)
+        # without a tape the block runs per row block: at B=64 and B=256 the
+        # peak beyond the output stays under 3.6 buffers of (48, T,
+        # 2 d_inner), the size of one row block's widest array
         cfg = net.ModelConfig()
         w = net.init_params(cfg, seed=0).weights
-        x = np.random.default_rng(32).normal(size=(64, 6, cfg.history_len,
-                                                   cfg.d_model))
-        buffer = 8 * x.size // cfg.d_model * 2 * cfg.d_inner
-        tracemalloc.start()
-        try:
-            with ad.no_grad():
-                y = net.tfl_forward(w, cfg, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (peak - y.data.nbytes) / buffer <= 3.6
+        buffer = 8 * _BLOCK * cfg.history_len * 2 * cfg.d_inner
+        for batch in (64, 256):
+            x = np.random.default_rng(32).normal(size=(batch, 6, cfg.history_len,
+                                                       cfg.d_model))
+            tracemalloc.start()
+            try:
+                with ad.no_grad():
+                    y = net.tfl_forward(w, cfg, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (peak - y.data.nbytes) / buffer <= 3.6, batch
 
 
 class TestVariationalHead:
