@@ -521,7 +521,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.add_argument("--batch-size", type=_positive_int, default=64)
+    p.add_argument("--batch-size", type=_positive_int, default=64,
+                   help="windows per forward pass; the network's scratch is "
+                        "one block of platoons whatever the batch")
     p.add_argument("--stride", type=_at_most(_positive_int, MAX_STRIDE),
                    default=1, help=f"frames, at most {MAX_STRIDE:g}")
     p.set_defaults(handler=_cmd_eval)

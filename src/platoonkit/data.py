@@ -135,16 +135,18 @@ def _fmt(x: float) -> str:
 
 
 def write_trajectories(records: Sequence[PlatoonRecord], path) -> None:
-    """Write records to one CSV file, rows sorted by (platoon, vehicle, frame)."""
-    path = Path(path)
-    lines = [",".join(CSV_FIELDS)]
-    for rec in sorted(records, key=lambda r: r.platoon_id):
-        for vi, (pos, spd) in enumerate(zip(rec.positions, rec.speeds)):
-            length = _fmt(rec.lengths[vi])
-            for frame in range(rec.duration):
-                lines.append(f"{rec.platoon_id},{vi},{frame},{_fmt(pos[frame])},"
-                             f"{_fmt(spd[frame])},{length}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write records to one CSV file, rows sorted by (platoon, vehicle, frame).
+    Each vehicle's lines go to the file as one string, so the text of the
+    whole file is never held at once."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(CSV_FIELDS) + "\n")
+        for rec in sorted(records, key=lambda r: r.platoon_id):
+            for vi, (pos, spd) in enumerate(zip(rec.positions, rec.speeds)):
+                length = _fmt(rec.lengths[vi])
+                f.write("".join(
+                    f"{rec.platoon_id},{vi},{frame},{_fmt(pos[frame])},"
+                    f"{_fmt(spd[frame])},{length}\n"
+                    for frame in range(rec.duration)))
 
 
 # One CSV row as the bulk parse reads it; platoon ids stay str objects.

@@ -19,10 +19,11 @@ the step-by-step composition it replaced, in their order (so its output has
 the same bits), with a hand-written VJP. Inside TFL the selective scan and
 the causal conv are numpy kernels that return their own VJPs; the scan runs
 forward and backward in cache-sized blocks of rows, in numpy's summation
-order, so its output does not depend on the batch. Without a tape the whole
-TFL block runs in those row blocks, so its scratch memory does not grow with
-the batch. Initial draws are quantized to float32 so a float32 checkpoint
-reproduces the exact float64 forward pass.
+order, so its output does not depend on the batch. Without a tape
+``model_forward`` runs the stages on one block of platoons at a time, each
+one such row block, so the network's scratch memory is one platoon block
+whatever the batch. Initial draws are quantized to float32 so a float32
+checkpoint reproduces the exact float64 forward pass.
 """
 
 from __future__ import annotations
@@ -232,9 +233,10 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 
 # -- kernels ------------------------------------------------------------------
 
-# State elements per row block of the selective scan, and of the whole TFL
-# block without a tape: 48 rows of an (8, 128) state, ~400 KB per float64
-# buffer, so a block's scan buffers stay in L2 and the TFL's other arrays
+# State elements per row block of the selective scan, of the whole TFL block
+# without a tape, and of the platoon blocks that model_forward runs the
+# network on without a tape: 48 rows of an (8, 128) state, ~400 KB per
+# float64 buffer, so a block's scan buffers stay in L2 and the other arrays
 # (48 rows of (T, 2 d_inner) at most) take ~2 MB each, whatever the batch.
 _SCAN_BLOCK = 48 * 8 * 128
 
@@ -419,10 +421,6 @@ def causal_conv1d(x, w, b):
 
 def embed_inputs(w, x_norm: np.ndarray):
     """Affine lift of the normalized features; x_norm is a constant."""
-    if np.abs(x_norm).max(initial=0.0) > EMBED_MAGNITUDE_WARN:
-        log.warning("embed_inputs: normalized feature magnitude exceeds %.0f; "
-                    "normalization stats may not match this data",
-                    EMBED_MAGNITUDE_WARN)
     tw, tb = ad.as_tensor(w["embed.w"]), ad.as_tensor(w["embed.b"])
     return ad.primitive(x_norm @ tw.data + tb.data, "embed", (tw, tb),
                         lambda g: _linear_vjp(g, x_norm, tw, tb))
@@ -722,6 +720,17 @@ class ModelOutput:
     xstar: dyn.ExpectedState
 
 
+def _infer(params: ModelParams, config: ModelConfig, history, noise):
+    """Embed through parameter encoding on one batch: (theta, mu, logvar)."""
+    w = params.weights
+    e = embed_inputs(w, (history - params.norm_mean) / params.norm_std)
+    memory = e if config.disable_tfl else tfl_forward(w, config, e)
+    z, mu, logvar = ful_forward(w, memory[..., -1, :], noise)
+    latent = z if config.disable_pfl else pfl_forward(w, config, z)
+    theta = dyn.encode_parameters(narp_decode(w, config, latent, memory))
+    return theta, mu, logvar
+
+
 def model_forward(params: ModelParams, config: ModelConfig,
                   history: np.ndarray, lead_future: np.ndarray,
                   noise=None) -> ModelOutput:
@@ -730,6 +739,14 @@ def model_forward(params: ModelParams, config: ModelConfig,
     history: (B, N, P, 3) raw follower features; lead_future: (B, F) leader
     speeds. noise: optional (B, N, d_model) standard-normal draws; None keeps
     the latent at its mean (deterministic evaluation).
+
+    With a tape, embed through parameter encoding runs once over the batch.
+    Without one, it runs on blocks of platoons whose vehicles fill one TFL
+    row block (8 platoons of six followers at the default config), each
+    writing its theta, mu and logvar into the batch's arrays, so the
+    network's scratch is one platoon block whatever the batch. Every stage
+    works platoon by platoon, so the bits do not depend on the blocking. The
+    expected state and the rollout then run once over the whole batch.
     """
     history = np.asarray(history, dtype=float)
     lead_future = np.asarray(lead_future, dtype=float)
@@ -746,12 +763,26 @@ def model_forward(params: ModelParams, config: ModelConfig,
             f"({history.shape[0]}, {config.horizon}), got {lead_future.shape}")
 
     w = params.weights
-    x_norm = (history - params.norm_mean) / params.norm_std
-    e = embed_inputs(w, x_norm)
-    memory = e if config.disable_tfl else tfl_forward(w, config, e)
-    z, mu, logvar = ful_forward(w, memory[..., -1, :], noise)
-    latent = z if config.disable_pfl else pfl_forward(w, config, z)
-    theta = dyn.encode_parameters(narp_decode(w, config, latent, memory))
+    # read over the whole batch, so that it logs once per call
+    if np.abs((history - params.norm_mean) / params.norm_std).max(
+            initial=0.0) > EMBED_MAGNITUDE_WARN:
+        log.warning("embed_inputs: normalized feature magnitude exceeds %.0f; "
+                    "normalization stats may not match this data",
+                    EMBED_MAGNITUDE_WARN)
+    if ad.needs_grad(*w.values()):
+        theta, mu, logvar = _infer(params, config, history, noise)
+    else:
+        B, N = history.shape[:2]
+        rows = max(1, _SCAN_BLOCK // (config.n_state * config.d_inner
+                                      * max(1, N)))
+        theta = np.empty((B, N, config.n_param_steps, 3))
+        mu, logvar = (np.empty((B, N, config.d_model)) for _ in range(2))
+        for b in range(0, B, rows):
+            blk = slice(b, b + rows)
+            parts = _infer(params, config, history[blk],
+                           None if noise is None else noise[blk])
+            theta[blk], mu[blk], logvar[blk] = (t.data for t in parts)
+        theta, mu, logvar = ad.Tensor(theta), ad.Tensor(mu), ad.Tensor(logvar)
     xstar = dyn.expected_state(history)
     initial = history[..., -1, :]                     # raw units at the anchor
     result = dyn.rollout(initial, lead_future, theta, xstar)

@@ -254,6 +254,32 @@ def test_csv_round_trip_is_byte_exact(tmp_path):
     assert b"\r" not in f1.read_bytes()
 
 
+def _joined_csv(records):
+    """The whole file as one string: the writer's output, built at once."""
+    lines = [",".join(data.CSV_FIELDS)]
+    for rec in sorted(records, key=lambda r: r.platoon_id):
+        for vi, (pos, spd) in enumerate(zip(rec.positions, rec.speeds)):
+            for frame in range(rec.duration):
+                lines.append(",".join([rec.platoon_id, str(vi), str(frame)] + [
+                    format(float(x), ".9g")
+                    for x in (pos[frame], spd[frame], rec.lengths[vi])]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_streamed_csv_matches_the_joined_text(tmp_path):
+    # ids out of order, so the file's order is the writer's sort
+    records = [r for n, k, seed in ((3, 2, 51), (2, 4, 52))
+               for r in data.generate_synthetic_platoons(n, n_followers=k,
+                                                         duration_s=3.0, seed=seed)]
+    records = [records[i] for i in (3, 0, 4, 2, 1)]
+    assert [r.platoon_id for r in records] != sorted(r.platoon_id for r in records)
+    path = tmp_path / "out.csv"
+    data.write_trajectories(records, path)
+    assert path.read_bytes() == _joined_csv(records)
+    data.write_trajectories([], path)
+    assert path.read_bytes() == _joined_csv([])
+
+
 def test_generation_deterministic(tmp_path):
     a = data.generate_synthetic_platoons(2, n_followers=3, duration_s=5.0, seed=42)
     b = data.generate_synthetic_platoons(2, n_followers=3, duration_s=5.0, seed=42)

@@ -762,6 +762,79 @@ class TestModelForward:
                                    rtol=0, atol=1e-12)
 
 
+def _fitted_batch(cfg, seed, batch, n_veh):
+    """Default-weight params normalized on their own (batch, n_veh) windows."""
+    params = net.init_params(cfg, seed=seed)
+    hist, lead = _window_batch(cfg, np.random.default_rng(seed), batch, n_veh)
+    params.norm_mean, params.norm_std = net.fit_normalization([(hist, lead, None)])
+    return params, hist, lead
+
+
+def _output_arrays(out):
+    return (out.theta.data, out.mu.data, out.logvar.data, out.result.v.data,
+            out.result.s.data, out.xstar.v_star, out.xstar.s_star)
+
+
+class TestPlatoonBlocks:
+    """Without a tape, model_forward runs the network one block of platoons
+    at a time: 48 vehicles, 8 platoons of six or 16 of three."""
+
+    @pytest.mark.parametrize("n_veh, blocks", [(6, (8, 8, 3)), (3, (16, 3))])
+    def test_blocks_match_per_platoon_runs_bitwise(self, n_veh, blocks):
+        cfg = net.ModelConfig()
+        assert net._SCAN_BLOCK // (cfg.n_state * cfg.d_inner * n_veh) == blocks[0]
+        batch = sum(blocks)
+        params, hist, lead = _fitted_batch(cfg, 60 + n_veh, batch, n_veh)
+        noise = np.random.default_rng(70).standard_normal(
+            (batch, n_veh, cfg.d_model))
+        for eps in (None, noise):
+            with ad.no_grad():
+                whole = _output_arrays(net.model_forward(params, cfg, hist, lead,
+                                                         noise=eps))
+                for i in range(batch):
+                    one = slice(i, i + 1)
+                    solo = net.model_forward(params, cfg, hist[one], lead[one],
+                                             None if eps is None else eps[one])
+                    for got, want in zip(_output_arrays(solo), whole):
+                        _assert_bits(got[0], want[i])
+            # the taped forward is one block: the same bits and the same
+            # 85 nodes (70 weights, 10 stage nodes, 4 attention layers...)
+            taped = net.model_forward(params, cfg, hist, lead, noise=eps)
+            for got, want in zip(_output_arrays(taped), whole):
+                _assert_bits(got, want)
+            assert len(ad.Tape.trace(taped.result.v).nodes) == 85
+
+    def test_feature_warning_logs_once_per_call(self, caplog):
+        # 19 platoons of six are three blocks; one feature is far out of range
+        cfg = net.ModelConfig()
+        params, hist, lead = _fitted_batch(cfg, 71, 19, 6)
+        hist[17, 2, 5, 0] = 1e4
+        with caplog.at_level(logging.WARNING, logger="platoonkit.network"), \
+                ad.no_grad():
+            net.model_forward(params, cfg, hist, lead)
+        warned = [r for r in caplog.records if "feature magnitude" in r.message]
+        assert len(warned) == 1
+
+    def test_no_grad_peak_memory_is_one_block(self):
+        # the peak beyond the inputs and the outputs stays under 4 buffers of
+        # (48, T, 2 d_inner), one block's widest TFL array, at B = 64 and 256
+        # (the unblocked network read 10.1 and 40.5)
+        cfg = net.ModelConfig()
+        buffer = 8 * _BLOCK * cfg.history_len * 2 * cfg.d_inner
+        for batch in (64, 256):
+            params, hist, lead = _fitted_batch(cfg, 72, batch, 6)
+            with ad.no_grad():
+                net.model_forward(params, cfg, hist[:1], lead[:1])   # warm caches
+                tracemalloc.start()
+                try:
+                    out = net.model_forward(params, cfg, hist, lead)
+                    kept, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert out.theta.shape[0] == batch
+            assert (peak - kept) / buffer <= 4.0, batch
+
+
 class TestNormalization:
     def test_fit_matches_numpy(self):
         cfg = _tiny_config()
