@@ -10,8 +10,12 @@ fully-masked rows, and ``softplus``, the one softplus.
 ``Tensor.backward`` has ``Tape.trace`` order the nodes reachable from an
 output topologically and ``Tape.backward`` replay them once in reverse; the
 graph is rebuilt on every forward pass. A node records only its parents
-that require grad, so no constant is ever a leaf, and no VJP captures its
-own output, so a dropped graph is freed by reference counting. Storage is
+that require grad, so no constant is ever a leaf. The replay consumes the
+graph: once a node's VJP has run, the node drops its gradient, its parents
+and its closure, so the graph is freed as backward goes, while the output
+is still held, and a second backward through it raises ``AutodiffError``.
+Leaves keep their gradients. No VJP captures its own output, so a graph
+dropped without a backward is freed by reference counting too. Storage is
 float64; a non-finite node output raises ``NonFiniteValue`` naming the
 node. ``finite_diff_check`` backpropagates a scalar graph and checks its
 gradients against central differences.
@@ -118,9 +122,15 @@ class Tensor:
         return getitem(self, idx)
 
 
+def _consumed(g) -> None:
+    raise AutodiffError("backward through a graph that was already backpropagated")
+
+
 class Tape:
-    """The nodes reachable from one output, in topological order;
-    ``backward`` runs each node's VJP once, in reverse."""
+    """The nodes reachable from one output, in topological order.
+    ``backward`` runs each node's VJP once, in reverse, then drops the node's
+    gradient and parents and swaps its VJP for ``_consumed``, which raises:
+    a graph can be backpropagated once."""
 
     def __init__(self, nodes: list):
         self.nodes = nodes
@@ -150,6 +160,7 @@ class Tape:
         for node in reversed(self.nodes):
             if node._vjp is not None and node.grad is not None:
                 node._vjp(node.grad)
+                node.grad, node._parents, node._vjp = None, (), _consumed
 
 
 def as_tensor(x) -> Tensor:
@@ -199,8 +210,10 @@ def _make(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
 def primitive(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
     """Record one node: ``data``, computed in numpy, and ``vjp(g)``, which
     passes the output gradient to ``parents`` through ``accumulate``. Only
-    parents that require grad are recorded. ``vjp`` must not capture the
-    output Tensor, or each graph becomes a reference cycle."""
+    parents that require grad are recorded. ``vjp`` runs at most once:
+    ``Tape.backward`` drops it after the call. It must not capture the
+    output Tensor, or a graph dropped without a backward becomes a
+    reference cycle."""
     return _make(data, op, parents, vjp)
 
 

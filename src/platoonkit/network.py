@@ -241,6 +241,11 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 _SCAN_BLOCK = 48 * 8 * 128
 
 
+def _block_rows(per_row: int) -> int:
+    """Rows of ``per_row`` state elements in one block (at least one)."""
+    return max(1, _SCAN_BLOCK // per_row)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)), in one new buffer."""
     s = np.negative(x)
@@ -303,7 +308,7 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     # long channel axis. Rows are independent, so the recurrence runs over
     # one cache-sized block of rows at a time in reused buffers.
     R = math.prod(batch)
-    rows = max(1, min(R, _SCAN_BLOCK // (S * C)))
+    rows = min(max(1, R), _block_rows(S * C))
     blocks = [slice(r0, min(r0 + rows, R)) for r0 in range(0, R, rows)]
     a_t = np.ascontiguousarray(a_mat.T)
     y = np.empty(u.shape)
@@ -452,7 +457,7 @@ def tfl_forward(w, config: ModelConfig, x):
                             lambda g: ad.accumulate(x_t, rows_vjp(g)))
     out = np.empty(X.shape)
     X3, out3 = X.reshape((-1,) + X.shape[-2:]), out.reshape((-1,) + X.shape[-2:])
-    rows = max(1, _SCAN_BLOCK // (config.n_state * config.d_inner))
+    rows = _block_rows(config.n_state * config.d_inner)
     for r0 in range(0, len(X3), rows):
         out3[r0:r0 + rows] = _tfl_rows(config, X3[r0:r0 + rows], weights)[0]
     return ad.primitive(out, "tfl", (x_t,) + weights, None)
@@ -773,8 +778,7 @@ def model_forward(params: ModelParams, config: ModelConfig,
         theta, mu, logvar = _infer(params, config, history, noise)
     else:
         B, N = history.shape[:2]
-        rows = max(1, _SCAN_BLOCK // (config.n_state * config.d_inner
-                                      * max(1, N)))
+        rows = _block_rows(config.n_state * config.d_inner * max(1, N))
         theta = np.empty((B, N, config.n_param_steps, 3))
         mu, logvar = (np.empty((B, N, config.d_model)) for _ in range(2))
         for b in range(0, B, rows):

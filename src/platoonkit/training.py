@@ -12,7 +12,9 @@ reproduce the in-memory forward pass bit for bit when reloaded. A checkpoint
 (format 3) is a manifest of the config and the input normalization plus the
 weights in ``network.weight_shapes`` order, so the config alone fixes where
 each weight lies. Each step backpropagates the weighted total loss with
-``Tensor.backward``.
+``Tensor.backward``, which frees the step's graph as it goes: the loss and
+the model output the loop still holds keep no graph, so no step's graph is
+alive during the next step's forward pass.
 """
 
 from __future__ import annotations

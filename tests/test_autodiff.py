@@ -444,12 +444,28 @@ def test_graph_is_freed_without_the_cycle_collector():
         loss = _joint(inner[..., 0], inner[1:], inner)
         del inner
         loss.backward()
-        assert probe() is not None          # the loss still holds its graph
-        del loss
-        assert probe() is None
+        assert probe() is None              # backward freed it; loss is held
+        assert loss._parents == ()
     finally:
         gc.enable()
     assert x.grad is not None
+
+
+def test_second_backward_through_a_graph_raises():
+    x = ad.param(np.random.default_rng(14).standard_normal((3, 4, 3)))
+    inner = dyn.encode_parameters(x)
+    loss = _joint(inner[..., 0], inner[1:], inner)
+    loss.backward()
+    grad = x.grad.copy()
+    with pytest.raises(ad.AutodiffError,
+                       match="backward through a graph that was already "
+                             "backpropagated"):
+        loss.backward()
+    # another output of the consumed graph fails loudly too, and neither
+    # attempt adds a partial gradient to the leaf
+    with pytest.raises(ad.AutodiffError, match="already backpropagated"):
+        _joint(inner).backward()
+    np.testing.assert_array_equal(x.grad, grad)
 
 
 def test_no_grad_blocks_recording():

@@ -211,7 +211,7 @@ def _assert_bits(got, want):
 
 
 def _block_rows(S, C=128):
-    return max(1, net._SCAN_BLOCK // (S * C))
+    return net._block_rows(S * C)
 
 
 _BLOCK = _block_rows(8)
@@ -496,18 +496,21 @@ class TestFusedTemporalBlock:
             _assert_bits(single.grad[0], x.grad[row])
 
     def test_row_blocks_keep_theta_per_window(self):
+        # platoons of 50 followers run one per block through model_forward,
+        # and each crosses a 48-row TFL block; the taped forward runs the
+        # TFL in one pass
         cfg = net.ModelConfig()
-        params = net.init_params(cfg, seed=4)
-        hist, lead = _window_batch(cfg, np.random.default_rng(34), batch=11,
-                                   n_veh=5)
-        params.norm_mean, params.norm_std = net.fit_normalization(
-            [(hist, lead, None)])
+        n_veh = _BLOCK + 2
+        assert net._block_rows(cfg.n_state * cfg.d_inner * n_veh) == 1
+        params, hist, lead = _fitted_batch(cfg, 4, 2, n_veh)
+        taped = net.model_forward(params, cfg, hist, lead).theta.data
         with ad.no_grad():
             theta = net.model_forward(params, cfg, hist, lead).theta.data
             for i in range(len(hist)):
                 solo = net.model_forward(params, cfg, hist[i:i + 1],
                                          lead[i:i + 1]).theta.data
                 _assert_bits(solo[0], theta[i])
+        _assert_bits(theta, taped)
 
     def test_no_grad_peak_memory(self):
         # without a tape the block runs per row block: at B=64 and B=256 the
@@ -782,7 +785,7 @@ class TestPlatoonBlocks:
     @pytest.mark.parametrize("n_veh, blocks", [(6, (8, 8, 3)), (3, (16, 3))])
     def test_blocks_match_per_platoon_runs_bitwise(self, n_veh, blocks):
         cfg = net.ModelConfig()
-        assert net._SCAN_BLOCK // (cfg.n_state * cfg.d_inner * n_veh) == blocks[0]
+        assert net._block_rows(cfg.n_state * cfg.d_inner * n_veh) == blocks[0]
         batch = sum(blocks)
         params, hist, lead = _fitted_batch(cfg, 60 + n_veh, batch, n_veh)
         noise = np.random.default_rng(70).standard_normal(
