@@ -249,17 +249,18 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _predictions(params, config, windows, batch_size):
-    """Deterministic open-loop predictions pooled over all windows."""
+def _predictions(params, config, windows):
+    """Deterministic open-loop predictions pooled over all windows: one
+    forward pass per follower count, which ``model_forward`` runs a block of
+    platoons at a time."""
     from . import analysis
     from . import autodiff as ad
     from . import network as net
-    from . import training
     import numpy as np
     F = config.horizon
     pv, ps, tv, ts, bv, bs = [], [], [], [], [], []
     with ad.no_grad():
-        for hist, lead, targets in training.make_batches(windows, batch_size):
+        for hist, lead, targets in windows:
             out = net.model_forward(params, config, hist, lead)
             pv.append(out.result.v.data.reshape(-1, F))
             ps.append(out.result.s.data.reshape(-1, F))
@@ -280,8 +281,7 @@ def _cmd_eval(args) -> int:
     n_windows = data.window_count(windows)
     if not n_windows:
         raise CliError("no evaluation windows; records are too short")
-    pv, ps, tv, ts, bv, bs = _predictions(params, config, windows,
-                                          args.batch_size)
+    pv, ps, tv, ts, bv, bs = _predictions(params, config, windows)
     # report the part of the standard lead-time grid the horizon covers
     horizons = tuple(h for h in analysis.HORIZONS_S
                      if int(round(h / data.DT)) <= config.horizon)
@@ -521,9 +521,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.add_argument("--batch-size", type=_positive_int, default=64,
-                   help="windows per forward pass; the network's scratch is "
-                        "one block of platoons whatever the batch")
     p.add_argument("--stride", type=_at_most(_positive_int, MAX_STRIDE),
                    default=1, help=f"frames, at most {MAX_STRIDE:g}")
     p.set_defaults(handler=_cmd_eval)

@@ -327,22 +327,30 @@ def extract_windows(records: Sequence[PlatoonRecord], history_len: int,
     frames, then (W, F) leader speeds and (W, N, F, 2) follower [speed, gap]
     over the F = ``horizon`` frames after them. Within a count, the records'
     windows follow in list order. A record shorter than P + F frames adds no
-    window, so a count whose records are all that short has W = 0."""
+    window, so a count whose records are all that short has W = 0. A count's
+    records are laid end to end, and each of its arrays is cut from them by
+    one gather, which writes it in C order."""
     if history_len < 1 or horizon < 1 or stride < 1:
         raise ValueError("history_len, horizon, stride must be >= 1")
     P, F = history_len, horizon
     groups = {}
     for record in records:
-        starts = np.arange(0, record.duration - (P + F) + 1, stride)[:, None]
-        past, future = starts + np.arange(P), starts + P + np.arange(F)
-        feats = features(record.speeds, record.gaps()).swapaxes(0, 1)  # (T, N, 3)
-        # copied to C order: np.concatenate keeps the swapped strides, and
-        # the strides reach the last digits of eval and of the epoch losses
-        groups.setdefault(record.n_followers, []).append(
-            (feats[past].swapaxes(1, 2).copy(), record.speeds[0][future],
-             feats[future, :, :2].swapaxes(1, 2).copy()))
-    return [tuple(parts[0] if len(parts) == 1 else np.concatenate(parts)
-                  for parts in zip(*groups[n])) for n in sorted(groups)]
+        groups.setdefault(record.n_followers, []).append(record)
+    out = []
+    for n in sorted(groups):
+        group = groups[n]
+        speeds = np.concatenate([r.speeds for r in group], axis=1)  # (N+1, ΣT)
+        feats = features(speeds, np.concatenate([r.gaps() for r in group],
+                                                axis=1)).swapaxes(0, 1)
+        ends = np.cumsum([r.duration for r in group])
+        starts = np.concatenate([
+            np.arange(end - r.duration, end - (P + F) + 1, stride)
+            for r, end in zip(group, ends)])[:, None, None]       # (W, 1, 1)
+        future = starts + P + np.arange(F)
+        follower = np.arange(n)[:, None]
+        out.append((feats[starts + np.arange(P), follower],
+                    speeds[0][future[:, 0]], feats[future, follower, :2]))
+    return out
 
 
 def window_count(windows) -> int:

@@ -741,17 +741,18 @@ def model_forward(params: ModelParams, config: ModelConfig,
                   noise=None) -> ModelOutput:
     """Full pipeline on a window batch.
 
-    history: (B, N, P, 3) raw follower features; lead_future: (B, F) leader
-    speeds. noise: optional (B, N, d_model) standard-normal draws; None keeps
-    the latent at its mean (deterministic evaluation).
+    history: (B, N, P, 3) raw follower features, B >= 0; lead_future: (B, F)
+    leader speeds. noise: optional (B, N, d_model) standard-normal draws;
+    None keeps the latent at its mean (deterministic evaluation).
 
     With a tape, embed through parameter encoding runs once over the batch.
     Without one, it runs on blocks of platoons whose vehicles fill one TFL
     row block (8 platoons of six followers at the default config), each
     writing its theta, mu and logvar into the batch's arrays, so the
-    network's scratch is one platoon block whatever the batch. Every stage
-    works platoon by platoon, so the bits do not depend on the blocking. The
-    expected state and the rollout then run once over the whole batch.
+    network's scratch is one platoon block whatever the batch, and inference
+    passes each follower count's windows whole. Every stage works platoon by
+    platoon, so the bits do not depend on the blocking. The expected state
+    and the rollout then run once over the whole batch.
     """
     history = np.asarray(history, dtype=float)
     lead_future = np.asarray(lead_future, dtype=float)
@@ -768,12 +769,17 @@ def model_forward(params: ModelParams, config: ModelConfig,
             f"({history.shape[0]}, {config.horizon}), got {lead_future.shape}")
 
     w = params.weights
-    # read over the whole batch, so that it logs once per call
-    if np.abs((history - params.norm_mean) / params.norm_std).max(
-            initial=0.0) > EMBED_MAGNITUDE_WARN:
-        log.warning("embed_inputs: normalized feature magnitude exceeds %.0f; "
-                    "normalization stats may not match this data",
-                    EMBED_MAGNITUDE_WARN)
+    # read over the whole batch, so that it logs once per call: normalizing
+    # is monotone, so each feature's extremes give its largest magnitude, and
+    # numpy's reductions carry a NaN through to a false comparison
+    if history.size:
+        extremes = np.stack([history.max(axis=(0, 1, 2)),
+                             history.min(axis=(0, 1, 2))])
+        if np.abs((extremes - params.norm_mean) / params.norm_std).max() \
+                > EMBED_MAGNITUDE_WARN:
+            log.warning("embed_inputs: normalized feature magnitude exceeds "
+                        "%.0f; normalization stats may not match this data",
+                        EMBED_MAGNITUDE_WARN)
     if ad.needs_grad(*w.values()):
         theta, mu, logvar = _infer(params, config, history, noise)
     else:

@@ -205,16 +205,17 @@ def load_checkpoint(path: str):
         config = net.ModelConfig(**manifest["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad config in manifest: {exc}") from exc
+    layout = net.weight_shapes(config)
+    total = sum(math.prod(shape) for shape in layout.values())
     try:
         with open(os.path.join(path, WEIGHTS_NAME), "rb") as f:
+            size = os.fstat(f.fileno()).st_size     # before a byte is read
+            if size != 4 * total:
+                raise CheckpointError(f"weights.bin holds {size} bytes, the "
+                                      f"config needs {total} float32 values")
             blob = f.read()
     except OSError as exc:
         raise CheckpointError(f"unreadable weights in {path}: {exc}") from exc
-    layout = net.weight_shapes(config)
-    total = sum(math.prod(shape) for shape in layout.values())
-    if len(blob) != 4 * total:
-        raise CheckpointError(f"weights.bin holds {len(blob)} bytes, the config "
-                              f"needs {total} float32 values")
     raw = np.frombuffer(blob, dtype="<f4")
     weights = OrderedDict()
     lo = 0

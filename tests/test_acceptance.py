@@ -51,18 +51,8 @@ def trained_model():
 
     # deterministic open-loop predictions on the held-out platoons
     test_w = data.extract_windows(test_recs, P, F, stride=10)
-    chunks = {k: [] for k in ("pv", "ps", "tv", "ts", "bv", "bs")}
-    with ad.no_grad():
-        for hist, lead, targets in training.make_batches(test_w, 128):
-            out = net.model_forward(params, config, hist, lead)
-            chunks["pv"].append(out.result.v.data.reshape(-1, F))
-            chunks["ps"].append(out.result.s.data.reshape(-1, F))
-            chunks["tv"].append(targets[..., 0].reshape(-1, F))
-            chunks["ts"].append(targets[..., 1].reshape(-1, F))
-            base_v, base_s = analysis.persistence_prediction(hist, F)
-            chunks["bv"].append(base_v.reshape(-1, F))
-            chunks["bs"].append(base_s.reshape(-1, F))
-    arrays = {k: np.concatenate(v, axis=0) for k, v in chunks.items()}
+    arrays = dict(zip(("pv", "ps", "tv", "ts", "bv", "bs"),
+                      cli._predictions(params, config, test_w)))
     return {"params": params, "config": config, "test_records": test_recs,
             "eval": arrays, "train_seconds": time.time() - t0}
 

@@ -72,6 +72,13 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert code == 1 and "--out" in err
 
 
+def test_eval_has_no_batch_size(capsys):
+    # eval runs each follower count's windows as one batch
+    code, _, err = _run(capsys, ["eval", "--checkpoint", "c", "--data", "d",
+                                 "--batch-size", "64"])
+    assert code == 1 and "--batch-size" in err
+
+
 def test_nonpositive_count_is_usage_error(capsys):
     code, _, err = _run(capsys, ["datagen", "--out", "x", "--platoons", "0"])
     assert code == 1 and "positive" in err
@@ -474,6 +481,28 @@ def test_eval_byte_identical_across_runs(checkpoint, corpus, capsys):
     _, out1, _ = _run(capsys, argv)
     _, out2, _ = _run(capsys, argv)
     assert out1 == out2
+
+
+def test_eval_count_without_windows_adds_nothing(checkpoint, corpus, capsys,
+                                                 tmp_path):
+    # 3-follower records of 10 frames, against 6 of history plus 5 of
+    # horizon: their count has no window, and the tables are the corpus's own
+    mixed = tmp_path / "mixed"
+    assert _run(capsys, ["datagen", "--out", str(mixed), "--platoons", "2",
+                         "--followers", "3", "--duration-s", "1.0",
+                         "--seed", "1"])[0] == 0
+    for csv_path in corpus.glob("*.csv"):
+        (mixed / csv_path.name).write_bytes(csv_path.read_bytes())
+    reports = []
+    for data_dir in (corpus, mixed):
+        code, out, _ = _run(capsys, ["eval", "--checkpoint", str(checkpoint),
+                                     "--data", str(data_dir), "--stride", "3"])
+        assert code == 0
+        reports.append(json.loads(out))
+    alone, with_short = reports
+    assert with_short["platoons"] == alone["platoons"] + 2
+    for key in ("windows", "horizons", "persistence", "improvement_pct"):
+        assert with_short[key] == alone[key]
 
 
 def test_eval_bad_checkpoint_is_data_error(capsys, tmp_path, corpus):

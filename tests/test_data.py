@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,6 +159,28 @@ def test_windows_of_a_mixed_corpus_are_c_ordered_and_in_record_order(stride):
                         P, F, n)
         for g, w in zip(triple, want):
             _assert_same_bits(g, w)
+
+
+def test_windows_are_written_once():
+    # a corpus of 6- and 3-follower platoons with records too short for a
+    # window, at the default P and F and stride 1: the peak above entry stays
+    # near the arrays returned (copying per record, then concatenating, read
+    # 2.0 times them)
+    P, F = 21, 20
+    records = [data.generate_synthetic_platoons(1, n_followers=n, duration_s=d,
+                                                seed=i)[0]
+               for i, (n, d) in enumerate([(6, 15.0), (3, 15.0), (6, 3.0),
+                                           (3, 12.0), (6, 10.0), (3, 2.0)])]
+    data.extract_windows(records, P, F)      # warm caches
+    tracemalloc.start()
+    try:
+        got = data.extract_windows(records, P, F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for triple in got for a in triple)
+    assert data.window_count(got) == 110 + 110 + 60 + 80
+    assert peak <= 1.25 * returned, peak / returned
 
 
 @pytest.mark.parametrize("seed", [None, 0, 11])

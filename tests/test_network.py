@@ -808,15 +808,36 @@ class TestPlatoonBlocks:
             assert len(ad.Tape.trace(taped.result.v).nodes) == 85
 
     def test_feature_warning_logs_once_per_call(self, caplog):
-        # 19 platoons of six are three blocks; one feature is far out of range
+        # 19 platoons of six are three blocks; the warning is logged once iff
+        # the batch's largest normalized magnitude is above the threshold,
+        # which a NaN anywhere turns false
         cfg = net.ModelConfig()
-        params, hist, lead = _fitted_batch(cfg, 71, 19, 6)
-        hist[17, 2, 5, 0] = 1e4
-        with caplog.at_level(logging.WARNING, logger="platoonkit.network"), \
-                ad.no_grad():
-            net.model_forward(params, cfg, hist, lead)
-        warned = [r for r in caplog.records if "feature magnitude" in r.message]
-        assert len(warned) == 1
+        params, batch, lead = _fitted_batch(cfg, 71, 19, 6)
+        params.norm_mean[0], params.norm_std[0] = 10.0, 0.5  # 60 reads 100
+        far = (17, 2, 5, 0)
+        for edits, rows, warns in [
+                ([(far, 1e4)], 19, True),
+                ([(far, np.nextafter(60.0, np.inf))], 19, True),
+                ([(far, 60.0)], 19, False),
+                ([(far, 1e4), ((3, 1, 0, 2), np.nan)], 19, False),
+                ([(far, np.inf)], 19, True),
+                ([], 0, False)]:
+            hist = batch[:rows].copy()
+            for index, value in edits:
+                hist[index] = value
+            normalized = (hist - params.norm_mean) / params.norm_std
+            assert (np.abs(normalized).max(initial=0.0)
+                    > net.EMBED_MAGNITUDE_WARN) == warns
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="platoonkit.network"), \
+                    ad.no_grad():
+                try:
+                    net.model_forward(params, cfg, hist, lead[:rows])
+                except ad.NonFiniteValue:
+                    assert not np.isfinite(hist).all()
+            warned = [r for r in caplog.records
+                      if "feature magnitude" in r.message]
+            assert len(warned) == warns, edits
 
     def test_no_grad_peak_memory_is_one_block(self):
         # the peak beyond the inputs and the outputs stays under 4 buffers of

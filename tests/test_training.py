@@ -201,6 +201,24 @@ class TestCheckpoints:
         with pytest.raises(tr.CheckpointError, match="holds"):
             tr.load_checkpoint(path)
 
+    def test_oversized_payload_rejected_unread(self, tmp_path):
+        # an 8 MB weights.bin for the desk config is refused by its size
+        # (reading it whole first peaked above 8 MB)
+        cfg = net.desk_config()
+        path = str(tmp_path / "ckpt")
+        tr.save_checkpoint(path, net.init_params(cfg, seed=0), cfg)
+        with open(os.path.join(path, "weights.bin"), "r+b") as f:
+            f.truncate(8 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(tr.CheckpointError,
+                               match=f"holds {8 << 20} bytes"):
+                tr.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     def test_unknown_format_rejected(self, tmp_path):
         cfg = _tiny_config()
         params = net.init_params(cfg, seed=0)
