@@ -15,8 +15,11 @@ graph: once a node's VJP has run, the node drops its gradient, its parents
 and its closure, so the graph is freed as backward goes, while the output
 is still held, and a second backward through it raises ``AutodiffError``.
 Leaves keep their gradients. No VJP captures its own output, so a graph
-dropped without a backward is freed by reference counting too. Storage is
-float64; a non-finite node output raises ``NonFiniteValue`` naming the
+dropped without a backward is freed by reference counting too. A tensor
+keeps float32 data as float32 and stores anything else as float64; a leaf
+(``param``) and every recorded node are float64, so a tape is all float64
+and float32 only flows through constants, as in inference from a float32
+checkpoint. A non-finite node output raises ``NonFiniteValue`` naming the
 node. ``finite_diff_check`` backpropagates a scalar graph and checks its
 gradients against central differences.
 """
@@ -89,14 +92,17 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """Dense float64 array node in the autodiff graph."""
+    """Dense array node in the autodiff graph: float32 data stays float32,
+    anything else is stored as float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op",
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(),
                  _vjp=None, _op: str = "tensor"):
-        arr = np.asarray(data, dtype=DTYPE)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(DTYPE, copy=False)
         _check_finite(arr, _op)
         self.data = arr
         self.grad = None
@@ -168,8 +174,8 @@ def as_tensor(x) -> Tensor:
 
 
 def param(x) -> Tensor:
-    """Leaf tensor that accumulates gradient."""
-    return Tensor(x, requires_grad=True)
+    """Leaf tensor that accumulates gradient, always float64."""
+    return Tensor(np.asarray(x, dtype=DTYPE), requires_grad=True)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -202,9 +208,13 @@ def needs_grad(*tensors: Tensor) -> bool:
 
 def _make(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
     parents = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
-    if parents:
-        return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp, _op=op)
-    return Tensor(data, _op=op)
+    if not parents:
+        return Tensor(data, _op=op)
+    out = Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp, _op=op)
+    if out.data.dtype != DTYPE:
+        raise AutodiffError(f"'{op}' would record a {out.data.dtype} node; "
+                            f"a tape holds float64 only")
+    return out
 
 
 def primitive(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:

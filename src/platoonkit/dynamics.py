@@ -39,13 +39,14 @@ def encode_parameters(raw):
     """Map raw decoder outputs (..., 3) to sign-constrained parameters.
 
     theta = [-softplus(r0), softplus(r1), softplus(r2)], as one autodiff
-    node; strictly signed for any finite input representable in float64
-    (|raw| < ~745).
+    node, computed in float64 whatever the input's dtype (a float32 softplus
+    underflows to 0 below about -104); strictly signed for any finite input
+    with |raw| < ~745.
     """
     t = ad.as_tensor(raw)
     if t.shape[-1] != 3:
         raise ad.ShapeMismatch(f"encode_parameters: last axis must be 3, got {t.shape}")
-    soft = ad.softplus(t.data.copy())
+    soft = ad.softplus(t.data.astype(np.float64))
 
     def vjp(g):
         # softplus' = sigmoid = 1 - exp(-softplus), which cannot overflow

@@ -22,8 +22,12 @@ forward and backward in cache-sized blocks of rows, in numpy's summation
 order, so its output does not depend on the batch. Without a tape
 ``model_forward`` runs the stages on one block of platoons at a time, each
 one such row block, so the network's scratch memory is one platoon block
-whatever the batch. Initial draws are quantized to float32 so a float32
-checkpoint reproduces the exact float64 forward pass.
+whatever the batch. Initial draws are quantized to float32, so a float32
+checkpoint holds the trained weights exactly. The network computes in the
+dtype of its weights: every buffer takes its input's dtype, so a loaded
+checkpoint (float32 constants) runs each stage in float32, while
+``init_params``, training and every taped pass are float64. The history is
+normalized, and theta encoded and rolled out, in float64 either way.
 """
 
 from __future__ import annotations
@@ -311,13 +315,13 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     rows = min(max(1, R), _block_rows(S * C))
     blocks = [slice(r0, min(r0 + rows, R)) for r0 in range(0, R, rows)]
     a_t = np.ascontiguousarray(a_mat.T)
-    y = np.empty(u.shape)
+    y = np.empty(u.shape, u.dtype)
     H = np.empty((T, R, S, C)) if keep_states else None
     U2, DT2, y2 = (a.reshape(R, T, C) for a in (u, delta, y))
     B2, C2 = b_seq.reshape(R, T, S), c_seq.reshape(R, T, S)
-    h = None if keep_states else np.empty((rows, S, C))
-    work = np.empty((rows, S, C))          # the decay, then the injection
-    du, ch = np.empty((rows, C)), np.empty((rows, 1, C))
+    h = None if keep_states else np.empty((rows, S, C), u.dtype)
+    work = np.empty((rows, S, C), u.dtype)  # the decay, then the injection
+    du, ch = np.empty((rows, C), u.dtype), np.empty((rows, 1, C), u.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in blocks:
             n = blk.stop - blk.start
@@ -398,7 +402,7 @@ def causal_conv1d(x, w, b):
     """
     T, C = x.shape[-2:]
     K = w.shape[1]
-    xp = np.zeros(x.shape[:-2] + (K - 1 + T, C))
+    xp = np.zeros(x.shape[:-2] + (K - 1 + T, C), x.dtype)
     xp[..., K - 1:, :] = x
     y = xp[..., :T, :] * w[:, 0]
     tap = np.empty_like(y)
@@ -455,7 +459,7 @@ def tfl_forward(w, config: ModelConfig, x):
         out, rows_vjp = _tfl_rows(config, X, weights, keep=True)
         return ad.primitive(out, "tfl", (x_t,) + weights,
                             lambda g: ad.accumulate(x_t, rows_vjp(g)))
-    out = np.empty(X.shape)
+    out = np.empty(X.shape, X.dtype)
     X3, out3 = X.reshape((-1,) + X.shape[-2:]), out.reshape((-1,) + X.shape[-2:])
     rows = _block_rows(config.n_state * config.d_inner)
     for r0 in range(0, len(X3), rows):
@@ -555,7 +559,7 @@ def ful_forward(w, x_last, noise=None):
     logvar = h2 @ Wlv + clv
     z = mu
     if noise is not None:
-        noise = np.asarray(noise, dtype=float)
+        noise = np.asarray(noise, dtype=X.dtype)
         with np.errstate(over="ignore"):
             sigma = np.exp(logvar * 0.5)
         z = mu + sigma * noise
@@ -692,7 +696,8 @@ def pfl_forward(w, config: ModelConfig, z):
     Adding the position table to z is one node."""
     z = ad.as_tensor(z)
     n_veh = z.shape[-2]
-    x = ad.primitive(z.data + sinusoidal_encoding(n_veh, config.d_model),
+    pos = sinusoidal_encoding(n_veh, config.d_model)
+    x = ad.primitive(z.data + pos.astype(z.data.dtype, copy=False),
                      "pfl_position", (z,), lambda g: ad.accumulate(z, g))
     mask = np.tril(np.ones((n_veh, n_veh), dtype=bool))
     for i in range(config.attn_layers):
@@ -705,8 +710,9 @@ def narp_decode(w, config: ModelConfig, latent, memory):
     latent plus a position per block (one node), the cross-attention layers
     over the temporal memory, then the linear head (one node)."""
     lat = ad.as_tensor(latent)
+    pos = sinusoidal_encoding(config.n_param_steps, config.d_model)
     q = ad.primitive(lat.data.reshape(lat.shape[:-1] + (1, lat.shape[-1]))
-                     + sinusoidal_encoding(config.n_param_steps, config.d_model),
+                     + pos.astype(lat.data.dtype, copy=False),
                      "narp_query", (lat,),
                      lambda g: ad.accumulate(lat, g.sum(axis=-2)))
     for i in range(config.attn_layers):
@@ -726,9 +732,11 @@ class ModelOutput:
 
 
 def _infer(params: ModelParams, config: ModelConfig, history, noise):
-    """Embed through parameter encoding on one batch: (theta, mu, logvar)."""
+    """Embed through parameter encoding on one batch: (theta, mu, logvar).
+    The normalized history enters in the weights' dtype."""
     w = params.weights
-    e = embed_inputs(w, (history - params.norm_mean) / params.norm_std)
+    x_norm = (history - params.norm_mean) / params.norm_std
+    e = embed_inputs(w, x_norm.astype(w["embed.w"].data.dtype, copy=False))
     memory = e if config.disable_tfl else tfl_forward(w, config, e)
     z, mu, logvar = ful_forward(w, memory[..., -1, :], noise)
     latent = z if config.disable_pfl else pfl_forward(w, config, z)

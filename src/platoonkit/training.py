@@ -7,8 +7,9 @@ of the previous two epochs' losses through a temperature-2 softmax, so a task
 that stopped improving receives more weight.
 
 Weights are float64 in memory but snapped to float32-representable values
-after every optimizer step; checkpoints store raw float32 and therefore
-reproduce the in-memory forward pass bit for bit when reloaded. A checkpoint
+after every optimizer step; checkpoints store raw float32, so a reloaded
+model holds the trained weights exactly. It runs them in float32, so its
+forward pass agrees with the in-memory one to float32 rounding. A checkpoint
 (format 3) is a manifest of the config and the input normalization plus the
 weights in ``network.weight_shapes`` order, so the config alone fixes where
 each weight lies. Each step backpropagates the weighted total loss with
@@ -192,7 +193,13 @@ def load_checkpoint(path: str):
     """Read a checkpoint directory; returns (params, config). weights.bin is
     split by the config's weight shapes: it must hold exactly their values,
     each weight finite; ``norm_mean`` and ``norm_std`` must be 3 finite
-    values each, the std above 0."""
+    values each, the std above 0.
+
+    The weights come back as float32 constants, the precision they are
+    stored in: they never require grad, so ``model_forward`` runs them
+    without a tape and every network stage computes in float32, while the
+    normalization, the parameter encoding, the rollout and the analysis stay
+    float64. Training and gradient checks start from ``init_params``."""
     try:
         with open(os.path.join(path, MANIFEST_NAME), encoding="utf-8") as f:
             manifest = json.load(f)
@@ -221,10 +228,10 @@ def load_checkpoint(path: str):
     lo = 0
     for name, shape in layout.items():
         hi = lo + math.prod(shape)
-        values = raw[lo:hi].astype(np.float64).reshape(shape)
+        values = raw[lo:hi].astype(np.float32).reshape(shape)
         if not np.isfinite(values).all():
             raise CheckpointError(f"weight {name} holds non-finite values")
-        weights[name] = ad.param(values)
+        weights[name] = ad.Tensor(values)
         lo = hi
     try:
         norm = {}

@@ -170,8 +170,9 @@ def test_criterion_04_overfit(capsys):
 
 # -- criterion 5: generalization beats persistence --------------------------------------
 
-def test_criterion_05_generalization(capsys, trained_model):
-    ev = trained_model["eval"]
+def _improvements_at_2s(ev):
+    """Speed and gap RMSE at 2.0 s, the model's and persistence's, and the
+    model's improvement over persistence in percent."""
     idx = int(round(2.0 / data.DT)) - 1
     model_v = analysis.rmse(ev["pv"][:, idx], ev["tv"][:, idx])
     model_s = analysis.rmse(ev["ps"][:, idx], ev["ts"][:, idx])
@@ -179,6 +180,12 @@ def test_criterion_05_generalization(capsys, trained_model):
     base_s = analysis.rmse(ev["bs"][:, idx], ev["ts"][:, idx])
     imp_v = 100.0 * (1.0 - model_v / base_v)
     imp_s = 100.0 * (1.0 - model_s / base_s)
+    return model_v, model_s, base_v, base_s, imp_v, imp_s
+
+
+def test_criterion_05_generalization(capsys, trained_model):
+    ev = trained_model["eval"]
+    model_v, model_s, base_v, base_s, imp_v, imp_s = _improvements_at_2s(ev)
     seconds = trained_model["train_seconds"]
     ok = imp_v >= 30.0 and imp_s >= 30.0 and seconds < 7200.0
     _report(capsys, 5, "generalization at 2.0 s", ok,
@@ -298,26 +305,59 @@ def test_criterion_08_safety_fixtures(capsys):
 
 # -- criterion 9: closed-loop viability ---------------------------------------------------
 
-def test_criterion_09_closed_loop_viability(capsys, trained_model):
-    params = trained_model["params"]
-    config = trained_model["config"]
-    ev = trained_model["eval"]
-    open_rmse = analysis.rmse(ev["pv"], ev["tv"])
-    records = trained_model["test_records"]
+def _closed_loop(records, params, config):
+    """Collision-free platoons and mean closed-loop speed RMSE."""
     runs = sim.simulate_platoons(records, sim.ModelController(params, config))
     viable, rmses = 0, []
     for rec, run in zip(records, runs):
         viable += run.viable
         if run.duration > run.warmup_steps:
             rmses.append(sim.compare_runs(rec, run).rmse_speed)
+    return viable, float(np.mean(rmses))
+
+
+def test_criterion_09_closed_loop_viability(capsys, trained_model):
+    params = trained_model["params"]
+    config = trained_model["config"]
+    ev = trained_model["eval"]
+    open_rmse = analysis.rmse(ev["pv"], ev["tv"])
+    records = trained_model["test_records"]
+    viable, closed_rmse = _closed_loop(records, params, config)
     total = len(trained_model["test_records"])
-    closed_rmse = float(np.mean(rmses))
     ratio = closed_rmse / open_rmse
     ok = viable / total >= 0.8 and ratio <= 2.0
     _report(capsys, 9, "closed-loop viability", ok,
             f"{viable}/{total} collision-free (>= 80%); closed-loop speed "
             f"RMSE {closed_rmse:.3f} vs open-loop {open_rmse:.3f}, ratio "
             f"{ratio:.2f} <= 2")
+
+
+def test_criteria_05_and_09_through_a_checkpoint(capsys, trained_model, tmp_path):
+    # criteria 05 and 09 run the in-memory float64 weights; eval and simulate
+    # load a checkpoint and run the network in float32
+    config, records = trained_model["config"], trained_model["test_records"]
+    training.save_checkpoint(str(tmp_path), trained_model["params"], config)
+    loaded, _ = training.load_checkpoint(str(tmp_path))
+    test_w = data.extract_windows(records, config.history_len, config.horizon,
+                                  stride=10)
+    ev = dict(zip(("pv", "ps", "tv", "ts", "bv", "bs"),
+                  cli._predictions(loaded, config, test_w)))
+    runs = {"in memory": (trained_model["eval"], trained_model["params"]),
+            "loaded": (ev, loaded)}
+    lines, verdicts = [], {}
+    for name, (arrays, params) in runs.items():
+        _, _, _, _, imp_v, imp_s = _improvements_at_2s(arrays)
+        viable, _ = _closed_loop(records, params, config)
+        verdicts[name] = (imp_v, imp_s, viable)
+        lines.append(f"{name}: +{imp_v:.4f}% speed, +{imp_s:.4f}% gap at "
+                     f"2.0 s, {viable}/{len(records)} collision-free")
+    imp_v, imp_s, viable = verdicts["loaded"]
+    ok = (imp_v >= 30.0 and imp_s >= 30.0 and viable / len(records) >= 0.8
+          and viable >= verdicts["in memory"][2])
+    with capsys.disabled():
+        print(f"criteria 05 and 09 through a checkpoint: "
+              f"{'PASS' if ok else 'FAIL'} ({'; '.join(lines)})", flush=True)
+    assert ok, lines
 
 
 # -- criterion 10: pipeline determinism ----------------------------------------------------

@@ -506,6 +506,28 @@ def test_constant_parents_are_not_recorded():
     assert [n._op for n in ad.Tape.trace(out).nodes] == ["tensor", "embed"]
 
 
+def test_storage_dtypes_keep_float32_constants_only():
+    f32 = np.arange(3, dtype=np.float32)
+    assert ad.Tensor(f32).data.dtype == np.float32
+    for other in (np.arange(3), np.arange(3, dtype=np.float16), [1.0, 2.0], 2.5):
+        assert ad.Tensor(other).data.dtype == np.float64
+    leaf = ad.param(f32)
+    assert leaf.data.dtype == np.float64 and leaf.requires_grad
+    np.testing.assert_array_equal(leaf.data, f32)
+
+
+def test_a_float32_node_is_never_recorded():
+    x = ad.param(np.ones(3))
+    with pytest.raises(ad.AutodiffError, match="'halve' would record a float32"):
+        ad.primitive(np.ones(3, np.float32), "halve", (x,), lambda g: None)
+    # the same node on a constant, or without a tape, stays float32
+    const = ad.primitive(np.ones(3, np.float32), "halve", (ad.Tensor(x.data),), None)
+    with ad.no_grad():
+        plain = ad.primitive(np.ones(3, np.float32), "halve", (x,), None)
+    for out in (const, plain):
+        assert out.data.dtype == np.float32 and out._parents == ()
+
+
 def _sum3(a, b, c):
     return tr.total_loss(a, b, c, (1.0, 1.0), 1.0)
 

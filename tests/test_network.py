@@ -10,6 +10,7 @@ import pytest
 
 from platoonkit import autodiff as ad
 from platoonkit import network as net
+from platoonkit import training as tr
 
 
 def _tiny_config(**over):
@@ -857,6 +858,99 @@ class TestPlatoonBlocks:
                     tracemalloc.stop()
             assert out.theta.shape[0] == batch
             assert (peak - kept) / buffer <= 4.0, batch
+
+
+def _loaded(params, cfg, tmp_path):
+    """``params`` saved as a checkpoint and loaded back."""
+    path = str(tmp_path / "ckpt")
+    tr.save_checkpoint(path, params, cfg)
+    loaded, cfg2 = tr.load_checkpoint(path)
+    assert cfg2 == cfg
+    return loaded
+
+
+def _float_dtypes(obj):
+    """dtypes of the floating arrays in obj: a Tensor, an array or a tuple."""
+    if isinstance(obj, (tuple, list)):
+        return [d for item in obj for d in _float_dtypes(item)]
+    data = obj.data if isinstance(obj, ad.Tensor) else obj
+    if isinstance(data, np.ndarray) and data.dtype.kind == "f":
+        return [data.dtype]
+    return []
+
+
+class TestFloat32Checkpoint:
+    """A loaded checkpoint's weights are float32 constants: every network
+    stage runs in float32 without a tape; theta and the rollout stay float64."""
+
+    # stage outputs, and the numpy kernels' inputs too: a buffer written with
+    # out= would hide a float64 intermediate by casting it back down
+    STAGES = ("embed_inputs", "tfl_forward", "ful_forward", "pfl_forward",
+              "_attn_layer", "narp_decode")
+    KERNELS = ("_tfl_rows", "causal_conv1d", "selective_scan")
+
+    @pytest.mark.parametrize("cfg", [net.ModelConfig(), net.desk_config()],
+                             ids=["default", "desk"])
+    def test_loaded_forward_agrees_in_float32(self, cfg, tmp_path, monkeypatch):
+        # 19 platoons of six are three platoon blocks at the default config
+        params, hist, lead = _fitted_batch(cfg, 80, 19, 6)
+        noise = np.random.default_rng(81).standard_normal((19, 6, cfg.d_model))
+        loaded = _loaded(params, cfg, tmp_path)
+        seen = []
+
+        def spy(name, checks_inputs):
+            fn = getattr(net, name)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                dtypes = _float_dtypes(out)
+                if checks_inputs:
+                    dtypes += _float_dtypes(args)
+                seen.append((name, dtypes))
+                return out
+            monkeypatch.setattr(net, name, wrapped)
+
+        for eps in (None, noise):
+            with ad.no_grad():
+                want = net.model_forward(params, cfg, hist, lead, noise=eps)
+            assert want.theta.data.dtype == np.float64 and not seen
+            for name in self.STAGES + self.KERNELS:
+                spy(name, name in self.KERNELS)
+            got = net.model_forward(loaded, cfg, hist, lead, noise=eps)
+            monkeypatch.undo()
+            assert {name for name, _ in seen} == set(self.STAGES + self.KERNELS)
+            for name, dtypes in seen:
+                assert dtypes and set(dtypes) == {np.dtype(np.float32)}, name
+            seen.clear()
+            for arr in (got.theta.data, got.result.v.data, got.result.s.data):
+                assert arr.dtype == np.float64
+            for field in ("theta", "mu", "logvar"):
+                a, b = getattr(got, field).data, getattr(want, field).data
+                # measured: at most 6.3e-7 here, 3.8e-7 on trained weights
+                assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max(), field
+
+    def test_loaded_model_records_no_node(self, tmp_path):
+        cfg = net.desk_config()
+        params, hist, lead = _fitted_batch(cfg, 82, 3, 2)
+        loaded = _loaded(params, cfg, tmp_path)
+        assert not any(t.requires_grad for t in loaded.weights.values())
+        out = net.model_forward(loaded, cfg, hist, lead)    # outside no_grad
+        for t in (out.theta, out.mu, out.logvar, out.result.v):
+            assert not t.requires_grad and t._parents == ()
+
+    def test_sign_pattern_survives_float32_underflow(self, tmp_path):
+        # a float32 softplus of -200 is 0: theta is encoded in float64, where
+        # softplus(-200) ~ 1e-87, so f_s and f_dv stay positive and f_v negative
+        assert ad.softplus(np.full(1, -200.0, np.float32))[0] == 0.0
+        cfg = net.desk_config()
+        params, hist, lead = _fitted_batch(cfg, 83, 4, 3)
+        params.weights["dec.head.b"].data = np.full(3, -200.0)
+        loaded = _loaded(params, cfg, tmp_path)
+        assert loaded.weights["dec.head.b"].data.dtype == np.float32
+        theta = net.model_forward(loaded, cfg, hist, lead).theta.data
+        assert np.abs(theta).max() < 1e-80
+        assert (theta[..., 0] < 0).all()
+        assert (theta[..., 1] > 0).all() and (theta[..., 2] > 0).all()
 
 
 class TestNormalization:

@@ -130,7 +130,9 @@ class TestAdam:
 
 
 class TestCheckpoints:
-    def test_round_trip_is_bit_exact(self, tmp_path):
+    def test_round_trip_agrees_in_float32(self, tmp_path):
+        # the weights come back exactly, as float32; the loaded forward runs
+        # in float32, within the bound of test_network's agreement test
         cfg = _tiny_config()
         params = net.init_params(cfg, seed=7)
         params.norm_mean = net._q32(np.array([10.0, 20.0, 0.1]))
@@ -144,7 +146,8 @@ class TestCheckpoints:
         assert cfg2 == cfg
         np.testing.assert_array_equal(loaded.norm_mean, params.norm_mean)
         after = net.model_forward(loaded, cfg2, hist, lead).theta.data
-        np.testing.assert_array_equal(before, after)
+        assert after.dtype == np.float64
+        assert np.abs(after - before).max() <= 1e-5 * np.abs(before).max()
 
     def test_floor_std_survives_round_trip(self, tmp_path):
         # fit_normalization floors std at NORM_STD_FLOOR before the float32
@@ -291,9 +294,9 @@ class TestCheckpoints:
         assert list(loaded.weights) == list(params.weights)
         for name, tensor in params.weights.items():
             got = loaded.weights[name].data
-            assert got.dtype == tensor.data.dtype
+            assert got.dtype == np.float32 and not loaded.weights[name].requires_grad
             assert got.shape == tensor.data.shape
-            assert got.tobytes() == tensor.data.tobytes(), name
+            assert got.astype(np.float64).tobytes() == tensor.data.tobytes(), name
         for field in ("norm_mean", "norm_std"):
             got, want = getattr(loaded, field), getattr(params, field)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
