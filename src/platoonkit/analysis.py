@@ -115,18 +115,13 @@ class StabilitySpectrum:
 def head_to_tail_gain(theta) -> StabilitySpectrum:
     """Disturbance transmission spectrum for a platoon's parameter schedule.
 
-    theta: (N, S, 3) per-vehicle parameter blocks (averaged over S) or an
-    already-averaged (N, 3).
+    theta: (N, S, 3) per-vehicle parameter blocks, averaged over S; an
+    already-averaged schedule is passed as (N, 1, 3).
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 3:
-        theta_used = theta.mean(axis=1)
-    elif theta.ndim == 2:
-        theta_used = theta
-    else:
-        raise AnalysisError(f"theta must be (N, S, 3) or (N, 3), got {theta.shape}")
-    if theta_used.shape[-1] != 3:
-        raise AnalysisError(f"theta last axis must be 3, got {theta.shape}")
+    if theta.ndim != 3 or theta.shape[-1] != 3:
+        raise AnalysisError(f"theta must be (N, S, 3), got {theta.shape}")
+    theta_used = theta.mean(axis=1)
     grid = default_omega_grid()
     per_vehicle = transfer_function_magnitude(theta_used, grid)
     chain = per_vehicle.prod(axis=0)

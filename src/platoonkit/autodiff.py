@@ -115,14 +115,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def backward(self, seed=None) -> None:
-        if seed is None:
-            seed = np.ones_like(self.data)
-        seed = np.asarray(seed, dtype=DTYPE)
-        if seed.shape != self.data.shape:
-            raise ShapeMismatch(
-                f"backward seed shape {seed.shape} != output shape {self.data.shape}")
-        Tape.trace(self).backward(seed)
+    def backward(self) -> None:
+        """Backpropagate from this output, a scalar loss, seeded with ones.
+        Another cotangent replays through ``Tape.trace(out).backward(g)``."""
+        Tape.trace(self).backward(np.ones(self.data.shape, DTYPE))
 
     def __getitem__(self, idx):
         return getitem(self, idx)

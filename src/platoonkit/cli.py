@@ -457,7 +457,7 @@ def _cmd_calibrate_idm(args) -> int:
         # the GA fitness, gap RMSE plus speed RMSE, under its historic key
         rows[vi] = {"params": asdict(result.params),
                     "gap_rmse": result.fitness,
-                    "generations": result.generations_used}
+                    "generations": args.budget}
     _emit(report, args.out)
     return EXIT_OK
 

@@ -10,17 +10,19 @@ the single-vehicle closed loop. ``linear_accel``, the law's one
 implementation, serves the rollout and ``simulate``'s controllers. The
 rollout steps all followers jointly by explicit Euler at ``DT``, the one
 sampling step (``data`` re-exports it); s(k+1) = s(k) + dt * dv(k) keeps
-gaps, speeds, and positions consistent to machine precision.
+gaps, speeds, and positions consistent to machine precision. Only the
+rollout takes another step, so that finer steps can check its spectrum
+against the analytic one.
 
 ``encode_parameters`` and ``rollout`` are the differentiable path, one
 autodiff node each. The rollout's inputs may be Tensors or plain arrays
 (constants), and its hand-written backward pass is the adjoint of the Euler
 recursion. ``expected_state`` reads the recorded history, so its means are
-plain arrays and record nothing. ``euler_platoon`` is the
-numpy integrator behind synthetic data, IDM calibration and closed-loop
-simulation: the same step under any acceleration law, with speeds clamped at
-zero and collisions detected per batch row, so a NaN in one row leaves the
-others as they would run alone.
+plain arrays and record nothing. ``euler_platoon`` is the numpy integrator
+behind synthetic data, IDM calibration and closed-loop simulation: the same
+step at ``DT`` under any acceleration law, with speeds clamped at zero and
+collisions detected per batch row, so a NaN in one row leaves the others as
+they would run alone.
 """
 
 from __future__ import annotations
@@ -172,16 +174,16 @@ def rollout(initial, lead_future, theta, xstar: ExpectedState,
     return RolloutResult(v=series[0], s=series[1])
 
 
-def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
-                  accel, dt: float):
-    """Integrate follower speeds and gaps in place with explicit Euler.
+def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds, accel):
+    """Integrate follower speeds and gaps in place with explicit Euler at
+    ``DT``, one step per frame.
 
     speeds, gaps: (..., N, T) buffers holding the initial state at frame 0;
     frames 1.. are overwritten. Leading axes are independent rows, each
     behind its own leader: follower 0 of a row sees ``lead_speeds[..., k]``
     at step k, and a (T,) series is shared by every row.
     Step k applies a = accel(k, v, s, dv), with dv = v_ahead - v and frames
-    0..k already filled: v' = max(0, v + dt*a), s' = s + dt*dv.
+    0..k already filled: v' = max(0, v + DT*a), s' = s + DT*dv.
 
     ``v``, ``s`` and ``dv`` are the integrator's own contiguous (..., N)
     buffers, overwritten by the next step: ``accel`` must neither keep nor
@@ -213,13 +215,13 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds,
             break
         np.subtract(lead_speeds[..., k], first, out=dv_first)
         np.subtract(ahead, behind, out=dv_behind)
-        np.multiply(dt, accel(k, v, s, dv), out=step)
+        np.multiply(DT, accel(k, v, s, dv), out=step)
         np.add(v, step, out=v)
         if np.fmin.reduce(v, axis=None) < 0.0:
             neg = v < 0.0
             clamps += np.where(collision == T, neg.sum(axis=-1), 0)
             v[neg] = 0.0
-        np.multiply(dt, dv, out=step)
+        np.multiply(DT, dv, out=step)
         np.add(s, step, out=s)
         speeds[..., k + 1] = v
         gaps[..., k + 1] = s

@@ -158,7 +158,7 @@ def simulate_idm_platoon(lead_speeds, initial_positions, initial_speeds,
     gaps = np.empty((n_follow, T))
     spd[:, 0] = initial_speeds[1:]
     gaps[:, 0] = initial_positions[:-1] - lengths[:-1] - initial_positions[1:]
-    _, collision = dyn.euler_platoon(spd, gaps, lead_speeds, accel, dyn.DT)
+    _, collision = dyn.euler_platoon(spd, gaps, lead_speeds, accel)
     valid = int(collision)
     if valid == 0:
         raise CollisionError("initial platoon state already overlaps")
@@ -197,12 +197,12 @@ class FollowerObservation:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Best candidate of a GA run. ``fitness`` is its gap RMSE (m) plus its
-    speed RMSE (m/s) against the observation, not the gap RMSE alone."""
+    """Best candidate of a GA run, which always runs its full budget of
+    generations. ``fitness`` is its gap RMSE (m) plus its speed RMSE (m/s)
+    against the observation, not the gap RMSE alone."""
 
     params: IdmParams
     fitness: float
-    generations_used: int
 
 
 def _stack_observations(observations):
@@ -239,7 +239,7 @@ def _evaluate_population(pops: np.ndarray, stacks) -> np.ndarray:
 
     # collided rows step on with non-positive gaps; their values are discarded
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, collision = dyn.euler_platoon(spd, gaps, lead, accel, dyn.DT)
+        _, collision = dyn.euler_platoon(spd, gaps, lead, accel)
         fitness = (np.sqrt(np.mean((gaps[..., 0, :] - obs_gaps) ** 2, axis=-1))
                    + np.sqrt(np.mean((spd[..., 0, :] - obs_speeds) ** 2, axis=-1)))
     fitness[collision < T] = COLLISION_FITNESS
@@ -337,7 +337,7 @@ def calibrate_followers(observations, seeds, budget: int = 100) -> list:
 
         for i, genes, fit in zip(members, best, best_fit):
             params = IdmParams(*[float(x) for x in genes])
-            results[i] = CalibrationResult(params, float(fit), budget)
+            results[i] = CalibrationResult(params, float(fit))
     return results
 
 

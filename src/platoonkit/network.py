@@ -431,7 +431,10 @@ def causal_conv1d(x, w, b):
 def embed_inputs(w, x_norm: np.ndarray):
     """Affine lift of the normalized features; x_norm is a constant."""
     tw, tb = ad.as_tensor(w["embed.w"]), ad.as_tensor(w["embed.b"])
-    return ad.primitive(x_norm @ tw.data + tb.data, "embed", (tw, tb),
+    # out-of-range features are reported once, by the stage boundary
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = x_norm @ tw.data + tb.data
+    return ad.primitive(e, "embed", (tw, tb),
                         lambda g: _linear_vjp(g, x_norm, tw, tb))
 
 
@@ -474,7 +477,8 @@ def _tfl_rows(config: ModelConfig, X, weights, keep=False):
     released once the forward pass is done with them."""
     di, r, n = config.d_inner, config.dt_rank, config.n_state
     gn, Win, cw, cb, Wx, Wdt, bdt, a_log, D, Wout = (t.data for t in weights)
-    ms = (X * X).mean(axis=-1, keepdims=True) + 1e-5
+    with np.errstate(over="ignore"):    # an inf mean square scales X by 0
+        ms = (X * X).mean(axis=-1, keepdims=True) + 1e-5
     inv = ms ** -0.5
     proj = ((X * inv) * gn) @ Win
     gate = proj[..., di:]
@@ -606,8 +610,8 @@ def _layer_norm_vjp(g, normed, inv, gain, bias):
 def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
     """Post-norm residual attention + feedforward, as one autodiff node.
 
-    q_in: (..., Tq, d) queries; memory: (..., Tk, d) keys and values, the
-    same tensor for self-attention. The layer is multi-head attention over
+    q_in: (..., Tq, d) queries; memory: (..., Tk, d) keys and values; for
+    self-attention, memory is q_in. The layer is multi-head attention over
     the positions where ``mask`` (broadcast to (..., H, Tq, Tk)) is True,
     residual, layer norm, ReLU feedforward, residual, layer norm. The forward
     pass runs the numpy operations of that composition in its order, so the
@@ -619,14 +623,11 @@ def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
     softmax backward is dS = P (dP - rowsum(dP P)) per head, as in the
     FlashAttention derivation (arXiv 2205.14135) without its tiling; a query
     that sees one key passes exactly zero to the scores. Each weight gradient
-    is one 2-D GEMM over all rows. Self-attention passes the query and
-    key/value gradients to its one input as a single sum.
+    is one 2-D GEMM over all rows.
     """
-    x_t = ad.as_tensor(q_in)
-    self_attn = memory is q_in
-    m_t = x_t if self_attn else ad.as_tensor(memory)
+    x_t, m_t = ad.as_tensor(q_in), ad.as_tensor(memory)
     weights = tuple(ad.as_tensor(w[f"{base}.{name}"]) for name in _ATTN_WEIGHTS)
-    parents = ((x_t,) if self_attn else (x_t, m_t)) + weights
+    parents = (x_t, m_t) + weights
     X, M = x_t.data, m_t.data
     Wq, Wk, Wv, Wo, g1, b1, W1, c1, W2, c2, g2, b2 = (t.data for t in weights)
     d = Wq.shape[0]
@@ -645,7 +646,9 @@ def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
         return a.reshape(a.shape[:-2] + (d,))
 
     qh, kh, vh = split(X @ Wq), split(M @ Wk), split(M @ Wv)
-    p = ad.softmax_weights((qh @ np.swapaxes(kh, -1, -2)) * scale, mask)
+    # overflowing scores are reported once, by the stage boundary
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = ad.softmax_weights((qh @ np.swapaxes(kh, -1, -2)) * scale, mask)
     o = merge(p @ vh)
     if not ad.needs_grad(*parents):
         # only the VJP reads these; without a tape they go before the
@@ -682,10 +685,7 @@ def _attn_layer(w, base: str, q_in, memory, heads: int, mask=True):
         gr += _linear_vjp(gq, X, tq)
         gm = _linear_vjp(gk, M, tk)
         gm += _linear_vjp(gv, M, tv)
-        if self_attn:
-            gr += gm
-        else:
-            ad.accumulate(m_t, gm)
+        ad.accumulate(m_t, gm)
         ad.accumulate(x_t, gr)
 
     return ad.primitive(y, "attn_layer", parents, vjp)
@@ -736,7 +736,9 @@ def _infer(params: ModelParams, config: ModelConfig, history, noise):
     The normalized history enters in the weights' dtype."""
     w = params.weights
     x_norm = (history - params.norm_mean) / params.norm_std
-    e = embed_inputs(w, x_norm.astype(w["embed.w"].data.dtype, copy=False))
+    with np.errstate(over="ignore"):    # beyond float32: inf, for 'embed'
+        x_norm = x_norm.astype(w["embed.w"].data.dtype, copy=False)
+    e = embed_inputs(w, x_norm)
     memory = e if config.disable_tfl else tfl_forward(w, config, e)
     z, mu, logvar = ful_forward(w, memory[..., -1, :], noise)
     latent = z if config.disable_pfl else pfl_forward(w, config, z)
@@ -785,7 +787,7 @@ def model_forward(params: ModelParams, config: ModelConfig,
                              history.min(axis=(0, 1, 2))])
         if np.abs((extremes - params.norm_mean) / params.norm_std).max() \
                 > EMBED_MAGNITUDE_WARN:
-            log.warning("embed_inputs: normalized feature magnitude exceeds "
+            log.warning("model_forward: normalized feature magnitude exceeds "
                         "%.0f; normalization stats may not match this data",
                         EMBED_MAGNITUDE_WARN)
     if ad.needs_grad(*w.values()):

@@ -202,7 +202,7 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
         return a
 
     clamps, collision = dyn.euler_platoon(
-        spd[..., P - 1:], gaps[..., P - 1:], lead_spd[:, P - 1:], accel, dyn.DT)
+        spd[..., P - 1:], gaps[..., P - 1:], lead_spd[:, P - 1:], accel)
     runs = []
     for b, rec in enumerate(records):
         T_eff = P - 1 + int(collision[b])

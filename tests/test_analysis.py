@@ -90,7 +90,7 @@ def test_margin_hand_value():
 
 
 def test_head_to_tail_single_vehicle_equals_own_spectrum():
-    theta = np.array([[-1.0, 0.3, 0.2]])
+    theta = np.array([[[-1.0, 0.3, 0.2]]])
     rep = an.head_to_tail_gain(theta)
     assert rep.omega.shape == (an.OMEGA_POINTS,)
     assert rep.omega[0] == an.OMEGA_MIN and abs(rep.omega[-1] - an.OMEGA_MAX) < 1e-12
@@ -102,7 +102,7 @@ def test_head_to_tail_chain_is_product():
     rng = np.random.default_rng(3)
     theta = np.stack([-rng.uniform(0.5, 2.0, 4),
                       rng.uniform(0.1, 1.0, 4),
-                      rng.uniform(0.1, 1.0, 4)], axis=-1)
+                      rng.uniform(0.1, 1.0, 4)], axis=-1)[:, None]
     rep = an.head_to_tail_gain(theta)
     assert np.allclose(rep.chain, rep.per_vehicle.prod(axis=0), rtol=0, atol=0)
     assert rep.peak_gain == rep.chain.max()
@@ -114,15 +114,21 @@ def test_head_to_tail_averages_parameter_blocks():
                       rng.uniform(0.1, 1.0, (3, 4)),
                       rng.uniform(0.1, 1.0, (3, 4))], axis=-1)
     rep = an.head_to_tail_gain(sched)
-    direct = an.head_to_tail_gain(sched.mean(axis=1))
+    direct = an.head_to_tail_gain(sched.mean(axis=1, keepdims=True))
     assert np.array_equal(rep.theta_used, sched.mean(axis=1))
     assert np.array_equal(rep.chain, direct.chain)
 
 
 def test_head_to_tail_flags_amplification():
     # margin = 0.51^2 - 0.01^2 - 2 < 0: unstable, peak inside the grid
-    rep = an.head_to_tail_gain(np.array([[-0.5, 1.0, 0.01]]))
+    rep = an.head_to_tail_gain(np.array([[[-0.5, 1.0, 0.01]]]))
     assert rep.amplified and rep.peak_gain > 1.0
+
+
+def test_head_to_tail_takes_parameter_blocks_only():
+    # an already-averaged (N, 3) schedule is passed as (N, 1, 3)
+    with pytest.raises(an.AnalysisError, match=r"\(N, S, 3\), got \(2, 3\)"):
+        an.head_to_tail_gain(np.array([[-1.0, 0.3, 0.2], [-0.5, 1.0, 0.01]]))
 
 
 # -- PET -------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -606,28 +605,33 @@ def test_train_config_dt_is_rejected(corpus, capsys, tmp_path):
     assert not (tmp_path / "ckpt").exists()
 
 
-@pytest.fixture(scope="module")
-def huge_corpus(tmp_path_factory, corpus):
-    # positions and speeds times 1e200: finite, so the CSV loads, but the
-    # model's activations overflow
+@pytest.fixture(scope="module", params=[(1e20, "attn_layer"), (1e200, "embed")],
+                ids=["1e20", "1e200"])
+def huge_corpus(request, tmp_path_factory, corpus):
+    # positions and speeds scaled: finite, so the CSV loads, but the model's
+    # activations overflow, in the attention scores at 1e20 and in the
+    # float32 features at 1e200; returns the corpus and the stage named
+    scale, stage = request.param
     out = tmp_path_factory.mktemp("huge")
-    records = [data.PlatoonRecord(r.platoon_id, r.positions * 1e200,
-                                  r.speeds * 1e200, r.lengths)
+    records = [data.PlatoonRecord(r.platoon_id, r.positions * scale,
+                                  r.speeds * scale, r.lengths)
                for r in data.load_trajectories(corpus)]
     data.write_trajectories(records, out / "huge.csv")
-    return out
+    return out, stage
 
 
 @pytest.mark.parametrize("command", ["eval", "simulate", "stability"])
 def test_non_finite_model_output_is_data_error(checkpoint, huge_corpus, capsys,
                                                tmp_path, command):
-    argv = [command, "--checkpoint", str(checkpoint), "--data", str(huge_corpus)]
+    # no numpy warning on the way: the stage boundary is the one report
+    huge, stage = huge_corpus
+    argv = [command, "--checkpoint", str(checkpoint), "--data", str(huge)]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "sim")]
-    with np.errstate(all="ignore"):
-        code, _, err = _run(capsys, argv)
-    assert code == 2 and "Traceback" not in err
-    assert re.search(r"non-finite value produced by '\w+'", err), err
+    code, _, err = _run(capsys, argv)
+    assert code == 2, err
+    assert f"non-finite value produced by '{stage}'" in err, err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 # -- simulate / stability / safety ---------------------------------------------------

@@ -327,8 +327,9 @@ class TestStabilityAndGradients:
 
 
 def test_one_sampling_step():
-    # DT is defined once, in dynamics; outside the two integrators no
-    # parameter, dataclass field or attribute named dt can carry a second step
+    # DT is defined once, in dynamics; outside the rollout, whose finer steps
+    # check the analytic spectrum, no parameter, dataclass field or attribute
+    # named dt can carry a second step
     takes_dt, defines_dt = set(), set()
     for path in sorted(Path(platoonkit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -352,6 +353,6 @@ def test_one_sampling_step():
             targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
             if any(isinstance(t, ast.Name) and t.id == "DT" for t in targets):
                 defines_dt.add(path.stem)
-    assert takes_dt == {"dynamics.rollout", "dynamics.euler_platoon"}
+    assert takes_dt == {"dynamics.rollout"}
     assert defines_dt == {"dynamics"}
     assert data.DT is dyn.DT == 0.1

@@ -45,11 +45,9 @@ def platoons(draw):
     rows = draw(st.integers(1, 4))
     n = draw(st.integers(1, 4))
     frames = draw(st.integers(1, 40))
-    dt = draw(st.sampled_from([0.05, 0.1, 0.2]))
     lead_shape = (rows, frames) if draw(st.booleans()) else (frames,)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     case = {
-        "dt": dt,
         "v0": rng.uniform(0.0, 25.0, (rows, n)),
         "s0": rng.uniform(0.5, 30.0, (rows, n)),
         "lead": rng.uniform(0.0, 25.0, lead_shape),
@@ -83,7 +81,7 @@ def _run(case, row=None, nan_row=None, make_law=_linear_law):
             a = finite_law(k, v, s, dv)
             a[nan_row] = np.nan
             return a
-    clamps, collision = dyn.euler_platoon(speeds, gaps, lead, law, case["dt"])
+    clamps, collision = dyn.euler_platoon(speeds, gaps, lead, law)
     return speeds, gaps, clamps, collision, law
 
 
@@ -105,10 +103,10 @@ SETTINGS = settings(max_examples=150, deadline=None)
 @given(platoons())
 def test_gap_step_is_exact_kinematics(case):
     speeds, gaps, _, collision, _ = _run(case)
-    dt, lead = case["dt"], case["lead"]
+    lead = case["lead"]
     for t in range(_steps_taken(collision, speeds.shape[-1])):
-        want = gaps[..., t] + dt * (_ahead(lead, speeds[..., t], t)
-                                    - speeds[..., t])
+        want = gaps[..., t] + dyn.DT * (_ahead(lead, speeds[..., t], t)
+                                        - speeds[..., t])
         np.testing.assert_array_equal(gaps[..., t + 1], want)
 
 
@@ -116,13 +114,13 @@ def test_gap_step_is_exact_kinematics(case):
 @given(platoons())
 def test_speeds_non_negative_and_clamps_counted(case):
     speeds, gaps, clamps, collision, law = _run(case)
-    dt, lead = case["dt"], case["lead"]
+    lead = case["lead"]
     steps = _steps_taken(collision, speeds.shape[-1])
     assert (speeds[..., :steps + 1] >= 0.0).all()
     clamped = np.zeros(collision.shape, dtype=int)
     for t in range(steps):
         v, s = speeds[..., t], gaps[..., t]
-        raw = v + dt * law(t, v, s, _ahead(lead, v, t) - v)
+        raw = v + dyn.DT * law(t, v, s, _ahead(lead, v, t) - v)
         # a row's count stops at the step that leaves its collision frame
         clamped += np.where(t < collision, (raw < 0.0).sum(axis=-1), 0)
         np.testing.assert_array_equal(speeds[..., t + 1], np.maximum(raw, 0.0))
@@ -196,5 +194,5 @@ def test_gap_of_exactly_zero_is_a_collision():
     speeds, gaps = np.zeros((1, 5)), np.zeros((1, 5))
     speeds[0, 0], gaps[0, 0] = 10.0, 1.0
     clamps, collision = dyn.euler_platoon(
-        speeds, gaps, np.zeros(5), lambda k, v, s, dv: np.zeros_like(v), 0.1)
+        speeds, gaps, np.zeros(5), lambda k, v, s, dv: np.zeros_like(v))
     assert gaps[0, 1] == 0.0 and int(collision) == 1 and clamps == 0
