@@ -173,7 +173,8 @@ def ssdd_series(speeds, gaps) -> np.ndarray:
     """Safe stopping distance difference per follower and frame.
 
     speeds: (V, T) leader first; gaps: (V-1, T). Positive values mean the
-    follower could stop behind a hard-braking leader with margin.
+    follower could stop behind a hard-braking leader with margin. Speeds
+    whose squares overflow (beyond ~1e154 m/s) raise ``AnalysisError``.
     """
     speeds = np.asarray(speeds, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
@@ -183,8 +184,16 @@ def ssdd_series(speeds, gaps) -> np.ndarray:
         raise AnalysisError(f"gaps shape {gaps.shape} does not match speeds")
     v_lead = speeds[:-1]
     v = speeds[1:]
-    # grouped so the braking terms cancel exactly at matched speeds
-    return gaps - v * REACTION_TIME + (v_lead ** 2 - v ** 2) / (2.0 * COMFORT_DECEL)
+    # grouped so the braking terms cancel exactly at matched speeds; an
+    # overflow is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ssdd = gaps - v * REACTION_TIME \
+            + (v_lead ** 2 - v ** 2) / (2.0 * COMFORT_DECEL)
+    if not np.isfinite(ssdd).all():
+        raise AnalysisError(f"non-finite SSDD: speeds (up to "
+                            f"{np.abs(speeds).max():.3g} m/s) or gaps out of "
+                            f"range")
+    return ssdd
 
 
 # -- distribution comparison ------------------------------------------------------

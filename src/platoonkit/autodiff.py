@@ -15,13 +15,18 @@ graph: once a node's VJP has run, the node drops its gradient, its parents
 and its closure, so the graph is freed as backward goes, while the output
 is still held, and a second backward through it raises ``AutodiffError``.
 Leaves keep their gradients. No VJP captures its own output, so a graph
-dropped without a backward is freed by reference counting too. A tensor
-keeps float32 data as float32 and stores anything else as float64; a leaf
-(``param``) and every recorded node are float64, so a tape is all float64
-and float32 only flows through constants, as in inference from a float32
-checkpoint. A non-finite node output raises ``NonFiniteValue`` naming the
-node. ``finite_diff_check`` backpropagates a scalar graph and checks its
-gradients against central differences.
+dropped without a backward is freed by reference counting too.
+
+A tensor, a leaf (``param``) too, keeps float32 data as float32 and stores
+anything else as float64, and a tape computes in the dtype of its leaves:
+``accumulate`` casts each gradient to its tensor's dtype. Training leaves are
+float32, so the network's nodes and gradients are float32; a stage that
+computes in float64 (the parameter encoding, the rollout, the losses) hands
+float32 gradients back to its float32 parents. ``finite_diff_check`` builds
+float64 leaves, so a gradient audit runs in float64 throughout. A non-finite
+node output raises ``NonFiniteValue`` naming the node.
+``finite_diff_check`` backpropagates a scalar graph and checks its gradients
+against central differences.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from this output, a scalar loss, seeded with ones.
         Another cotangent replays through ``Tape.trace(out).backward(g)``."""
-        Tape.trace(self).backward(np.ones(self.data.shape, DTYPE))
+        Tape.trace(self).backward(np.ones(self.data.shape, self.data.dtype))
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -170,8 +175,9 @@ def as_tensor(x) -> Tensor:
 
 
 def param(x) -> Tensor:
-    """Leaf tensor that accumulates gradient, always float64."""
-    return Tensor(np.asarray(x, dtype=DTYPE), requires_grad=True)
+    """Leaf tensor that accumulates gradient: float32 input stays float32,
+    anything else is stored as float64, as in ``Tensor``."""
+    return Tensor(x, requires_grad=True)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -193,7 +199,7 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
     """
     if not t.requires_grad:
         return
-    g = _unbroadcast(np.asarray(g, dtype=DTYPE), t.data.shape)
+    g = _unbroadcast(np.asarray(g, dtype=t.data.dtype), t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -206,11 +212,7 @@ def _make(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
     parents = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
     if not parents:
         return Tensor(data, _op=op)
-    out = Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp, _op=op)
-    if out.data.dtype != DTYPE:
-        raise AutodiffError(f"'{op}' would record a {out.data.dtype} node; "
-                            f"a tape holds float64 only")
-    return out
+    return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp, _op=op)
 
 
 def primitive(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:

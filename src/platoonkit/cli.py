@@ -403,9 +403,12 @@ def _safety_section(records):
     from . import analysis
     pet, ssdd = [], []
     for rec in records:
-        p = analysis.pet_series(rec.positions, rec.lengths)
+        try:
+            p = analysis.pet_series(rec.positions, rec.lengths)
+            ssdd.append(analysis.ssdd_series(rec.speeds, rec.gaps()).ravel())
+        except analysis.AnalysisError as exc:
+            raise CliError(f"{rec.platoon_id}: {exc}") from exc
         pet.append(p[np.isfinite(p)])
-        ssdd.append(analysis.ssdd_series(rec.speeds, rec.gaps()).ravel())
     pet, ssdd = np.concatenate(pet), np.concatenate(ssdd)
     section = {
         "platoons": len(records),

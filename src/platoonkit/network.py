@@ -22,12 +22,13 @@ forward and backward in cache-sized blocks of rows, in numpy's summation
 order, so its output does not depend on the batch. Without a tape
 ``model_forward`` runs the stages on one block of platoons at a time, each
 one such row block, so the network's scratch memory is one platoon block
-whatever the batch. Initial draws are quantized to float32, so a float32
-checkpoint holds the trained weights exactly. The network computes in the
-dtype of its weights: every buffer takes its input's dtype, so a loaded
-checkpoint (float32 constants) runs each stage in float32, while
-``init_params``, training and every taped pass are float64. The history is
-normalized, and theta encoded and rolled out, in float64 either way.
+whatever the batch. The network computes in the dtype of its weights, and
+every buffer, forward and VJP, takes its input's dtype. ``init_params``
+returns float32 leaves and a checkpoint loads as float32 constants, so
+training, validation and inference all run each stage in float32, and a
+checkpoint holds the trained weights exactly; ``gradcheck_model`` audits the
+gradients on float64 copies. The history is normalized, theta encoded and
+rolled out, and the KL taken, in float64 whatever the weights' dtype.
 """
 
 from __future__ import annotations
@@ -205,10 +206,12 @@ def _initial_value(name: str, shape: tuple, rng) -> np.ndarray:
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Deterministic initialization; draw order is the ``weight_shapes`` order."""
+    """Deterministic initialization; draw order is the ``weight_shapes`` order.
+    Each draw is rounded to float32, the dtype of the leaves and of a
+    checkpoint, so training runs the network in float32."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tensors = OrderedDict(
-        (name, ad.param(_q32(_initial_value(name, shape, rng))))
+        (name, ad.param(_initial_value(name, shape, rng).astype(np.float32)))
         for name, shape in weight_shapes(config).items())
     return ModelParams(weights=tensors)
 
@@ -316,7 +319,7 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
     blocks = [slice(r0, min(r0 + rows, R)) for r0 in range(0, R, rows)]
     a_t = np.ascontiguousarray(a_mat.T)
     y = np.empty(u.shape, u.dtype)
-    H = np.empty((T, R, S, C)) if keep_states else None
+    H = np.empty((T, R, S, C), u.dtype) if keep_states else None
     U2, DT2, y2 = (a.reshape(R, T, C) for a in (u, delta, y))
     B2, C2 = b_seq.reshape(R, T, S), c_seq.reshape(R, T, S)
     h = None if keep_states else np.empty((rows, S, C), u.dtype)
@@ -351,13 +354,13 @@ def selective_scan(u, delta, a_mat, b_seq, c_seq, d_gain, keep_states=False):
         # the reverse recurrence gh_t = g_t C_t + exp(delta_{t+1} A) gh_{t+1},
         # recomputing each decay one step at a time (the fused scan of Mamba,
         # arXiv 2312.00752)
-        gU, gDT = np.empty(u.shape), np.empty(u.shape)
-        gB, gC = np.empty(b_seq.shape), np.empty(b_seq.shape)
-        gA = np.zeros((S, C))
+        gU, gDT = np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype)
+        gB, gC = np.empty(b_seq.shape, u.dtype), np.empty(b_seq.shape, u.dtype)
+        gA = np.zeros((S, C), u.dtype)
         G2, gU2, gDT2 = (a.reshape(R, T, C) for a in (g, gU, gDT))
         gB2, gC2 = gB.reshape(R, T, S), gC.reshape(R, T, S)
-        gh_buf, dgh_buf, q_buf = (np.empty((rows, S, C)) for _ in range(3))
-        du_buf = np.empty((rows, C, 1))
+        gh_buf, dgh_buf, q_buf = (np.empty((rows, S, C), u.dtype) for _ in range(3))
+        du_buf = np.empty((rows, C, 1), u.dtype)
         for blk in blocks:
             n = blk.stop - blk.start
             Ub, DTb, Bb, Cb, Gb = U2[blk], DT2[blk], B2[blk], C2[blk], G2[blk]
@@ -487,9 +490,12 @@ def _tfl_rows(config: ModelConfig, X, weights, keep=False):
     xs = conv * s1
     if not keep:
         del conv, conv_vjp, s1
-    x_dbl = xs @ Wx
-    delta = x_dbl[..., :r] @ Wdt
-    delta += bdt
+    # out-of-range weights overflow here first in float32; the stage
+    # boundary reports the non-finite output once
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_dbl = xs @ Wx
+        delta = x_dbl[..., :r] @ Wdt
+        delta += bdt
     ad.softplus(delta)
     with np.errstate(over="ignore"):
         a_mat = -np.exp(a_log)
@@ -509,14 +515,14 @@ def _tfl_rows(config: ModelConfig, X, weights, keep=False):
     def vjp(g):
         tgn, tin, tcw, tcb, twx, twdt, tbdt, talog, td, tout = weights
         gyg = _linear_vjp(g, yg, tout)
-        gproj = np.empty(proj.shape)
+        gproj = np.empty(proj.shape, proj.dtype)
         gsg = gyg * y
         gsg *= s2
         np.multiply(gsg, _silu_slope(gate, s2), out=gproj[..., di:])
         gU, gDT, gA, gB, gC, gD = scan_vjp(gyg * sg)
         ad.accumulate(td, gD)
         ad.accumulate(talog, gA * a_mat)        # d(-exp(a_log)) = a_mat
-        gx_dbl = np.empty(x_dbl.shape)
+        gx_dbl = np.empty(x_dbl.shape, x_dbl.dtype)
         # softplus' = sigmoid = 1 - exp(-softplus)
         gDT *= -np.expm1(-delta)
         gx_dbl[..., :r] = _linear_vjp(gDT, x_dbl[..., :r], twdt, tbdt)
@@ -796,7 +802,8 @@ def model_forward(params: ModelParams, config: ModelConfig,
         B, N = history.shape[:2]
         rows = _block_rows(config.n_state * config.d_inner * max(1, N))
         theta = np.empty((B, N, config.n_param_steps, 3))
-        mu, logvar = (np.empty((B, N, config.d_model)) for _ in range(2))
+        mu, logvar = (np.empty((B, N, config.d_model), w["embed.w"].data.dtype)
+                      for _ in range(2))
         for b in range(0, B, rows):
             blk = slice(b, b + rows)
             parts = _infer(params, config, history[blk],

@@ -6,13 +6,16 @@ balanced by dynamic weight averaging: each epoch's weights follow the ratio
 of the previous two epochs' losses through a temperature-2 softmax, so a task
 that stopped improving receives more weight.
 
-Weights are float64 in memory but snapped to float32-representable values
-after every optimizer step; checkpoints store raw float32, so a reloaded
-model holds the trained weights exactly. It runs them in float32, so its
-forward pass agrees with the in-memory one to float32 rounding. A checkpoint
-(format 3) is a manifest of the config and the input normalization plus the
-weights in ``network.weight_shapes`` order, so the config alone fixes where
-each weight lies. Each step backpropagates the weighted total loss with
+Training runs the network in float32, the precision of its leaves and of a
+checkpoint: Adam keeps float64 moments, computes each update in float64 and
+stores the float32 result, as in the master-weight scheme of mixed-precision
+training (arXiv 1710.03740). The KL, the prediction losses and their total
+are float64. A checkpoint stores the float32 weights raw, so a reloaded
+model holds the trained weights exactly, and its forward pass gives the
+in-memory model's outputs bit for bit. A checkpoint (format 3) is a manifest
+of the config and the input normalization plus the weights in
+``network.weight_shapes`` order, so the config alone fixes where each weight
+lies. Each step backpropagates the weighted total loss with
 ``Tensor.backward``, which frees the step's graph as it goes: the loss and
 the model output the loop still holds keep no graph, so no step's graph is
 alive during the next step's forward pass.
@@ -72,15 +75,17 @@ def prediction_losses(result, targets: np.ndarray):
 
 def kl_loss(mu, logvar):
     """KL(q || N(0, I)) averaged over batch, vehicles, and latent channels,
-    as one autodiff node."""
+    as one autodiff node, computed in float64 whatever the inputs' dtype."""
     mu, logvar = ad.as_tensor(mu), ad.as_tensor(logvar)
+    m = mu.data.astype(np.float64, copy=False)
+    lv = logvar.data.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):
-        var = np.exp(logvar.data)
-    inner = (mu.data * mu.data + var) - (logvar.data + 1.0)
+        var = np.exp(lv)
+    inner = (m * m + var) - (lv + 1.0)
 
     def vjp(g):
         g_inner = g * 0.5 / inner.size
-        ad.accumulate(mu, mu.data * (2.0 * g_inner))
+        ad.accumulate(mu, m * (2.0 * g_inner))
         ad.accumulate(logvar, g_inner * var - g_inner)
 
     return ad.primitive(inner.mean() * 0.5, "kl_loss", (mu, logvar), vjp)
@@ -121,7 +126,9 @@ def dwa_weights(loss_history) -> np.ndarray:
 # -- optimizer --------------------------------------------------------------------
 
 class Adam:
-    """Standard Adam with bias correction; updates snap to float32 values."""
+    """Standard Adam with bias correction over float32 weights: the moments
+    are float64, and each update is computed in float64 from the float32
+    gradient, then rounded to float32 when it is stored."""
 
     def __init__(self, weights: "OrderedDict[str, ad.Tensor]", lr: float):
         if lr <= 0.0:
@@ -129,8 +136,8 @@ class Adam:
         self.weights = weights
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in weights.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in weights.items()}
+        self.m = {k: np.zeros(t.data.shape) for k, t in weights.items()}
+        self.v = {k: np.zeros(t.data.shape) for k, t in weights.items()}
 
     def step(self) -> None:
         """Apply one update from the gradients accumulated on the weights."""
@@ -138,9 +145,9 @@ class Adam:
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
         for k, tensor in self.weights.items():
-            g = tensor.grad
-            if g is None:
+            if tensor.grad is None:
                 continue
+            g = tensor.grad.astype(np.float64)
             m = self.m[k]
             v = self.v[k]
             m *= ADAM_BETA1
@@ -148,7 +155,9 @@ class Adam:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             upd = self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
-            tensor.data = net._q32(tensor.data - upd)
+            with np.errstate(over="ignore"):    # beyond float32: inf
+                tensor.data = (tensor.data - upd).astype(np.float32)
+            ad._check_finite(tensor.data, f"adam {k}")
             tensor.grad = None
 
     def snapshot(self) -> dict:
@@ -196,10 +205,12 @@ def load_checkpoint(path: str):
     values each, the std above 0.
 
     The weights come back as float32 constants, the precision they are
-    stored in: they never require grad, so ``model_forward`` runs them
-    without a tape and every network stage computes in float32, while the
-    normalization, the parameter encoding, the rollout and the analysis stay
-    float64. Training and gradient checks start from ``init_params``."""
+    stored and trained in: they never require grad, so ``model_forward``
+    runs them without a tape, every network stage computes in float32 as in
+    training, and the outputs are those of the model that wrote them, bit
+    for bit. The normalization, the parameter encoding, the rollout and the
+    analysis stay float64. Training and gradient checks start from
+    ``init_params``."""
     try:
         with open(os.path.join(path, MANIFEST_NAME), encoding="utf-8") as f:
             manifest = json.load(f)

@@ -333,8 +333,8 @@ def test_criterion_09_closed_loop_viability(capsys, trained_model):
 
 
 def test_criteria_05_and_09_through_a_checkpoint(capsys, trained_model, tmp_path):
-    # criteria 05 and 09 run the in-memory float64 weights; eval and simulate
-    # load a checkpoint and run the network in float32
+    # criteria 05 and 09 run the in-memory float32 leaves; eval and simulate
+    # load a checkpoint of them and run the same float32 network
     config, records = trained_model["config"], trained_model["test_records"]
     training.save_checkpoint(str(tmp_path), trained_model["params"], config)
     loaded, _ = training.load_checkpoint(str(tmp_path))

@@ -242,6 +242,15 @@ def test_ssdd_validation():
         an.ssdd_series(np.zeros((3, 5)), np.zeros((1, 5)))
 
 
+@pytest.mark.parametrize("speed", [1e300, np.finfo(float).max])
+def test_ssdd_overflow_is_refused(speed):
+    # squared speeds beyond float64 would give inf - inf = NaN samples
+    speeds = np.array([[speed, 10.0], [speed, 20.0]])
+    gaps = np.array([[5.0, 5.0]])
+    with pytest.raises(an.AnalysisError, match="non-finite SSDD"):
+        an.ssdd_series(speeds, gaps)
+
+
 # -- histogram divergences ---------------------------------------------------------
 
 def test_divergence_hand_fixture():

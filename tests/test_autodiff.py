@@ -508,16 +508,30 @@ def test_storage_dtypes_keep_float32_constants_only():
     assert ad.Tensor(f32).data.dtype == np.float32
     for other in (np.arange(3), np.arange(3, dtype=np.float16), [1.0, 2.0], 2.5):
         assert ad.Tensor(other).data.dtype == np.float64
+    # a leaf follows the same rule
     leaf = ad.param(f32)
-    assert leaf.data.dtype == np.float64 and leaf.requires_grad
+    assert leaf.data.dtype == np.float32 and leaf.requires_grad
     np.testing.assert_array_equal(leaf.data, f32)
+    for other in (np.arange(3), np.arange(3, dtype=np.float16), [1.0, 2.0], 2.5):
+        leaf = ad.param(other)
+        assert leaf.data.dtype == np.float64 and leaf.requires_grad
 
 
-def test_a_float32_node_is_never_recorded():
-    x = ad.param(np.ones(3))
-    with pytest.raises(ad.AutodiffError, match="'halve' would record a float32"):
-        ad.primitive(np.ones(3, np.float32), "halve", (x,), lambda g: None)
-    # the same node on a constant, or without a tape, stays float32
+def test_a_float32_leaf_records_float32_nodes():
+    # the tape computes in its leaves' dtype: a float32 leaf records a float32
+    # node, and accumulate casts a float64 cotangent to the leaf's dtype
+    x = ad.param(np.ones(3, np.float32))
+    half = ad.primitive(x.data * 0.5, "halve", (x,),
+                        lambda g: ad.accumulate(x, g * 0.5))
+    assert half.data.dtype == np.float32 and half._parents == (x,)
+    ad.Tape.trace(half).backward(np.full(3, 1.0 + 2.0 ** -40))
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, np.full(3, 0.5, np.float32))
+    # a float64 leaf keeps its gradient in float64
+    y = ad.param(np.ones(3))
+    ad.accumulate(y, np.full(3, 1.0 + 2.0 ** -40))
+    assert y.grad.dtype == np.float64 and y.grad[0] != 1.0
+    # the same node on a constant, or without a tape, is not recorded
     const = ad.primitive(np.ones(3, np.float32), "halve", (ad.Tensor(x.data),), None)
     with ad.no_grad():
         plain = ad.primitive(np.ones(3, np.float32), "halve", (x,), None)

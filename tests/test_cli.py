@@ -765,6 +765,21 @@ def test_safety_sim_directory_is_data_error_naming_the_report(corpus, simdir,
     assert "dev_" in err and "bad header" in err and "Traceback" not in err
 
 
+def test_safety_on_out_of_range_speeds_is_data_error(corpus, capsys, tmp_path):
+    # squared speeds of 1e300 overflow: the SSDD is refused with its cause,
+    # not reported as NaN samples, and numpy prints no warning first
+    records = [data.PlatoonRecord(r.platoon_id, r.positions * 1e300,
+                                  r.speeds * 1e300, r.lengths)
+               for r in data.load_trajectories(corpus)[:2]]
+    data.write_trajectories(records, tmp_path / "huge.csv")
+    out = tmp_path / "safety.json"
+    code, stdout, err = _run(capsys, ["safety", "--data", str(tmp_path),
+                                      "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert f"{records[0].platoon_id}: non-finite SSDD" in err, err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
 # -- calibrate-idm / gradcheck --------------------------------------------------------
 
 def test_calibrate_idm_deterministic(corpus, capsys):

@@ -1,5 +1,6 @@
 """Tests for the neural pipeline stages and the full forward pass."""
 
+import contextlib
 import logging
 import math
 import tracemalloc
@@ -74,7 +75,7 @@ class TestInit:
         for k in p1.weights:
             a = p1.weights[k].data
             np.testing.assert_array_equal(a, p2.weights[k].data)
-            np.testing.assert_array_equal(a, a.astype(np.float32).astype(np.float64))
+            assert a.dtype == np.float32
 
     def test_seed_changes_draws(self):
         cfg = _tiny_config()
@@ -206,9 +207,11 @@ def _matmul_scan(u, delta, a_mat, b_seq, c_seq, d_gain):
 
 
 def _assert_bits(got, want):
-    """Bit-for-bit equality; unlike assert_array_equal, tells -0.0 from +0.0."""
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    """Bit-for-bit equality of two arrays of one dtype; unlike
+    assert_array_equal, tells -0.0 from +0.0."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    bits = np.dtype(f"u{got.dtype.itemsize}")
+    np.testing.assert_array_equal(got.view(bits), want.view(bits))
 
 
 def _block_rows(S, C=128):
@@ -418,18 +421,28 @@ class TestTemporalBlock:
     def test_non_finite_output_is_reported_once_by_the_stage(self):
         # a huge gate and output projection overflow after the scan: the
         # stage boundary names 'tfl', and numpy raises no warning first
+        self._assert_overflow_is_reported_once(np.float64, 1e200)
+
+    def test_non_finite_float32_output_is_reported_once_by_the_stage(self):
+        # float32's range ends near 3.4e38: scaled by what it holds, the
+        # products overflow in float32, as training's would
+        self._assert_overflow_is_reported_once(np.float32, 1e30)
+
+    @staticmethod
+    def _assert_overflow_is_reported_once(dtype, scale):
+        # with a tape and without, every weight and the input in ``dtype``
         cfg = _tiny_config()
-        w = dict(net.init_params(cfg, seed=1).weights)
-        w_in = w["tfl.in_proj.w"].data.copy()
-        w_in[:, cfg.d_inner:] *= 1e200
-        w["tfl.in_proj.w"] = w_in
-        w["tfl.out_proj.w"] = w["tfl.out_proj.w"].data * 1e200
+        w = {k: ad.param(t.data.astype(dtype))
+             for k, t in net.init_params(cfg, seed=1).weights.items()}
+        w["tfl.in_proj.w"].data[:, cfg.d_inner:] *= scale
+        w["tfl.out_proj.w"].data *= scale
         x = np.random.default_rng(4).normal(size=(1, 2, cfg.history_len,
-                                                  cfg.d_model))
+                                                  cfg.d_model)).astype(dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ad.NonFiniteValue, match="'tfl'"):
-                net.tfl_forward(w, cfg, x)
+            for mode in (contextlib.nullcontext, ad.no_grad):
+                with mode(), pytest.raises(ad.NonFiniteValue, match="'tfl'"):
+                    net.tfl_forward(w, cfg, x)
 
 
 def _composed_tfl_forward(w, cfg, x):
@@ -923,10 +936,9 @@ class TestFloat32Checkpoint:
             seen.clear()
             for arr in (got.theta.data, got.result.v.data, got.result.s.data):
                 assert arr.dtype == np.float64
+            # the in-memory leaves hold the same float32 values: same bits
             for field in ("theta", "mu", "logvar"):
-                a, b = getattr(got, field).data, getattr(want, field).data
-                # measured: at most 6.3e-7 here, 3.8e-7 on trained weights
-                assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max(), field
+                _assert_bits(getattr(got, field).data, getattr(want, field).data)
 
     def test_loaded_model_records_no_node(self, tmp_path):
         cfg = net.desk_config()

@@ -1,6 +1,7 @@
 """Tests for losses, weight balancing, Adam, checkpoints, and the train loop."""
 
 import collections
+import contextlib
 import gc
 import io
 import json
@@ -8,6 +9,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -111,6 +113,42 @@ class TestAdam:
             np.testing.assert_array_equal(
                 w.data, w.data.astype(np.float32).astype(np.float64))
 
+    def test_float64_moments_and_float32_weights(self):
+        # the moments and the update are float64, computed from the float32
+        # gradient as a float64 one; only the stored weight is rounded, to
+        # the bits _q32 gives the float64 result
+        rng = np.random.default_rng(4)
+        w = ad.param(rng.normal(size=(4, 3)).astype(np.float32))
+        opt = tr.Adam({"w": w}, lr=1e-2)
+        want = w.data.astype(np.float64)
+        m, v = np.zeros((4, 3)), np.zeros((4, 3))
+        for t in range(1, 4):
+            g = rng.normal(size=(4, 3)).astype(np.float32)
+            w.grad = g
+            opt.step()
+            g = g.astype(np.float64)
+            m = m * tr.ADAM_BETA1 + (1.0 - tr.ADAM_BETA1) * g
+            v = v * tr.ADAM_BETA2 + (1.0 - tr.ADAM_BETA2) * g * g
+            upd = 1e-2 * (m / (1.0 - tr.ADAM_BETA1 ** t)) / (
+                np.sqrt(v / (1.0 - tr.ADAM_BETA2 ** t)) + tr.ADAM_EPS)
+            want = net._q32(want - upd)
+            assert opt.m["w"].dtype == opt.v["w"].dtype == np.float64
+            assert opt.m["w"].tobytes() == m.tobytes()
+            assert opt.v["w"].tobytes() == v.tobytes()
+            assert w.data.dtype == np.float32
+            assert w.data.astype(np.float64).tobytes() == want.tobytes()
+
+    def test_overflowing_update_is_reported_once(self):
+        # an update beyond float32's range would store inf: the step names
+        # the weight, and numpy raises no warning first
+        w = ad.param(np.ones(2, np.float32))
+        opt = tr.Adam({"w": w}, lr=1e300)
+        w.grad = np.ones(2, np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteValue, match="'adam w'"):
+                opt.step()
+
     def test_snapshot_restore_round_trip(self):
         rng = np.random.default_rng(2)
         w = ad.param(net._q32(rng.normal(size=3)))
@@ -131,8 +169,8 @@ class TestAdam:
 
 class TestCheckpoints:
     def test_round_trip_agrees_in_float32(self, tmp_path):
-        # the weights come back exactly, as float32; the loaded forward runs
-        # in float32, within the bound of test_network's agreement test
+        # the weights come back exactly, as float32, and the loaded forward
+        # runs in float32, as the taped in-memory one does: the same bits
         cfg = _tiny_config()
         params = net.init_params(cfg, seed=7)
         params.norm_mean = net._q32(np.array([10.0, 20.0, 0.1]))
@@ -147,7 +185,7 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.norm_mean, params.norm_mean)
         after = net.model_forward(loaded, cfg2, hist, lead).theta.data
         assert after.dtype == np.float64
-        assert np.abs(after - before).max() <= 1e-5 * np.abs(before).max()
+        assert after.tobytes() == before.tobytes()
 
     def test_floor_std_survives_round_trip(self, tmp_path):
         # fit_normalization floors std at NORM_STD_FLOOR before the float32
@@ -296,7 +334,8 @@ class TestCheckpoints:
             got = loaded.weights[name].data
             assert got.dtype == np.float32 and not loaded.weights[name].requires_grad
             assert got.shape == tensor.data.shape
-            assert got.astype(np.float64).tobytes() == tensor.data.tobytes(), name
+            assert tensor.data.dtype == np.float32
+            assert got.tobytes() == tensor.data.tobytes(), name
         for field in ("norm_mean", "norm_std"):
             got, want = getattr(loaded, field), getattr(params, field)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -392,6 +431,27 @@ class TestTrainingStepGraph:
                        "encode": 1, "rollout": 1, "prediction_losses": 1,
                        "kl_loss": 1, "total_loss": 1, "slice": 8}
 
+    def test_network_nodes_are_float32_and_the_rest_float64(self):
+        # the leaves are float32, so every network node is too, up to the
+        # decoder head and the latent's mu and logvar; the encoding, the
+        # rollout and the losses are float64, and each leaf's gradient keeps
+        # its leaf's dtype
+        total, out, params = _default_step(batch=2, n_veh=3)
+        nodes = ad.Tape.trace(total).nodes
+        [encode] = [n for n in nodes if n._op == "encode"]
+        network = ad.Tape.trace(encode._parents[0]).nodes + [out.mu, out.logvar]
+        assert {n.data.dtype for n in network} == {np.dtype(np.float32)}
+        ids = {id(n) for n in network}
+        rest = [n for n in nodes if id(n) not in ids]
+        assert {n._op for n in rest} == {"encode", "rollout", "slice",
+                                         "prediction_losses", "kl_loss",
+                                         "total_loss"}
+        assert {n.data.dtype for n in rest} == {np.dtype(np.float64)}
+        assert len(network) + len(rest) == len(nodes) == 93
+        total.backward()
+        for tensor in params.weights.values():
+            assert tensor.data.dtype == tensor.grad.dtype == np.float32
+
     def test_step_graph_is_freed_without_the_cycle_collector(self):
         gc.disable()
         try:
@@ -435,6 +495,33 @@ class TestTrainLoop:
         assert cfg2 == cfg
         assert results[0].best_epoch >= 0
         assert results[0].best_val <= lines[0]["val_loss"]
+
+    def test_trained_model_and_its_checkpoint_agree_bitwise(self, tmp_path):
+        # one epoch is the best one, so the checkpoint holds the in-memory
+        # weights; both run the network in float32, taped or not
+        cfg = _tiny_config()
+        wins = _windows(cfg)
+        params = net.init_params(cfg, seed=4)
+        params.norm_mean, params.norm_std = net.fit_normalization(wins)
+        res = tr.train(params, cfg, wins, wins,
+                       tr.TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=1),
+                       checkpoint_dir=str(tmp_path))
+        assert res.best_epoch == 0
+        loaded, _ = tr.load_checkpoint(str(tmp_path))
+        hist, lead, _ = wins[0]
+        noise = np.random.default_rng(5).standard_normal(
+            hist.shape[:2] + (cfg.d_model,))
+        for eps in (None, noise):
+            want = net.model_forward(loaded, cfg, hist, lead, noise=eps)
+            for mode in (contextlib.nullcontext, ad.no_grad):
+                with mode():
+                    got = net.model_forward(params, cfg, hist, lead, noise=eps)
+                for field in ("theta", "mu", "logvar"):
+                    a, b = getattr(got, field).data, getattr(want, field).data
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                for field in ("v", "s"):
+                    a = getattr(got.result, field).data
+                    assert a.tobytes() == getattr(want.result, field).data.tobytes()
 
     def test_loss_decreases_on_small_problem(self):
         cfg = _tiny_config()
