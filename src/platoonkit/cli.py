@@ -387,13 +387,11 @@ def _write_spectrum_csv(out_dir: Path, platoon_id: str, spectrum) -> None:
     n = spectrum.per_vehicle.shape[0]
     header = "omega_rad_s,chain_gain," + ",".join(
         f"vehicle_{i}_gain" for i in range(n))
-    lines = [header]
-    for j in range(spectrum.omega.shape[0]):
-        row = [data._fmt(spectrum.omega[j]), data._fmt(spectrum.chain[j])]
-        row += [data._fmt(spectrum.per_vehicle[i, j]) for i in range(n)]
-        lines.append(",".join(row))
+    template = ",".join([data.NUMBER] * (n + 2)) + "\n"
+    rows = data.format_rows(template, spectrum.omega, spectrum.chain,
+                            *spectrum.per_vehicle)
     (out_dir / f"spectrum_{platoon_id}.csv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        header + "\n" + rows, encoding="utf-8", newline="\n")
 
 
 def _safety_section(records):

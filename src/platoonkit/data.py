@@ -130,8 +130,24 @@ def validate_record(record: PlatoonRecord) -> Optional[str]:
 
 # -- CSV I/O -------------------------------------------------------------------
 
+# The text of every float in a CSV this package writes: 9 significant
+# digits, the text ``format(x, ".9g")`` gives.
+NUMBER = "%.9g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+    return NUMBER % float(x)
+
+
+def format_rows(template: str, *columns) -> str:
+    """One line per row of ``columns`` (equal-length 1-D arrays), each line
+    ``template`` filled with that row's cells: the template is repeated once
+    per row and filled from one flat cell list by a single ``%``."""
+    n, k = len(columns[0]), len(columns)
+    cells = [None] * (n * k)
+    for j, column in enumerate(columns):
+        cells[j::k] = column.tolist()
+    return (template * n) % tuple(cells)
 
 
 def write_trajectories(records: Sequence[PlatoonRecord], path) -> None:
@@ -141,12 +157,12 @@ def write_trajectories(records: Sequence[PlatoonRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(CSV_FIELDS) + "\n")
         for rec in sorted(records, key=lambda r: r.platoon_id):
+            frames = np.arange(rec.duration)
+            pid = rec.platoon_id.replace("%", "%%")
             for vi, (pos, spd) in enumerate(zip(rec.positions, rec.speeds)):
-                length = _fmt(rec.lengths[vi])
-                f.write("".join(
-                    f"{rec.platoon_id},{vi},{frame},{_fmt(pos[frame])},"
-                    f"{_fmt(spd[frame])},{length}\n"
-                    for frame in range(rec.duration)))
+                template = (f"{pid},{vi},%d,{NUMBER},{NUMBER},"
+                            f"{_fmt(rec.lengths[vi])}\n")
+                f.write(format_rows(template, frames, pos, spd))
 
 
 # One CSV row as the bulk parse reads it; platoon ids stay str objects.
@@ -429,32 +445,42 @@ def lead_speed_series(profile: LeadProfile, frames: int) -> np.ndarray:
     return np.clip(v, 0.0, SPEED_CAP)
 
 
-def synthesize_platoon(platoon_id: str, profile: LeadProfile, params: list,
-                       lengths, noise_sigma: float, noise_seed: int,
-                       duration_steps: int) -> PlatoonRecord:
-    """Integrate IDM followers behind the scripted leader; raises
-    GenerationError if any gap collapses."""
-    lead = lead_speed_series(profile, duration_steps)
+def synthesize_platoon(platoon_ids, profiles, params, lengths,
+                       noise_sigma: float, noise_seeds,
+                       duration_steps: int) -> list:
+    """Integrate IDM followers behind scripted leaders, one platoon per row
+    of one ``idm.simulate_idm_platoon`` call.
+
+    Row b is platoon ``platoon_ids[b]``: leader ``profiles[b]``, followers
+    ``params[b]`` (a list of IdmParams) starting at equilibrium behind it,
+    ``lengths[b]`` leader first, and acceleration noise drawn from
+    ``noise_seeds[b]``. Returns one PlatoonRecord per row, or None for a row
+    whose gap collapsed.
+    """
+    lead = np.stack([lead_speed_series(p, duration_steps) for p in profiles])
     lengths = np.array(lengths, dtype=float)
-    n = len(params) + 1
-    if lengths.shape != (n,):
-        raise ValueError(f"lengths must have shape {(n,)}")
-    pos = np.zeros(n)
-    spd = np.zeros(n)
-    spd[0] = lead[0]
-    for i, p in enumerate(params, start=1):
-        v_eq = min(lead[0], 0.9 * p.v0)
-        spd[i] = v_eq
-        pos[i] = pos[i - 1] - lengths[i - 1] - idm.equilibrium_gap(v_eq, p)
+    B, n = len(platoon_ids), len(params[0]) + 1
+    if lengths.shape != (B, n):
+        raise ValueError(f"lengths must have shape {(B, n)}")
+    pos = np.zeros((B, n))
+    spd = np.zeros((B, n))
+    spd[:, 0] = lead[:, 0]
+    for b, row in enumerate(params):
+        for i, p in enumerate(row, start=1):
+            v_eq = min(lead[b, 0], 0.9 * p.v0)
+            spd[b, i] = v_eq
+            pos[b, i] = (pos[b, i - 1] - lengths[b, i - 1]
+                         - idm.equilibrium_gap(v_eq, p))
     noise = None
     if noise_sigma > 0.0:
-        noise = np.random.default_rng(noise_seed).normal(
-            0.0, noise_sigma, (duration_steps - 1, len(params)))
-    sim = idm.simulate_idm_platoon(lead, pos, spd, lengths, params, noise)
-    if sim.collision_frame is not None:
-        raise GenerationError(
-            f"platoon {platoon_id}: gap collapsed at frame {sim.collision_frame}")
-    return PlatoonRecord(platoon_id, sim.positions, sim.speeds, lengths)
+        noise = np.empty((B, duration_steps - 1, n - 1))
+        for row, seed in zip(noise, noise_seeds):
+            row[...] = np.random.default_rng(seed).normal(0.0, noise_sigma,
+                                                          row.shape)
+    sims = idm.simulate_idm_platoon(lead, pos, spd, lengths, params, noise)
+    return [None if sim.collision_frame is not None else
+            PlatoonRecord(pid, sim.positions, sim.speeds, row_lengths)
+            for pid, sim, row_lengths in zip(platoon_ids, sims, lengths)]
 
 
 def _sample_profile(rng: np.random.Generator) -> LeadProfile:
@@ -477,9 +503,23 @@ def _sample_profile(rng: np.random.Generator) -> LeadProfile:
                        seed=int(rng.integers(0, 2 ** 31)))
 
 
-def _sample_idm_params(rng: np.random.Generator) -> idm.IdmParams:
-    return idm.IdmParams(*[rng.uniform(*SYNTH_IDM_RANGES[name])
-                           for name in idm.GENE_NAMES])
+def _sample_attempt(rng: np.random.Generator, n_followers: int) -> tuple:
+    """One attempt at a platoon from its stream, as the per-row arguments of
+    ``synthesize_platoon``: (profile, follower params, lengths, noise seed).
+    The genes are one (n_followers, 5) uniform draw, which gives the values
+    of one scalar draw per gene, follower by follower."""
+    profile = _sample_profile(rng)
+    low, high = np.array([SYNTH_IDM_RANGES[name] for name in idm.GENE_NAMES]).T
+    genes = rng.uniform(low, high, (n_followers, len(idm.GENE_NAMES)))
+    params = [idm.IdmParams(*row) for row in genes.tolist()]
+    lengths = rng.uniform(*SYNTH_LENGTH_RANGE, n_followers + 1)
+    return profile, params, lengths, int(rng.integers(0, 2 ** 31))
+
+
+# Follower-frames stepped at once by datagen: platoons are synthesized in
+# blocks of at most this many (at least one platoon), so that each of the
+# batch's state and noise arrays stays near 512 KB.
+LOCKSTEP_CELLS = 1 << 16
 
 
 def generate_synthetic_platoons(count: int, n_followers: int = 6,
@@ -487,33 +527,41 @@ def generate_synthetic_platoons(count: int, n_followers: int = 6,
                                 noise_sigma: float = SYNTH_NOISE_SIGMA) -> list:
     """Deterministic synthetic corpus: scripted leaders, noisy IDM followers.
 
-    Each platoon draws from its own SeedSequence-spawned stream, so the output
-    is reproducible for a given (count, seed) regardless of retry behavior.
+    Platoon i draws every attempt from its own stream, child i of
+    ``SeedSequence(seed)``, so it is the same for any ``count``. Platoons
+    are synthesized in lockstep, in blocks of ``LOCKSTEP_CELLS``
+    follower-frames: a block's first attempts are the rows of one
+    ``synthesize_platoon`` call, and the rows whose gap collapsed draw their
+    next attempt and are stepped together, up to 25 attempts each. A
+    platoon's record does not depend on which platoons share its batch.
     """
     if count < 1 or n_followers < 1:
         raise ValueError("count and n_followers must be >= 1")
     duration_steps = int(round(duration_s / DT))
     if duration_steps < 2:
         raise ValueError("duration too short")
-    records = []
+    block = max(1, LOCKSTEP_CELLS // (n_followers * duration_steps))
     children = np.random.SeedSequence(seed).spawn(count)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        pid = f"syn-{seed}-{i:04d}"
-        for attempt in range(25):
-            profile = _sample_profile(rng)
-            params = [_sample_idm_params(rng) for _ in range(n_followers)]
-            lengths = rng.uniform(*SYNTH_LENGTH_RANGE, n_followers + 1)
-            noise_seed = int(rng.integers(0, 2 ** 31))
-            try:
-                records.append(synthesize_platoon(
-                    pid, profile, params, lengths, noise_sigma, noise_seed,
-                    duration_steps))
+    records = []
+    for start in range(0, count, block):
+        pending = list(range(start, min(start + block, count)))
+        rngs = {i: np.random.default_rng(children[i]) for i in pending}
+        done = {}
+        for _ in range(25):
+            profiles, params, lengths, noise_seeds = zip(*[
+                _sample_attempt(rngs[i], n_followers) for i in pending])
+            got = synthesize_platoon(
+                [f"syn-{seed}-{i:04d}" for i in pending], profiles, params,
+                lengths, noise_sigma, noise_seeds, duration_steps)
+            done.update((i, rec) for i, rec in zip(pending, got)
+                        if rec is not None)
+            pending = [i for i, rec in zip(pending, got) if rec is None]
+            if not pending:
                 break
-            except GenerationError:
-                continue
         else:
-            raise GenerationError(f"platoon {pid}: no valid draw in 25 attempts")
+            raise GenerationError(f"platoon syn-{seed}-{pending[0]:04d}: "
+                                  f"no valid draw in 25 attempts")
+        records.extend(done[i] for i in sorted(done))
     return records
 
 

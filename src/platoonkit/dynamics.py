@@ -229,11 +229,14 @@ def euler_platoon(speeds: np.ndarray, gaps: np.ndarray, lead_speeds, accel):
 
 
 def cascade_positions(lead_positions, lengths, gaps) -> np.ndarray:
-    """Follower positions (N, T): x_n = x_{n-1} - length_{n-1} - s_n, cascaded
-    rearward from the leader's (T,); lengths (N+1,) start with the leader."""
-    positions = np.empty(np.shape(gaps))
-    prev = lead_positions
-    for i in range(positions.shape[0]):
-        positions[i] = prev - lengths[i] - gaps[i]
-        prev = positions[i]
+    """Positions (..., N+1, T), leader first: the leader's (..., T), then
+    x_n = x_{n-1} - length_{n-1} - s_n cascaded rearward from (..., N, T)
+    gaps; lengths (..., N+1) start with the leader. Leading axes are
+    independent platoons."""
+    *rows, n, T = np.shape(gaps)
+    positions = np.empty((*rows, n + 1, T))
+    positions[..., 0, :] = lead_positions
+    for i in range(n):
+        positions[..., i + 1, :] = (positions[..., i, :] - lengths[..., i, None]
+                                    - gaps[..., i, :])
     return positions

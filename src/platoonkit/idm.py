@@ -2,21 +2,23 @@
 
 ``_accel`` is the one IDM law (Treiber, Hennecke & Helbing, 2000). It takes
 the platoon's ``dv = v_ahead - v``, as ``dynamics`` does, and writes into
-two buffers its caller passes: ``IdmController`` (datagen and closed-loop
-simulation) passes fresh ones per step, the GA's fitness step reused ones.
+two buffers its caller passes: ``IdmController`` (closed-loop simulation)
+passes fresh ones per step, the datagen platoon step and the GA's fitness
+step reused ones.
 
 Platoon simulation and GA fitness step followers in gap form with
 ``dynamics.euler_platoon`` at ``dynamics.DT`` behind the leader's speeds and
-cascade positions afterwards. Calibration runs followers in lockstep: each
-generation is one batch row per candidate of every follower of one length,
-each behind its own leader, and one breeding pass over all of their
-populations, in which each follower draws from a stream of its own, four
-draws per generation (``_breed``).
+cascade positions afterwards. ``simulate_idm_platoon`` steps a batch of
+platoons, one row each behind its own leader. Calibration runs followers in
+lockstep: each generation is one batch row per candidate of every follower
+of one length, each behind its own leader, and one breeding pass over all of
+their populations, in which each follower draws from a stream of its own,
+four draws per generation (``_breed``).
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -95,7 +97,10 @@ def equilibrium_gap(v: float, p: IdmParams) -> float:
 
 
 class IdmController:
-    """IDM law with known per-follower parameters, as a closed-loop controller."""
+    """IDM law with known per-follower parameters, as a closed-loop controller.
+
+    ``params`` is one IdmParams per follower (a list), or one such list per
+    batch row; the genes are then contiguous (N,) or (B, N) arrays."""
 
     history_len = 1
     horizon = 1
@@ -103,9 +108,12 @@ class IdmController:
     def __init__(self, params):
         if isinstance(params, IdmParams):
             raise TypeError("pass one IdmParams per follower (a list)")
-        if not params:
+        table = np.array(params, dtype=object)
+        if not table.size:
             raise ValueError("need at least one follower")
-        v0, T, s0, a_max, b = np.stack([astuple(p) for p in params], axis=1)
+        genes = np.array([[getattr(p, name) for name in GENE_NAMES]
+                          for p in table.flat], dtype=float)
+        v0, T, s0, a_max, b = genes.T.reshape(-1, *table.shape)
         self._genes = (v0, T, s0, a_max, 2.0 * np.sqrt(a_max * b))
 
     def replan(self, history, lead_future, platoons):
@@ -118,7 +126,7 @@ class IdmController:
 
 @dataclass(frozen=True)
 class IdmSimulation:
-    """Result arrays of a platoon simulation; row 0 is the leader."""
+    """Result arrays of one platoon's simulation; row 0 is the leader."""
 
     positions: np.ndarray            # (n_vehicles, T)
     speeds: np.ndarray               # (n_vehicles, T)
@@ -126,50 +134,66 @@ class IdmSimulation:
 
 
 def simulate_idm_platoon(lead_speeds, initial_positions, initial_speeds,
-                         lengths, params: list,
-                         accel_noise=None) -> IdmSimulation:
-    """Integrate followers behind a speed-scripted leader.
+                         lengths, params, accel_noise=None) -> list:
+    """Integrate the followers of B platoons, each behind its own
+    speed-scripted leader, as the rows of one ``dynamics.euler_platoon`` call.
 
-    Gap-form Euler update (``dynamics.euler_platoon``) from frame-t states;
-    the leader moves by x(t+1) = x(t) + DT*v(t). Gap of follower n is
+    ``lead_speeds`` is (B, T); ``initial_positions``, ``initial_speeds`` and
+    ``lengths`` are (B, V), leader first; ``params`` holds B lists of V - 1
+    IdmParams. ``accel_noise``, if given, is a (B, T-1, V-1) array added to
+    follower accelerations. The step is ``_accel`` on the (B, V-1) gene
+    arrays of ``IdmController(params)``, with both buffers reused. A leader
+    moves by x(t+1) = x(t) + DT*v(t); the gap of follower n is
     x_{n-1} - length_{n-1} - x_n (rear bumper to front bumper).
-    ``accel_noise``, if given, is a (T-1, n_followers) array added to
-    follower accelerations. On a collision the output is truncated to the
-    frames strictly before the first non-positive gap.
+
+    Returns one IdmSimulation per row. On a collision a row's output is
+    truncated to the frames strictly before its first non-positive gap; a
+    collided row steps on with the others, and its later values are
+    discarded, so no row depends on which others share the call.
     """
     lead_speeds = np.asarray(lead_speeds, dtype=float)
-    T = lead_speeds.shape[0]
-    n_follow = len(params)
-    n = n_follow + 1
-    initial_positions = np.asarray(initial_positions, dtype=float)
-    initial_speeds = np.asarray(initial_speeds, dtype=float)
-    lengths = np.asarray(lengths, dtype=float)
-    if initial_positions.shape != (n,) or initial_speeds.shape != (n,) or lengths.shape != (n,):
-        raise ValueError("initial state arrays must cover leader and every follower")
-    law = IdmController(params)
-    accel = law.accel
-    if accel_noise is not None:
+    if lead_speeds.ndim != 2:
+        raise ValueError(f"lead_speeds must be (B, T), got {lead_speeds.shape}")
+    B, T = lead_speeds.shape
+    genes = IdmController(params)._genes
+    N = genes[0].shape[-1]
+    initial_positions, initial_speeds, lengths = (
+        np.asarray(a, dtype=float)
+        for a in (initial_positions, initial_speeds, lengths))
+    if not (genes[0].shape == (B, N) and initial_positions.shape
+            == initial_speeds.shape == lengths.shape == (B, N + 1)):
+        raise ValueError("params and initial state arrays must cover the "
+                         "leader and every follower of every row")
+    s_star, out = np.empty((B, N)), np.empty((B, N))
+    if accel_noise is None:
+        accel = lambda k, v, s, dv: _accel(v, s, dv, *genes, s_star, out)
+    else:
         accel_noise = np.asarray(accel_noise, dtype=float)
-        if accel_noise.shape != (T - 1, n_follow):
-            raise ValueError(f"accel_noise must have shape {(T - 1, n_follow)}")
-        accel = lambda k, v, s, dv: law.accel(k, v, s, dv) + accel_noise[k]
+        if accel_noise.shape != (B, T - 1, N):
+            raise ValueError(f"accel_noise must have shape {(B, T - 1, N)}")
+        accel = lambda k, v, s, dv: np.add(
+            _accel(v, s, dv, *genes, s_star, out), accel_noise[:, k], out=out)
 
-    spd = np.empty((n_follow, T))
-    gaps = np.empty((n_follow, T))
-    spd[:, 0] = initial_speeds[1:]
-    gaps[:, 0] = initial_positions[:-1] - lengths[:-1] - initial_positions[1:]
-    _, collision = dyn.euler_platoon(spd, gaps, lead_speeds, accel)
-    valid = int(collision)
-    if valid == 0:
-        raise CollisionError("initial platoon state already overlaps")
-    # cumsum adds in sequence: the same sums as stepping x(t) + DT*v(t)
-    lead_pos = np.cumsum(np.concatenate(
-        ([initial_positions[0]], dyn.DT * lead_speeds[:valid - 1])))
-    positions = dyn.cascade_positions(lead_pos, lengths, gaps[:, :valid])
-    return IdmSimulation(
-        np.vstack([lead_pos, positions]),
-        np.vstack([lead_speeds[:valid], spd[:, :valid]]),
-        None if valid == T else valid)
+    speeds = np.empty((B, N + 1, T))
+    speeds[:, 0] = lead_speeds
+    speeds[:, 1:, 0] = initial_speeds[:, 1:]
+    gaps = np.empty((B, N, T))
+    gaps[..., 0] = (initial_positions[:, :-1] - lengths[:, :-1]
+                    - initial_positions[:, 1:])
+    # collided rows step on with non-positive gaps; their values are discarded
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, collision = dyn.euler_platoon(speeds[:, 1:], gaps, lead_speeds, accel)
+        if (collision == 0).any():
+            raise CollisionError(f"row {int(np.argmin(collision))}: initial "
+                                 f"platoon state already overlaps")
+        # cumsum adds in sequence: the same sums as stepping x(t) + DT*v(t)
+        lead_pos = np.cumsum(np.concatenate(
+            (initial_positions[:, :1], dyn.DT * lead_speeds[:, :-1]), axis=1),
+            axis=1)
+        positions = dyn.cascade_positions(lead_pos, lengths, gaps)
+    return [IdmSimulation(positions[row, :, :valid], speeds[row, :, :valid],
+                          None if valid == T else valid)
+            for row, valid in enumerate(collision.tolist())]
 
 
 # -- GA calibration ------------------------------------------------------------

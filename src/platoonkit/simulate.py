@@ -33,7 +33,6 @@ learned ``ModelController`` here and ``idm.IdmController``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,9 +205,8 @@ def _simulate_group(records, rows, controller, P: int, R: int) -> list:
     runs = []
     for b, rec in enumerate(records):
         T_eff = P - 1 + int(collision[b])
-        lead_pos, run_gaps = rec.positions[0, :T_eff], gaps[b, :, :T_eff]
-        positions = np.vstack([lead_pos, dyn.cascade_positions(
-            lead_pos, rec.lengths, run_gaps)])
+        positions = dyn.cascade_positions(rec.positions[0, :T_eff], rec.lengths,
+                                          gaps[b, :, :T_eff])
         speeds = np.vstack([lead_spd[b, :T_eff], spd[b, :, :T_eff]])
         runs.append(SimulationRun(
             record=data.PlatoonRecord(rec.platoon_id, positions, speeds,
@@ -246,13 +244,9 @@ def compare_runs(record: data.PlatoonRecord, run: SimulationRun) -> DeviationRep
 
 def write_deviations_csv(report: DeviationReport, path: str) -> None:
     """One row per follower per frame; vehicle_index matches the source file."""
-    n = report.speed_dev.shape[0]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["vehicle_index", "frame", "speed_dev_mps",
-                         "position_dev_m"])
-        for i in range(n):
-            for j, frame in enumerate(report.frames):
-                writer.writerow([i + 1, int(frame),
-                                 data._fmt(report.speed_dev[i, j]),
-                                 data._fmt(report.position_dev[i, j])])
+    with open(path, "w", newline="\n", encoding="utf-8") as f:
+        f.write("vehicle_index,frame,speed_dev_mps,position_dev_m\n")
+        for i, (speed, position) in enumerate(zip(report.speed_dev,
+                                                  report.position_dev)):
+            f.write(data.format_rows(f"{i + 1},%d,{data.NUMBER},{data.NUMBER}\n",
+                                     report.frames, speed, position))

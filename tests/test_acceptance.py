@@ -253,9 +253,9 @@ def test_criterion_07_calibration_recovery(capsys):
     truth = idm.IdmParams(v0=25.0, T=1.4, s0=2.5, a_max=1.2, b=2.0)
     profile = data.LeadProfile(kind="sinusoid", v_init=16.0, amp=14.5,
                                period_s=40.0, phase=0.0)
-    rec = data.synthesize_platoon("cal", profile, [truth], [4.6, 4.4],
-                                  noise_sigma=0.0, noise_seed=0,
-                                  duration_steps=800)
+    rec, = data.synthesize_platoon(["cal"], [profile], [[truth]], [[4.6, 4.4]],
+                                   noise_sigma=0.0, noise_seeds=[0],
+                                   duration_steps=800)
     obs = data.follower_observation(rec, 1)
     result = idm.calibrate_ga(obs, seed=0, budget=600)
     errs = {name: 100.0 * abs(getattr(result.params, name)

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline coverage via dispatch()."""
 
+import hashlib
 import json
 import math
 import os
@@ -213,6 +214,47 @@ def test_datagen_deterministic(capsys, tmp_path):
         assert code == 0
         outs.append(b"".join(f.read_bytes() for f in sorted(out.glob("*.csv"))))
     assert outs[0] == outs[1]
+
+
+# sha256 of a datagen corpus's CSVs, concatenated in file-name order, per
+# (platoons, followers, duration_s, noise_sigma, seed): pinned from the
+# per-platoon integration and per-cell CSV formatting that lockstep
+# synthesis and the template writers replaced.
+_GOLDEN_DATAGEN = {
+    (5, 1, 0.2, 0.0, 0):
+        "d572a491024e86cf2bc4c10edad162e7844c5e00b9a537d149ee8dc346aa09e6",
+    (6, 3, 15.0, 0.1, 7):
+        "dae528ead9f0c1c45d1c632c04c9dbc0dd5ba2e6a2b0974f5bc9bf69d9a72f90",
+    (3, 6, 60.0, 10.0, 5):
+        "7f645959c218b740c8ea5452dd68dfe8093f6359af2560dbf616ba7267e990d9",
+    (8, 6, 15.0, 0.1, 1):
+        "697fe3c47c0d54a94e1b0e2c9a00a3250567aa64e84d23038a24f88c74b9d155",
+    (4, 3, 0.2, 10.0, 11):
+        "fa8563460fcec9a90e3484a67d408acb9f710ae78eebc60dba0a6900500d6913",
+    (4, 1, 60.0, 0.0, 2):
+        "8a9fbe1175382c38821e42a718709f34adda83d40a79f4061d550da38289bf3b",
+    (130, 1, 1.0, 0.1, 9):
+        "69c32d79499b7df848ef9cc42238b2ad6db74fa3d86c0ea4c2ef5e48d383252a",
+}
+
+
+@pytest.mark.parametrize("config, cells", [
+    *((config, None) for config in _GOLDEN_DATAGEN),
+    # lockstep blocks of 2 and of 48 platoons give the same bytes
+    ((6, 3, 15.0, 0.1, 7), 900), ((130, 1, 1.0, 0.1, 9), 480)])
+def test_datagen_bytes_match_golden_digests(monkeypatch, tmp_path, config,
+                                            cells):
+    if cells is not None:
+        monkeypatch.setattr(data, "LOCKSTEP_CELLS", cells)
+    platoons, followers, duration_s, sigma, seed = config
+    argv = ["datagen", "--out", str(tmp_path), "--platoons", platoons,
+            "--followers", followers, "--duration-s", duration_s,
+            "--noise-sigma", sigma, "--seed", seed]
+    assert cli.dispatch([str(a) for a in argv]) == 0
+    digest = hashlib.sha256()
+    for f in sorted(tmp_path.glob("*.csv")):
+        digest.update(f.read_bytes())
+    assert digest.hexdigest() == _GOLDEN_DATAGEN[config]
 
 
 def test_datagen_too_short_duration_is_data_error(capsys, tmp_path):

@@ -1,16 +1,19 @@
 """Data layer: CSV round trips, windowing arithmetic, splits, synthetic corpus."""
 
 import csv
+import io
 import math
 import tracemalloc
+import types
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonkit import data, idm
+from platoonkit import cli, data, idm, simulate
 
 
 def _tiny_record(pid="p0", T=8, n_follow=2):
@@ -326,6 +329,71 @@ def test_generated_records_satisfy_invariants():
         assert rec.n_followers == 4
 
 
+def _doomed_attempt(n_followers, lengths, noise_seed):
+    """An attempt whose gap collapses at frame 2: the leader stops dead
+    after frame 0 in front of followers at a 4 cm equilibrium gap."""
+    stop = data.LeadProfile("const_decel", v_init=30.0, accel=-1000.0)
+    tight = idm.IdmParams(v0=40.0, T=1e-3, s0=1e-3, a_max=1.0, b=1.0)
+    return stop, [tight] * n_followers, lengths, noise_seed
+
+
+def _force_collisions(monkeypatch, doomed):
+    """Make platoon i's first ``doomed[i]`` attempts collide. Each attempt
+    still draws from the platoon's stream as a real one does; the platoon's
+    index is its stream's spawn key. Returns the attempts drawn per platoon."""
+    real = data._sample_attempt
+    drawn = Counter()
+
+    def forced(rng, n_followers):
+        i = rng.bit_generator.seed_seq.spawn_key[-1]
+        profile, params, lengths, noise_seed = real(rng, n_followers)
+        drawn[i] += 1
+        if drawn[i] <= doomed.get(i, 0):
+            return _doomed_attempt(n_followers, lengths, noise_seed)
+        return profile, params, lengths, noise_seed
+
+    monkeypatch.setattr(data, "_sample_attempt", forced)
+    return drawn
+
+
+def test_collided_platoons_redraw_from_their_own_streams(monkeypatch):
+    count, n, seed, duration_s = 6, 3, 4, 3.0
+    want = data.generate_synthetic_platoons(count, n_followers=n,
+                                            duration_s=duration_s, seed=seed)
+    sample = data._sample_attempt
+    doomed = {1: 1, 4: 3}
+    drawn = _force_collisions(monkeypatch, doomed)
+    got = data.generate_synthetic_platoons(count, n_followers=n,
+                                           duration_s=duration_s, seed=seed)
+    assert drawn == {i: doomed.get(i, 0) + 1 for i in range(count)}
+    assert [r.platoon_id for r in got] == [r.platoon_id for r in want]
+    children = np.random.SeedSequence(seed).spawn(count)
+    for i, rec in enumerate(got):
+        if i in doomed:
+            # the stream's attempt after the doomed ones, synthesized alone
+            rng = np.random.default_rng(children[i])
+            for _ in range(doomed[i]):
+                sample(rng, n)
+            profile, params, lengths, noise_seed = sample(rng, n)
+            alone, = data.synthesize_platoon(
+                [rec.platoon_id], [profile], [params], [lengths],
+                data.SYNTH_NOISE_SIGMA, [noise_seed], round(duration_s / data.DT))
+            assert not np.array_equal(rec.speeds, want[i].speeds)
+        else:
+            alone = want[i]
+        for field in ("positions", "speeds", "lengths"):
+            assert getattr(rec, field).tobytes() == getattr(alone, field).tobytes()
+
+
+def test_platoon_failing_every_attempt_is_named(monkeypatch):
+    drawn = _force_collisions(monkeypatch, {2: 25, 4: 25})
+    with pytest.raises(data.GenerationError,
+                       match=r"platoon syn-7-0002: no valid draw in 25 attempts"):
+        data.generate_synthetic_platoons(6, n_followers=2, duration_s=1.0, seed=7)
+    assert drawn[2] == drawn[4] == 25
+    assert drawn[0] == drawn[5] == 1
+
+
 def test_validate_record_rejects_arrays_that_do_not_fit():
     rec = _tiny_record(T=6)
     assert data.validate_record(rec) is None
@@ -364,8 +432,9 @@ def test_gap_delta_identity_on_synthetic():
 def test_constant_lead_at_equilibrium_stays_constant():
     p = idm.IdmParams(30.0, 1.2, 2.0, 1.0, 1.5)
     profile = data.LeadProfile("const_accel", v_init=20.0, accel=0.0)
-    rec = data.synthesize_platoon("eq", profile, [p, p], np.full(3, 4.5),
-                                  noise_sigma=0.0, noise_seed=0, duration_steps=100)
+    rec, = data.synthesize_platoon(["eq"], [profile], [[p, p]], [np.full(3, 4.5)],
+                                   noise_sigma=0.0, noise_seeds=[0],
+                                   duration_steps=100)
     assert np.abs(rec.speeds - 20.0).max() < 1e-9
 
 
@@ -451,6 +520,83 @@ def test_csv_round_trip_property(tmp_path_factory, records):
     second = first.with_name("b.csv")
     data.write_trajectories(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# Finite doubles at the edges of 9-digit text: signed zero, the smallest
+# subnormal, the largest double, integral values and rounding boundaries.
+_EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16, 1e22,
+                 123456789.5, 123456788.5, 9.999999995e-5, 9.9999999949e-5,
+                 0.1, 1e-5, 99999999.95, 999999999.5)
+_cell = st.one_of(st.sampled_from(_EDGE_DOUBLES),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.integers(-10 ** 12, 10 ** 12).map(float))
+
+
+def _cells(draw, *shape):
+    return np.array(draw(st.lists(_cell, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))).reshape(shape)
+
+
+@st.composite
+def _writer_inputs(draw):
+    """Records, a deviation report and a spectrum with arbitrary finite cells;
+    platoon ids may hold the ``%`` of a format template."""
+    ids = draw(st.lists(st.text("ab%s-_9", min_size=1, max_size=5),
+                        min_size=1, max_size=3))
+    records = []
+    for pid in ids:
+        V, T = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        records.append(data.PlatoonRecord(pid, _cells(draw, V, T),
+                                          _cells(draw, V, T), _cells(draw, V)))
+    N, W = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    frames = np.array(draw(st.lists(st.integers(0, 10 ** 9), min_size=W,
+                                    max_size=W)))
+    report = simulate.DeviationReport(frames, _cells(draw, N, W),
+                                      _cells(draw, N, W), 0.0, 0.0)
+    spectrum = types.SimpleNamespace(
+        omega=_cells(draw, W), chain=_cells(draw, W),
+        per_vehicle=_cells(draw, N, W))
+    return records, report, spectrum
+
+
+def _reference_deviations(report):
+    """The deviation CSV one ``csv.writer`` row and one ``format`` per cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["vehicle_index", "frame", "speed_dev_mps",
+                     "position_dev_m"])
+    for i in range(report.speed_dev.shape[0]):
+        for j, frame in enumerate(report.frames):
+            writer.writerow([i + 1, int(frame),
+                             format(float(report.speed_dev[i, j]), ".9g"),
+                             format(float(report.position_dev[i, j]), ".9g")])
+    return out.getvalue().encode("utf-8")
+
+
+def _reference_spectrum(spectrum):
+    """The spectrum CSV with one ``format`` per cell."""
+    n = spectrum.per_vehicle.shape[0]
+    lines = ["omega_rad_s,chain_gain," + ",".join(
+        f"vehicle_{i}_gain" for i in range(n))]
+    for j in range(spectrum.omega.shape[0]):
+        cells = [spectrum.omega[j], spectrum.chain[j], *spectrum.per_vehicle[:, j]]
+        lines.append(",".join(format(float(x), ".9g") for x in cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_writer_inputs())
+def test_template_writers_match_per_cell_formatting(tmp_path_factory, inputs):
+    # every number is the text format(x, ".9g") gives, in all three writers
+    records, report, spectrum = inputs
+    out = tmp_path_factory.mktemp("writers")
+    data.write_trajectories(records, out / "traj.csv")
+    assert (out / "traj.csv").read_bytes() == _joined_csv(records)
+    simulate.write_deviations_csv(report, out / "dev.csv")
+    assert (out / "dev.csv").read_bytes() == _reference_deviations(report)
+    cli._write_spectrum_csv(out, "p", spectrum)
+    assert (out / "spectrum_p.csv").read_bytes() == _reference_spectrum(spectrum)
 
 
 def test_bad_header_rejected(tmp_path):

@@ -185,7 +185,7 @@ def test_cascade_positions_hand_values():
     # leader at 100 m (length 4), follower 1 (length 5) 10 m back, then 2 m
     pos = dyn.cascade_positions(np.array([100.0]), np.array([4.0, 5.0, 4.5]),
                                 np.array([[10.0], [2.0]]))
-    np.testing.assert_array_equal(pos, [[86.0], [79.0]])
+    np.testing.assert_array_equal(pos, [[100.0], [86.0], [79.0]])
 
 
 def test_gap_of_exactly_zero_is_a_collision():

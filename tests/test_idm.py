@@ -71,7 +71,8 @@ def test_platoon_at_equilibrium_stays_constant():
     for i in range(1, n_follow + 1):
         pos[i] = pos[i - 1] - lengths[i - 1] - s_eq
     lead = np.full(200, v)
-    sim = idm.simulate_idm_platoon(lead, pos, np.full(n_follow + 1, v), lengths, params)
+    sim, = idm.simulate_idm_platoon([lead], [pos], [np.full(n_follow + 1, v)],
+                                    [lengths], [params])
     assert sim.collision_frame is None
     assert np.abs(sim.speeds - v).max() < 1e-9
     gaps = sim.positions[:-1] - lengths[:-1, None] - sim.positions[1:]
@@ -89,7 +90,8 @@ def test_lead_stop_converges_to_jam_spacing():
     pos = np.array([0.0, -(4.5 + s_eq), -2 * (4.5 + s_eq)])
     lead = np.concatenate([np.maximum(v_init - 0.3 * 0.1 * np.arange(270), 0.0),
                            np.zeros(600)])
-    sim = idm.simulate_idm_platoon(lead, pos, np.full(3, v_init), lengths, params)
+    sim, = idm.simulate_idm_platoon([lead], [pos], [np.full(3, v_init)],
+                                    [lengths], [params])
     assert sim.collision_frame is None
     assert np.abs(sim.speeds[:, -1]).max() < 0.05
     final_gaps = sim.positions[:-1, -1] - lengths[:-1] - sim.positions[1:, -1]
@@ -102,8 +104,8 @@ def test_collision_truncates_with_frame():
     p = idm.IdmParams(v0=30.0, T=1.0, s0=2.0, a_max=1.0, b=1.5)
     lead = np.zeros(50)
     pos = np.array([0.0, -5.0])
-    sim = idm.simulate_idm_platoon(lead, pos, np.array([0.0, 25.0]),
-                                   np.full(2, 4.5), [p])
+    sim, = idm.simulate_idm_platoon([lead], [pos], [[0.0, 25.0]],
+                                    [np.full(2, 4.5)], [[p]])
     assert sim.collision_frame is not None
     assert sim.positions.shape[1] == sim.collision_frame
     if sim.collision_frame > 0:
@@ -118,7 +120,8 @@ def test_simulation_euler_identities():
     s_eq = idm.equilibrium_gap(v, STD)
     pos = np.array([0.0, -(4.5 + s_eq), -2 * (4.5 + s_eq)])
     lead = v + np.sin(0.2 * np.arange(120))
-    sim = idm.simulate_idm_platoon(lead, pos, np.full(3, v), lengths, params)
+    sim, = idm.simulate_idm_platoon([lead], [pos], [np.full(3, v)], [lengths],
+                                    [params])
     dx = sim.positions[:, 1:] - sim.positions[:, :-1]
     assert np.abs(dx - 0.1 * sim.speeds[:, :-1]).max() < 1e-12
 
@@ -208,8 +211,8 @@ def test_datagen_path_is_bit_identical_to_the_allocating_reference(case):
     positions, speeds = np.array(positions), np.array(speeds)
     lengths = np.array([4.5, 4.7, 4.4])
     noise = np.random.default_rng(6).normal(0.0, 0.3, (len(lead) - 1, 2))
-    sim = idm.simulate_idm_platoon(lead, positions, speeds, lengths, params,
-                                   noise)
+    sim, = idm.simulate_idm_platoon([lead], [positions], [speeds], [lengths],
+                                    [params], [noise])
     pos, spd, collision, clamps = _reference_platoon(
         lead, positions, speeds, lengths, params, noise)
     assert sim.collision_frame == collision
@@ -227,9 +230,9 @@ def _make_observation(true_params, frames=400, seed=5):
     lead_v[frames // 2:] = np.maximum(lead_v[frames // 2:] - 4.0, 3.0)
     lead_x = np.concatenate([[0.0], np.cumsum(0.1 * lead_v[:-1])])
     s_init = idm.equilibrium_gap(lead_v[0], true_params)
-    sim = idm.simulate_idm_platoon(
-        lead_v, np.array([0.0, -(4.5 + s_init)]), np.array([lead_v[0], lead_v[0]]),
-        np.full(2, 4.5), [true_params])
+    sim, = idm.simulate_idm_platoon(
+        [lead_v], [[0.0, -(4.5 + s_init)]], [[lead_v[0], lead_v[0]]],
+        [np.full(2, 4.5)], [[true_params]])
     assert sim.collision_frame is None
     return idm.FollowerObservation(
         lead_speeds=sim.speeds[0], speeds=sim.speeds[1],
@@ -318,9 +321,9 @@ def _fleet_observation(true_params, frames, seed):
     phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
     lead_v = 16.0 + 5.0 * np.sin(2.0 * np.pi * t / 6.0 + phase)
     s_init = idm.equilibrium_gap(lead_v[0], true_params)
-    sim = idm.simulate_idm_platoon(
-        lead_v, np.array([0.0, -(4.5 + s_init)]),
-        np.array([lead_v[0], lead_v[0]]), np.full(2, 4.5), [true_params])
+    sim, = idm.simulate_idm_platoon(
+        [lead_v], [[0.0, -(4.5 + s_init)]], [[lead_v[0], lead_v[0]]],
+        [np.full(2, 4.5)], [[true_params]])
     assert sim.collision_frame is None
     return idm.FollowerObservation(
         lead_speeds=sim.speeds[0], speeds=sim.speeds[1],
@@ -502,10 +505,10 @@ def test_lockstep_fitness_matches_independent_simulation():
     for f, obs in enumerate(group):
         lengths = np.full(2, 4.5)
         for m in range(0, idm.POPULATION, 7):
-            sim = idm.simulate_idm_platoon(
-                obs.lead_speeds, np.array([obs.gaps[0] + 4.5, 0.0]),
-                np.array([obs.lead_speeds[0], obs.speeds[0]]), lengths,
-                [idm.IdmParams(*pops[f, m])])
+            sim, = idm.simulate_idm_platoon(
+                [obs.lead_speeds], [[obs.gaps[0] + 4.5, 0.0]],
+                [[obs.lead_speeds[0], obs.speeds[0]]], [lengths],
+                [[idm.IdmParams(*pops[f, m])]])
             if sim.collision_frame is not None:
                 assert fitness[f, m] == idm.COLLISION_FITNESS
                 continue

@@ -17,9 +17,10 @@ def _record(duration_steps=120, n_followers=2, seed=3, platoon_id="cl-test"):
                                period_s=9.0, phase=0.4)
     params = [IdmParams(30.0, 1.2, 2.0, 1.1, 1.6) for _ in range(n_followers)]
     lengths = np.full(n_followers + 1, 4.5)
-    return data.synthesize_platoon(platoon_id, profile, params, lengths,
-                                   noise_sigma=0.0, noise_seed=seed,
+    rec, = data.synthesize_platoon([platoon_id], [profile], [params], [lengths],
+                                   noise_sigma=0.0, noise_seeds=[seed],
                                    duration_steps=duration_steps)
+    return rec
 
 
 def _stable_theta(rng, n, S):
@@ -130,9 +131,9 @@ class TestIdmSelfConsistency:
                   IdmParams(31.0, 1.1, 2.0, 1.3, 2.0),
                   IdmParams(26.0, 1.6, 2.5, 0.9, 1.5)]
         lengths = np.array([4.6, 4.3, 4.8, 4.4])
-        rec = data.synthesize_platoon("idm-cl", profile, params, lengths,
-                                      noise_sigma=0.0, noise_seed=0,
-                                      duration_steps=150)
+        rec, = data.synthesize_platoon(["idm-cl"], [profile], [params],
+                                       [lengths], noise_sigma=0.0,
+                                       noise_seeds=[0], duration_steps=150)
         run = sim.closed_loop_simulate(rec, IdmController(params),
                                        warmup_steps=1)
         assert run.viable
@@ -282,9 +283,9 @@ class TestDeviationReport:
         n = 2
         profile = data.LeadProfile("const_accel", v_init=15.0, accel=0.4)
         params = [IdmParams(30.0, 1.2, 2.0, 1.1, 1.6)] * n
-        rec = data.synthesize_platoon("dev", profile, params,
-                                      np.full(n + 1, 4.5), noise_sigma=0.0,
-                                      noise_seed=0, duration_steps=100)
+        rec, = data.synthesize_platoon(["dev"], [profile], [params],
+                                       [np.full(n + 1, 4.5)], noise_sigma=0.0,
+                                       noise_seeds=[0], duration_steps=100)
         run = sim.closed_loop_simulate(rec, IdmController(params),
                                        warmup_steps=1)
         rep = sim.compare_runs(rec, run)
