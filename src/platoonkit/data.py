@@ -20,7 +20,6 @@ targets.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -170,45 +169,75 @@ _ROW = np.dtype(list(zip(CSV_FIELDS, (object, np.int64, np.int64, float,
                                       float, float))))
 
 
-def _parse_file(path: Path) -> np.ndarray:
-    """The data rows of one CSV file, in file order, as a ``_ROW`` array.
+def _parse_file(path: Path) -> tuple:
+    """The data rows of one CSV file, in file order, as ``(ids, first,
+    inverse, columns)``: the file's distinct platoon ids, sorted, the row
+    where each first appears, each row's index into ``ids``, and one array
+    per column after ``platoon_id``.
 
-    One ``np.loadtxt`` pass parses every row. Only when it fails, or finds a
-    quote or a non-finite value, is the file scanned again row by row, to
+    The file is streamed: its header line is read, then one ``np.loadtxt``
+    pass parses the rest line by line, so its text is never held whole. The
+    parsed rows and their per-row id strings are freed on return, so about
+    one copy of each column is held at a time (a peak of about 3 times the
+    file's bytes, where holding the text and its copies read about 8).
+    Only when the parse fails, or finds a non-finite value or a quote in a
+    platoon id (the one cell a quote gets through), is the text read, to
     name the first bad line.
     """
-    text = path.read_text(encoding="utf-8")
-    if not text:
-        raise DataFormatError(f"{path}: empty file")
-    head, _, body = text.partition("\n")
-    header = head.split(",") if head else []
-    if tuple(header) != CSV_FIELDS:
-        raise DataFormatError(f"{path}: bad header {header}")
-    if not body.strip("\n"):
-        return np.empty(0, _ROW)
-    failure = "quoted cells are not supported"
-    if '"' not in body:
-        try:
-            rows = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",",
-                              comments=None, ndmin=1)
-        except ValueError as e:
-            failure = str(e)
-        else:
-            if all(np.isfinite(rows[name]).all() for name in CSV_FIELDS[3:]):
-                return rows
+    try:
+        with open(path, encoding="utf-8") as f:
+            head = f.readline()
+            if not head:
+                raise DataFormatError(f"{path}: empty file")
+            head = head.removesuffix("\n")
+            header = head.split(",") if head else []
+            if tuple(header) != CSV_FIELDS:
+                raise DataFormatError(f"{path}: bad header {header}")
+            body = f.tell()
+            # np.loadtxt warns on input with no rows
+            if all(line == "\n" for line in iter(f.readline, "")):
+                rows = np.empty(0, _ROW)
+            else:
+                f.seek(body)
+                rows = np.loadtxt(f, dtype=_ROW, delimiter=",", comments=None,
+                                  ndmin=1)
+    except ValueError as e:         # a UnicodeDecodeError among them
+        failure = str(e)
+    else:
+        ids, first, inverse = np.unique(rows["platoon_id"], return_index=True,
+                                        return_inverse=True)
+        if any('"' in pid for pid in ids):
+            failure = "quoted cells are not supported"
+        elif not all(np.isfinite(rows[name]).all() for name in CSV_FIELDS[3:]):
             failure = "non-finite value"
-    raise _bad_line(path, body, failure)
+        else:
+            return ids, first, inverse, [rows[name].copy()
+                                         for name in CSV_FIELDS[1:]]
+    raise _bad_line(path, failure)
 
 
-def _bad_line(path: Path, body: str, failure: str) -> DataFormatError:
-    """A DataFormatError naming the first line of ``body``, the text after
-    the header, that the bulk parse rejects, else one quoting ``failure``.
+def _universal_newlines(text: str) -> str:
+    """``text`` with each line ending translated to LF, as ``open`` reads."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
-    Blank lines are skipped. Every other line holds six unquoted cells:
-    ``vehicle_index`` and ``frame`` are integers that fit int64, the rest
-    finite decimals, all in ASCII with no underscores. A line that ``int``
-    or ``float`` rejects gets their message.
+
+def _bad_line(path: Path, failure: str) -> DataFormatError:
+    """A DataFormatError naming the first line of the file that is not
+    UTF-8 or that the bulk parse rejects, else one quoting ``failure``.
+
+    Blank lines after the header are skipped. Every other line holds six
+    unquoted cells: ``vehicle_index`` and ``frame`` are integers that fit
+    int64, the rest finite decimals, all in ASCII with no underscores. A
+    line that ``int`` or ``float`` rejects gets their message.
     """
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = _universal_newlines(raw[:e.start].decode("utf-8"))
+        lineno = before.count("\n") + 1
+        return DataFormatError(f"{path}:{lineno}: {e}")
+    body = _universal_newlines(text).partition("\n")[2]
     for lineno, line in enumerate(body.split("\n"), start=2):
         if not line:
             continue
@@ -302,6 +331,11 @@ def load_trajectories(path, rejects: Optional[list] = None) -> list:
     (platoon_id, reason) to ``rejects`` (if given) and logs a warning.
     Records come in order of first appearance across the sorted files, and a
     platoon may span files.
+
+    Each file is streamed into the parser (see ``_parse_file``), and about
+    one copy of each column is held: a one-file corpus is assembled from its
+    own columns, and the per-file columns of several are freed once joined,
+    before they are sorted.
     """
     path = Path(path)
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
@@ -310,20 +344,18 @@ def load_trajectories(path, rejects: Optional[list] = None) -> list:
     numbers: dict = {}              # platoon id -> number, by first appearance
     parts = []
     for f in files:
-        rows = _parse_file(f)
-        ids, first, inverse = np.unique(rows["platoon_id"], return_index=True,
-                                        return_inverse=True)
+        ids, first, inverse, columns = _parse_file(f)
         for pid in ids[np.argsort(first)]:
             numbers.setdefault(pid, len(numbers))
         code = np.array([numbers[pid] for pid in ids], dtype=np.int64)
-        # copies, so that no id string outlives the parse of its file
-        parts.append((code[inverse],
-                      *(rows[name].copy() for name in CSV_FIELDS[1:])))
+        parts.append((code[inverse], *columns))
     if not numbers:
         return []
+    columns = (parts[0] if len(parts) == 1
+               else [np.concatenate(part) for part in zip(*parts)])
+    del parts
     records = []
-    for pid, reason, record in _assemble(list(numbers),
-                                         *map(np.concatenate, zip(*parts))):
+    for pid, reason, record in _assemble(list(numbers), *columns):
         if reason is not None:
             log.warning("rejected %s", reason)
             if rejects is not None:
@@ -434,14 +466,20 @@ def lead_speed_series(profile: LeadProfile, frames: int) -> np.ndarray:
         target = rng.uniform(8.0, 30.0)
         hold = int(rng.uniform(2.0, 5.0) / DT)
         ramp = rng.uniform(0.5, 1.5)
-        while i < frames and abs(v[i - 1] - target) > ramp * DT:
-            v[i] = v[i - 1] + np.sign(target - v[i - 1]) * ramp * DT
-            i += 1
-        for _ in range(hold):
-            if i >= frames:
-                break
-            v[i] = target
-            i += 1
+        # the ramp steps by ramp*DT toward the target until it is within one
+        # step of it; cumsum adds the steps in sequence, as a per-frame loop
+        # does, so run[k] is the speed after k steps, and n covers the
+        # distance with steps to spare for the rounding of the sums
+        n = min(frames - i, int(abs(v[i - 1] - target) / (ramp * DT)) + 2)
+        run = np.full(n + 1, np.sign(target - v[i - 1]) * ramp * DT)
+        run[0] = v[i - 1]
+        run = np.cumsum(run)
+        close = np.abs(run - target) <= ramp * DT
+        steps = int(np.argmax(close)) if close.any() else n
+        v[i:i + steps] = run[1:steps + 1]
+        i += steps
+        v[i:i + hold] = target
+        i += hold
     return np.clip(v, 0.0, SPEED_CAP)
 
 

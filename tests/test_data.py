@@ -306,6 +306,26 @@ def test_streamed_csv_matches_the_joined_text(tmp_path):
     assert path.read_bytes() == _joined_csv([])
 
 
+def test_one_file_load_holds_about_one_copy_of_each_column(tmp_path):
+    # the file is streamed into the parser and its rows freed once their
+    # columns are copied (holding its text, a copy of the body and a StringIO
+    # of it read 8.4 times the file's bytes)
+    path = tmp_path / "corpus.csv"
+    data.write_trajectories(data.generate_synthetic_platoons(
+        24, n_followers=6, seed=5), path)
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    data.load_trajectories(path)             # warm caches
+    tracemalloc.start()
+    try:
+        records = data.load_trajectories(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 24
+    assert peak < 4 * size, peak / size
+
+
 def test_generation_deterministic(tmp_path):
     a = data.generate_synthetic_platoons(2, n_followers=3, duration_s=5.0, seed=42)
     b = data.generate_synthetic_platoons(2, n_followers=3, duration_s=5.0, seed=42)
@@ -449,6 +469,39 @@ def test_lead_profiles_shapes_and_bounds():
     v2 = data.lead_speed_series(data.LeadProfile("piecewise", 15.0, seed=7), 300)
     assert np.array_equal(v1, v2)
     assert np.abs(np.diff(v1)).max() <= 1.5 * data.DT + 1e-12
+
+
+def _piecewise_per_frame(profile, frames):
+    """The piecewise lead profile stepped one frame per loop iteration."""
+    rng = np.random.default_rng(profile.seed)
+    v = np.empty(frames)
+    v[0] = profile.v_init
+    i = 1
+    while i < frames:
+        target = rng.uniform(8.0, 30.0)
+        hold = int(rng.uniform(2.0, 5.0) / data.DT)
+        ramp = rng.uniform(0.5, 1.5)
+        while i < frames and abs(v[i - 1] - target) > ramp * data.DT:
+            v[i] = v[i - 1] + np.sign(target - v[i - 1]) * ramp * data.DT
+            i += 1
+        for _ in range(hold):
+            if i >= frames:
+                break
+            v[i] = target
+            i += 1
+    return np.clip(v, 0.0, data.SPEED_CAP)
+
+
+def test_piecewise_ramps_equal_the_per_frame_loop():
+    # ramps that end mid-series and ramps cut by the series' end, from
+    # initial speeds across [0, SPEED_CAP]
+    rng = np.random.default_rng(3)
+    for seed in range(250):
+        frames = int(rng.integers(1, 700))
+        profile = data.LeadProfile("piecewise", float(rng.uniform(0.0, 40.0)),
+                                   seed=seed)
+        assert np.array_equal(data.lead_speed_series(profile, frames),
+                              _piecewise_per_frame(profile, frames)), seed
 
 
 def test_malformed_row_raises_with_line_number(tmp_path):
@@ -706,6 +759,24 @@ def test_quoted_or_underscored_cell_names_its_line(tmp_path, row):
     text = HEADER + "p0,0,0,100.0,10.0,4.5\n" + row + "\n"
     with pytest.raises(data.DataFormatError, match=r"bad\.csv:3: "):
         _load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("in_header", [True, False])
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, in_header):
+    # in the header, or at the start of the first body line past 8 KiB,
+    # which the reader decodes after it has read the header
+    head, body = HEADER.encode(), _rows("p0", frames=400).encode()
+    cut = body.index(b"\n", 8 * 1024) + 1
+    if in_header:
+        raw, bad = head[:5] + b"\xff" + head[5:] + body, 1
+    else:
+        raw = head + body[:cut] + b"\xff" + body[cut:]
+        bad = 2 + body[:cut].count(b"\n")
+    (tmp_path / "bad.csv").write_bytes(raw)
+    with pytest.raises(data.DataFormatError,
+                       match=rf"bad\.csv:{bad}: 'utf-8' codec can't decode "
+                             r"byte 0xff in position \d+: invalid start byte"):
+        data.load_trajectories(tmp_path)
 
 
 @pytest.mark.parametrize("rows, reason", [
