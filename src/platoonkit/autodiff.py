@@ -9,13 +9,17 @@ fully-masked rows, and ``softplus``, the one softplus.
 
 ``Tensor.backward`` has ``Tape.trace`` order the nodes reachable from an
 output topologically and ``Tape.backward`` replay them once in reverse; the
-graph is rebuilt on every forward pass. A node records only its parents
-that require grad, so no constant is ever a leaf. The replay consumes the
-graph: once a node's VJP has run, the node drops its gradient, its parents
-and its closure, so the graph is freed as backward goes, while the output
-is still held, and a second backward through it raises ``AutodiffError``.
-Leaves keep their gradients. No VJP captures its own output, so a graph
-dropped without a backward is freed by reference counting too.
+graph is rebuilt on every forward pass. Recording follows ``requires_grad``
+alone: an op is recorded exactly when a parent requires grad, and its node
+keeps only those parents, so no constant is ever a leaf. Inference runs on
+constant weights, from ``training.load_checkpoint`` or
+``network.ModelParams.constants()``, and records nothing. The replay
+consumes the graph: once a node's VJP has run, the node drops its gradient,
+its parents and its closure, so the graph is freed as backward goes, while
+the output is still held, and a second backward through it raises
+``AutodiffError``. Leaves keep their gradients. No VJP captures its own
+output, so a graph dropped without a backward is freed by reference counting
+too.
 
 A tensor, a leaf (``param``) too, keeps float32 data as float32 and stores
 anything else as float64, and a tape computes in the dtype of its leaves:
@@ -31,8 +35,6 @@ against central differences.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import logging
 from typing import Callable, Sequence
 
@@ -55,32 +57,10 @@ class NonFiniteValue(AutodiffError):
     """A NaN or Inf appeared at a graph boundary or inside a primitive."""
 
 
-class _GradMode:
-    """Whether ops are recorded: a context variable, so each thread (and
-    asyncio task) has its own, on by default. Its truth value is the mode."""
-
-    __slots__ = ("var",)
-
-    def __init__(self):
-        self.var = contextvars.ContextVar("grad_enabled", default=True)
-
-    def __bool__(self) -> bool:
-        return self.var.get()
-
-
-_grad_enabled = _GradMode()
+# Always true: recording follows ``requires_grad`` alone. perfbench's tracer
+# still reads this name when it times training steps.
+_grad_enabled = True
 _degenerate_rows = 0  # fully-masked softmax rows seen by this process
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (forward values only), in
-    the calling thread only."""
-    token = _grad_enabled.var.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.var.reset(token)
 
 
 def degenerate_softmax_rows() -> int:
@@ -205,11 +185,11 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def needs_grad(*tensors: Tensor) -> bool:
     """True when an op on ``tensors`` is recorded on the tape."""
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+    return any(t.requires_grad for t in tensors)
 
 
 def _make(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
-    parents = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
+    parents = tuple(p for p in parents if p.requires_grad)
     if not parents:
         return Tensor(data, _op=op)
     return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp, _op=op)
@@ -313,8 +293,7 @@ def finite_diff_check(graph: Callable, inputs: Sequence[np.ndarray],
     loss.backward()
 
     def evaluate() -> float:
-        with no_grad():
-            return float(graph(*[Tensor(w) for w in work]).data)
+        return float(graph(*[Tensor(w) for w in work]).data)
 
     worst = 0.0
     for arr, leaf in zip(work, leaves):

@@ -105,7 +105,8 @@ def _at_most(parse, maximum):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    # NaN and Infinity are not JSON: a non-finite value fails before writing
+    return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def _emit(payload, out_path) -> None:
@@ -254,21 +255,19 @@ def _predictions(params, config, windows):
     forward pass per follower count, which ``model_forward`` runs a block of
     platoons at a time."""
     from . import analysis
-    from . import autodiff as ad
     from . import network as net
     import numpy as np
     F = config.horizon
     pv, ps, tv, ts, bv, bs = [], [], [], [], [], []
-    with ad.no_grad():
-        for hist, lead, targets in windows:
-            out = net.model_forward(params, config, hist, lead)
-            pv.append(out.result.v.data.reshape(-1, F))
-            ps.append(out.result.s.data.reshape(-1, F))
-            tv.append(targets[..., 0].reshape(-1, F))
-            ts.append(targets[..., 1].reshape(-1, F))
-            base_v, base_s = analysis.persistence_prediction(hist, F)
-            bv.append(base_v.reshape(-1, F))
-            bs.append(base_s.reshape(-1, F))
+    for hist, lead, targets in windows:
+        out = net.model_forward(params, config, hist, lead)
+        pv.append(out.result.v.data.reshape(-1, F))
+        ps.append(out.result.s.data.reshape(-1, F))
+        tv.append(targets[..., 0].reshape(-1, F))
+        ts.append(targets[..., 1].reshape(-1, F))
+        base_v, base_s = analysis.persistence_prediction(hist, F)
+        bv.append(base_v.reshape(-1, F))
+        bs.append(base_s.reshape(-1, F))
     cat = lambda chunks: np.concatenate(chunks, axis=0)
     return cat(pv), cat(ps), cat(tv), cat(ts), cat(bv), cat(bs)
 
@@ -349,7 +348,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stability(args) -> int:
     from . import analysis, data
-    from . import autodiff as ad
     from . import network as net
     params, config, records = _load_model_and_data(args)
     for rec in records:
@@ -360,9 +358,8 @@ def _cmd_stability(args) -> int:
     windows = data.extract_windows(records, config.history_len, config.horizon,
                                    stride=max(rec.duration for rec in records))
     thetas = []
-    with ad.no_grad():
-        for hist, lead, _ in windows:   # one batch per follower count
-            thetas.extend(net.model_forward(params, config, hist, lead).theta.data)
+    for hist, lead, _ in windows:   # one batch per follower count
+        thetas.extend(net.model_forward(params, config, hist, lead).theta.data)
     report = {}
     for rec, theta in zip(sorted(records, key=lambda r: r.n_followers), thetas):
         spectrum = analysis.head_to_tail_gain(theta)
@@ -449,12 +446,16 @@ def _cmd_calibrate_idm(args) -> int:
             else range(1, rec.n_followers + 1)
         rows = report[rec.platoon_id] = {}
         for vi in indices:
-            slots.append((rows, str(vi)))
+            slots.append((rec.platoon_id, rows, str(vi)))
             observations.append(data.follower_observation(rec, vi))
             child = np.random.SeedSequence((args.seed, ri, vi))
             seeds.append(int(child.generate_state(1)[0]))
     results = idm.calibrate_followers(observations, seeds, budget=args.budget)
-    for (rows, vi), result in zip(slots, results):
+    for (pid, rows, vi), result in zip(slots, results):
+        if not math.isfinite(result.fitness):
+            raise CliError(f"{pid}: follower {vi}: GA fitness is "
+                           f"{result.fitness}; the IDM simulation overflows "
+                           f"at this corpus's scale")
         # the GA fitness, gap RMSE plus speed RMSE, under its historic key
         rows[vi] = {"params": asdict(result.params),
                     "gap_rmse": result.fitness,

@@ -144,6 +144,13 @@ class ModelParams:
     norm_mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
     norm_std: np.ndarray = field(default_factory=lambda: np.ones(3))
 
+    def constants(self) -> "ModelParams":
+        """The same weight arrays, uncopied, as constant tensors: a forward
+        pass on them records nothing."""
+        return ModelParams(OrderedDict((k, ad.Tensor(t.data))
+                                       for k, t in self.weights.items()),
+                           self.norm_mean, self.norm_std)
+
 
 def _q32(a: np.ndarray) -> np.ndarray:
     """Snap to float32-representable float64 values."""
@@ -242,9 +249,9 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 
 # State elements per row block of the selective scan, of the whole TFL block
 # without a tape, and of the platoon blocks that model_forward runs the
-# network on without a tape: 48 rows of an (8, 128) state, ~400 KB per
-# float64 buffer, so a block's scan buffers stay in L2 and the other arrays
-# (48 rows of (T, 2 d_inner) at most) take ~2 MB each, whatever the batch.
+# network on without a tape: 48 rows of an (8, 128) state, ~200 KB per
+# float32 buffer, so a block's scan buffers stay in L2 and the other arrays
+# (48 rows of (T, 2 d_inner) at most) take ~1 MB each, whatever the batch.
 _SCAN_BLOCK = 48 * 8 * 128
 
 

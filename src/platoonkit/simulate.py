@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import data
 from . import dynamics as dyn
 from . import network as net
@@ -57,12 +56,13 @@ class ModelController:
     plan steering step k. Latents stay at their means unless a ``seed`` is
     given; then platoon i draws its noise from child i of
     ``SeedSequence(seed)``, so its run does not depend on which platoons
-    share its batch.
+    share its batch. The weights run as constants, so a replan records no
+    node.
     """
 
     def __init__(self, params: net.ModelParams, config: net.ModelConfig,
                  seed: int = None):
-        self.params = params
+        self.params = params.constants()
         self.config = config
         self.seed = seed
         self._rngs = {}
@@ -83,9 +83,8 @@ class ModelController:
             shape = (history.shape[1], self.config.d_model)
             noise = np.stack([self._rng(int(i)).standard_normal(shape)
                               for i in platoons])
-        with ad.no_grad():
-            out = net.model_forward(self.params, self.config,
-                                    history, lead_future, noise=noise)
+        out = net.model_forward(self.params, self.config,
+                                history, lead_future, noise=noise)
         self._theta = out.theta.data
         self._v_star = out.xstar.v_star
         self._s_star = out.xstar.s_star

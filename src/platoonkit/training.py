@@ -314,13 +314,13 @@ class TrainResult:
 def _eval_windows(params, config, windows, batch_size):
     """Deterministic losses over window triples, weighted by window count."""
     sums = np.zeros(3)
-    with ad.no_grad():
-        for hist, lead, targets in make_batches(windows, batch_size):
-            out = net.model_forward(params, config, hist, lead)
-            l_v, l_s = prediction_losses(out.result, targets)
-            kl = kl_loss(out.mu, out.logvar)
-            b = hist.shape[0]
-            sums += b * np.array([l_v.data, l_s.data, kl.data])
+    params = params.constants()
+    for hist, lead, targets in make_batches(windows, batch_size):
+        out = net.model_forward(params, config, hist, lead)
+        l_v, l_s = prediction_losses(out.result, targets)
+        kl = kl_loss(out.mu, out.logvar)
+        b = hist.shape[0]
+        sums += b * np.array([l_v.data, l_s.data, kl.data])
     return sums / data.window_count(windows)
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from platoonkit import analysis, cli, data, idm, training
-from platoonkit import autodiff as ad
 from platoonkit import dynamics as dyn
 from platoonkit import network as net
 from platoonkit import simulate as sim
@@ -126,8 +125,7 @@ def test_criterion_03_rollout_oracle(capsys):
         v_star = rng.uniform(5, 25, n)
         s_star = rng.uniform(10, 40, n)
         xstar = dyn.ExpectedState(v_star, s_star)
-        with ad.no_grad():
-            out = dyn.rollout(initial, lead, theta_t, xstar, dt=0.1)
+        out = dyn.rollout(initial, lead, theta_t, xstar, dt=0.1)
         ref_v, ref_s = _scalar_rollout(initial.tolist(), lead.tolist(),
                                        theta_t.data.tolist(),
                                        v_star.tolist(), s_star.tolist(), 0.1)
@@ -210,8 +208,7 @@ def _measured_gains(theta3, omegas, dt):
     theta = np.tile(np.asarray(theta3), (omegas.size, 1, 1, 1))
     xstar = dyn.ExpectedState(np.full((omegas.size, 1), _V_STAR),
                               np.full((omegas.size, 1), _S_STAR))
-    with ad.no_grad():
-        out = dyn.rollout(initial, lead, theta, xstar, dt=dt)
+    out = dyn.rollout(initial, lead, theta, xstar, dt=dt)
     y = out.v.data[:, 0, :] - _V_STAR
     u = lead - _V_STAR
     gains = np.empty(omegas.size)

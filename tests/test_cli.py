@@ -844,6 +844,22 @@ def test_calibrate_idm_bad_vehicle(corpus, capsys):
     assert code == 2 and "follower" in err
 
 
+def test_calibrate_idm_non_finite_fitness_is_data_error(corpus, capsys, tmp_path):
+    # positions, speeds and lengths of 1e200 load, but overflow the GA's IDM
+    # simulation: the run names the platoon and follower, writes nothing,
+    # and never reports a fitness of Infinity, which is not JSON
+    rec = data.load_trajectories(corpus)[0]
+    data.write_trajectories([data.PlatoonRecord(
+        rec.platoon_id, rec.positions * 1e200, rec.speeds * 1e200,
+        rec.lengths * 1e200)], tmp_path / "huge.csv")
+    out = tmp_path / "idm.json"
+    code, stdout, err = _run(capsys, ["calibrate-idm", "--data", str(tmp_path),
+                                      "--budget", "3", "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert f"{rec.platoon_id}: follower 1" in err, err
+    assert "Traceback" not in err
+
+
 def test_gradcheck_tiny_config(capsys, tmp_path):
     cfg = tmp_path / "g.json"
     cfg.write_text(json.dumps({"model": {

@@ -1,6 +1,5 @@
 """Tests for the neural pipeline stages and the full forward pass."""
 
-import contextlib
 import logging
 import math
 import tracemalloc
@@ -440,9 +439,9 @@ class TestTemporalBlock:
                                                   cfg.d_model)).astype(dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for mode in (contextlib.nullcontext, ad.no_grad):
-                with mode(), pytest.raises(ad.NonFiniteValue, match="'tfl'"):
-                    net.tfl_forward(w, cfg, x)
+            for weights in (w, net.ModelParams(w).constants().weights):
+                with pytest.raises(ad.NonFiniteValue, match="'tfl'"):
+                    net.tfl_forward(weights, cfg, x)
 
 
 def _composed_tfl_forward(w, cfg, x):
@@ -482,13 +481,13 @@ class TestFusedTemporalBlock:
         # block of 48 and a ragged one of 7, with the boundary inside window 9
         cfg = net.ModelConfig()
         assert _BLOCK == 48
-        w = net.init_params(cfg, seed=2).weights
+        params = net.init_params(cfg, seed=2)
+        w, const = params.weights, params.constants().weights
         for seed, batch in ((30, (3, 6)), (33, (11, 5))):
             x = np.random.default_rng(seed).normal(
                 size=batch + (cfg.history_len, cfg.d_model))
             want = _composed_tfl_forward(w, cfg, x)
-            with ad.no_grad():
-                plain = net.tfl_forward(w, cfg, x)
+            plain = net.tfl_forward(const, cfg, x)
             recorded = net.tfl_forward(w, cfg, ad.param(x))
             assert recorded.requires_grad and plain._vjp is None
             _assert_bits(plain.data, want)
@@ -518,12 +517,12 @@ class TestFusedTemporalBlock:
         assert net._block_rows(cfg.n_state * cfg.d_inner * n_veh) == 1
         params, hist, lead = _fitted_batch(cfg, 4, 2, n_veh)
         taped = net.model_forward(params, cfg, hist, lead).theta.data
-        with ad.no_grad():
-            theta = net.model_forward(params, cfg, hist, lead).theta.data
-            for i in range(len(hist)):
-                solo = net.model_forward(params, cfg, hist[i:i + 1],
-                                         lead[i:i + 1]).theta.data
-                _assert_bits(solo[0], theta[i])
+        const = params.constants()
+        theta = net.model_forward(const, cfg, hist, lead).theta.data
+        for i in range(len(hist)):
+            solo = net.model_forward(const, cfg, hist[i:i + 1],
+                                     lead[i:i + 1]).theta.data
+            _assert_bits(solo[0], theta[i])
         _assert_bits(theta, taped)
 
     def test_no_grad_peak_memory(self):
@@ -531,15 +530,14 @@ class TestFusedTemporalBlock:
         # peak beyond the output stays under 3.6 buffers of (48, T,
         # 2 d_inner), the size of one row block's widest array
         cfg = net.ModelConfig()
-        w = net.init_params(cfg, seed=0).weights
+        w = net.init_params(cfg, seed=0).constants().weights
         buffer = 8 * _BLOCK * cfg.history_len * 2 * cfg.d_inner
         for batch in (64, 256):
             x = np.random.default_rng(32).normal(size=(batch, 6, cfg.history_len,
                                                        cfg.d_model))
             tracemalloc.start()
             try:
-                with ad.no_grad():
-                    y = net.tfl_forward(w, cfg, x)
+                y = net.tfl_forward(w, cfg, x)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -638,13 +636,13 @@ def _attn_cases(rng, batch=3):
 class TestFusedAttention:
     def test_matches_the_composition_bitwise(self):
         cfg = net.ModelConfig()
-        w = net.init_params(cfg, seed=2).weights
+        params = net.init_params(cfg, seed=2)
+        w, const = params.weights, params.constants().weights
         for base, x, m, mask in _attn_cases(np.random.default_rng(20)):
             want = _composed_attn_layer(w, base, x, x if m is None else m,
                                         cfg.attn_heads, mask)
-            with ad.no_grad():
-                plain = net._attn_layer(w, base, x, x if m is None else m,
-                                        cfg.attn_heads, mask)
+            plain = net._attn_layer(const, base, x, x if m is None else m,
+                                    cfg.attn_heads, mask)
             xt = ad.param(x)
             recorded = net._attn_layer(w, base, xt, xt if m is None else ad.param(m),
                                        cfg.attn_heads, mask)
@@ -803,16 +801,16 @@ class TestPlatoonBlocks:
         params, hist, lead = _fitted_batch(cfg, 60 + n_veh, batch, n_veh)
         noise = np.random.default_rng(70).standard_normal(
             (batch, n_veh, cfg.d_model))
+        const = params.constants()
         for eps in (None, noise):
-            with ad.no_grad():
-                whole = _output_arrays(net.model_forward(params, cfg, hist, lead,
-                                                         noise=eps))
-                for i in range(batch):
-                    one = slice(i, i + 1)
-                    solo = net.model_forward(params, cfg, hist[one], lead[one],
-                                             None if eps is None else eps[one])
-                    for got, want in zip(_output_arrays(solo), whole):
-                        _assert_bits(got[0], want[i])
+            whole = _output_arrays(net.model_forward(const, cfg, hist, lead,
+                                                     noise=eps))
+            for i in range(batch):
+                one = slice(i, i + 1)
+                solo = net.model_forward(const, cfg, hist[one], lead[one],
+                                         None if eps is None else eps[one])
+                for got, want in zip(_output_arrays(solo), whole):
+                    _assert_bits(got[0], want[i])
             # the taped forward is one block: the same bits and the same
             # 85 nodes (70 weights, 10 stage nodes, 4 attention layers...)
             taped = net.model_forward(params, cfg, hist, lead, noise=eps)
@@ -827,6 +825,7 @@ class TestPlatoonBlocks:
         cfg = net.ModelConfig()
         params, batch, lead = _fitted_batch(cfg, 71, 19, 6)
         params.norm_mean[0], params.norm_std[0] = 10.0, 0.5  # 60 reads 100
+        params = params.constants()
         far = (17, 2, 5, 0)
         for edits, rows, warns in [
                 ([(far, 1e4)], 19, True),
@@ -842,8 +841,7 @@ class TestPlatoonBlocks:
             assert (np.abs(normalized).max(initial=0.0)
                     > net.EMBED_MAGNITUDE_WARN) == warns
             caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="platoonkit.network"), \
-                    ad.no_grad():
+            with caplog.at_level(logging.WARNING, logger="platoonkit.network"):
                 try:
                     net.model_forward(params, cfg, hist, lead[:rows])
                 except ad.NonFiniteValue:
@@ -860,14 +858,14 @@ class TestPlatoonBlocks:
         buffer = 8 * _BLOCK * cfg.history_len * 2 * cfg.d_inner
         for batch in (64, 256):
             params, hist, lead = _fitted_batch(cfg, 72, batch, 6)
-            with ad.no_grad():
-                net.model_forward(params, cfg, hist[:1], lead[:1])   # warm caches
-                tracemalloc.start()
-                try:
-                    out = net.model_forward(params, cfg, hist, lead)
-                    kept, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
+            params = params.constants()
+            net.model_forward(params, cfg, hist[:1], lead[:1])   # warm caches
+            tracemalloc.start()
+            try:
+                out = net.model_forward(params, cfg, hist, lead)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             assert out.theta.shape[0] == batch
             assert (peak - kept) / buffer <= 4.0, batch
 
@@ -923,8 +921,8 @@ class TestFloat32Checkpoint:
             monkeypatch.setattr(net, name, wrapped)
 
         for eps in (None, noise):
-            with ad.no_grad():
-                want = net.model_forward(params, cfg, hist, lead, noise=eps)
+            want = net.model_forward(params.constants(), cfg, hist, lead,
+                                     noise=eps)
             assert want.theta.data.dtype == np.float64 and not seen
             for name in self.STAGES + self.KERNELS:
                 spy(name, name in self.KERNELS)
@@ -945,7 +943,7 @@ class TestFloat32Checkpoint:
         params, hist, lead = _fitted_batch(cfg, 82, 3, 2)
         loaded = _loaded(params, cfg, tmp_path)
         assert not any(t.requires_grad for t in loaded.weights.values())
-        out = net.model_forward(loaded, cfg, hist, lead)    # outside no_grad
+        out = net.model_forward(loaded, cfg, hist, lead)
         for t in (out.theta, out.mu, out.logvar, out.result.v):
             assert not t.requires_grad and t._parents == ()
 

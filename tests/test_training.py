@@ -1,7 +1,6 @@
 """Tests for losses, weight balancing, Adam, checkpoints, and the train loop."""
 
 import collections
-import contextlib
 import gc
 import io
 import json
@@ -465,6 +464,33 @@ class TestTrainingStepGraph:
             gc.enable()
         assert all(t.grad is not None for t in params.weights.values())
 
+    def test_validation_and_replans_record_no_node(self, monkeypatch):
+        # trainable weights run as constants in _eval_windows and in a
+        # controller's replans: no op is recorded, and no weight gets a
+        # gradient
+        from platoonkit import simulate as sim
+        cfg = _tiny_config()
+        wins = _windows(cfg)
+        params = net.init_params(cfg, seed=3)
+        params.norm_mean, params.norm_std = net.fit_normalization(wins)
+        made = []
+        make = ad._make
+
+        def spy(*args):
+            out = make(*args)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(ad, "_make", spy)
+        losses = tr._eval_windows(params, cfg, wins, batch_size=2)
+        hist, lead, _ = wins[0]
+        controller = sim.ModelController(params, cfg, seed=7)
+        controller.replan(hist, lead, np.arange(len(hist)))
+        assert len(made) > 20 and not any(made)
+        assert np.isfinite(losses).all()
+        assert all(t.requires_grad and t.grad is None
+                   for t in params.weights.values())
+
 
 class TestTrainLoop:
     def test_runs_and_logs_deterministically(self, tmp_path):
@@ -513,9 +539,8 @@ class TestTrainLoop:
             hist.shape[:2] + (cfg.d_model,))
         for eps in (None, noise):
             want = net.model_forward(loaded, cfg, hist, lead, noise=eps)
-            for mode in (contextlib.nullcontext, ad.no_grad):
-                with mode():
-                    got = net.model_forward(params, cfg, hist, lead, noise=eps)
+            for weights in (params, params.constants()):
+                got = net.model_forward(weights, cfg, hist, lead, noise=eps)
                 for field in ("theta", "mu", "logvar"):
                     a, b = getattr(got, field).data, getattr(want, field).data
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
